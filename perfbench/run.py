@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload table5-sim --seed 1 --seconds 34 --trace 0
+    python3 perfbench/run.py --workload table5-sim --seed 1 --seconds 38 --trace 0
     python3 perfbench/run.py --self-test
 
 Workloads (``perfbench/workloads.py``): ``table5-sim``, ``dynamic-mixed``
@@ -19,14 +19,19 @@ and ``service-roundtrip``.  One run of a workload:
    process imports the entry points and resolves every trace
    (``setup_s``), then executes the whole grid through a serial
    ``SweepEngine`` into an empty result cache (``run_s``, per-point
-   latency from the engine's progress callback, ``peak_rss_mb``); two
+   latency from the engine's progress callback, ``peak_rss_mb``); three
    fresh *warm* processes resolve the same grid against the disk cache
    it filled (``warm_s``).  The service workload runs one process per
-   round: server start, the client's closed loop (per-point latency from
-   the NDJSON run events), then identical resubmissions (``warm_s``) and
-   a job of cache hits;
+   round: server start, the client's closed loop of short jobs
+   (per-point latency from the NDJSON run events), then identical
+   resubmissions (``warm_s``) and a job of cache hits;
 4. with ``--trace 1``, one more round runs traced (``tracer.py``) and
    its per-layer self times and counters become the metrics.
+
+Timings are scaled to a nominal host (``hostclock.py``): short runs of
+a fixed calibration kernel bracket every timed stretch (each point, each
+service job, each process's start-up), which takes the shared host's
+speed drift out of the numbers.  The report keeps the raw times.
 
 :func:`end_to_end` documents how the rounds reduce to one number.
 
@@ -59,6 +64,7 @@ from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from hostclock import REFERENCE_S, SPARSE_REPEATS, kernel_s, scale  # noqa: E402
 from tracer import LAYERS  # noqa: E402
 from workloads import TRACE_FILE, WORKLOADS, ServiceRoundtrip  # noqa: E402
 
@@ -70,7 +76,7 @@ MIN_ROUNDS = 3
 #: Upper bound on rounds, however long ``--seconds`` is.
 MAX_ROUNDS = 16
 #: Warm processes per untimed round (one in the traced round).
-WARM_PROCESSES = 2
+WARM_PROCESSES = 3
 #: One worker process may take at most this long.
 WORKER_TIMEOUT_S = 60.0
 
@@ -163,7 +169,8 @@ class Runner:
         config = {
             "phase": phase, "workload": self.workload, "seed": self.seed,
             "scale": self.scale, "trace": trace, "out": str(out),
-            "state_dir": str(state), "spawn": time.monotonic(),
+            "state_dir": str(state), "kernel_s": kernel_s(SPARSE_REPEATS),
+            "spawn": time.monotonic(),
         }
         try:
             completed = subprocess.run(
@@ -177,7 +184,11 @@ class Runner:
             tail = completed.stderr.decode("utf-8", "replace").strip().splitlines()[-5:]
             raise WorkerFailed(f"{phase} worker exited {completed.returncode}: "
                                + " | ".join(tail))
-        return json.loads(out.read_text(encoding="utf-8"))
+        result = json.loads(out.read_text(encoding="utf-8"))
+        if trace:  # a traced process runs no kernel: bracket it from here
+            result["kernel_before_s"] = config["kernel_s"]
+            result["kernel_after_s"] = kernel_s(SPARSE_REPEATS)
+        return result
 
 
 def _fresh_cache(runner: Runner, seeded: Optional[Path], index: int) -> Path:
@@ -248,35 +259,43 @@ def gate(prepared: dict, rounds: List[dict], inject: bool) -> Tuple[int, List[st
 def end_to_end(rounds: List[dict]) -> Tuple[dict, dict]:
     """End-to-end metrics over the untraced rounds, plus details.
 
-    Other tenants of the host only ever slow a round, in phases of a
-    minute or more, so the grid's timings are the fastest of the
-    repeats: ``run_s`` is the fastest round, ``warm_s`` the fastest warm
-    process (service: the fastest round's median resubmission), and each
-    point's latency is its fastest across rounds, the population
-    ``point_p50_ms`` and ``point_tail_ms`` are taken over.  ``setup_s``
-    and ``peak_rss_mb`` are medians over rounds.  Every round's raw
-    values go into the report.
+    Every timing is in nominal-host seconds (``hostclock.py``): the
+    host's speed drifts by up to half again while a run lasts, and
+    scaling each timed stretch by its bracketing calibration kernels
+    takes most of that drift out.  ``setup_s``, ``run_s``, ``warm_s``
+    and ``peak_rss_mb`` are medians over rounds (``warm_s`` over every
+    warm process; service: each round's median resubmission).  Each
+    point's latency is its median across rounds, the population
+    ``point_p50_ms`` and ``point_tail_ms`` are taken over.  Every round's
+    raw and scaled values go into the report.
     """
     colds = [record["cold"] for record in rounds]
-    per_point = [min(samples) for samples in zip(*(cold["latencies"] for cold in colds))]
+    per_point = [statistics.median(samples)
+                 for samples in zip(*(cold["latencies"] for cold in colds))]
     pct = tail_percentile(len(per_point))
-    runs = [cold["run_s"] for cold in colds]
-    warms = ([warm["warm_s"] for record in rounds for warm in record["warms"]]
-             or [cold["warm_s"] for cold in colds])
-    setups = [cold["setup_s"] for cold in colds]
+    warm_processes = [warm for record in rounds for warm in record["warms"]] or colds
+    detail = {
+        key: [process[key] for process in processes]
+        for processes, keys in ((colds, ("setup_s", "setup_raw_s", "run_s", "run_raw_s")),
+                                (warm_processes, ("warm_s", "warm_raw_s")))
+        for key in keys
+    }
+    run_s = statistics.median(detail["run_s"])
     metrics = {
-        "setup_s": statistics.median(setups),
-        "run_s": min(runs),
-        "warm_s": min(warms),
+        "setup_s": statistics.median(detail["setup_s"]),
+        "run_s": run_s,
+        "warm_s": statistics.median(detail["warm_s"]),
         "point_p50_ms": percentile(per_point, 50.0) * 1e3,
         "point_tail_ms": percentile(per_point, pct) * 1e3,
-        "sim_kips": colds[0]["instructions"] / min(runs) / 1e3,
+        "sim_kips": colds[0]["instructions"] / run_s / 1e3,
         "peak_rss_mb": statistics.median(cold["peak_rss_mb"] for cold in colds),
     }
+    detail["kernel_median_ms"] = [cold["kernel_median_s"] * 1e3 for cold in colds]
     details = {
         "point_tail": {"percentile": pct, "samples": len(per_point),
                        "rounds_per_sample": len(colds)},
-        "rounds_detail": {"setup_s": setups, "run_s": runs, "warm_s": warms},
+        "reference_kernel_ms": REFERENCE_S * 1e3,
+        "rounds_detail": detail,
     }
     return metrics, details
 
@@ -292,6 +311,7 @@ def per_layer(traced: dict, untraced_run_s: float) -> Tuple[dict, dict]:
     wall = sum(process["wall_s"] for process in processes)
     resolutions = counts["generator.calls"] + counts["formats.refs"]
     cold = traced["cold"]
+    traced_run_s = cold["run_raw_s"] * scale(cold["kernel_before_s"], cold["kernel_after_s"])
     service = cold.get("service", {})
     metrics = {
         "import.s": layers["import"],
@@ -329,7 +349,7 @@ def per_layer(traced: dict, untraced_run_s: float) -> Tuple[dict, dict]:
         "service.overhead_s": service.get("overhead_s", 0.0),
         "service.requests": counts["service.requests"],
         "service.coalesced": service.get("coalesced", 0),
-        "trace.overhead_pct": (cold["run_s"] - untraced_run_s) / untraced_run_s * 100.0,
+        "trace.overhead_pct": (traced_run_s - untraced_run_s) / untraced_run_s * 100.0,
         "traced.wall_s": wall,
         "unattributed.s": wall - sum(layers.values()),
     }
@@ -401,9 +421,9 @@ def run_workload(
         }
     emitted = {key: {"value": metrics[key], "unit": unit} for key, unit in END_TO_END}
     if traced is not None:
-        # One traced round against the median untraced round.
-        layer_metrics, check = per_layer(
-            traced, statistics.median(details["rounds_detail"]["run_s"]))
+        # One traced round, scaled by the kernels around its process,
+        # against the median untraced round.
+        layer_metrics, check = per_layer(traced, metrics["run_s"])
         emitted = {key: {"value": int(layer_metrics[key]) if unit == "count"
                          else layer_metrics[key], "unit": unit}
                    for key, unit in PER_LAYER}

@@ -6,11 +6,15 @@ a user's process pays them.  The single argument is a JSON object::
 
     {"phase": "cold", "workload": "table5-sim", "seed": 1, "scale": 1.0,
      "spawn": <time.monotonic() just before the parent started us>,
+     "kernel_s": <the parent's calibration kernel time just before that>,
      "trace": false, "out": "<result file>", "state_dir": "<private dir>"}
 
 ``time.monotonic`` is system-wide on Linux, so ``spawn`` lets set-up
-and warm times include interpreter start-up.  The result is written as
-JSON to ``out``; the process exits non-zero if a phase raised.
+and warm times include interpreter start-up.  Every timing is returned
+raw (``*_raw_s``) and scaled to the nominal host (``hostclock.py``);
+the traced pass runs no calibration kernel, so there the two agree.
+The result is written as JSON to ``out``; the process exits non-zero
+if a phase raised.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ import sys
 import time
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
+from hostclock import SPARSE_REPEATS, SegmentClock
 from tracer import Tracer, install
 from workloads import (
     WORKLOADS,
@@ -37,20 +42,18 @@ from workloads import (
 )
 
 class PointClock:
-    """Sweep-engine progress callback: per-point latency and hit flags."""
+    """Sweep-engine progress callback: one clock segment per point.
 
-    def __init__(self) -> None:
-        self.last = time.perf_counter()
-        self.latencies: List[float] = []
+    The segment that a point's callback closes is that point's latency.
+    """
+
+    def __init__(self, clock: SegmentClock) -> None:
+        self.clock = clock
+        self.points: List[int] = []
         self.executed: List[str] = []
 
-    def start(self) -> None:
-        self.last = time.perf_counter()
-
     def __call__(self, done, total, run, cache_hit) -> None:
-        now = time.perf_counter()
-        self.latencies.append(now - self.last)
-        self.last = now
+        self.points.append(self.clock.mark())
         if not cache_hit:
             self.executed.append(point_label(run))
 
@@ -129,58 +132,98 @@ def prepare(workload) -> Dict[str, object]:
             "points": len(workload.runs())}
 
 
-def cold(workload, spawn: float, state_dir: Path) -> Dict[str, object]:
-    """Set-up (traces resolved) then one execution of the whole grid."""
+def _process_clock(config: dict, spawn: float, repeats: int = 1) -> SegmentClock:
+    """A clock whose first segment runs from the parent's spawn, so it
+    covers interpreter start-up and imports."""
+    return SegmentClock(not config["trace"], repeats=repeats, opened=spawn,
+                        kernel_before=config["kernel_s"])
+
+
+def _sums(segments: List[Tuple[float, float]]) -> Tuple[float, float]:
+    """(scaled, raw) totals of ``segments``."""
+    return sum(scaled for _raw, scaled in segments), sum(raw for raw, _scaled in segments)
+
+
+def _resolve_traces(workload, clock: SegmentClock) -> None:
+    """Set-up's trace resolution, one clock segment per trace."""
     from repro.sim import runner
-    from repro.sweep.engine import SweepEngine
 
     for benchmark, instructions, salt in workload.traces():
         runner.get_trace(benchmark, instructions, salt)
-    setup_s = time.monotonic() - spawn
-    clock = PointClock()
-    engine = SweepEngine(jobs=1, progress=clock)
-    clock.start()
-    started = time.perf_counter()
-    extras = workload.execute(engine)
-    run_s = time.perf_counter() - started
-    return {"setup_s": setup_s, "run_s": run_s, "peak_rss_mb": _peak_rss_mb(),
-            "latencies": clock.latencies, "extras": extras}
+        clock.mark()
 
 
-def warm(workload, spawn: float, state_dir: Path) -> Dict[str, object]:
+def cold(workload, spawn: float, state_dir: Path, config: dict) -> Dict[str, object]:
+    """Set-up (traces resolved) then one execution of the whole grid."""
+    from repro.sweep.engine import SweepEngine
+
+    clock = _process_clock(config, spawn)
+    _resolve_traces(workload, clock)
+    setup_segments = clock.count
+    points = PointClock(clock)
+    extras = workload.execute(SweepEngine(jobs=1, progress=points))
+    clock.mark()
+    clock.finish()
+    segments = clock.segments()
+    setup_s, setup_raw_s = _sums(segments[:setup_segments])
+    run_s, run_raw_s = _sums(segments[setup_segments:])
+    return {
+        "setup_s": setup_s, "setup_raw_s": setup_raw_s,
+        "run_s": run_s, "run_raw_s": run_raw_s, "peak_rss_mb": _peak_rss_mb(),
+        "latencies": [segments[index][1] for index in points.points],
+        "kernel_median_s": statistics.median(clock.kernels() or [config["kernel_s"]]),
+        "extras": extras,
+    }
+
+
+def warm(workload, spawn: float, state_dir: Path, config: dict) -> Dict[str, object]:
     """A fresh process resolving the same grid against the filled cache."""
     from repro.sweep.engine import SweepEngine
 
-    clock = PointClock()
-    workload.execute(SweepEngine(jobs=1, progress=clock))
-    return {"warm_s": time.monotonic() - spawn, "executed_points": clock.executed}
+    clock = _process_clock(config, spawn)
+    points = PointClock(clock)
+    workload.execute(SweepEngine(jobs=1, progress=points))
+    clock.mark()
+    clock.finish()
+    warm_s, warm_raw_s = _sums(clock.segments())
+    return {"warm_s": warm_s, "warm_raw_s": warm_raw_s, "executed_points": points.executed}
 
 
-def service(workload: ServiceRoundtrip, spawn: float, state_dir: Path) -> Dict[str, object]:
-    """Server start, the closed loop's new jobs, then the warm paths."""
-    from repro.sim import runner
+def service(workload: ServiceRoundtrip, spawn: float, state_dir: Path,
+            config: dict) -> Dict[str, object]:
+    """Server start, the closed loop's new jobs, then the warm paths.
 
-    for benchmark, instructions, salt in workload.traces():
-        runner.get_trace(benchmark, instructions, salt)
+    The clock calibrates between jobs only: a kernel run while a job is
+    in flight would compete with the server thread for the interpreter.
+    """
+    clock = _process_clock(config, spawn, repeats=SPARSE_REPEATS)
+    _resolve_traces(workload, clock)
     session = ServiceSession(state_dir)
     try:
-        setup_s = time.monotonic() - spawn
-        latencies: List[float] = []
+        clock.mark()
+        setup_segments = clock.count
+        job_latencies: List[List[float]] = []
 
         def on_event(event) -> None:
             if event.get("event") == "run":
-                latencies.append(event["seconds"])
+                job_latencies[-1].append(event["seconds"])
 
-        started = time.perf_counter()
-        cold_jobs = [session.roundtrip(request, on_event)
-                     for request in workload.requests()]
-        run_s = time.perf_counter() - started
+        cold_jobs = []
+        for request in workload.requests():
+            job_latencies.append([])
+            cold_jobs.append(session.roundtrip(request, on_event))
+            clock.mark()
+        clock.finish()
         peak = _peak_rss_mb()
+        # Each resubmission is bracketed by kernel runs of its own.
         resubmits = []
+        resubmit_clock = SegmentClock(clock.calibrate, repeats=SPARSE_REPEATS, every_s=0.0)
+        resubmit_clock.start()
         for _ in range(workload.resubmissions):
-            begun = time.perf_counter()
             jobs = [session.roundtrip(request) for request in workload.requests()]
-            resubmits.append({"seconds": time.perf_counter() - begun, "jobs": jobs})
+            resubmit_clock.mark()
+            resubmits.append({"jobs": jobs})
+        resubmit_clock.finish()
         cached = session.roundtrip(
             workload.sweep_request(benchmarks=workload.benchmarks[::-1]))
     finally:
@@ -199,10 +242,20 @@ def service(workload: ServiceRoundtrip, spawn: float, state_dir: Path) -> Dict[s
         failures.append("cached job executed runs")
     queue_wait = sum(j["job"]["started"] - j["job"]["created"] for j in cold_jobs)
     engine_wall = sum(j["job"]["finished"] - j["job"]["started"] for j in cold_jobs)
+    segments = clock.segments()
+    setup_s, setup_raw_s = _sums(segments[:setup_segments])
+    run_s, run_raw_s = _sums(segments[setup_segments:])
+    resubmitted = resubmit_clock.segments()
     return {
-        "setup_s": setup_s, "run_s": run_s, "peak_rss_mb": peak,
-        "latencies": latencies, "extras": {},
-        "warm_s": statistics.median(r["seconds"] for r in resubmits),
+        "setup_s": setup_s, "setup_raw_s": setup_raw_s,
+        "run_s": run_s, "run_raw_s": run_raw_s, "peak_rss_mb": peak,
+        "latencies": [seconds * scaled / raw
+                      for (raw, scaled), job in zip(segments[setup_segments:], job_latencies)
+                      for seconds in job],
+        "kernel_median_s": statistics.median(clock.kernels() or [config["kernel_s"]]),
+        "extras": {},
+        "warm_s": statistics.median(scaled for _raw, scaled in resubmitted),
+        "warm_raw_s": statistics.median(raw for raw, _scaled in resubmitted),
         "cached_job_s": cached["seconds"],
         "service_failures": sorted(set(failures)),
         "service": {
@@ -230,7 +283,7 @@ def main() -> int:
     else:
         measure = {"cold": service if isinstance(workload, ServiceRoundtrip) else cold,
                    "warm": warm}[phase]
-        output = measure(workload, spawn, state_dir)
+        output = measure(workload, spawn, state_dir, config)
         output["wall_s"] = time.monotonic() - spawn
         if tracer is not None:
             output["layers"] = dict(tracer.self_s)
