@@ -39,7 +39,9 @@ Custom policies plug in through the registry re-exported here::
 For remote execution, the sweep-service client is re-exported here:
 :class:`ServiceClient` / :func:`submit_and_wait` talk to a running
 ``repro-experiment serve`` instance and return report texts
-byte-identical to the CLI's ``--json`` output::
+byte-identical to the CLI's ``--json`` output.  The re-exports resolve
+on first use, so importing this module never loads the service stack
+(``asyncio``, ``sqlite3``, ``http.client``)::
 
     from repro.api import submit_and_wait
 
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
 
 from repro.core.registry import (
     PolicyInfo,
@@ -64,7 +66,6 @@ from repro.core.registry import (
 from repro.core.spec import PolicySpec
 from repro.sim.config import SystemConfig
 from repro.sim.results import SimResult
-from repro.service.client import ServiceClient, ServiceError, submit_and_wait
 from repro.sim.runner import run_benchmark
 from repro.sim.simulator import Simulator
 from repro.workload.formats import (
@@ -76,6 +77,9 @@ from repro.workload.formats import (
     unregister_trace_format,
 )
 from repro.workload.trace import Trace
+
+if TYPE_CHECKING:  # resolved lazily at run time by __getattr__ below
+    from repro.service.client import ServiceClient, ServiceError, submit_and_wait
 
 __all__ = [
     "Machine",
@@ -96,6 +100,20 @@ __all__ = [
     "unregister_policy",
     "unregister_trace_format",
 ]
+
+#: Service-client names re-exported lazily (PEP 562 ``__getattr__``).
+_SERVICE_EXPORTS = frozenset({"ServiceClient", "ServiceError", "submit_and_wait"})
+
+
+def __getattr__(name: str) -> Any:
+    """Import the service client on first use of one of its re-exports."""
+    if name in _SERVICE_EXPORTS:
+        from repro.service import client
+
+        value = getattr(client, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Machine:

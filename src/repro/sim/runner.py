@@ -78,7 +78,7 @@ from repro.sim.functional import (
 )
 from repro.sim.results import DynamicsMetrics, L1Metrics, SimResult
 from repro.sim.simulator import BACKENDS, Simulator
-from repro.workload.artifact import load_artifact, write_artifact
+from repro.workload.artifact import TraceArtifact, load_artifact, write_artifact
 from repro.workload.encode import (
     _CACHE_ATTR as _ENCODE_ATTR,
     ENCODER_VERSION,
@@ -87,7 +87,7 @@ from repro.workload.encode import (
 )
 from repro.workload.formats import is_trace_ref, load_trace_ref, trace_ref_fingerprint
 from repro.workload.generator import GENERATOR_VERSION, generate_trace
-from repro.workload.trace import ChunkPlan, Trace, plan_chunks
+from repro.workload.trace import ChunkPlan, LazyTrace, Trace, plan_chunks
 
 __all__ = [
     "BACKENDS",
@@ -294,26 +294,21 @@ def _section_names(encoded: EncodedTrace) -> FrozenSet[str]:
     return frozenset(names)
 
 
-def _attach_artifact(trace: Trace, key: str) -> None:
-    """Hook a freshly memoized trace up to the artifact cache.
+def _open_artifact(key: str) -> Optional[TraceArtifact]:
+    """The valid on-disk artifact for ``key``, or ``None``.
 
-    Always stamps the key (so a later publish knows where to write);
-    when a valid artifact already exists on disk, pre-seeds the trace's
-    encoding memo with an artifact-backed :class:`EncodedTrace`, so the
-    fast/vector tiers skip the encode pass entirely and numpy views
-    alias the mapped pages.
+    The one artifact lookup of a trace resolution: a hit is counted as
+    a load, and its sections are remembered as already on disk.
     """
-    setattr(trace, _ARTIFACT_KEY_ATTR, key)
     directory = artifact_dir()
     if directory is None:
-        return
+        return None
     artifact = load_artifact(directory / f"{key}.etr")
-    if artifact is None:
-        return
-    setattr(trace, _ENCODE_ATTR, EncodedTrace.from_artifact(artifact))
-    with _ARTIFACT_LOCK:
-        _ARTIFACT_COUNTS["loads"] += 1
-        _ARTIFACT_ON_DISK[key] = frozenset(artifact.section_names())
+    if artifact is not None:
+        with _ARTIFACT_LOCK:
+            _ARTIFACT_COUNTS["loads"] += 1
+            _ARTIFACT_ON_DISK[key] = frozenset(artifact.section_names())
+    return artifact
 
 
 def _publish_artifact(trace: Trace) -> None:
@@ -600,27 +595,43 @@ def get_trace(benchmark: str, instructions: int, salt: int = 0) -> Trace:
     caps the replay length (``<= 0`` means the whole file), ``salt`` is
     ignored, and the memo key carries the file's content fingerprint so
     an edited file is re-ingested, never served from memory.
+
+    When the workload's encoded-trace artifact is on disk, its header
+    answers ``name`` and ``len()`` and its sections answer the
+    fast/vector tiers, so nothing is generated or parsed up front: a
+    synthetic benchmark comes back as a :class:`LazyTrace` that
+    generates on first touch of its instructions (only the reference
+    pipeline, and a sim run over a mem-only artifact, touch them), and
+    a file's streaming trace knows its length without a counting pass.
     """
-    if is_trace_ref(benchmark):
-        key = (workload_id(benchmark), instructions, salt)
-        trace = _TRACE_CACHE.get(key)
-        if trace is None:
-            trace = load_trace_ref(
-                benchmark, limit=instructions if instructions > 0 else None
-            )
-            _attach_artifact(trace, _artifact_key(benchmark, instructions, salt))
-            _trace_cache_put(key, trace)
-        else:
-            _TRACE_CACHE.move_to_end(key)
-        return trace
-    key = (benchmark, instructions, salt)
+    is_ref = is_trace_ref(benchmark)
+    key = (workload_id(benchmark) if is_ref else benchmark, instructions, salt)
     trace = _TRACE_CACHE.get(key)
-    if trace is None:
-        trace = generate_trace(benchmark, instructions, salt)
-        _attach_artifact(trace, _artifact_key(benchmark, instructions, salt))
-        _trace_cache_put(key, trace)
-    else:
+    if trace is not None:
         _TRACE_CACHE.move_to_end(key)
+        return trace
+    artifact_key = _artifact_key(benchmark, instructions, salt)
+    artifact = _open_artifact(artifact_key)
+    length = artifact.instructions if artifact is not None else None
+    if is_ref:
+        trace = load_trace_ref(
+            benchmark, limit=instructions if instructions > 0 else None,
+            length=length,
+        )
+    elif artifact is not None:
+        trace = LazyTrace(
+            artifact.name, length,
+            lambda: generate_trace(benchmark, instructions, salt),
+        )
+    else:
+        trace = generate_trace(benchmark, instructions, salt)
+    # The key tells a later publish where to write; a loaded artifact
+    # pre-seeds the encoding memo, so the fast/vector tiers skip the
+    # encode pass and numpy views alias the mapped pages.
+    setattr(trace, _ARTIFACT_KEY_ATTR, artifact_key)
+    if artifact is not None:
+        setattr(trace, _ENCODE_ATTR, EncodedTrace.from_artifact(artifact))
+    _trace_cache_put(key, trace)
     return trace
 
 
@@ -681,8 +692,8 @@ def _build_missrate_result(
     result = SimResult(benchmark=trace.name, config_key=config.key())
     # The replayed count: identical to ``instructions`` for synthetic
     # benchmarks, the (possibly capped) file length for ingested traces.
-    # len() is free here — the measurement pass already memoized a
-    # streaming trace's length.
+    # len() is free here: an artifact header supplied it, or the
+    # measurement pass memoized a streaming trace's length.
     result.core.instructions = len(trace)
     result.dcache = L1Metrics(
         loads=measured.load_accesses,

@@ -213,7 +213,7 @@ class SweepEngine:
         simulation error raised *inside* a worker propagates unchanged;
         results completed before it are already cached.
         """
-        # Generate every distinct trace once in the parent: forked workers
+        # Resolve every distinct trace once in the parent: forked workers
         # inherit the memo for free (copy-on-write), and a trace is shared
         # by every config that runs the same application.  Under spawn
         # (macOS/Windows) workers inherit nothing, so skip the serial

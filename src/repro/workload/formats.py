@@ -275,6 +275,7 @@ def load_trace(
     chunk_instructions: int = DEFAULT_CHUNK_INSTRUCTIONS,
     streaming: bool = True,
     name: Optional[str] = None,
+    length: Optional[int] = None,
 ) -> Trace:
     """Open a trace file as a (streaming by default) :class:`Trace`.
 
@@ -288,6 +289,9 @@ def load_trace(
             :class:`~repro.workload.trace.StreamingTrace` (default) or
             an eagerly materialized :class:`Trace`.
         name: override the trace/benchmark name (default: file stem).
+        length: the replayed instruction count, when already known
+            (e.g. from an encoded-trace artifact's header); spares a
+            streaming trace the counting pass ``len()`` would make.
 
     Raises:
         TraceParseError: missing, unreadable, empty, or corrupt file.
@@ -311,7 +315,7 @@ def load_trace(
             f"trace file {str(path)!r} contains no instructions ({info.name} format)"
         )
     trace_label = name if name is not None else trace_name(path)
-    stream = StreamingTrace(trace_label, opener, chunk_instructions)
+    stream = StreamingTrace(trace_label, opener, chunk_instructions, length)
     if streaming:
         return stream
     return Trace(trace_label, stream.instructions)
@@ -418,13 +422,14 @@ def load_trace_ref(
     limit: Optional[int] = None,
     chunk_instructions: int = DEFAULT_CHUNK_INSTRUCTIONS,
     streaming: bool = True,
+    length: Optional[int] = None,
 ) -> Trace:
     """Open the trace a ``trace://`` workload reference names."""
     path, fmt = parse_trace_ref(ref)
     _check_ref_format(ref, fmt)
     return load_trace(
         path, fmt, limit=limit, chunk_instructions=chunk_instructions,
-        streaming=streaming,
+        streaming=streaming, length=length,
     )
 
 

@@ -1,4 +1,4 @@
-"""Trace containers: eager lists, streaming files, and summaries.
+"""Trace containers: eager lists, streaming files, lazy traces, summaries.
 
 Also home of the chunk planner for sampled parallel replay
 (:func:`plan_chunks`): splitting a position range into owned regions,
@@ -344,3 +344,36 @@ class StreamingTrace(Trace):
 
     def __getitem__(self, index: int) -> Instr:
         return self.instructions[index]
+
+
+class LazyTrace(Trace):
+    """A trace whose instruction list is built on first touch.
+
+    Name and length are known up front — the runner reads them from an
+    encoded-trace artifact's header — so a consumer that needs only
+    those, or only the artifact-backed encoding memoized on this object,
+    never builds the list.  The first access to ``instructions`` (which
+    iteration, indexing and ``iter_chunks`` all go through) calls
+    ``build`` and keeps its result.
+
+    Args:
+        name: trace name (reported as ``SimResult.benchmark``).
+        length: dynamic instruction count.
+        build: zero-argument callable returning the full :class:`Trace`.
+    """
+
+    def __init__(self, name: str, length: int, build: Callable[[], Trace]) -> None:
+        self.name = name
+        self._length = length
+        self._build = build
+        self._built: Optional[List[Instr]] = None
+
+    @property
+    def instructions(self) -> List[Instr]:
+        """The full instruction list, built on first access."""
+        if self._built is None:
+            self._built = self._build().instructions
+        return self._built
+
+    def __len__(self) -> int:
+        return self._length

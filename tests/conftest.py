@@ -1,9 +1,10 @@
 """Test-suite fixtures: small geometries, models, and traces.
 
-Also pins the Hypothesis profile for the differential property suite:
-the default ``ci`` profile is fully deterministic (``derandomize=True``,
-no deadline), so property tests cannot flake in CI; set
-``HYPOTHESIS_PROFILE=dev`` locally to explore with random seeds.
+Also isolates the on-disk caches per session, and pins the Hypothesis
+profile for the differential property suite: the default ``ci``
+profile is fully deterministic (``derandomize=True``, no deadline), so
+property tests cannot flake in CI; set ``HYPOTHESIS_PROFILE=dev``
+locally to explore with random seeds.
 """
 
 import os
@@ -36,6 +37,21 @@ try:
     hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 except ImportError:  # pragma: no cover - hypothesis is an optional test dep
     pass
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_cache_dir(tmp_path_factory):
+    """Point the run/artifact caches at a per-session temp directory.
+
+    Cache keys do not cover simulator code, so a suite reading the
+    working tree's ``.repro_cache/`` could pass on results a regressed
+    simulator never produced.  Every session therefore starts empty;
+    tests that set ``REPRO_CACHE_DIR`` themselves still override it,
+    and subprocesses inherit it through the environment.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro_cache")))
+        yield
 
 
 def pytest_addoption(parser):

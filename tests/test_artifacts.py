@@ -6,8 +6,13 @@ loads of numpy-written files) must fall back to re-encoding with
 byte-identical results, never crash and never serve wrong data.
 """
 
+import json
+import os
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,7 @@ from repro.sim import runner
 from repro.sim.config import SystemConfig
 from repro.cache.geometry import CacheGeometry
 from repro.workload import encode as encode_module
+from repro.workload import formats as formats_module
 from repro.workload.artifact import (
     ARTIFACT_VERSION,
     INSTR_SECTIONS,
@@ -24,8 +30,14 @@ from repro.workload.artifact import (
     write_artifact,
 )
 from repro.workload.encode import ENCODER_VERSION, EncodedTrace, encode_trace
-from repro.workload.formats import make_trace_ref, write_trace
+from repro.workload.formats import (
+    make_trace_ref,
+    register_trace_format,
+    unregister_trace_format,
+    write_trace,
+)
 from repro.workload.generator import generate_trace
+from repro.workload.trace import LazyTrace
 
 GEOMETRY = CacheGeometry(8 * 1024, 4, 32)
 
@@ -393,6 +405,164 @@ class TestRunnerPolicy:
     def test_ensure_artifact_disabled_returns_none(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_ARTIFACTS", "1")
         assert runner.ensure_artifact("gcc", 2_000) is None
+
+
+# ------------------------------------------------------------------ #
+# Lazy traces: an artifact that holds the answer skips generation
+# ------------------------------------------------------------------ #
+
+
+def _new_process():
+    """Drop every in-process memo, as a fresh interpreter would."""
+    runner.clear_caches()
+    runner.reset_artifact_stats()
+
+
+@pytest.fixture
+def generations(monkeypatch):
+    """Every ``generate_trace`` call the runner makes, as its arguments."""
+    calls = []
+    real = runner.generate_trace
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(runner, "generate_trace", counting)
+    return calls
+
+
+def _flats(benchmark, instructions, backend):
+    """``{mode: to_flat()}`` of uncached runs (``execute`` never publishes)."""
+    return {
+        mode: runner.execute(
+            benchmark, SystemConfig(), instructions, 0, mode, backend
+        ).to_flat()
+        for mode in runner.RUN_MODES
+    }
+
+
+class TestLazyTraces:
+    def test_full_artifact_answers_fast_tiers_without_generating(self, generations):
+        runner.ensure_artifact("gcc", 3_000, mode="sim")
+        expected = _flats("gcc", 3_000, "reference")
+        _new_process()
+        generations.clear()
+        trace = runner.get_trace("gcc", 3_000, 0)
+        assert isinstance(trace, LazyTrace)
+        assert (trace.name, len(trace)) == ("gcc", 3_000)
+        for backend in ("fast", "vector"):
+            assert _flats("gcc", 3_000, backend) == expected, backend
+        assert generations == []
+        assert runner.artifact_stats()["loads"] == 1
+
+    def test_reference_tier_generates_once_on_first_touch(self, generations, monkeypatch):
+        runner.ensure_artifact("swim", 3_000, mode="sim")
+        _new_process()
+        generations.clear()
+        trace = runner.get_trace("swim", 3_000, 0)
+        assert isinstance(trace, LazyTrace) and generations == []
+        lazy = _flats("swim", 3_000, "reference")
+        assert generations == [("swim", 3_000, 0)]
+        assert trace.instructions is trace.instructions  # built once, kept
+        monkeypatch.setenv("REPRO_NO_ARTIFACTS", "1")
+        _new_process()
+        assert not isinstance(runner.get_trace("swim", 3_000, 0), LazyTrace)
+        eager = _flats("swim", 3_000, "reference")
+        assert json.dumps(lazy, sort_keys=True) == json.dumps(eager, sort_keys=True)
+
+    def test_sim_over_mem_only_artifact_generates_once_and_upgrades(self, generations):
+        path = runner.ensure_artifact("li", 3_000, mode="missrate")
+        assert not load_artifact(path).has("ops")
+        _new_process()
+        generations.clear()
+        first = runner.run_benchmark(
+            "li", SystemConfig(), 3_000, mode="sim", backend="fast", use_cache=False
+        )
+        assert generations == [("li", 3_000, 0)]
+        assert runner.artifact_stats()["stores"] == 1
+        upgraded = load_artifact(path)
+        assert upgraded is not None and upgraded.has("ops") and upgraded.has("addrs")
+        # The next process finds every section it needs on disk.
+        _new_process()
+        generations.clear()
+        again = runner.run_benchmark(
+            "li", SystemConfig(), 3_000, mode="sim", backend="fast", use_cache=False
+        )
+        assert generations == [] and again.to_flat() == first.to_flat()
+
+    @pytest.mark.parametrize("damage", ["truncate", "magic"])
+    def test_corrupt_artifact_falls_back_to_eager_generation(self, generations, damage):
+        path = runner.ensure_artifact("gcc", 3_000, mode="sim")
+        expected = _flats("gcc", 3_000, "fast")
+        data = path.read_bytes()
+        path.write_bytes(
+            data[: len(data) // 2] if damage == "truncate" else b"XXXX" + data[4:]
+        )
+        _new_process()
+        generations.clear()
+        trace = runner.get_trace("gcc", 3_000, 0)
+        assert not isinstance(trace, LazyTrace)
+        assert generations == [("gcc", 3_000, 0)]
+        assert runner.artifact_stats()["loads"] == 0
+        assert _flats("gcc", 3_000, "fast") == expected
+
+    def test_warm_trace_ref_run_makes_no_pass_over_the_file(self, tmp_path):
+        """The artifact header answers ``len()``: a warm miss-rate run
+        opens the reader only for the load-time probe of the first
+        instruction, where it used to re-parse the whole file."""
+        opened = []
+        read = []
+        csv = formats_module.get_trace_format("csv")
+
+        @register_trace_format("countedcsv")
+        def read_counted(path):
+            opened.append(path)
+            for instr in csv.reader(path):
+                read.append(1)
+                yield instr
+
+        try:
+            path = tmp_path / "w.csv"
+            write_trace(path, generate_trace("gcc", 2_000), "csv")
+            ref = make_trace_ref(str(path), "countedcsv")
+            cold = runner.run_benchmark(
+                ref, SystemConfig(), 0, mode="missrate", backend="fast",
+                use_cache=False,
+            )
+            assert runner.artifact_stats()["stores"] == 1
+            _new_process()
+            opened.clear()
+            read.clear()
+            warm = runner.execute(ref, SystemConfig(), 0, 0, "missrate", "fast")
+            assert runner.artifact_stats()["loads"] == 1
+            assert len(opened) == 1 and len(read) == 1
+            assert warm.to_flat() == cold.to_flat()
+            assert warm.core.instructions == 2_000
+        finally:
+            unregister_trace_format("countedcsv")
+
+
+def test_import_leaves_service_stack_unloaded():
+    """``import repro`` and the CLI never load the HTTP/SQLite service
+    stack; the ``repro.api`` service re-exports still resolve on use."""
+    code = (
+        "import sys\n"
+        "import repro, repro.api, repro.sim.runner, repro.cli\n"
+        "heavy = ('repro.service', 'asyncio', 'sqlite3', 'http.client')\n"
+        "print([name for name in heavy if name in sys.modules])\n"
+        "from repro.api import ServiceClient, submit_and_wait\n"
+        "print(ServiceClient.__module__, submit_and_wait.__module__)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(runner.__file__).resolve().parents[2])
+    process = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True, timeout=60,
+    )
+    assert process.stdout.splitlines() == [
+        "[]", "repro.service.client repro.service.client",
+    ]
 
 
 # ------------------------------------------------------------------ #

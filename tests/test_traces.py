@@ -51,7 +51,7 @@ from repro.workload import (
 )
 from repro.workload.encode import encode_trace
 from repro.workload.formats import trace_name, trace_ref_fingerprint
-from repro.workload.trace import summarize_instructions
+from repro.workload.trace import LazyTrace, summarize_instructions
 
 try:
     from hypothesis import given, settings
@@ -719,6 +719,29 @@ def _sim_flats(path: Path, name: str, backend: str):
     return flats
 
 
+def _runner_flats(benchmark: str, instructions: int, salt: int, artifacts: bool,
+                  cache_dir: Path):
+    """to_flat() of runner replays on both backends, each from a fresh
+    trace memo: with ``artifacts`` a seeded artifact turns the trace
+    into a lazy one, without it the trace is generated eagerly."""
+    flats = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        if artifacts:
+            runner.ensure_artifact(benchmark, instructions, salt, mode="sim")
+        else:
+            patch.setenv("REPRO_NO_ARTIFACTS", "1")
+        for backend in ("reference", "fast"):
+            runner.clear_caches()
+            trace = runner.get_trace(benchmark, instructions, salt)
+            assert isinstance(trace, LazyTrace) == artifacts
+            flats.append(runner.execute(
+                benchmark, SystemConfig(), instructions, salt, "sim", backend,
+            ).to_flat())
+        runner.clear_caches()
+    return flats
+
+
 if HAVE_HYPOTHESIS:
 
     @settings(max_examples=5, deadline=None)
@@ -726,10 +749,14 @@ if HAVE_HYPOTHESIS:
         benchmark=st.sampled_from(["gcc", "swim", "go"]),
         instructions=st.integers(min_value=150, max_value=400),
         salt=st.integers(min_value=0, max_value=3),
+        artifacts=st.booleans(),
     )
-    def test_streaming_replay_byte_identical_property(benchmark, instructions, salt, tmp_path_factory):
-        """StreamingTrace replay == eager replay == in-memory trace,
-        byte-for-byte on both backends, for arbitrary written traces."""
+    def test_streaming_replay_byte_identical_property(
+        benchmark, instructions, salt, artifacts, tmp_path_factory
+    ):
+        """StreamingTrace replay == eager replay == in-memory trace ==
+        runner replay with artifacts on (lazy trace) or off, byte-for-
+        byte on both backends, for arbitrary written traces."""
         tmp_path = tmp_path_factory.mktemp("stream-eq")
         source = generate_trace(benchmark, instructions, salt)
         path = tmp_path / f"{benchmark}.csv.gz"
@@ -738,6 +765,9 @@ if HAVE_HYPOTHESIS:
         for backend in ("reference", "fast"):
             streaming_flat, eager_flat = _sim_flats(path, benchmark, backend)
             assert streaming_flat == eager_flat == baseline
+        flats = _runner_flats(benchmark, instructions, salt, artifacts,
+                              tmp_path / "cache")
+        assert flats == [baseline, baseline]
 
 
 @pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.name)
