@@ -23,8 +23,7 @@ Six modes:
   limits, streaming progress, and reports byte-identical to this CLI's
   ``--json`` output for the same work.
 * ``repro-experiment cache {stats,gc,clear}`` — inspect and manage the
-  shared on-disk caches: per-run results, chunk-report sidecars, and
-  encoded-trace artifacts.
+  shared on-disk caches: per-run results and encoded-trace artifacts.
 """
 
 from __future__ import annotations
@@ -39,12 +38,7 @@ from typing import List, Optional
 
 from repro.core.registry import SIDES, iter_policies
 from repro.experiments.common import settings_from_env
-from repro.sim.runner import (
-    BACKENDS,
-    CHUNK_REPORT_ATTR,
-    RUN_MODES,
-    run_benchmark,
-)
+from repro.sim.runner import BACKENDS, RUN_MODES, run_benchmark
 from repro.experiments.registry import (
     experiment_json,
     get_experiment,
@@ -150,13 +144,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(experiment_id)
         return 0
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    try:
+    try:  # --jobs 0, or a bad $REPRO_JOBS/$REPRO_SCALE/$REPRO_INTERVAL
+        jobs = args.jobs if args.jobs is not None else default_jobs()
         engine = SweepEngine(jobs=jobs)
+        settings = settings_from_env()
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    settings = settings_from_env()
     if args.backend is not None:
         settings = replace(settings, backend=args.backend)
     if args.interval is not None:
@@ -327,28 +321,10 @@ def trace_main(argv: List[str]) -> int:
     run_parser.add_argument("--json", action="store_true",
                             help="emit the full flat result record as JSON")
     run_parser.add_argument(
-        "--chunks", type=int, default=0, metavar="N",
-        help=(
-            "chunk-parallel miss-rate replay: split the stream into N "
-            "owned regions (0 = serial; requires --mode missrate)"
-        ),
-    )
-    run_parser.add_argument(
-        "--chunk-overlap", type=int, default=None, metavar="N",
-        help=(
-            "warmup positions replayed before each owned region "
-            "(default: the full prefix, exact for any policy)"
-        ),
-    )
-    run_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for chunk fan-out within this run (default: 1)",
-    )
-    run_parser.add_argument(
         "--interval", type=int, default=0, metavar="N",
         help=(
             "dynamic-policy tick period (accesses in missrate mode, "
-            "cycles in sim mode; 0 = no ticks; incompatible with --chunks)"
+            "cycles in sim mode; 0 = no ticks)"
         ),
     )
 
@@ -364,16 +340,6 @@ def trace_main(argv: List[str]) -> int:
                                help="worker processes (default: $REPRO_JOBS or 1)")
     report_parser.add_argument("--json", action="store_true",
                                help="emit the report rows as JSON")
-    report_parser.add_argument(
-        "--chunks", type=int, default=0, metavar="N",
-        help="chunk-parallel replay per run (0 = serial)")
-    report_parser.add_argument(
-        "--chunk-overlap", type=int, default=None, metavar="N",
-        help=(
-            "warmup positions replayed before each owned region "
-            "(default: the full prefix, exact for any policy)"
-        ),
-    )
 
     args = parser.parse_args(argv)
     handlers = {
@@ -471,31 +437,6 @@ def _trace_convert(args) -> int:
     return 0
 
 
-def _print_chunk_report(result) -> None:
-    """Render a chunked run's error-bound report to stderr.
-
-    Stderr keeps ``--json`` stdout byte-identical between chunked and
-    serial runs (the acceptance contract CI diffs), while the accuracy
-    report is still always visible.
-    """
-    report = getattr(result, CHUNK_REPORT_ATTR, None)
-    if report is None:
-        return
-    overlap = report.get("overlap")
-    sample = report.get("sample", {})
-    print(
-        f"[chunked: {report.get('chunks')} chunk(s), overlap={overlap}, "
-        f"warmup={report.get('warmup')}; sampled prefix "
-        f"({sample.get('chunks_compared')} chunk(s), "
-        f"{sample.get('accesses')} accesses): "
-        f"misses {sample.get('misses_chunked')} chunked vs "
-        f"{sample.get('misses_serial')} serial, "
-        f"|miss-rate error| = {sample.get('abs_miss_rate_error'):.6f}"
-        f"{' (exact)' if report.get('exact') else ''}]",
-        file=sys.stderr,
-    )
-
-
 def _print_artifact_counters() -> None:
     """Render this process's encoded-trace artifact activity to stderr.
 
@@ -522,16 +463,11 @@ def _trace_run(args) -> int:
         config = config.with_dcache_policy(args.dcache_policy)
     if args.icache_policy is not None:
         config = config.with_icache_policy(args.icache_policy)
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     ref = make_trace_ref(args.file, args.fmt)
     result = run_benchmark(
         ref, config, args.instructions, mode=args.mode, backend=backend,
-        use_cache=not args.no_cache, chunks=args.chunks,
-        chunk_overlap=args.chunk_overlap, chunk_jobs=args.jobs,
-        interval=args.interval,
+        use_cache=not args.no_cache, interval=args.interval,
     )
-    _print_chunk_report(result)
     _print_artifact_counters()
     if args.json:
         print(json.dumps(result.to_flat(), indent=2, sort_keys=True))
@@ -563,16 +499,10 @@ def _trace_report(args) -> int:
     jobs = args.jobs if args.jobs is not None else default_jobs()
     engine = SweepEngine(jobs=jobs)
     if args.json:
-        rows = external.external_rows(
-            args.directory, settings, engine,
-            chunks=args.chunks, chunk_overlap=args.chunk_overlap,
-        )
+        rows = external.external_rows(args.directory, settings, engine)
         print(json.dumps([asdict(row) for row in rows], indent=2, sort_keys=True))
         return 0
-    print(external.render(
-        args.directory, settings, engine,
-        chunks=args.chunks, chunk_overlap=args.chunk_overlap,
-    ))
+    print(external.render(args.directory, settings, engine))
     return 0
 
 
@@ -620,7 +550,11 @@ def serve_main(argv: List[str]) -> int:
                              "SEC seconds from the journal (default: keep all)")
     args = parser.parse_args(argv)
 
-    engine_jobs = args.jobs if args.jobs is not None else default_jobs()
+    try:  # a bad $REPRO_JOBS
+        engine_jobs = args.jobs if args.jobs is not None else default_jobs()
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     if engine_jobs < 1:
         print(f"--jobs must be >= 1, got {engine_jobs}", file=sys.stderr)
         return 2
@@ -650,6 +584,10 @@ def serve_main(argv: List[str]) -> int:
     return 0
 
 
+#: Managed cache file categories, in report order.
+_CACHE_CATEGORIES = ("results", "artifacts")
+
+
 def cache_main(argv: List[str]) -> int:
     """The ``cache`` subcommand: manage the shared on-disk caches."""
     from repro.sim import runner
@@ -658,8 +596,8 @@ def cache_main(argv: List[str]) -> int:
         prog="repro-experiment cache",
         description=(
             "Inspect and manage the shared on-disk caches under "
-            "$REPRO_CACHE_DIR (default .repro_cache): per-run results, "
-            "chunk-report sidecars, and encoded-trace artifacts."
+            "$REPRO_CACHE_DIR (default .repro_cache): per-run results "
+            "and encoded-trace artifacts."
         ),
     )
     commands = parser.add_subparsers(dest="action", required=True)
@@ -688,7 +626,7 @@ def cache_main(argv: List[str]) -> int:
                   file=sys.stderr)
             return 2
         cutoff = time.time() - args.older_than * 86400.0
-    removed = {name: 0 for name in ("results", "chunk_reports", "artifacts")}
+    removed = {name: 0 for name in _CACHE_CATEGORIES}
     for category, path in _cache_entries(root):
         try:
             if cutoff is not None and path.stat().st_mtime >= cutoff:
@@ -697,24 +635,9 @@ def cache_main(argv: List[str]) -> int:
             removed[category] += 1
         except OSError:
             continue  # racing another process: gc stays best-effort
-    if args.action == "gc":
-        # A chunk-report sidecar is only meaningful next to its result
-        # file; once the result is gone (age-collected above, or in any
-        # earlier gc) the sidecar is an orphan and is pruned regardless
-        # of its own age.
-        for path in root.glob("*.chunk.json"):
-            result = root / (path.name[: -len(".chunk.json")] + ".json")
-            if result.exists():
-                continue
-            try:
-                path.unlink()
-                removed["chunk_reports"] += 1
-            except OSError:
-                continue
     total = sum(removed.values())
     print(f"removed {total} entries "
           f"(results: {removed['results']}, "
-          f"chunk reports: {removed['chunk_reports']}, "
           f"artifacts: {removed['artifacts']})")
     return 0
 
@@ -722,10 +645,7 @@ def cache_main(argv: List[str]) -> int:
 def _cache_entries(root):
     """Yield ``(category, path)`` for every managed cache file."""
     for path in root.glob("*.json"):
-        if path.name.endswith(".chunk.json"):
-            yield "chunk_reports", path
-        else:
-            yield "results", path
+        yield "results", path
     artifacts = root / "artifacts"
     if artifacts.is_dir():
         for path in artifacts.glob("*.etr"):
@@ -733,10 +653,7 @@ def _cache_entries(root):
 
 
 def _cache_stats(root, as_json: bool) -> int:
-    stats = {
-        category: {"files": 0, "bytes": 0}
-        for category in ("results", "chunk_reports", "artifacts")
-    }
+    stats = {category: {"files": 0, "bytes": 0} for category in _CACHE_CATEGORIES}
     for category, path in _cache_entries(root):
         try:
             size = path.stat().st_size
@@ -749,9 +666,9 @@ def _cache_stats(root, as_json: bool) -> int:
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     print(f"cache dir: {root}")
-    for category in ("results", "chunk_reports", "artifacts"):
+    for category in _CACHE_CATEGORIES:
         entry = stats[category]
-        print(f"  {category.replace('_', ' '):14s} "
+        print(f"  {category:14s} "
               f"{entry['files']:6d} files  {entry['bytes']:10d} bytes")
     return 0
 
@@ -812,17 +729,6 @@ def sweep_main(argv: List[str]) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit the summary (and per-benchmark detail) as JSON")
     parser.add_argument(
-        "--chunks", type=int, default=0, metavar="N",
-        help=(
-            "chunk-parallel replay per run (0 = serial; miss-rate grids "
-            "only — this design-space grid runs the full simulator, so a "
-            "non-zero value is rejected; see 'trace run'/'trace report')"
-        ),
-    )
-    parser.add_argument(
-        "--chunk-overlap", type=int, default=None, metavar="N",
-        help="warmup-overlap positions per chunk (default: full prefix)")
-    parser.add_argument(
         "--interval", type=int, default=0, metavar="N",
         help=(
             "dynamic-policy tick period in cycles (0 = no ticks; only "
@@ -872,8 +778,8 @@ def sweep_main(argv: List[str]) -> int:
         print("empty grid: nothing to sweep", file=sys.stderr)
         return 2
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    try:
+    try:  # --jobs 0, or a bad $REPRO_JOBS
+        jobs = args.jobs if args.jobs is not None else default_jobs()
         engine = SweepEngine(jobs=jobs)
     except ValueError as error:
         print(error, file=sys.stderr)
@@ -881,8 +787,6 @@ def sweep_main(argv: List[str]) -> int:
     try:
         spec = design_space_spec(points, benchmarks, args.instructions, args.salt,
                                  name="adhoc-sweep", backend=backend,
-                                 chunks=args.chunks,
-                                 chunk_overlap=args.chunk_overlap,
                                  interval=args.interval)
         sweep = engine.run(spec)
     except TraceParseError as error:  # missing/corrupt trace:// workload
@@ -896,15 +800,13 @@ def sweep_main(argv: List[str]) -> int:
     if args.json:
         document = design_space_document(
             sweep, points, benchmarks, args.instructions, args.component,
-            args.salt, backend=backend, chunks=args.chunks,
-            chunk_overlap=args.chunk_overlap, interval=args.interval,
+            args.salt, backend=backend, interval=args.interval,
         )
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         summaries = summarize(
             sweep, points, benchmarks, args.instructions, args.component,
-            args.salt, backend=backend, chunks=args.chunks,
-            chunk_overlap=args.chunk_overlap, interval=args.interval,
+            args.salt, backend=backend, interval=args.interval,
         )
         title = (
             f"Design-space sweep over {', '.join(benchmarks)} "

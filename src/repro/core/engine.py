@@ -38,7 +38,6 @@ from repro.core.policy import (
     MODE_ORACLE,
     MODE_PARALLEL,
     MODE_SEQUENTIAL,
-    MODE_SINGLE,
     ProbePlan,
 )
 from repro.energy.cactilite import CacheEnergyModel

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence
@@ -60,8 +61,19 @@ def settings_from_env() -> ExperimentSettings:
     selects the batched backend; ``REPRO_INTERVAL=N`` sets the dynamic
     policy tick period (the CLI's ``--backend``/``--interval``
     override them).
+
+    Raises:
+        ValueError: ``REPRO_SCALE`` is not a finite number > 0, or
+            ``REPRO_INTERVAL`` is not an integer >= 0; the message
+            names the variable and its value.
     """
-    scale = float(os.environ.get("REPRO_SCALE", "1.0"))
+    raw_scale = os.environ.get("REPRO_SCALE", "1.0")
+    try:
+        scale = float(raw_scale)
+    except ValueError:
+        scale = math.nan
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"REPRO_SCALE must be a number > 0, got {raw_scale!r}")
     instructions = max(2_000, int(DEFAULT_INSTRUCTIONS * scale))
     raw = os.environ.get("REPRO_BENCHMARKS", "")
     benchmarks = tuple(name for name in raw.split(",") if name) or benchmark_names()
@@ -70,9 +82,11 @@ def settings_from_env() -> ExperimentSettings:
     try:
         interval = int(raw_interval)
     except ValueError:
+        interval = -1
+    if interval < 0:
         raise ValueError(
-            f"REPRO_INTERVAL must be an integer, got {raw_interval!r}"
-        ) from None
+            f"REPRO_INTERVAL must be an integer >= 0, got {raw_interval!r}"
+        )
     return ExperimentSettings(
         instructions=instructions, benchmarks=benchmarks, backend=backend,
         interval=interval,

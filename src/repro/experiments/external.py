@@ -76,12 +76,7 @@ def discover_traces(directory: Union[str, Path]) -> List[str]:
     return refs
 
 
-def _spec_for(
-    refs: List[str],
-    settings: ExperimentSettings,
-    chunks: int = 0,
-    chunk_overlap: Optional[int] = None,
-) -> SweepSpec:
+def _spec_for(refs: List[str], settings: ExperimentSettings) -> SweepSpec:
     return SweepSpec.from_grid(
         "external-traces",
         refs,
@@ -89,52 +84,38 @@ def _spec_for(
         settings.instructions,
         mode="missrate",
         backend=settings.backend,
-        chunks=chunks,
-        chunk_overlap=chunk_overlap,
     )
 
 
 def sweep_spec(
     directory: Union[str, Path],
     settings: Optional[ExperimentSettings] = None,
-    chunks: int = 0,
-    chunk_overlap: Optional[int] = None,
 ) -> SweepSpec:
     """The report's grid: functional miss-rate runs, DM and 4-way,
     over every recognized trace in ``directory``."""
     settings = settings or settings_from_env()
-    return _spec_for(discover_traces(directory), settings, chunks, chunk_overlap)
+    return _spec_for(discover_traces(directory), settings)
 
 
 def external_rows(
     directory: Union[str, Path],
     settings: Optional[ExperimentSettings] = None,
     engine: Optional[SweepEngine] = None,
-    chunks: int = 0,
-    chunk_overlap: Optional[int] = None,
 ) -> List[ExternalRow]:
-    """DM vs 4-way miss rates for every ingested trace in ``directory``.
-
-    ``chunks``/``chunk_overlap`` request chunk-parallel replay per run
-    (this grid is miss-rate mode, so chunking is legal here); under the
-    default full-prefix overlap the report is byte-identical to the
-    serial one.
-    """
+    """DM vs 4-way miss rates for every ingested trace in ``directory``."""
     settings = settings or settings_from_env()
     engine = engine or default_engine()
     # One directory scan: the sweep and the row loop must agree on the
     # file list even if the directory changes while the sweep runs.
     refs = discover_traces(directory)
-    sweep = engine.run(_spec_for(refs, settings, chunks, chunk_overlap))
+    sweep = engine.run(_spec_for(refs, settings))
     dm_config, sa_config = table4_configs()
     rows: List[ExternalRow] = []
     for ref in refs:
         dm = sweep.get(ref, dm_config, settings.instructions, mode="missrate",
-                       backend=settings.backend, chunks=chunks,
-                       chunk_overlap=chunk_overlap)
+                       backend=settings.backend)
         sa = sweep.get(ref, sa_config, settings.instructions, mode="missrate",
-                       backend=settings.backend, chunks=chunks,
-                       chunk_overlap=chunk_overlap)
+                       backend=settings.backend)
         fmt = ref.rsplit("#", 1)[1]
         rows.append(
             ExternalRow(
@@ -153,11 +134,9 @@ def render(
     directory: Union[str, Path],
     settings: Optional[ExperimentSettings] = None,
     engine: Optional[SweepEngine] = None,
-    chunks: int = 0,
-    chunk_overlap: Optional[int] = None,
 ) -> str:
     """Table-4-style ASCII report over a directory of ingested traces."""
-    rows = external_rows(directory, settings, engine, chunks, chunk_overlap)
+    rows = external_rows(directory, settings, engine)
     cells = [
         [row.trace, row.format, str(row.instructions),
          f"{row.dm_miss_pct:.1f}", f"{row.sa_miss_pct:.1f}"]

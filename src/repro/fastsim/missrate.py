@@ -59,55 +59,24 @@ def fast_miss_rate(
 
     With ``interval > 0`` and a dynamic ``policy_factory`` the batched
     replay is segmented at tick boundaries (:func:`_fast_dynamic`);
-    otherwise both knobs are inert and the static window path runs.
+    otherwise both knobs are inert and the whole pre-decoded block
+    stream replays through fresh per-set state, counting from
+    ``warmup``.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     if interval < 0:
         raise ValueError(f"interval must be >= 0, got {interval}")
     encoded = trace if isinstance(trace, EncodedTrace) else encode_trace(trace)
-    n = len(encoded)
-    warmup = int(n * warmup_fraction)
+    warmup = int(len(encoded) * warmup_fraction)
     if interval > 0 and policy_factory is not None:
         policy = policy_factory()
         if is_dynamic_policy(policy):
             return _fast_dynamic(
                 encoded, geometry, replacement, warmup, interval, policy
             )
-    return fast_miss_rate_window(
-        encoded, geometry, replacement,
-        replay_start=0, count_start=warmup, end=n,
-    )
-
-
-def fast_miss_rate_window(
-    trace: Union[Trace, EncodedTrace],
-    geometry: CacheGeometry,
-    replacement: str = "lru",
-    *,
-    replay_start: int,
-    count_start: int,
-    end: int,
-) -> MissRateResult:
-    """Batched equivalent of
-    :func:`~repro.sim.functional.measure_miss_rate_window`.
-
-    Replays memory-op positions ``[replay_start, end)`` through fresh
-    per-set state, counting only positions ``>= count_start``.  The
-    window slices the pre-decoded block stream, so the same kernels
-    serve serial and chunked replay unchanged.
-    """
-    if not 0 <= replay_start <= end:
-        raise ValueError(f"invalid replay window [{replay_start}, {end})")
-    if count_start < replay_start:
-        raise ValueError(
-            f"count_start {count_start} precedes replay_start {replay_start}"
-        )
-    encoded = trace if isinstance(trace, EncodedTrace) else encode_trace(trace)
-    end = min(end, len(encoded))
-    blocks = encoded.blocks(geometry.fields)[replay_start:end]
-    is_load = encoded.is_load[replay_start:end]
-    warmup = max(0, min(count_start, end) - replay_start)
+    blocks = encoded.blocks(geometry.fields)
+    is_load = encoded.is_load
     if geometry.associativity == 1:
         # Direct-mapped: residency is one block per set; replacement
         # policies never arbitrate, so every name behaves identically —

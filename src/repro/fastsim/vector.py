@@ -53,12 +53,12 @@ casing.
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import make_replacement
 from repro.core.interval import IntervalStats, action_is_effective, is_dynamic_policy
-from repro.fastsim.missrate import fast_miss_rate, fast_miss_rate_window
+from repro.fastsim.missrate import fast_miss_rate
 from repro.sim.functional import MissRateResult
 from repro.workload.encode import EncodedTrace, encode_trace
 from repro.workload.trace import Trace
@@ -74,7 +74,6 @@ __all__ = [
     "resolve_tier",
     "vector_enabled",
     "vector_miss_rate",
-    "vector_miss_rate_window",
 ]
 
 #: Set to a non-empty value other than ``0`` to opt out of the vector
@@ -141,18 +140,19 @@ def vector_miss_rate(
     if interval < 0:
         raise ValueError(f"interval must be >= 0, got {interval}")
     encoded = trace if isinstance(trace, EncodedTrace) else encode_trace(trace)
-    n = len(encoded)
-    warmup = int(n * warmup_fraction)
     if interval > 0 and policy_factory is not None:
         if is_dynamic_policy(policy_factory()):
             return _vector_dynamic(
                 encoded, geometry, replacement, warmup_fraction,
                 interval, policy_factory,
             )
-    counts = _vector_counts(encoded, geometry, replacement, 0, warmup, n)
-    if counts is None:
+    hits = _vector_hits(encoded, geometry, replacement)
+    if hits is None:
         return fast_miss_rate(encoded, geometry, replacement, warmup_fraction)
-    accesses, misses, load_accesses, load_misses = counts
+    warmup = int(len(encoded) * warmup_fraction)
+    accesses, misses, load_accesses, load_misses = _tally(
+        hits, encoded.is_load_np(), warmup
+    )
     return MissRateResult(
         accesses=accesses,
         misses=misses,
@@ -185,7 +185,7 @@ def _vector_dynamic(
     policy — every tick before the divergence replays identically, so
     the fallback is lossless.
     """
-    hits = _vector_hits(encoded, geometry, replacement, 0, len(encoded))
+    hits = _vector_hits(encoded, geometry, replacement)
     if hits is None:
         return fast_miss_rate(
             encoded, geometry, replacement, warmup_fraction,
@@ -243,84 +243,13 @@ def _vector_dynamic(
     )
 
 
-def vector_miss_rate_window(
-    trace: Union[Trace, EncodedTrace],
-    geometry: CacheGeometry,
-    replacement: str = "lru",
-    *,
-    replay_start: int,
-    count_start: int,
-    end: int,
-) -> MissRateResult:
-    """Vectorized equivalent of
-    :func:`~repro.sim.functional.measure_miss_rate_window`.
+def _vector_hits(encoded: EncodedTrace, geometry: CacheGeometry, replacement: str):
+    """Per-position hit mask for the whole stream, or ``None``.
 
-    The window slices the memoized numpy views zero-copy, so every
-    vector kernel classifies exactly the positions a chunk replays;
-    policies with no vector form fall back to
-    :func:`~repro.fastsim.missrate.fast_miss_rate_window` per window.
-    """
-    if not 0 <= replay_start <= end:
-        raise ValueError(f"invalid replay window [{replay_start}, {end})")
-    if count_start < replay_start:
-        raise ValueError(
-            f"count_start {count_start} precedes replay_start {replay_start}"
-        )
-    encoded = trace if isinstance(trace, EncodedTrace) else encode_trace(trace)
-    end = min(end, len(encoded))
-    count_start = min(count_start, end)
-    counts = _vector_counts(
-        encoded, geometry, replacement, replay_start, count_start, end
-    )
-    if counts is None:
-        return fast_miss_rate_window(
-            encoded, geometry, replacement,
-            replay_start=replay_start, count_start=count_start, end=end,
-        )
-    accesses, misses, load_accesses, load_misses = counts
-    return MissRateResult(
-        accesses=accesses,
-        misses=misses,
-        load_accesses=load_accesses,
-        load_misses=load_misses,
-    )
-
-
-def _vector_counts(
-    encoded: EncodedTrace,
-    geometry: CacheGeometry,
-    replacement: str,
-    replay_start: int,
-    count_start: int,
-    end: int,
-) -> Optional[_Counts]:
-    """Route one replay window to a vector kernel; ``None`` means "use
-    the python tier".  The serial path is the window ``(0, warmup, n)``;
-    chunked replay passes owned-region windows, and the kernels see only
-    the zero-copy slice ``[replay_start:end)`` with ``warmup`` relative
-    positions to evolve state over before counting."""
-    hits = _vector_hits(encoded, geometry, replacement, replay_start, end)
-    if hits is None:
-        return None
-    end = min(end, len(encoded))
-    return _tally(
-        hits, encoded.is_load_np()[replay_start:end], count_start - replay_start
-    )
-
-
-def _vector_hits(
-    encoded: EncodedTrace,
-    geometry: CacheGeometry,
-    replacement: str,
-    replay_start: int,
-    end: int,
-):
-    """Per-position hit mask for ``[replay_start, end)``, or ``None``.
-
-    The classification core shared by counting (:func:`_vector_counts`
-    folds the mask with :func:`_tally`) and by the speculative dynamic
-    replay (which sums mask *segments* per tick window).  ``None``
-    means no vector kernel applies and the python tier must run.
+    The classification core shared by static counting (which folds the
+    mask with :func:`_tally`) and by the speculative dynamic replay
+    (which sums mask *segments* per tick window).  ``None`` means no
+    vector kernel applies and the python tier must run.
     """
     if not vector_enabled():
         return None
@@ -329,10 +258,9 @@ def _vector_hits(
     if num_sets > (1 << 32):
         return None  # set index would overflow the packed sort key
     blocks = encoded.blocks_np(geometry.fields)
-    if int(blocks.shape[0]) >= (1 << 32):
-        return None  # position would overflow the packed sort key
-    blocks = blocks[replay_start:end]
     n = int(blocks.shape[0])
+    if n >= (1 << 32):
+        return None  # position would overflow the packed sort key
     if assoc == 1:
         # Replacement never arbitrates a direct-mapped cache, but an
         # unknown name must still raise exactly like the other tiers.

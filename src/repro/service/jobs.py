@@ -113,16 +113,12 @@ def _execute_sweep(spec: SweepJobSpec, engine: SweepEngine) -> str:
     )
     grid = design_space_spec(
         points, spec.benchmarks, spec.instructions, spec.salt,
-        name="adhoc-sweep", backend=spec.backend,
-        chunks=spec.chunks, chunk_overlap=spec.chunk_overlap,
-        interval=spec.interval,
+        name="adhoc-sweep", backend=spec.backend, interval=spec.interval,
     )
     sweep = engine.run(grid)
     document = design_space_document(
         sweep, points, spec.benchmarks, spec.instructions, spec.component,
-        spec.salt, backend=spec.backend,
-        chunks=spec.chunks, chunk_overlap=spec.chunk_overlap,
-        interval=spec.interval,
+        spec.salt, backend=spec.backend, interval=spec.interval,
     )
     return json.dumps(document, indent=2, sort_keys=True)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.experiments.registry import list_experiments
 from repro.sim import runner
@@ -84,8 +84,6 @@ class SweepJobSpec:
     salt: int = 0
     component: str = "dcache"
     backend: str = "reference"
-    chunks: int = 0
-    chunk_overlap: Optional[int] = None
     interval: int = 0
 
     kind = "sweep"
@@ -148,17 +146,6 @@ def _str_field(data: Mapping[str, Any], field: str, default: str) -> str:
     return raw
 
 
-def _opt_int_field(data: Mapping[str, Any], field: str, minimum: int) -> Optional[int]:
-    raw = data.get(field, None)
-    if raw is None:
-        return None
-    _require(
-        isinstance(raw, int) and not isinstance(raw, bool) and raw >= minimum,
-        f"'{field}' must be null or an integer >= {minimum}",
-    )
-    return raw
-
-
 def _check_workloads(benchmarks: Sequence[str], allow_traces: bool) -> None:
     _require(len(benchmarks) > 0, "'benchmarks' must name at least one workload")
     valid = benchmark_names()
@@ -189,24 +176,9 @@ def _parse_sweep(data: Mapping[str, Any]) -> SweepJobSpec:
         salt=_int_field(data, "salt", 0, -(2**31)),
         component=_str_field(data, "component", "dcache"),
         backend=_str_field(data, "backend", "reference"),
-        chunks=_int_field(data, "chunks", 0, 0),
-        chunk_overlap=_opt_int_field(data, "chunk_overlap", 0),
         interval=_int_field(data, "interval", 0, 0),
     )
     _require(len(spec.policies) > 0, "'policies' must name at least one policy kind")
-    try:
-        runner._validate_interval(spec.interval, spec.chunks)
-    except ValueError as error:
-        raise ProtocolError(str(error)) from None
-    try:
-        # The design-space grid runs the full simulator, so chunk
-        # parameters validate against mode="sim" — exactly what a
-        # chunked spec would raise at execution time, surfaced as a 400
-        # at submission instead.  The fields ride the protocol (and the
-        # fingerprint) so miss-rate job kinds can consume them.
-        runner._validate_chunking("sim", spec.chunks, spec.chunk_overlap)
-    except ValueError as error:
-        raise ProtocolError(str(error)) from None
     _require(
         spec.component in COMPONENTS,
         f"unknown component {spec.component!r}; valid: {COMPONENTS}",

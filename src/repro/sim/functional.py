@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.sram import SetAssociativeCache
@@ -42,9 +42,7 @@ def trace_mem_ops(trace: Trace) -> Tuple[array, array]:
     The buffers memoize on the trace (like the fast backend's encoding,
     but built independently of it — the differential suite relies on
     the two paths not sharing decode state), so sweeping many
-    configurations over one file-backed trace parses it once.  The
-    chunk planner also reads the stream length from here without
-    paying a second parse.
+    configurations over one file-backed trace parses it once.
     """
     memo = getattr(trace, _MEM_OPS_ATTR, None)
     if memo is None:
@@ -65,8 +63,7 @@ class MissRateResult:
 
     The dynamics counters describe interval-tick activity when the run
     used a dynamic policy (``interval > 0``); they stay at their zero
-    defaults on every static run, and chunked replay (which excludes
-    intervals) never populates them.  ``bypassed_accesses`` counts every
+    defaults on every static run.  ``bypassed_accesses`` counts every
     bypassed replay position, warmup included — it is observability
     metadata, not a result counter.
     """
@@ -130,10 +127,7 @@ def measure_miss_rate(
             return _measure_dynamic(
                 trace, geometry, replacement, warmup, interval, policy
             )
-    return measure_miss_rate_window(
-        trace, geometry, replacement,
-        replay_start=0, count_start=warmup, end=len(addrs),
-    )
+    return _measure_static(trace, geometry, replacement, warmup)
 
 
 def _measure_dynamic(
@@ -230,46 +224,25 @@ def _measure_dynamic(
     )
 
 
-def measure_miss_rate_window(
-    trace: Trace,
-    geometry: CacheGeometry,
-    replacement: str = "lru",
-    *,
-    replay_start: int,
-    count_start: int,
-    end: int,
+def _measure_static(
+    trace: Trace, geometry: CacheGeometry, replacement: str, warmup: int
 ) -> MissRateResult:
-    """Replay one window of ``trace``'s memory-op stream from cold state.
-
-    Replays positions ``[replay_start, end)`` through a fresh cache and
-    counts statistics only at positions ``>= count_start`` — the
-    chunked-replay primitive (the serial path is the window
-    ``(0, warmup, n)``).  A window that is entirely warmup
-    (``count_start >= end``) counts zero accesses; the degenerate-trace
-    contract makes its ``miss_rate`` 0.0 on every tier.
-    """
-    if not 0 <= replay_start <= end:
-        raise ValueError(
-            f"invalid replay window [{replay_start}, {end})"
-        )
-    if count_start < replay_start:
-        raise ValueError(
-            f"count_start {count_start} precedes replay_start {replay_start}"
-        )
+    """Replay the whole memory-op stream from cold state, counting
+    statistics only at positions ``>= warmup``.  A stream that is
+    entirely warmup counts zero accesses, so its ``miss_rate`` is 0.0
+    on every tier."""
     cache = SetAssociativeCache(geometry, replacement=replacement)
     addrs, loads = trace_mem_ops(trace)
-    end = min(end, len(addrs))
 
     accesses = misses = load_accesses = load_misses = 0
-    for position in range(replay_start, end):
-        addr = addrs[position]
+    for position, addr in enumerate(addrs):
         way = cache.probe(addr)
         hit = way is not None
         if hit:
             cache.touch(addr, way)
         else:
             cache.fill(addr)
-        if position < count_start:
+        if position < warmup:
             continue
         accesses += 1
         is_load = loads[position]
@@ -279,27 +252,6 @@ def measure_miss_rate_window(
             misses += 1
             if is_load:
                 load_misses += 1
-    return MissRateResult(
-        accesses=accesses,
-        misses=misses,
-        load_accesses=load_accesses,
-        load_misses=load_misses,
-    )
-
-
-def merge_miss_rates(parts: Iterable[MissRateResult]) -> MissRateResult:
-    """Sum per-chunk counters into one result (zero parts = all zero).
-
-    Counter addition is exact — each chunk counts only its owned
-    region, and regions tile the stream — so under a full-prefix
-    overlap the merge is byte-identical to the serial replay.
-    """
-    accesses = misses = load_accesses = load_misses = 0
-    for part in parts:
-        accesses += part.accesses
-        misses += part.misses
-        load_accesses += part.load_accesses
-        load_misses += part.load_misses
     return MissRateResult(
         accesses=accesses,
         misses=misses,

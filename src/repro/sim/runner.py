@@ -52,30 +52,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from pickle import PicklingError
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.fastsim.missrate import fast_miss_rate, fast_miss_rate_window
-from repro.fastsim.vector import (
-    resolve_tier,
-    vector_miss_rate,
-    vector_miss_rate_window,
-)
+from repro.fastsim.missrate import fast_miss_rate
+from repro.fastsim.vector import resolve_tier, vector_miss_rate
 from repro.sim.config import SystemConfig
-from repro.sim.functional import (
-    MissRateResult,
-    measure_miss_rate,
-    measure_miss_rate_window,
-    merge_miss_rates,
-    trace_mem_ops,
-)
+from repro.sim.functional import MissRateResult, measure_miss_rate
 from repro.sim.results import DynamicsMetrics, L1Metrics, SimResult
 from repro.sim.simulator import BACKENDS, Simulator
 from repro.workload.artifact import TraceArtifact, load_artifact, write_artifact
@@ -87,11 +73,10 @@ from repro.workload.encode import (
 )
 from repro.workload.formats import is_trace_ref, load_trace_ref, trace_ref_fingerprint
 from repro.workload.generator import GENERATOR_VERSION, generate_trace
-from repro.workload.trace import ChunkPlan, LazyTrace, Trace, plan_chunks
+from repro.workload.trace import LazyTrace, Trace
 
 __all__ = [
     "BACKENDS",
-    "CHUNK_REPORT_ATTR",
     "RUN_MODES",
     "artifact_dir",
     "artifact_stats",
@@ -117,22 +102,6 @@ _MISSRATE_MEASURES = {
     "fast": fast_miss_rate,
     "vector": vector_miss_rate,
 }
-
-#: Window-replay form per resolved kernel tier (chunked execution).
-_WINDOW_MEASURES = {
-    "reference": measure_miss_rate_window,
-    "fast": fast_miss_rate_window,
-    "vector": vector_miss_rate_window,
-}
-
-#: Warmup fraction of the serial miss-rate path (the chunk planner must
-#: place the global counting boundary exactly where serial replay does).
-_WARMUP_FRACTION = 0.2
-
-#: Attribute carrying a chunked run's error-bound report on its
-#: :class:`SimResult`.  Deliberately *not* a flat field: chunked and
-#: serial ``to_flat()`` exports must stay byte-identical.
-CHUNK_REPORT_ATTR = "chunk_report"
 
 _RESULT_CACHE: Dict[str, SimResult] = {}
 
@@ -198,9 +167,6 @@ def disk_cache_dir() -> Optional[Path]:
     except OSError:
         return None
     return path
-
-
-_disk_cache_dir = disk_cache_dir  # internal alias (pre-service name)
 
 
 def workload_id(benchmark: str) -> str:
@@ -352,11 +318,10 @@ def ensure_artifact(
     """Build-or-load the workload's artifact now; return its path.
 
     The sweep engine calls this in the parent before fanning a pool
-    out, so every worker process (and, under chunked replay, every
-    chunk worker) opens the finished artifact instead of re-parsing and
-    re-encoding.  ``mode="sim"`` additionally persists the full
-    instruction arrays; for an artifact-backed encoding both forces are
-    O(1), so re-ensuring is free.
+    out, so every worker process opens the finished artifact instead of
+    re-parsing and re-encoding.  ``mode="sim"`` additionally persists
+    the full instruction arrays; for an artifact-backed encoding both
+    forces are O(1), so re-ensuring is free.
     """
     directory = artifact_dir()
     if directory is None:
@@ -402,57 +367,15 @@ def reset_artifact_stats() -> None:
         _ARTIFACT_COUNTS["stores"] = 0
 
 
-def _validate_chunking(mode: str, chunks: int, chunk_overlap: Optional[int]) -> None:
-    """Reject invalid chunk-plan coordinates before any key is built."""
-    if chunks < 0:
-        raise ValueError(f"chunks must be >= 0 (0 = serial), got {chunks}")
-    if chunks > 0 and mode != "missrate":
-        raise ValueError(
-            f"chunked replay requires mode='missrate', got mode={mode!r}"
-        )
-    if chunk_overlap is not None:
-        if chunks == 0:
-            raise ValueError("chunk_overlap requires chunks > 0")
-        if chunk_overlap < 0:
-            raise ValueError(
-                f"chunk_overlap must be >= 0 or None (full prefix), "
-                f"got {chunk_overlap}"
-            )
-
-
-def _validate_interval(interval: int, chunks: int) -> None:
-    """Reject invalid interval coordinates before any key is built.
-
-    Interval ticking and chunked replay are mutually exclusive: a chunk
-    replays from cold state with no policy, so a dynamic policy's
-    reconfiguration history could never be reproduced chunk-locally.
-    """
+def _validate_interval(interval: int) -> None:
+    """Reject an invalid tick period before any key is built."""
     if interval < 0:
         raise ValueError(f"interval must be >= 0 (0 = no ticks), got {interval}")
-    if interval > 0 and chunks > 0:
-        raise ValueError(
-            "interval ticks are incompatible with chunked replay; "
-            "use chunks=0 with interval > 0"
-        )
 
 
 def _interval_token(interval: int) -> str:
     """The cache-key component naming the tick period (``static`` = none)."""
     return "static" if interval == 0 else f"interval={interval}"
-
-
-def _chunk_token(chunks: int, chunk_overlap: Optional[int]) -> str:
-    """The cache-key component naming the chunk plan.
-
-    The realized region boundaries are deliberately *not* part of the
-    token: they are a pure function of (stream length, chunks, overlap),
-    and the stream's identity is already keyed via :func:`workload_id`
-    — embedding them would force a trace parse at key time.
-    """
-    if chunks == 0:
-        return "serial"
-    overlap = "full" if chunk_overlap is None else str(chunk_overlap)
-    return f"chunks={chunks}:overlap={overlap}"
 
 
 def cache_key(
@@ -462,8 +385,6 @@ def cache_key(
     salt: int = 0,
     mode: str = "sim",
     backend: str = "reference",
-    chunks: int = 0,
-    chunk_overlap: Optional[int] = None,
     interval: int = 0,
 ) -> str:
     """Stable cache key for one run (includes the result-schema version).
@@ -479,28 +400,24 @@ def cache_key(
     requested backend: backend resolution is environment-dependent
     (``"fast"`` auto-upgrades to the vector kernels when numpy is
     importable), so the tier that actually executed must be part of
-    the entry's identity for the same provenance reason.  The v6->v7
-    bump embeds the chunk plan (count and overlap, ``serial`` when
-    unchunked): chunked replay with a finite overlap is a sampled
-    approximation, so toggling ``chunks`` must never serve a stale
-    serial entry — or vice versa.  The v7->v8 bump embeds the tick
-    period (``static`` when 0): a dynamic policy's behaviour is a
-    function of the interval, so the same config at two intervals is
-    two distinct runs (the policy's own parameters already ride in via
-    ``config.key()``).
+    the entry's identity for the same provenance reason.  The v7->v8
+    bump embeds the tick period (``static`` when 0): a dynamic policy's
+    behaviour is a function of the interval, so the same config at two
+    intervals is two distinct runs (the policy's own parameters already
+    ride in via ``config.key()``).  The v8->v9 bump drops the chunk-plan
+    token v7 added, along with chunked replay itself.
     """
-    _validate_chunking(mode, chunks, chunk_overlap)
-    _validate_interval(interval, chunks)
+    _validate_interval(interval)
     payload = (
         f"{workload_id(benchmark)}|{config.key()}|{instructions}|{salt}|{mode}|{backend}"
-        f"|{resolve_tier(backend, mode)}|{_chunk_token(chunks, chunk_overlap)}"
-        f"|{_interval_token(interval)}|v8:{SCHEMA_VERSION}"
+        f"|{resolve_tier(backend, mode)}|{_interval_token(interval)}"
+        f"|v9:{SCHEMA_VERSION}"
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _load_disk(key: str) -> Optional[SimResult]:
-    directory = _disk_cache_dir()
+    directory = disk_cache_dir()
     if directory is None:
         return None
     path = directory / f"{key}.json"
@@ -519,49 +436,8 @@ def _load_disk(key: str) -> Optional[SimResult]:
         return None
 
 
-def _load_chunk_report(key: str) -> Optional[dict]:
-    """Load a chunked run's error-bound report sidecar, if present."""
-    directory = _disk_cache_dir()
-    if directory is None:
-        return None
-    path = directory / f"{key}.chunk.json"
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        return data if isinstance(data, dict) else None
-    except (OSError, ValueError):
-        return None
-
-
-def _store_chunk_report(key: str, report: dict) -> None:
-    """Persist a chunked run's error-bound report next to its result.
-
-    The report rides in a ``{key}.chunk.json`` sidecar rather than the
-    flat result blob: ``to_flat()`` must stay byte-identical between
-    chunked and serial runs (the acceptance contract), so the report
-    can never be a flat field — but a cache hit must still surface it.
-    """
-    directory = _disk_cache_dir()
-    if directory is None:
-        return
-    path = directory / f"{key}.chunk.json"
-    tmp = path.with_name(
-        f".tmp{os.getpid()}.{threading.get_native_id()}.{path.name}"
-    )
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(report, handle)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
-        # caching is best-effort
-
-
 def _store_disk(key: str, result: SimResult) -> None:
-    directory = _disk_cache_dir()
+    directory = disk_cache_dir()
     if directory is None:
         return
     path = directory / f"{key}.json"
@@ -657,30 +533,15 @@ def load_cached(
     salt: int = 0,
     mode: str = "sim",
     backend: str = "reference",
-    chunks: int = 0,
-    chunk_overlap: Optional[int] = None,
     interval: int = 0,
 ) -> Optional[SimResult]:
     """Resolve one run against the caches; ``None`` means "must execute"."""
-    key = cache_key(
-        benchmark, config, instructions, salt, mode, backend, chunks,
-        chunk_overlap, interval,
-    )
+    key = cache_key(benchmark, config, instructions, salt, mode, backend, interval)
     cached = _RESULT_CACHE.get(key)
     if cached is None:
         cached = _load_disk(key)
         if cached is not None:
             _RESULT_CACHE[key] = cached
-    if (
-        cached is not None
-        and chunks > 0
-        and getattr(cached, CHUNK_REPORT_ATTR, None) is None
-    ):
-        # A disk hit rebuilt the result from its flat blob, which never
-        # carries the error-bound report — re-attach it from the sidecar.
-        report = _load_chunk_report(key)
-        if report is not None:
-            setattr(cached, CHUNK_REPORT_ATTR, report)
     return cached
 
 
@@ -729,195 +590,6 @@ def _dynamic_policy_factory(config: SystemConfig):
     return spec.build
 
 
-def _stream_length(trace: Trace, tier: str) -> int:
-    """Memory-op count of ``trace`` via the tier's own decode path.
-
-    All tiers agree on the count, but going through the tier-matched
-    memo (mem-op arrays for reference, the encoded stream otherwise)
-    pre-builds exactly the state a forked chunk worker will inherit.
-    """
-    if tier == "reference":
-        return len(trace_mem_ops(trace)[0])
-    return len(encode_trace(trace))
-
-
-def _execute_chunk(payload: Tuple) -> Tuple[int, int, int, int]:
-    """Chunk-pool worker: replay one window, return its raw counters.
-
-    Top-level (picklable) by construction.  The worker re-resolves the
-    trace by name: under a ``fork`` start method it inherits the
-    parent's trace/encode memos for free, and under ``spawn`` the
-    re-generation/re-ingest is pure, so the replay is identical either
-    way.
-    """
-    (benchmark, config, instructions, salt, tier,
-     replay_start, count_start, end) = payload
-    trace = get_trace(benchmark, instructions, salt)
-    measured = _WINDOW_MEASURES[tier](
-        trace,
-        config.dcache.geometry(),
-        config.replacement,
-        replay_start=replay_start,
-        count_start=count_start,
-        end=end,
-    )
-    return (
-        measured.accesses,
-        measured.misses,
-        measured.load_accesses,
-        measured.load_misses,
-    )
-
-
-def _run_windows(
-    benchmark: str,
-    trace: Trace,
-    config: SystemConfig,
-    instructions: int,
-    salt: int,
-    tier: str,
-    windows: List[Tuple[int, int, int]],
-    chunk_jobs: int,
-) -> List[MissRateResult]:
-    """Replay every ``(replay_start, count_start, end)`` window.
-
-    ``chunk_jobs > 1`` fans the windows out over a process pool — this
-    is *within-run* parallelism, distinct from (and composable with)
-    the sweep engine's per-run pool; the engine always drives its own
-    workers with ``chunk_jobs=1`` so pools never nest.  Any pool
-    failure falls back to in-process serial replay, mirroring the
-    engine's own degradation contract.
-    """
-    jobs = max(1, min(chunk_jobs, len(windows)))
-    if jobs > 1:
-        if tier != "reference":
-            # The encoded stream already exists (the chunk planner
-            # measured it), so publishing is pure serialization: chunk
-            # workers mmap this artifact instead of re-encoding — and
-            # under spawn, instead of re-parsing the file.
-            _publish_artifact(trace)
-        payloads = [
-            (benchmark, config, instructions, salt, tier,
-             replay_start, count_start, end)
-            for replay_start, count_start, end in windows
-        ]
-        try:
-            if "fork" in multiprocessing.get_all_start_methods():
-                context = multiprocessing.get_context("fork")
-            else:
-                context = multiprocessing.get_context()
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-                counts = list(pool.map(_execute_chunk, payloads))
-            return [MissRateResult(*part) for part in counts]
-        except (OSError, BrokenProcessPool, PicklingError, ImportError):
-            pass  # pool unavailable: degrade to serial chunk replay
-    measure = _WINDOW_MEASURES[tier]
-    return [
-        measure(
-            trace,
-            config.dcache.geometry(),
-            config.replacement,
-            replay_start=replay_start,
-            count_start=count_start,
-            end=end,
-        )
-        for replay_start, count_start, end in windows
-    ]
-
-
-def _error_bound_report(
-    trace: Trace,
-    config: SystemConfig,
-    tier: str,
-    plan: ChunkPlan,
-    warmup: int,
-    parts: List[MissRateResult],
-) -> dict:
-    """Build the error-bound section attached to every chunked run.
-
-    The merged counters are compared against a *serial golden* replay
-    of a sampled prefix (the first one or two owned regions): the
-    golden replays ``[0, sample_end)`` with the global warmup boundary,
-    so under a full-prefix overlap the two agree exactly, and under a
-    finite overlap the delta measures the warmup truncation error on
-    real data rather than asserting a bound a priori.
-    """
-    report = dict(plan.to_document())
-    report["warmup"] = warmup
-    report["tier"] = tier
-    report["exact"] = plan.overlap is None
-    regions = plan.regions
-    sampled = min(2, len(regions))
-    if sampled == 0:
-        report["sample"] = {
-            "end": 0,
-            "chunks_compared": 0,
-            "accesses": 0,
-            "misses_chunked": 0,
-            "misses_serial": 0,
-            "abs_miss_rate_error": 0.0,
-        }
-        return report
-    sample_end = regions[sampled - 1].end
-    chunked = merge_miss_rates(parts[:sampled])
-    serial = _WINDOW_MEASURES[tier](
-        trace,
-        config.dcache.geometry(),
-        config.replacement,
-        replay_start=0,
-        count_start=warmup,
-        end=sample_end,
-    )
-    report["sample"] = {
-        "end": sample_end,
-        "chunks_compared": sampled,
-        "accesses": serial.accesses,
-        "misses_chunked": chunked.misses,
-        "misses_serial": serial.misses,
-        "abs_miss_rate_error": abs(chunked.miss_rate - serial.miss_rate),
-    }
-    return report
-
-
-def _execute_chunked(
-    benchmark: str,
-    trace: Trace,
-    config: SystemConfig,
-    instructions: int,
-    salt: int,
-    tier: str,
-    chunks: int,
-    chunk_overlap: Optional[int],
-    chunk_jobs: int,
-) -> SimResult:
-    """Chunk-parallel miss-rate replay with warmup-overlap merge.
-
-    The stream's ``[0, n)`` mem-op positions split into ``chunks``
-    owned regions; each replays from its warmup prefix through fresh
-    cache state and counts only inside ``[max(start, W), end)`` where
-    ``W`` is the *global* serial warmup boundary.  The owned count
-    windows tile ``[W, n)`` exactly, so summing the per-chunk counters
-    reproduces the serial counters — byte-identically when the overlap
-    is the full prefix, approximately (and measured, see
-    :func:`_error_bound_report`) for finite overlaps.
-    """
-    total = _stream_length(trace, tier)
-    plan = plan_chunks(total, chunks, chunk_overlap)
-    warmup = int(total * _WARMUP_FRACTION)
-    windows = [
-        (region.warmup_start, max(region.start, warmup), region.end)
-        for region in plan.regions
-    ]
-    parts = _run_windows(
-        benchmark, trace, config, instructions, salt, tier, windows, chunk_jobs
-    )
-    merged = merge_miss_rates(parts)
-    result = _build_missrate_result(trace, config, merged)
-    report = _error_bound_report(trace, config, tier, plan, warmup, parts)
-    setattr(result, CHUNK_REPORT_ATTR, report)
-    return result
-
-
 def execute(
     benchmark: str,
     config: SystemConfig,
@@ -925,29 +597,19 @@ def execute(
     salt: int = 0,
     mode: str = "sim",
     backend: str = "reference",
-    chunks: int = 0,
-    chunk_overlap: Optional[int] = None,
-    chunk_jobs: int = 1,
     interval: int = 0,
 ) -> SimResult:
     """Run one point, bypassing all caches (worker-process safe)."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; valid: {BACKENDS}")
-    _validate_chunking(mode, chunks, chunk_overlap)
-    _validate_interval(interval, chunks)
+    _validate_interval(interval)
     if mode == "sim":
         trace = get_trace(benchmark, instructions, salt)
         return Simulator(config, backend=backend, interval=interval).run(trace)
     if mode == "missrate":
         trace = get_trace(benchmark, instructions, salt)
-        tier = resolve_tier(backend, mode)
-        if chunks > 0:
-            return _execute_chunked(
-                benchmark, trace, config, instructions, salt, tier,
-                chunks, chunk_overlap, chunk_jobs,
-            )
         factory = _dynamic_policy_factory(config) if interval > 0 else None
-        measured = _MISSRATE_MEASURES[tier](
+        measured = _MISSRATE_MEASURES[resolve_tier(backend, mode)](
             trace, config.dcache.geometry(), replacement=config.replacement,
             interval=interval if factory is not None else 0,
             policy_factory=factory,
@@ -964,20 +626,12 @@ def store_result(
     salt: int = 0,
     mode: str = "sim",
     backend: str = "reference",
-    chunks: int = 0,
-    chunk_overlap: Optional[int] = None,
     interval: int = 0,
 ) -> None:
     """Publish a result into the in-process and on-disk caches."""
-    key = cache_key(
-        benchmark, config, instructions, salt, mode, backend, chunks,
-        chunk_overlap, interval,
-    )
+    key = cache_key(benchmark, config, instructions, salt, mode, backend, interval)
     _RESULT_CACHE[key] = result
     _store_disk(key, result)
-    report = getattr(result, CHUNK_REPORT_ATTR, None)
-    if report is not None:
-        _store_chunk_report(key, report)
 
 
 def run_benchmark(
@@ -988,33 +642,25 @@ def run_benchmark(
     use_cache: bool = True,
     mode: str = "sim",
     backend: str = "reference",
-    chunks: int = 0,
-    chunk_overlap: Optional[int] = None,
-    chunk_jobs: int = 1,
     interval: int = 0,
 ) -> SimResult:
     """Simulate ``benchmark`` under ``config``; memoized."""
     if use_cache:
         cached = load_cached(
-            benchmark, config, instructions, salt, mode, backend,
-            chunks, chunk_overlap, interval,
+            benchmark, config, instructions, salt, mode, backend, interval
         )
         if cached is not None:
             return cached
-    result = execute(
-        benchmark, config, instructions, salt, mode, backend,
-        chunks, chunk_overlap, chunk_jobs, interval,
-    )
+    result = execute(benchmark, config, instructions, salt, mode, backend, interval)
     if use_cache:
         store_result(
-            benchmark, config, instructions, result, salt, mode, backend,
-            chunks, chunk_overlap, interval,
+            benchmark, config, instructions, result, salt, mode, backend, interval
         )
     # Persist whatever the run just encoded, independent of the result
     # caches (`use_cache=False` governs result reuse, not derived
-    # state): the next process — pool worker, chunk worker, service
-    # restart — maps it instead of re-encoding.  The reference tier
-    # never encodes, so this is a no-op there.
+    # state): the next process — pool worker, service restart — maps it
+    # instead of re-encoding.  The reference tier never encodes, so
+    # this is a no-op there.
     trace = _TRACE_CACHE.get(
         (workload_id(benchmark) if is_trace_ref(benchmark) else benchmark,
          instructions, salt)
@@ -1031,7 +677,7 @@ def clear_caches(disk: bool = False) -> None:
     _ARTIFACT_ON_DISK.clear()
     _ARTIFACT_UNCACHEABLE.clear()
     if disk:
-        directory = _disk_cache_dir()
+        directory = disk_cache_dir()
         if directory is not None:
             for path in directory.glob("*.json"):
                 try:

@@ -14,7 +14,7 @@ and of ``examples/design_space_sweep.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.sim.config import SystemConfig
 from repro.sim.results import performance_degradation, relative_energy_delay
@@ -94,8 +94,6 @@ def design_space_document(
     component: str = "dcache",
     salt: int = 0,
     backend: str = "reference",
-    chunks: int = 0,
-    chunk_overlap: Optional[int] = None,
     interval: int = 0,
 ) -> Dict[str, object]:
     """The deterministic JSON document for an executed design-space sweep.
@@ -107,7 +105,7 @@ def design_space_document(
     """
     summaries = summarize(
         sweep, points, benchmarks, instructions, component, salt, backend=backend,
-        chunks=chunks, chunk_overlap=chunk_overlap, interval=interval,
+        interval=interval,
     )
     return {
         "sweep": sweep.spec.name,
@@ -116,8 +114,6 @@ def design_space_document(
         "instructions": instructions,
         "salt": salt,
         "backend": backend,
-        "chunks": chunks,
-        "chunk_overlap": "full" if chunk_overlap is None else chunk_overlap,
         "interval": interval,
         "points": [
             {
@@ -138,26 +134,16 @@ def design_space_spec(
     salt: int = 0,
     name: str = "design-space",
     backend: str = "reference",
-    chunks: int = 0,
-    chunk_overlap: Optional[int] = None,
     interval: int = 0,
 ) -> SweepSpec:
-    """Declare the grid covering every point's technique and baseline.
-
-    Chunk parameters are forwarded to every run of the grid; the
-    design-space grid itself runs the full simulator (``mode="sim"``),
-    so a non-zero ``chunks`` raises the runner's usual "chunked replay
-    requires mode='missrate'" validation error — the parameters exist
-    for miss-rate grids built through the same passthrough (the
-    ``trace report`` sweep, service job kinds).
-    """
+    """Declare the grid covering every point's technique and baseline."""
     configs: List[SystemConfig] = []
     for point in points:
         configs.append(point.baseline)
         configs.append(point.technique)
     return SweepSpec.from_grid(
         name, benchmarks, configs, instructions, salts=(salt,), backend=backend,
-        chunks=chunks, chunk_overlap=chunk_overlap, interval=interval,
+        interval=interval,
     )
 
 
@@ -169,8 +155,6 @@ def summarize(
     component: str = "dcache",
     salt: int = 0,
     backend: str = "reference",
-    chunks: int = 0,
-    chunk_overlap: Optional[int] = None,
     interval: int = 0,
 ) -> List[PointSummary]:
     """Reduce an executed sweep to per-point mean relative metrics."""
@@ -180,8 +164,7 @@ def summarize(
         for benchmark in benchmarks:
             tech, base = sweep.pair(
                 benchmark, point.technique, point.baseline, instructions, salt,
-                backend=backend, chunks=chunks, chunk_overlap=chunk_overlap,
-                interval=interval,
+                backend=backend, interval=interval,
             )
             per_benchmark[benchmark] = {
                 "relative_energy_delay": relative_energy_delay(tech, base, component),

@@ -35,32 +35,29 @@ from repro.sweep.result import SweepResult, SweepStats
 from repro.sweep.spec import RunSpec, SweepSpec
 
 #: Payload shipped to worker processes (must stay picklable).
-_Payload = Tuple[str, SystemConfig, int, int, str, str, int, Optional[int], int]
+_Payload = Tuple[str, SystemConfig, int, int, str, str, int]
 
 
 def _execute_payload(payload: _Payload) -> SimResult:
-    """Worker entry point: execute one run with no cache side effects.
-
-    Chunked runs always execute with ``chunk_jobs=1`` here: the sweep
-    engine's per-run pool and the runner's per-chunk pool must never
-    nest.  Within-run chunk parallelism belongs to single-run callers
-    (``trace run --jobs``).
-    """
-    (benchmark, config, instructions, salt, mode, backend,
-     chunks, chunk_overlap, interval) = payload
-    return runner.execute(
-        benchmark, config, instructions, salt, mode, backend,
-        chunks, chunk_overlap, chunk_jobs=1, interval=interval,
-    )
+    """Worker entry point: execute one run with no cache side effects."""
+    return runner.execute(*payload)
 
 
 def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (default 1 = serial)."""
+    """Worker count from ``REPRO_JOBS`` (default 1 = serial).
+
+    Raises:
+        ValueError: ``REPRO_JOBS`` is not an integer >= 1; the message
+            names the variable and its value.
+    """
     raw = os.environ.get("REPRO_JOBS", "1")
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {raw!r}")
+    return jobs
 
 
 #: Per-completed-run callback: ``(done, total, spec, cache_hit)``.
@@ -136,7 +133,7 @@ class SweepEngine:
             cached = (
                 runner.load_cached(
                     run.benchmark, run.config, run.instructions, run.salt, run.mode,
-                    run.backend, run.chunks, run.chunk_overlap, run.interval,
+                    run.backend, run.interval,
                 )
                 if self.use_cache
                 else None
@@ -171,8 +168,7 @@ class SweepEngine:
         if self.use_cache:
             runner.store_result(
                 run.benchmark, run.config, run.instructions, sim_result,
-                run.salt, run.mode, run.backend, run.chunks, run.chunk_overlap,
-                run.interval,
+                run.salt, run.mode, run.backend, run.interval,
             )
 
     def _execute(
@@ -194,7 +190,7 @@ class SweepEngine:
         for run in pending:
             sim_result = _execute_payload(
                 (run.benchmark, run.config, run.instructions, run.salt, run.mode,
-                 run.backend, run.chunks, run.chunk_overlap, run.interval)
+                 run.backend, run.interval)
             )
             self._store(run, sim_result)
             out.append((run, sim_result))
@@ -246,7 +242,7 @@ class SweepEngine:
         )
         payloads: List[_Payload] = [
             (run.benchmark, run.config, run.instructions, run.salt, run.mode,
-             run.backend, run.chunks, run.chunk_overlap, run.interval)
+             run.backend, run.interval)
             for run in ordered
         ]
         # Chunks balance trace locality (same-benchmark specs cluster)

@@ -77,16 +77,11 @@ class SweepResult:
         salt: int = 0,
         mode: str = "sim",
         backend: str = "reference",
-        chunks: int = 0,
-        chunk_overlap: Optional[int] = None,
         interval: int = 0,
     ) -> SimResult:
         """Look up one result by its run coordinates."""
         return self[
-            RunSpec(
-                benchmark, config, instructions, salt, mode, backend,
-                chunks, chunk_overlap, interval,
-            )
+            RunSpec(benchmark, config, instructions, salt, mode, backend, interval)
         ]
 
     def pair(
@@ -97,19 +92,14 @@ class SweepResult:
         instructions: int,
         salt: int = 0,
         backend: str = "reference",
-        chunks: int = 0,
-        chunk_overlap: Optional[int] = None,
         interval: int = 0,
     ) -> Tuple[SimResult, SimResult]:
         """The (technique, baseline) results the paper's relative metrics need."""
-        mode = "missrate" if chunks > 0 else "sim"
         return (
-            self.get(benchmark, technique, instructions, salt, mode=mode,
-                     backend=backend, chunks=chunks, chunk_overlap=chunk_overlap,
-                     interval=interval),
-            self.get(benchmark, baseline, instructions, salt, mode=mode,
-                     backend=backend, chunks=chunks, chunk_overlap=chunk_overlap,
-                     interval=interval),
+            self.get(benchmark, technique, instructions, salt,
+                     backend=backend, interval=interval),
+            self.get(benchmark, baseline, instructions, salt,
+                     backend=backend, interval=interval),
         )
 
     # -------------------------------------------------------------- #

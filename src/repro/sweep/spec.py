@@ -11,7 +11,7 @@ which is what makes every experiment's grid trivially parallelizable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from repro.sim import runner
 from repro.sim.config import SystemConfig
@@ -34,14 +34,8 @@ class RunSpec:
             sim points run the fast pipeline).  Results are
             byte-identical — the tiers trade introspectability for
             speed.
-        chunks: chunk count for chunk-parallel miss-rate replay
-            (``0`` = serial; requires ``mode="missrate"``).
-        chunk_overlap: warmup-overlap positions replayed before each
-            owned chunk region, or ``None`` for the full prefix
-            (exact for any replacement policy).
         interval: tick period for dynamic policies (accesses in
             miss-rate mode, cycles in sim mode); ``0`` = no ticks.
-            Incompatible with ``chunks > 0``.
     """
 
     benchmark: str
@@ -50,8 +44,6 @@ class RunSpec:
     salt: int = 0
     mode: str = "sim"
     backend: str = "reference"
-    chunks: int = 0
-    chunk_overlap: Optional[int] = None
     interval: int = 0
 
     def __post_init__(self) -> None:
@@ -61,14 +53,13 @@ class RunSpec:
             raise ValueError(f"unknown backend {self.backend!r}; valid: {BACKENDS}")
         if self.instructions <= 0:
             raise ValueError(f"instructions must be positive, got {self.instructions}")
-        runner._validate_chunking(self.mode, self.chunks, self.chunk_overlap)
-        runner._validate_interval(self.interval, self.chunks)
+        runner._validate_interval(self.interval)
 
     def key(self) -> str:
         """The backend cache key this spec resolves to."""
         return runner.cache_key(
             self.benchmark, self.config, self.instructions, self.salt, self.mode,
-            self.backend, self.chunks, self.chunk_overlap, self.interval,
+            self.backend, self.interval,
         )
 
     def describe(self) -> str:
@@ -76,9 +67,6 @@ class RunSpec:
         suffix = "" if self.mode == "sim" else f" ({self.mode})"
         if self.backend != "reference":
             suffix += f" [{self.backend}]"
-        if self.chunks > 0:
-            overlap = "full" if self.chunk_overlap is None else self.chunk_overlap
-            suffix += f" [chunks={self.chunks}/overlap={overlap}]"
         if self.interval > 0:
             suffix += f" [interval={self.interval}]"
         return (
@@ -118,16 +106,11 @@ class SweepSpec:
         salts: Sequence[int] = (0,),
         mode: str = "sim",
         backend: str = "reference",
-        chunks: int = 0,
-        chunk_overlap: Optional[int] = None,
         interval: int = 0,
     ) -> "SweepSpec":
         """Cartesian product benchmarks x configs x salts."""
         runs = tuple(
-            RunSpec(
-                benchmark, config, instructions, salt, mode, backend,
-                chunks, chunk_overlap, interval,
-            )
+            RunSpec(benchmark, config, instructions, salt, mode, backend, interval)
             for benchmark in benchmarks
             for config in configs
             for salt in salts

@@ -2,9 +2,9 @@
 
 Every fast/vector-tier run starts from :class:`~repro.workload.encode.
 EncodedTrace`'s flat arrays, and until now those memos lived per
-process: a sweep fanned out over N pool workers, a service restarting
-between submissions, and chunk-replay subprocesses each redid the
-identical parse+encode work.  This module serializes the flat buffers
+process: a sweep fanned out over N pool workers and a service
+restarting between submissions each redid the identical parse+encode
+work.  This module serializes the flat buffers
 ONCE into an on-disk artifact that later processes ``mmap`` read-only —
 the software analogue of way memoization (Ishihara & Fallah): cache the
 previously computed lookup work and skip the redundant effort.

@@ -1,16 +1,9 @@
-"""Trace containers: eager lists, streaming files, lazy traces, summaries.
-
-Also home of the chunk planner for sampled parallel replay
-(:func:`plan_chunks`): splitting a position range into owned regions,
-each preceded by a warmup-overlap prefix, is pure arithmetic over the
-stream length and belongs with the containers rather than with any one
-simulation tier.
-"""
+"""Trace containers: eager lists, streaming files, lazy traces, summaries."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from repro.workload.instr import (
     OP_BRANCH,
@@ -103,105 +96,6 @@ def summarize_instructions(
         unique_load_pcs=len(load_pcs),
         unique_blocks_touched=len(blocks),
     )
-
-
-@dataclass(frozen=True)
-class ChunkRegion:
-    """One owned region of a chunked replay, plus its warmup prefix.
-
-    The region *owns* positions ``[start, end)`` — statistics are
-    counted there and nowhere else — but replay begins at
-    ``warmup_start <= start`` so cache/predictor state warms over the
-    overlap prefix before counting starts.  Regions tile the stream:
-    every position belongs to exactly one region's owned range.
-    """
-
-    index: int
-    warmup_start: int
-    start: int
-    end: int
-
-    @property
-    def overlap(self) -> int:
-        """Warmup positions replayed before the owned region."""
-        return self.start - self.warmup_start
-
-    @property
-    def owned(self) -> int:
-        """Owned positions (where statistics are counted)."""
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
-class ChunkPlan:
-    """A full chunked-replay plan over ``total`` stream positions.
-
-    ``overlap`` is the requested warmup-overlap length per chunk, or
-    ``None`` for the *full prefix* — every chunk replays from position
-    0, which reproduces serial state exactly for any replacement policy
-    (the exactness default; finite overlaps trade replay work for a
-    bounded warmup error, reported by the runner's error-bound check).
-    """
-
-    total: int
-    overlap: Optional[int]
-    regions: Tuple[ChunkRegion, ...]
-
-    @property
-    def chunks(self) -> int:
-        """Number of owned regions (the effective chunk count)."""
-        return len(self.regions)
-
-    def describe(self) -> str:
-        """One-line human description of the plan."""
-        overlap = "full" if self.overlap is None else str(self.overlap)
-        return (
-            f"{self.chunks} chunk(s) over {self.total} position(s), "
-            f"overlap={overlap}"
-        )
-
-    def to_document(self) -> dict:
-        """JSON-safe description (embedded in error-bound reports)."""
-        return {
-            "chunks": self.chunks,
-            "overlap": "full" if self.overlap is None else self.overlap,
-            "total": self.total,
-            "boundaries": [region.start for region in self.regions] + [self.total],
-        }
-
-
-def plan_chunks(total: int, chunks: int, overlap: Optional[int] = None) -> ChunkPlan:
-    """Split ``total`` stream positions into owned regions with warmup.
-
-    Args:
-        total: stream length (memory operations for miss-rate replay).
-        chunks: requested chunk count; clamped to ``total`` so every
-            region owns at least one position (a zero-length stream
-            yields an empty plan whose merge is all-zero counters).
-        overlap: warmup positions replayed before each owned region
-            (clamped at stream start), or ``None`` for the full prefix
-            — every chunk replays from position 0 (exact for any
-            policy).
-
-    Raises:
-        ValueError: ``chunks < 1`` or a negative ``overlap``.
-    """
-    if chunks < 1:
-        raise ValueError(f"chunks must be >= 1, got {chunks}")
-    if overlap is not None and overlap < 0:
-        raise ValueError(f"overlap must be >= 0 or None, got {overlap}")
-    if total <= 0:
-        return ChunkPlan(total=max(0, total), overlap=overlap, regions=())
-    effective = min(chunks, total)
-    regions = []
-    for index in range(effective):
-        start = index * total // effective
-        end = (index + 1) * total // effective
-        warmup_start = 0 if overlap is None else max(0, start - overlap)
-        regions.append(
-            ChunkRegion(index=index, warmup_start=warmup_start, start=start, end=end)
-        )
-    return ChunkPlan(total=total, overlap=overlap, regions=tuple(regions))
 
 
 class Trace:

@@ -4,11 +4,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main, policies_main, sweep_main
 from repro.core.registry import policy_kinds
+
+DATA_DIR = Path(__file__).parent / "data"
 
 TINY_SWEEP = [
     "--benchmarks", "gcc",
@@ -146,7 +149,7 @@ def test_sweep_rejects_bad_jobs(capsys):
 
 
 # ------------------------------------------------------------------ #
-# REPRO_BACKEND environment plumbing
+# REPRO_* environment plumbing
 # ------------------------------------------------------------------ #
 
 
@@ -173,6 +176,37 @@ def test_repro_backend_env_selects_fast(monkeypatch):
     assert settings_from_env().backend == "fast"
     monkeypatch.delenv("REPRO_BACKEND")
     assert settings_from_env().backend == "reference"
+
+
+@pytest.mark.parametrize(
+    "argv, name, value",
+    [
+        (["table4"], "REPRO_SCALE", "abc"),
+        (["table4"], "REPRO_SCALE", "0"),
+        (["table4"], "REPRO_SCALE", "-1"),
+        (["trace", "report", str(DATA_DIR)], "REPRO_SCALE", "abc"),
+        (["dynamic"], "REPRO_INTERVAL", "abc"),
+        (["dynamic"], "REPRO_INTERVAL", "-5"),
+        (["table1"], "REPRO_JOBS", "abc"),
+        (["table1"], "REPRO_JOBS", "0"),
+        (["table1"], "REPRO_JOBS", "-3"),
+        (["sweep"] + TINY_SWEEP, "REPRO_JOBS", "0"),
+        # --workers 0 is also invalid, so a regression fails fast
+        # instead of starting a server.
+        (["serve", "--workers", "0"], "REPRO_JOBS", "abc"),
+    ],
+)
+def test_bad_env_value_exits_two_naming_the_variable(argv, name, value,
+                                                     monkeypatch, capsys):
+    """A bad REPRO_* value fails in one stderr line that names the
+    variable and the value, before any work runs."""
+    monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert name in lines[0] and repr(value) in lines[0]
 
 
 # ------------------------------------------------------------------ #
@@ -367,7 +401,7 @@ def test_trace_run_rejects_negative_instructions(trace_file, capsys):
 def test_cache_stats_empty(capsys):
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
-    assert "results" in out and "artifacts" in out and "chunk reports" in out
+    assert "results" in out and "artifacts" in out
 
 
 def test_cache_lifecycle_stats_gc_clear(trace_file, capsys):
@@ -394,8 +428,7 @@ def test_cache_lifecycle_stats_gc_clear(trace_file, capsys):
 
     assert main(["cache", "stats", "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
-    assert all(stats[key]["files"] == 0
-               for key in ("results", "chunk_reports", "artifacts"))
+    assert all(stats[key]["files"] == 0 for key in ("results", "artifacts"))
 
 
 def test_cache_disabled_exits_two(monkeypatch, capsys):
@@ -438,7 +471,7 @@ def test_artifact_counters_on_stderr(trace_file, capsys):
 
 
 # ------------------------------------------------------------------ #
-# dynamic policies: --interval, the dynamic experiment, gc orphans
+# dynamic policies: --interval and the dynamic experiment
 # ------------------------------------------------------------------ #
 
 
@@ -502,35 +535,12 @@ def test_trace_run_interval_sim_mode(trace_file, capsys):
     assert flat["dynamics_interval"] == 40
 
 
-def test_trace_run_interval_rejects_chunks(trace_file, capsys):
-    assert main(["trace", "run", str(trace_file), "--mode", "missrate",
-                 "--chunks", "2", "--interval", "40"]) == 2
-    assert "incompatible" in capsys.readouterr().err
-
-
 def test_sweep_interval_flag_accepted(capsys):
     """--interval rides the design-space sweep (static grid: inert but
     cache-key-distinct)."""
     assert sweep_main(TINY_SWEEP + ["--interval", "64", "--json"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["interval"] == 64
-
-
-def test_cache_gc_prunes_orphaned_chunk_sidecars(tmp_path, monkeypatch, capsys):
-    """A {key}.chunk.json whose result file is gone is pruned by gc even
-    when younger than the cutoff; paired sidecars survive."""
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
-    (cache / "paired.json").write_text("{}")
-    (cache / "paired.chunk.json").write_text("{}")
-    (cache / "orphan.chunk.json").write_text("{}")
-    assert main(["cache", "gc", "--older-than", "30"]) == 0
-    out = capsys.readouterr().out
-    assert "removed 1 entries" in out
-    assert not (cache / "orphan.chunk.json").exists()
-    assert (cache / "paired.chunk.json").exists()
-    assert (cache / "paired.json").exists()
 
 
 def test_repro_interval_env(monkeypatch):

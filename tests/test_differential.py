@@ -8,7 +8,9 @@ field (integer counters, access-kind breakdowns, and energy floats
 alike), plus :class:`MissRateResult` equality for the functional path
 across every replacement policy and the warmup-fraction edges — with
 the numpy vector tier held to the same byte-identical contract as a
-third leg of the miss-rate property.
+third leg of the miss-rate property.  Degenerate streams (empty, no
+memory ops, one access) must give identical miss-rate flats on every
+tier through the runner.
 
 Full-sim mode is covered on both pipeline implementations: the fast
 backend runs the batched core/fetch pair (:mod:`repro.fastsim.core`,
@@ -39,6 +41,7 @@ from repro.cpu.stats import CoreStats
 from repro.fastsim import FastCore, FastFetchUnit
 from repro.fastsim.missrate import fast_miss_rate
 from repro.fastsim.vector import vector_miss_rate
+from repro.sim import runner
 from repro.sim.config import CacheLevelConfig, SystemConfig
 from repro.sim.functional import measure_miss_rate
 from repro.sim.simulator import Simulator
@@ -305,3 +308,59 @@ def test_miss_rate_rejects_unknown_replacement(assoc):
         fast_miss_rate(trace, geometry, replacement="bogus")
     with pytest.raises(ValueError, match="unknown replacement"):
         vector_miss_rate(trace, geometry, replacement="bogus")
+
+
+# ------------------------------------------------------------------ #
+# Degenerate-trace contract: edge-case streams on every tier
+# ------------------------------------------------------------------ #
+
+
+def mem_trace(name: str, spec) -> Trace:
+    """A trace from (op, addr) pairs; non-memory ops carry addr=0."""
+    return Trace(name, [Instr(0x1000 + 4 * i, op, addr=addr)
+                        for i, (op, addr) in enumerate(spec)])
+
+
+DEGENERATES = {
+    "no-mem-ops": [(OP_INT, 0)] * 12,
+    "single-access": [(OP_INT, 0)] * 5 + [(OP_LOAD, 64)],
+    "single-store": [(OP_STORE, 64)],
+    "empty-trace": [],
+}
+
+
+@pytest.fixture
+def no_cache(monkeypatch):
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    runner.clear_caches()
+    yield
+    runner.clear_caches()
+
+
+class TestDegenerateTraces:
+    @pytest.mark.parametrize("name", sorted(DEGENERATES))
+    def test_all_tiers_byte_agree(self, name, no_cache):
+        """Empty/one-access streams: identical flats on every tier."""
+        trace = mem_trace(name, DEGENERATES[name])
+        flats = []
+        for backend in ("reference", "fast", "vector"):
+            runner.clear_caches()
+            runner._TRACE_CACHE[(name, 1000, 0)] = trace
+            result = runner.execute(
+                name, SystemConfig(), 1000, mode="missrate", backend=backend
+            )
+            flats.append(result.to_flat())
+        assert flats[0] == flats[1] == flats[2]
+
+    def test_single_access_is_all_warmup_free(self, no_cache):
+        """One mem op: warmup = int(1*0.2) = 0, so it IS measured."""
+        runner._TRACE_CACHE[("one", 10, 0)] = mem_trace("one", [(OP_LOAD, 64)])
+        result = runner.execute("one", SystemConfig(), 10, mode="missrate")
+        assert result.dcache.accesses == 1
+        assert result.dcache.misses == 1  # cold miss
+
+    def test_no_mem_ops_miss_rate_zero(self, no_cache):
+        runner._TRACE_CACHE[("none", 10, 0)] = mem_trace("none", [(OP_INT, 0)] * 8)
+        result = runner.execute("none", SystemConfig(), 10, mode="missrate")
+        assert result.dcache.accesses == 0
+        assert result.dcache.miss_rate == 0.0

@@ -21,7 +21,6 @@ from repro.cache.geometry import CacheGeometry
 from repro.core.dynamic import DriResizePolicy, LevelPredictorPolicy
 from repro.core.interval import (
     IntervalStats,
-    ReconfigureAction,
     is_dynamic_policy,
     validate_reconfigure,
 )
@@ -308,11 +307,6 @@ class TestIntervalValidation:
     def test_runspec_rejects_negative_interval(self):
         with pytest.raises(ValueError, match="interval"):
             RunSpec("gcc", SystemConfig(), 1000, interval=-1)
-
-    def test_runspec_rejects_interval_with_chunks(self):
-        with pytest.raises(ValueError, match="incompatible"):
-            RunSpec("gcc", SystemConfig(), 1000, mode="missrate",
-                    chunks=2, interval=64)
 
     def test_describe_names_the_interval(self):
         spec = RunSpec("gcc", SystemConfig(), 1000, interval=128)

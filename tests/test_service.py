@@ -53,19 +53,6 @@ class TestProtocol:
         assert spec.instructions == 25_000
         assert spec.component == "dcache"
         assert spec.backend == "reference"
-        assert spec.chunks == 0
-        assert spec.chunk_overlap is None
-
-    def test_chunk_fields_ride_the_fingerprint(self):
-        """Explicit serial chunking parses; the fields shape identity."""
-        spec = parse_job_request(
-            {"kind": "sweep", "benchmarks": ["gcc"], "chunks": 0,
-             "chunk_overlap": None}
-        )
-        assert spec.chunks == 0 and spec.chunk_overlap is None
-        payload = canonical_payload(spec)
-        assert payload["chunks"] == 0
-        assert payload["chunk_overlap"] is None
 
     def test_kind_defaults_to_sweep(self):
         spec = parse_job_request({"benchmarks": ["gcc"]})
@@ -98,10 +85,11 @@ class TestProtocol:
             ({"kind": "sweep", "policies": ["nope"]}, "unknown"),
             ({"kind": "sweep", "component": "l2"}, "unknown component"),
             ({"kind": "sweep", "backend": "cuda"}, "unknown backend"),
-            ({"kind": "sweep", "chunks": -1}, "integer >= 0"),
-            ({"kind": "sweep", "chunks": True}, "integer"),
-            ({"kind": "sweep", "chunks": 2}, "missrate"),
-            ({"kind": "sweep", "chunk_overlap": 4}, "chunk_overlap"),
+            ({"kind": "experiment", "experiments": ["table4"], "interval": -1},
+             "integer >= 0"),
+            ({"kind": "sweep", "salt": True}, "integer"),
+            ({"kind": "sweep", "chunks": 2}, "unknown field"),
+            ({"kind": "sweep", "baseline_policy": 3}, "must be a string"),
             ({"kind": "experiment"}, "at least one experiment"),
             ({"kind": "experiment", "experiments": ["nope"]}, "unknown experiment"),
             ({"kind": "experiment", "experiments": ["table4"],
@@ -581,12 +569,6 @@ class TestIntervalProtocol:
             with pytest.raises(ProtocolError, match="interval"):
                 parse_job_request(
                     {"kind": "sweep", "benchmarks": ["gcc"], "interval": bad})
-
-    def test_interval_rejects_chunked_sweeps(self):
-        with pytest.raises(ProtocolError, match="incompatible"):
-            parse_job_request(
-                {"kind": "sweep", "benchmarks": ["gcc"], "interval": 8,
-                 "chunks": 2, "chunk_overlap": 0})
 
     def test_interval_shapes_the_fingerprint(self):
         base = parse_job_request({"kind": "sweep", "benchmarks": ["gcc"]})

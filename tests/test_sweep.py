@@ -410,9 +410,9 @@ class TestDefaultJobs:
     def test_env_parsing(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "6")
         assert default_jobs() == 6
-        monkeypatch.setenv("REPRO_JOBS", "bogus")
-        assert default_jobs() == 1
-        monkeypatch.setenv("REPRO_JOBS", "-3")
-        assert default_jobs() == 1
+        for bad in ("bogus", "0", "-3"):
+            monkeypatch.setenv("REPRO_JOBS", bad)
+            with pytest.raises(ValueError, match=f"REPRO_JOBS .* got '{bad}'"):
+                default_jobs()
         monkeypatch.delenv("REPRO_JOBS")
         assert default_jobs() == 1

@@ -1,7 +1,6 @@
 """Workload generation: determinism, coherence, and stream behaviour."""
 
 import pytest
-from hypothesis import strategies as st
 
 from repro.utils.rng import DeterministicRng
 from repro.workload.generator import TraceGenerator, generate_trace
