@@ -53,7 +53,6 @@ from repro.cache.geometry import CacheGeometry
 __all__ = [
     "IntervalStats",
     "ReconfigureAction",
-    "action_is_effective",
     "is_dynamic_policy",
     "validate_reconfigure",
 ]
@@ -157,22 +156,3 @@ def validate_reconfigure(current: CacheGeometry, new: CacheGeometry) -> None:
             f"({current.address_bits} -> {new.address_bits})"
         )
 
-
-def action_is_effective(
-    action: Optional[ReconfigureAction],
-    geometry: CacheGeometry,
-    bypassed: bool,
-) -> bool:
-    """Whether ``action`` would actually change cache state.
-
-    A ``None`` action, or one whose fields match the current state, is
-    a no-op — the vector tier uses this to keep its speculative replay
-    when a dynamic policy ticks without ever reconfiguring.
-    """
-    if action is None:
-        return False
-    if action.geometry is not None and action.geometry != geometry:
-        return True
-    if action.bypass is not None and action.bypass != bypassed:
-        return True
-    return False

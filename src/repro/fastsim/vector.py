@@ -1,9 +1,12 @@
 """Vectorized numpy miss-rate kernels (the ``"vector"`` backend tier).
 
-The python fast tier (:mod:`repro.fastsim.missrate`) already replays a
-pre-encoded address stream in trace order, but still pays a Python-level
-loop iteration per access.  This module removes the per-access loop for
-the policies whose hit/miss outcome can be computed *offline*:
+The python fast tier (:mod:`repro.fastsim.missrate`) replays a
+pre-encoded address stream in trace order, paying a Python-level loop
+iteration per access.  This tier runs the same driver — ticks, flushes,
+bypass and counting are shared — but hands it one primitive instead of
+the python kernels: :func:`_vector_hits`, which classifies a block
+slice from a cold cache without a per-access loop, for the policies
+whose hit/miss outcome can be computed *offline*:
 
 * **Direct-mapped** — an access hits iff the previous access to its set
   touched the same block.  One set-major sort puts every set's accesses
@@ -27,15 +30,16 @@ the policies whose hit/miss outcome can be computed *offline*:
   ``(num_sets, ways)`` slot matrix and ``(num_sets, ways-1)`` bit-tree
   matrix at once, walking the tree levels vectorially.  2-way tree-PLRU
   *is* exact LRU (one bit pointing away from the last-used way), so
-  that case routes to the LRU kernel; heavily skewed streams, where
-  rounds degenerate to a handful of lanes each, fall back to the
-  python tier (see ``_PLRU_MIN_BATCH``).
+  that case routes to the LRU kernel; on heavily skewed streams, where
+  rounds degenerate to a handful of lanes each, the classifier declines
+  and the driver continues on the python kernels (see
+  ``_PLRU_MIN_BATCH``).
 
-Everything else falls back **per policy** to
+Everything else runs whole on
 :func:`~repro.fastsim.missrate.fast_miss_rate`: ``fifo``/``random``
 victims follow an object-driven order (the deterministic RNG stream of
 ``random`` must advance exactly as the reference's does), and plugin
-replacement kinds have no array form at all.  The fallback — and the
+replacement kinds have no array form at all.  That route — and the
 case where numpy is not importable — is silent and lossless because
 every tier is byte-identical by contract (enforced by the differential
 and golden suites).
@@ -53,12 +57,10 @@ casing.
 from __future__ import annotations
 
 import os
-from typing import Tuple, Union
+from typing import Union
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import make_replacement
-from repro.core.interval import IntervalStats, action_is_effective, is_dynamic_policy
-from repro.fastsim.missrate import fast_miss_rate
+from repro.fastsim.missrate import _replay, fast_miss_rate
 from repro.sim.functional import MissRateResult
 from repro.workload.encode import EncodedTrace, encode_trace
 from repro.workload.trace import Trace
@@ -83,10 +85,8 @@ NO_VECTOR_ENV = "REPRO_NO_VECTOR"
 
 #: Minimum collapsed accesses per PLRU round for the batched state
 #: advance to beat the python tier; thinner rounds mean the per-round
-#: numpy dispatch overhead dominates, so skewed streams fall back.
+#: numpy dispatch overhead dominates, so skewed streams are declined.
 _PLRU_MIN_BATCH = 32
-
-_Counts = Tuple[int, int, int, int]
 
 
 def numpy_available() -> bool:
@@ -128,158 +128,45 @@ def vector_miss_rate(
     """Vectorized equivalent of
     :func:`~repro.sim.functional.measure_miss_rate`.
 
-    Falls back to :func:`~repro.fastsim.missrate.fast_miss_rate` — per
-    policy, per stream shape, or wholesale when the tier is disabled —
-    whenever no vector kernel applies; results are identical either way.
-    Dynamic runs (``interval > 0`` with a dynamic ``policy_factory``)
-    replay speculatively (:func:`_vector_dynamic`) and drop to the fast
-    tier the moment a tick actually reconfigures.
+    Runs the shared miss-rate driver (static or ticked) with
+    :func:`_vector_hits` as its classifier.  Replacement kinds with no
+    array form, and a disabled tier, go to
+    :func:`~repro.fastsim.missrate.fast_miss_rate` whole; results are
+    identical either way.
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
-    if interval < 0:
-        raise ValueError(f"interval must be >= 0, got {interval}")
     encoded = trace if isinstance(trace, EncodedTrace) else encode_trace(trace)
-    if interval > 0 and policy_factory is not None:
-        if is_dynamic_policy(policy_factory()):
-            return _vector_dynamic(
-                encoded, geometry, replacement, warmup_fraction,
-                interval, policy_factory,
-            )
-    hits = _vector_hits(encoded, geometry, replacement)
-    if hits is None:
-        return fast_miss_rate(encoded, geometry, replacement, warmup_fraction)
-    warmup = int(len(encoded) * warmup_fraction)
-    accesses, misses, load_accesses, load_misses = _tally(
-        hits, encoded.is_load_np(), warmup
-    )
-    return MissRateResult(
-        accesses=accesses,
-        misses=misses,
-        load_accesses=load_accesses,
-        load_misses=load_misses,
-    )
-
-
-def _vector_dynamic(
-    encoded: EncodedTrace,
-    geometry: CacheGeometry,
-    replacement: str,
-    warmup_fraction: float,
-    interval: int,
-    policy_factory,
-) -> MissRateResult:
-    """Speculative vectorized interval replay with lossless fallback.
-
-    The vector kernels are offline — they classify the whole stream
-    against a *fixed* geometry — so they cannot follow a mid-run
-    reconfiguration.  But a dynamic run where no tick ever changes
-    anything is bit-for-bit the static replay, and whether any tick
-    *does* change anything is decidable from the static replay itself:
-    per-window statistics are segment sums over the full-stream hit
-    mask, and until the first effective action the dynamic policy sees
-    exactly those statistics.  So: classify once, walk the ticks over
-    mask segments, and the moment an action would actually change
-    state (:func:`~repro.core.interval.action_is_effective`), abandon
-    speculation and rerun on the python fast tier with a *fresh*
-    policy — every tick before the divergence replays identically, so
-    the fallback is lossless.
-    """
-    hits = _vector_hits(encoded, geometry, replacement)
-    if hits is None:
+    if not vector_enabled() or (
+        geometry.associativity > 1 and replacement not in ("lru", "plru")
+    ):
         return fast_miss_rate(
             encoded, geometry, replacement, warmup_fraction,
             interval=interval, policy_factory=policy_factory,
         )
-    n = int(hits.shape[0])
-    is_load = encoded.is_load_np()
-    policy = policy_factory()
-    ticks = 0
-    total_accesses = total_misses = 0
-    seg_start = 0
-    while seg_start + interval < n:
-        seg_end = seg_start + interval
-        seg_hits = hits[seg_start:seg_end]
-        seg_len = seg_end - seg_start
-        window_misses = seg_len - int(np.count_nonzero(seg_hits))
-        window_loads = int(np.count_nonzero(is_load[seg_start:seg_end]))
-        total_accesses += seg_len
-        total_misses += window_misses
-        stats = IntervalStats(
-            index=ticks,
-            position=seg_end,
-            interval=interval,
-            accesses=seg_len,
-            loads=window_loads,
-            stores=seg_len - window_loads,
-            misses=window_misses,
-            way_mispredicts=0,
-            energy_delta=0.0,
-            total_accesses=total_accesses,
-            total_misses=total_misses,
-            geometry=geometry,
-            bypassed=False,
-        )
-        action = policy.on_interval(stats)
-        ticks += 1
-        if action_is_effective(action, geometry, False):
-            return fast_miss_rate(
-                encoded, geometry, replacement, warmup_fraction,
-                interval=interval, policy_factory=policy_factory,
-            )
-        seg_start = seg_end
-    warmup = int(n * warmup_fraction)
-    accesses, misses, load_accesses, load_misses = _tally(hits, is_load, warmup)
-    return MissRateResult(
-        accesses=accesses,
-        misses=misses,
-        load_accesses=load_accesses,
-        load_misses=load_misses,
-        ticks=ticks,
-        reconfigurations=0,
-        bypass_toggles=0,
-        bypassed_accesses=0,
-        final_size_bytes=geometry.size_bytes,
-    )
+    return _replay(encoded, geometry, replacement, warmup_fraction,
+                   interval, policy_factory, _vector_hits)
 
 
-def _vector_hits(encoded: EncodedTrace, geometry: CacheGeometry, replacement: str):
-    """Per-position hit mask for the whole stream, or ``None``.
+def _vector_hits(blocks, geometry: CacheGeometry, replacement: str):
+    """Per-position hit mask for ``blocks`` replayed from a cold cache.
 
-    The classification core shared by static counting (which folds the
-    mask with :func:`_tally`) and by the speculative dynamic replay
-    (which sums mask *segments* per tick window).  ``None`` means no
-    vector kernel applies and the python tier must run.
+    The tier's one primitive: the shared driver classifies each epoch's
+    block-array slice through it.  ``None`` declines the slice (no
+    kernel applies, or PLRU rounds would be too thin), and the driver
+    continues on the python kernels.  Slices are never empty.
     """
-    if not vector_enabled():
-        return None
     num_sets = geometry.num_sets
     assoc = geometry.associativity
-    if num_sets > (1 << 32):
-        return None  # set index would overflow the packed sort key
-    blocks = encoded.blocks_np(geometry.fields)
-    n = int(blocks.shape[0])
-    if n >= (1 << 32):
-        return None  # position would overflow the packed sort key
+    if num_sets > (1 << 32) or blocks.shape[0] >= (1 << 32):
+        return None  # set index or position would overflow the sort key
     if assoc == 1:
-        # Replacement never arbitrates a direct-mapped cache, but an
-        # unknown name must still raise exactly like the other tiers.
-        make_replacement(replacement, 1)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
         return _direct_mapped(blocks, num_sets)
-    if replacement == "plru":
-        # Validates power-of-two associativity like the reference does.
-        make_replacement(replacement, assoc)
-    elif replacement != "lru":
-        return None  # fifo/random/plugins: object-driven python tier
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    if replacement == "lru" or assoc == 2:
+    if replacement == "lru" or (replacement == "plru" and assoc == 2):
         # A 2-way PLRU tree is exact LRU: its single bit always points
         # at the less recently used way.
         return _lru(blocks, num_sets, assoc)
-    return _plru(blocks, num_sets, assoc)
+    if replacement == "plru":
+        return _plru(blocks, num_sets, assoc)
+    return None
 
 
 # ------------------------------------------------------------------ #
@@ -301,20 +188,6 @@ def _set_major_order(blocks, num_sets: int):
     key.sort()
     order = (key & np.uint64(0xFFFFFFFF)).astype(np.int64)
     return order, blocks[order]
-
-
-def _tally(hits, is_load, warmup: int) -> _Counts:
-    """Fold the per-access hit flags into MissRateResult counts,
-    ignoring the warmup prefix exactly like the scalar tiers do."""
-    tail_hits = hits[warmup:]
-    tail_loads = is_load[warmup:]
-    miss = ~tail_hits
-    return (
-        int(tail_hits.shape[0]),
-        int(np.count_nonzero(miss)),
-        int(np.count_nonzero(tail_loads)),
-        int(np.count_nonzero(miss & tail_loads)),
-    )
 
 
 # ------------------------------------------------------------------ #

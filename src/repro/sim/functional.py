@@ -111,8 +111,8 @@ def measure_miss_rate(
             ``interval`` accesses and applies any returned
             reconfiguration.  0 disables ticking.
         policy_factory: zero-argument callable building a fresh policy
-            instance (each tier builds its own so speculative tiers can
-            restart cleanly).  Ignored unless the built policy is
+            instance (each tier builds its own, so one factory can drive
+            runs on every tier).  Ignored unless the built policy is
             dynamic (:func:`~repro.core.interval.is_dynamic_policy`).
     """
     if not 0.0 <= warmup_fraction < 1.0:

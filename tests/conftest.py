@@ -1,10 +1,11 @@
 """Test-suite fixtures: small geometries, models, and traces.
 
-Also isolates the on-disk caches per session, and pins the Hypothesis
-profile for the differential property suite: the default ``ci``
-profile is fully deterministic (``derandomize=True``, no deadline), so
-property tests cannot flake in CI; set ``HYPOTHESIS_PROFILE=dev``
-locally to explore with random seeds.
+Also isolates each session from exported ``REPRO_*`` variables and
+from the on-disk caches, and pins the Hypothesis profile for the
+differential property suite: the default ``ci`` profile is fully
+deterministic (``derandomize=True``, no deadline), so property tests
+cannot flake in CI; set ``HYPOTHESIS_PROFILE=dev`` locally to explore
+with random seeds.
 """
 
 import os
@@ -40,16 +41,21 @@ except ImportError:  # pragma: no cover - hypothesis is an optional test dep
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _session_cache_dir(tmp_path_factory):
-    """Point the run/artifact caches at a per-session temp directory.
+def _hermetic_environment(tmp_path_factory):
+    """Clear every exported ``REPRO_*`` variable, and point the
+    run/artifact caches at a per-session temp directory.
 
     Cache keys do not cover simulator code, so a suite reading the
     working tree's ``.repro_cache/`` could pass on results a regressed
-    simulator never produced.  Every session therefore starts empty;
-    tests that set ``REPRO_CACHE_DIR`` themselves still override it,
-    and subprocesses inherit it through the environment.
+    simulator never produced.  Every session therefore starts empty.
+    Likewise a ``REPRO_JOBS`` or ``REPRO_NO_VECTOR`` left in the shell
+    would change what the tests exercise.  Tests that need a value set
+    it themselves with ``monkeypatch``, and subprocesses inherit the
+    cleaned environment.
     """
     with pytest.MonkeyPatch.context() as patch:
+        for name in [name for name in os.environ if name.startswith("REPRO_")]:
+            patch.delenv(name)
         patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro_cache")))
         yield
 

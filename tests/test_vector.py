@@ -20,11 +20,13 @@ The vector tier's contract has three legs, each pinned here:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import pytest
 
 from repro.cache.geometry import CacheGeometry
+from repro.core.registry import get_policy
 from repro.fastsim import vector as vector_module
 from repro.fastsim.missrate import fast_miss_rate
 from repro.fastsim.vector import (
@@ -231,7 +233,13 @@ class TestVectorMissRate:
         warmup = int(blocks.shape[0] * 0.2)
         hits = vector_module._plru(blocks, geometry.num_sets, 4)
         assert hits is not None, "rounds kernel unexpectedly hit the skew guard"
-        counts = vector_module._tally(hits, encoded.is_load_np(), warmup)
+        counted, loads = ~hits[warmup:], encoded.is_load_np()[warmup:]
+        counts = (
+            counted.size,
+            int(counted.sum()),
+            int(loads.sum()),
+            int((counted & loads).sum()),
+        )
         reference = measure_miss_rate(trace, geometry, "plru", 0.2)
         assert counts == (
             reference.accesses,
@@ -239,6 +247,37 @@ class TestVectorMissRate:
             reference.load_accesses,
             reference.load_misses,
         )
+        assert vector_miss_rate(trace, geometry, "plru", 0.2) == reference
+
+    @requires_numpy
+    def test_plru_rounds_kernel_classifies_flushed_epochs(self, monkeypatch):
+        """After a dri flush the rounds kernel classifies the new epoch's
+        horizon, not the whole stream, and every tier still agrees.
+        (Hypothesis-sized traces never fill a round, so only a long
+        balanced stream reaches this path.)"""
+        engaged = []
+        plru = vector_module._plru
+
+        def recording_plru(blocks, num_sets, assoc):
+            mask = plru(blocks, num_sets, assoc)
+            if mask is not None:
+                engaged.append(blocks.shape[0])
+            return mask
+
+        monkeypatch.setattr(vector_module, "_plru", recording_plru)
+        trace = _balanced_trace(sets=64)
+        geometry = CacheGeometry(8 * 1024, 4, 32)
+        factory = functools.partial(
+            get_policy("dri", "dcache").build, miss_hi=0.2, miss_lo=0.01, max_kb=32
+        )
+        results = [
+            measure(trace, geometry, "plru", 0.2, interval=500,
+                    policy_factory=factory)
+            for measure in (measure_miss_rate, fast_miss_rate, vector_miss_rate)
+        ]
+        assert results[0].reconfigurations > 0
+        assert min(engaged) < len(encode_trace(trace))
+        assert results[0] == results[1] == results[2]
 
     @requires_numpy
     def test_plru_skew_guard_falls_back_correctly(self):
