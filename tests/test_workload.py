@@ -1,5 +1,7 @@
 """Workload generation: determinism, coherence, and stream behaviour."""
 
+import hashlib
+
 import pytest
 
 from repro.utils.rng import DeterministicRng
@@ -57,6 +59,72 @@ class TestDeterminism:
         a = generate_trace("gcc", 3000)
         b = generate_trace("go", 3000)
         assert [i.pc for i in a] != [i.pc for i in b]
+
+
+#: The nine per-instruction columns, in ``EncodedTrace`` attribute order.
+_COLUMNS = ("ops", "pcs", "dsts", "src1s", "src2s", "daddrs", "takens", "targets", "xors")
+
+#: First 16 hex digits of the sha256 of each generated trace's columns,
+#: per application at (length, salt) = (1, 0), (1, 3), (999, 0),
+#: (999, 3), (12_000, 0), (12_000, 3).
+_GENERATED_DIGESTS = {
+    "applu": ("41cbd067f099fc93", "3efa4fb1e9c15b7d", "7aa0c5ca30402d12",
+              "2206d97d01efc444", "23c787423fe9ec64", "6262b7015f212a62"),
+    "fpppp": ("a06df20bcedda2a7", "a21842e251b6490c", "b80718b82d976451",
+              "bea007a38bdd35b6", "6b7915602eaf079e", "c1f7e33388bd17ec"),
+    "mgrid": ("fc750e2228de79e0", "4b84ac05f45abae1", "1d3ad946bff57eca",
+              "02dcef49101f08b3", "8239382dd26a2bf5", "f990f50976c1c9d7"),
+    "swim": ("4b84ac05f45abae1", "aed63740181a1ea0", "2cac7452fc9c895c",
+             "4a483ec4b14e4d8c", "01022e53bc21c86a", "6759e97961bde84a"),
+    "gcc": ("0e777c7d0bf20115", "dbc5a24de0718fcb", "335ae41e0a97f52d",
+            "84f0b77a9dc4484c", "19ce3de85433c898", "b8fd7339b4724af7"),
+    "go": ("a21842e251b6490c", "73d649b4ca47e520", "a9636d50f73cf887",
+           "3ef463c98aecf74a", "e3ea2b7a079dc1f8", "9bdb743509c68145"),
+    "li": ("90e1fafc08d95d93", "526cfe29d86d4383", "6fdac64c63d9dc56",
+           "844511ca632fd829", "0a22e53f0e16a3c9", "36602544de508cf5"),
+    "m88ksim": ("64f8d9caccb76bd5", "3f9c23a49b38ed86", "d3cf6e07a8e918d1",
+                "b45ae155e1fbe643", "d3e49f8acdfcba40", "38efc0411a2a61b6"),
+    "perl": ("0e777c7d0bf20115", "fbb27d22c9aba264", "7931ed0662dbb2da",
+             "b5bb25abb993f614", "60cf716ffa39c43e", "27bffff89d731cb1"),
+    "troff": ("6b72cdedbe75009f", "6031372616254747", "38c00899d2e737c9",
+              "190de9542792b88e", "febe4a9a1f016a9e", "f3a6d1deae550fde"),
+    "vortex": ("0e777c7d0bf20115", "0e777c7d0bf20115", "6c385a05e073fcb9",
+               "90ec6e677d53516c", "0c4c71230084e47e", "f20af00074844607"),
+}
+
+
+@pytest.mark.parametrize("bench", sorted(_GENERATED_DIGESTS))
+def test_generated_trace_digests(bench):
+    """Generated traces are pinned column for column.
+
+    The digests hash ``repr`` of each column, so value *types* count too
+    (``takens`` must stay genuine bools).  They also guard every
+    ``random.Random`` draw the generator makes on each supported Python.
+    A deliberate change to generation regenerates this table together
+    with the goldens and bumps ``GENERATOR_VERSION``.
+    """
+    from repro.workload.encode import encode_trace
+
+    digests = []
+    for length in (1, 999, 12_000):
+        for salt in (0, 3):
+            trace = generate_trace(bench, length, salt)
+            encoded = encode_trace(trace)
+            encoded.ensure_instr_arrays(trace)
+            columns = [getattr(encoded, name) for name in _COLUMNS]
+            digest = hashlib.sha256()
+            for column in columns:
+                digest.update(repr(column).encode("ascii"))
+            digests.append(digest.hexdigest()[:16])
+            if length == 999:
+                # The objects an Instr consumer sees carry the same fields.
+                fields = [
+                    (i.op, i.pc, i.dst, i.src1, i.src2, i.addr, i.taken, i.target,
+                     i.xor_handle)
+                    for i in trace
+                ]
+                assert fields == list(zip(*columns))
+    assert tuple(digests) == _GENERATED_DIGESTS[bench]
 
 
 class TestTraceCoherence:
