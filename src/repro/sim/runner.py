@@ -466,19 +466,21 @@ def _store_disk(key: str, result: SimResult) -> None:
 def get_trace(benchmark: str, instructions: int, salt: int = 0) -> Trace:
     """Return the (memoized) trace for a benchmark or ``trace://`` ref.
 
-    Synthetic benchmarks generate exactly ``instructions`` instructions.
-    For a trace reference the file streams back instead: ``instructions``
-    caps the replay length (``<= 0`` means the whole file), ``salt`` is
-    ignored, and the memo key carries the file's content fingerprint so
-    an edited file is re-ingested, never served from memory.
+    Synthetic benchmarks generate exactly ``instructions`` instructions,
+    as columns: the fast/vector tiers encode from them in O(1), and
+    only the reference tier builds the ``Instr`` list.  For a trace
+    reference the file streams back instead: ``instructions`` caps the
+    replay length (``<= 0`` means the whole file), ``salt`` is ignored,
+    and the memo key carries the file's content fingerprint so an
+    edited file is re-ingested, never served from memory.
 
     When the workload's encoded-trace artifact is on disk, its header
     answers ``name`` and ``len()`` and its sections answer the
     fast/vector tiers, so nothing is generated or parsed up front: a
     synthetic benchmark comes back as a :class:`LazyTrace` that
-    generates on first touch of its instructions (only the reference
-    pipeline, and a sim run over a mem-only artifact, touch them), and
-    a file's streaming trace knows its length without a counting pass.
+    generates on first touch (only the reference tier, and a sim run
+    over a mem-only artifact, touch it), and a file's streaming trace
+    knows its length without a counting pass.
     """
     is_ref = is_trace_ref(benchmark)
     key = (workload_id(benchmark) if is_ref else benchmark, instructions, salt)

@@ -43,6 +43,11 @@ class DeterministicRng:
         """Return an independent child stream; order of forks is stable."""
         return DeterministicRng(f"{self.name}/{sub_name}", self.salt)
 
+    @property
+    def raw(self) -> random.Random:
+        """The underlying generator, for hot loops that bind its methods."""
+        return self._random
+
     def uniform(self) -> float:
         """Return a float in [0, 1)."""
         return self._random.random()

@@ -42,7 +42,7 @@ TERM_LOOP = 3  #: loop back-edge (taken while trips remain)
 TERM_RET = 4  #: function return
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockSpec:
     """One static basic block.
 
@@ -87,7 +87,7 @@ class BlockSpec:
         return self.start_pc + self.num_instrs * INSTR_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     """A run of blocks, possibly looped.
 
@@ -100,7 +100,7 @@ class Segment:
     is_loop: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionSpec:
     """One static function: contiguous blocks grouped into segments."""
 
@@ -110,7 +110,7 @@ class FunctionSpec:
     segments: List[Segment] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class CodeLayout:
     """The whole synthetic program."""
 
@@ -167,18 +167,28 @@ def measure_block_weights(layout: "CodeLayout", rng: DeterministicRng,
 
     Static heuristics (loop trip counts) miss call-frequency effects —
     a leaf function invoked from a hot loop executes orders of magnitude
-    more often than its static weight suggests.  A short probe walk with
-    an independent RNG measures the real distribution.
+    more often than its static weight suggests.  A probe walk of
+    ``probe_blocks`` blocks with an independent RNG measures the real
+    distribution, stepping loops whole (:meth:`ControlFlowWalker.run_loop`).
 
     Returns:
-        Map from block ``start_pc`` to observed execution count (>= 1
-        for every block, so unvisited sites still get bound).
+        Map from block ``start_pc`` to observed execution count.
+        Unvisited blocks are absent; :func:`bind_streams` weighs them
+        as 1, so their sites still get bound.
     """
     walker = ControlFlowWalker(layout, rng)
     counts: Dict[int, int] = {}
-    for _ in range(probe_blocks):
-        block, _, _ = walker.next_block()
-        counts[block.start_pc] = counts.get(block.start_pc, 0) + 1
+    left = probe_blocks
+    while left > 0:
+        loop = walker.run_loop(left)
+        if not loop:
+            pc = walker.next_block()[0].start_pc
+            counts[pc] = counts.get(pc, 0) + 1
+            left -= 1
+        for block, visits in loop:
+            if visits:
+                counts[block.start_pc] = counts.get(block.start_pc, 0) + visits
+                left -= visits
     return counts
 
 
@@ -215,17 +225,16 @@ def bind_streams(
     quotas = [total_weight * w / weight_sum for w in params.stream_weights]
     assigned = [0.0] * len(quotas)
     instance_loads = [[0.0] * count for count in params.stream_counts]
+    keys = list(zip(quotas, params.stream_weights))  # (deficit, weight) per family
 
     for weight, block, slot_index in sites:
         # Largest absolute remaining deficit takes the site.  Processing
         # sites hottest-first means the big sites land on big-quota
         # families (hot scalars, hot array walks) and small-quota
         # families fill from the cooler tail without overshooting.
-        family = max(
-            range(len(quotas)),
-            key=lambda f: (quotas[f] - assigned[f], params.stream_weights[f]),
-        )
+        family = max(range(len(keys)), key=keys.__getitem__)
         assigned[family] += weight
+        keys[family] = (quotas[family] - assigned[family], params.stream_weights[family])
         # Within the family, the least-loaded instance takes the site so
         # every instance carries an equal dynamic share (this is what
         # pins the big-array fraction of walk accesses).
@@ -240,7 +249,7 @@ def _build_block(
 ) -> Tuple[List[int], List[int]]:
     """Return (slots, stream_ids) for one block body.
 
-    Stream ids are placeholders (-1); :func:`_bind_streams` fills them
+    Stream ids are placeholders (-1); :func:`bind_streams` fills them
     once loop structure (execution weights) is known.
     """
     length = rng.geometric(max(params.mean_block_len - 1, 1.0), maximum=24)
@@ -326,7 +335,7 @@ def build_layout(params: LayoutParameters, rng: DeterministicRng) -> CodeLayout:
     return CodeLayout(functions=functions, code_bytes=pc - CODE_BASE)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     """Interpreter frame: where we are inside one function activation."""
 
@@ -420,11 +429,45 @@ class ControlFlowWalker:
                 frame.block_pos += 1
             else:
                 self._advance_segment(frame)
+        top = self._stack[-1]
+        if top.segment_idx >= len(top.func.segments):
+            self._unwind()
+        return block, taken, aux_pc
 
-        # Falling past the last segment means implicit return.
+    def run_loop(self, budget: int) -> List[Tuple[BlockSpec, int]]:
+        """Consume the rest of the current loop segment, at most ``budget`` blocks.
+
+        Returns each body block with its visit count (0 if the budget
+        ends first), or ``[]`` outside a loop.  Loop bodies are
+        fall-through blocks plus a ``TERM_LOOP`` tail: nothing in them
+        draws, so this equals as many :meth:`next_block` calls.
+        """
+        frame = self._stack[-1]
+        segment = frame.func.segments[frame.segment_idx]
+        if not segment.is_loop:
+            return []
+        size = len(segment.block_indices)
+        start = frame.block_pos
+        remaining = size - start + (frame.trips_left - 1) * size
+        end = start + min(budget, remaining)
+        # Visits to body position p are the j in [start, end) with j = p mod size.
+        visits = [
+            (frame.func.blocks[index],
+             (end - pos + size - 1) // size - (start - pos + size - 1) // size)
+            for pos, index in enumerate(segment.block_indices)
+        ]
+        if end - start == remaining:
+            self._advance_segment(frame)
+            self._unwind()
+        else:
+            frame.block_pos = end % size
+            frame.trips_left -= end // size  # one trip per tail visit
+        return visits
+
+    def _unwind(self) -> None:
+        """Falling past the last segment means implicit return."""
         while self._stack and self._stack[-1].segment_idx >= len(self._stack[-1].func.segments):
-            done = self._stack.pop()
+            self._stack.pop()
             if not self._stack:
                 self._enter_function(0, return_pc=0)
                 break
-        return block, taken, aux_pc

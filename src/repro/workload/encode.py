@@ -24,16 +24,17 @@ block decodes are memoized per block size inside the encoding, so a
 sweep that runs many configurations over one trace encodes once and
 decodes once per distinct block size.
 
-Both granularities are built by *chunked iteration* over the source
-trace (:meth:`~repro.workload.trace.Trace.iter_chunks`), never by
-touching ``trace.instructions``: an ingested
-:class:`~repro.workload.trace.StreamingTrace` therefore encodes with at
-most one chunk of ``Instr`` objects alive at a time — the compact flat
-arrays are the only per-instruction state that persists.  The source is
-also iterated *at most once* end to end: whichever granularity builds
-first owns the single pass, and the memory-op stream derives from the
-instruction arrays when those already exist — for a file-backed trace,
-one simulation means one parse.
+Generated traces start out as these columns
+(:class:`~repro.workload.trace.ColumnTrace`): the instruction arrays
+adopt them in O(1) and the memory-op stream derives from them, so only
+the reference tier ever builds their ``Instr`` objects.  Other traces
+are read by *chunked iteration*
+(:meth:`~repro.workload.trace.Trace.iter_chunks`), never through
+``trace.instructions``: an ingested
+:class:`~repro.workload.trace.StreamingTrace` encodes with at most one
+chunk of ``Instr`` objects alive, and is iterated *at most once* — the
+first granularity built owns the pass, and the memory-op stream derives
+from the instruction arrays when those exist.
 
 When numpy is importable, the memory-op stream is additionally exposed
 as numpy arrays (:meth:`EncodedTrace.addrs_np`,
@@ -50,11 +51,12 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from repro.utils.bitops import AddressFields, bit_mask
 from repro.workload.instr import OP_LOAD, OP_STORE
-from repro.workload.trace import Trace
+from repro.workload.trace import COLUMN_NAMES, Trace
 
 try:
     import numpy as _np
@@ -204,29 +206,24 @@ class EncodedTrace:
         # plain-int element access covering the full address space
         # (ingested kernel-space addresses exceed 2**63; readers
         # range-check against 2**64 at parse time).
-        addrs = array("Q")
-        is_load = array("b")
-        if self.ops is not None:
-            ops, daddrs = self.ops, self.daddrs
-            for index in range(len(ops)):
-                op = ops[index]
-                if op == OP_LOAD:
-                    addrs.append(daddrs[index])
-                    is_load.append(1)
-                elif op == OP_STORE:
-                    addrs.append(daddrs[index])
-                    is_load.append(0)
+        ops, daddrs = self.ops, self.daddrs
+        if ops is None and self._source.columns is not None:
+            columns = self._source.columns
+            ops, daddrs = columns["ops"], columns["daddrs"]
+            self._instructions = len(ops)
+            self._source = None
+        if ops is not None:
+            memory = [op == OP_LOAD or op == OP_STORE for op in ops]
+            addrs = array("Q", compress(daddrs, memory))
+            is_load = array("b", [op == OP_LOAD for op in compress(ops, memory)])
         else:
-            instructions = 0
+            addrs, is_load, instructions = array("Q"), array("b"), 0
             for chunk in self._source.iter_chunks():
                 instructions += len(chunk)
                 for i in chunk:
-                    if i.op == OP_LOAD:
+                    if i.op == OP_LOAD or i.op == OP_STORE:
                         addrs.append(i.addr)
-                        is_load.append(1)
-                    elif i.op == OP_STORE:
-                        addrs.append(i.addr)
-                        is_load.append(0)
+                        is_load.append(i.op == OP_LOAD)
             self._instructions = instructions
             self._source = None
         self._addrs = addrs
@@ -415,52 +412,45 @@ class EncodedTrace:
     def ensure_instr_arrays(self, trace: Trace) -> None:
         """Build the full per-instruction arrays once (idempotent).
 
-        Takes the source trace again rather than holding ``Instr``
-        objects: chunked iteration (never ``trace.instructions``) keeps
-        streaming traces from materializing — the nine flat int lists
-        are the only O(n) state, live ``Instr`` objects stay bounded by
-        the chunk size.  After this pass the memory-op stream derives
-        from these arrays, so the source is never read again.
+        A generated trace hands over its :attr:`~Trace.columns` as they
+        are, in O(1).  Any other trace is read again through chunked
+        iteration (never ``trace.instructions``), which keeps streaming
+        traces from materializing: the nine flat int lists are the only
+        O(n) state, live ``Instr`` objects stay bounded by the chunk
+        size.  After this the memory-op stream derives from these
+        arrays, so the source is never read again.
         """
         if self.ops is not None:
             return
         if self._artifact is not None and self._artifact.has("ops"):
-            self._restore_instr_arrays()
+            self._adopt(self._restore_instr_arrays())
             return
-        ops: List[int] = []
-        pcs: List[int] = []
-        dsts: List[int] = []
-        src1s: List[int] = []
-        src2s: List[int] = []
-        daddrs: List[int] = []
-        takens: List[bool] = []
-        targets: List[int] = []
-        xors: List[int] = []
-        for chunk in trace.iter_chunks():
-            for i in chunk:
-                ops.append(i.op)
-                pcs.append(i.pc)
-                dsts.append(i.dst)
-                src1s.append(i.src1)
-                src2s.append(i.src2)
-                daddrs.append(i.addr)
-                takens.append(i.taken)
-                targets.append(i.target)
-                xors.append(i.xor_handle)
-        self.ops = ops
-        self.pcs = pcs
-        self.dsts = dsts
-        self.src1s = src1s
-        self.src2s = src2s
-        self.daddrs = daddrs
-        self.takens = takens
-        self.targets = targets
-        self.xors = xors
-        self._instructions = len(ops)
+        columns = trace.columns
+        if columns is None:
+            columns = {name: [] for name in COLUMN_NAMES}
+            ops, pcs, dsts, src1s, src2s, daddrs, takens, targets, xors = columns.values()
+            for chunk in trace.iter_chunks():
+                for i in chunk:
+                    ops.append(i.op)
+                    pcs.append(i.pc)
+                    dsts.append(i.dst)
+                    src1s.append(i.src1)
+                    src2s.append(i.src2)
+                    daddrs.append(i.addr)
+                    takens.append(i.taken)
+                    targets.append(i.target)
+                    xors.append(i.xor_handle)
+        self._adopt(columns)
         self._source = None
 
-    def _restore_instr_arrays(self) -> None:
-        """Materialize the nine per-instruction lists from the backing
+    def _adopt(self, columns: Dict[str, list]) -> None:
+        """Take the nine per-instruction lists as this encoding's arrays."""
+        for name in COLUMN_NAMES:
+            setattr(self, name, columns[name])
+        self._instructions = len(self.ops)
+
+    def _restore_instr_arrays(self) -> Dict[str, list]:
+        """The nine per-instruction lists, restored from the backing
         artifact — no trace re-read, no parse."""
         from repro.workload import artifact as _afmt
 
@@ -469,18 +459,10 @@ class EncodedTrace:
             name: _afmt.bytes_to_array(art.section(name), dtype).tolist()
             for name, dtype in _afmt.INSTR_SECTIONS
         }
-        self.ops = restored["ops"]
-        self.pcs = restored["pcs"]
-        self.dsts = restored["dsts"]
-        self.src1s = restored["src1s"]
-        self.src2s = restored["src2s"]
-        self.daddrs = restored["daddrs"]
         # The live encoding stores genuine bools (the fast core branches
         # on them); the artifact stores int8, so convert back.
-        self.takens = [value != 0 for value in restored["takens"]]
-        self.targets = restored["targets"]
-        self.xors = restored["xors"]
-        self._instructions = art.count("ops")
+        restored["takens"] = [value != 0 for value in restored["takens"]]
+        return restored
 
     def export_sections(self) -> Dict[str, Tuple[str, bytes]]:
         """Everything persistable as section name -> (dtype, payload).

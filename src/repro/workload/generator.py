@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional
+from types import SimpleNamespace
+from typing import List
 
 from repro.utils.rng import DeterministicRng
 from repro.workload.codegen import (
+    INSTR_BYTES,
     ControlFlowWalker,
     LayoutParameters,
     SLOT_FP,
+    SLOT_INT,
     SLOT_LOAD,
     SLOT_STORE,
-    TERM_CALL,
     TERM_COND,
-    TERM_FALL,
     TERM_LOOP,
     TERM_RET,
     bind_streams,
@@ -29,7 +30,6 @@ from repro.workload.instr import (
     OP_LOAD,
     OP_RET,
     OP_STORE,
-    Instr,
 )
 from repro.workload.profiles import BenchmarkProfile, get_profile
 from repro.workload.streams import (
@@ -42,7 +42,7 @@ from repro.workload.streams import (
     ScalarStream,
     WalkStream,
 )
-from repro.workload.trace import Trace
+from repro.workload.trace import COLUMN_NAMES, ColumnTrace
 
 #: Version of the synthesis pipeline as cache keys see it.  Generation
 #: is pure, so (benchmark, instructions, salt) identifies a synthetic
@@ -58,82 +58,18 @@ _BLOCK_SHIFT = 5
 _INT_REGS = list(range(1, 31))
 _FP_REGS = list(range(32, 63))
 
+# Body slots are emitted as their own opcodes.
+assert (SLOT_INT, SLOT_FP, SLOT_LOAD, SLOT_STORE) == (OP_INT, OP_FP, OP_LOAD, OP_STORE)
 
-class _RegisterModel:
-    """Assigns destination/source registers with dataflow locality.
 
-    Sources prefer recently written registers (geometric-ish backward
-    distance), which creates the dependence chains that let the
-    out-of-order core's latency-hiding behave realistically.
-    """
-
-    def __init__(self, rng: DeterministicRng) -> None:
-        self._rng = rng
-        self._recent_int = deque([1, 2, 3, 4], maxlen=8)
-        self._recent_fp = deque([32, 33, 34, 35], maxlen=8)
-        self._recent_load = deque([1, 2], maxlen=4)
-        self._recent_alu = deque([3, 4], maxlen=4)
-        self._int_cursor = 0
-        self._fp_cursor = 0
-
-    def dest(self, fp: bool, is_load: bool = False) -> int:
-        if fp:
-            self._fp_cursor = (self._fp_cursor + 1) % len(_FP_REGS)
-            reg = _FP_REGS[self._fp_cursor]
-            self._recent_fp.append(reg)
-        else:
-            self._int_cursor = (self._int_cursor + 1) % len(_INT_REGS)
-            reg = _INT_REGS[self._int_cursor]
-            self._recent_int.append(reg)
-            if not is_load:
-                self._recent_alu.append(reg)
-        return reg
-
-    def source(self, fp: bool) -> int:
-        """Pick a source register, strongly biased to recent producers.
-
-        ~85% of sources come from the last few written registers, with
-        the most recent heavily favored — real code consumes values
-        almost immediately, which is what puts load latency on the
-        critical path (and is why the paper's 2-cycle sequential d-cache
-        costs ~11% performance despite an 8-wide out-of-order core).
-        """
-        pool = self._recent_fp if fp else self._recent_int
-        if self._rng.chance(0.85):
-            back = 0
-            while back < len(pool) - 1 and self._rng.chance(0.45):
-                back += 1
-            return pool[-1 - back]
-        return self._rng.choice(_FP_REGS if fp else _INT_REGS)
-
-    def note_load_dest(self, reg: int) -> None:
-        """Remember a load result for pointer/branch chaining."""
-        self._recent_load.append(reg)
-
-    def induction_source(self) -> int:
-        """Address register for array/scalar accesses.
-
-        Drawn from ALU results (induction variables, frame/base
-        pointers), *not* load results — a walk's address never waits on
-        cache latency, which is what lets the out-of-order core overlap
-        independent array streams (memory-level parallelism).
-        """
-        return self._recent_alu[-1 - self._rng.randint(0, len(self._recent_alu) - 1)]
-
-    def pointer_source(self) -> int:
-        """Address register for object/pointer accesses: frequently a
-        recent load result (``p->next``, ``a[b[i]]``), which puts cache
-        hit latency on the dependence chain — the effect that makes the
-        paper's all-sequential d-cache ~11% slower."""
-        if self._rng.chance(0.7):
-            return self._recent_load[-1]
-        return self.source(fp=False)
-
-    def branch_source(self) -> int:
-        """Condition register of a branch; often a fresh load result."""
-        if self._rng.chance(0.6):
-            return self._recent_load[-1]
-        return self.source(fp=False)
+def _below(getrandbits, n: int) -> int:
+    """``randint(0, n - 1)`` (and ``choice`` over ``n`` items) exactly as
+    ``random.Random`` draws it: rejection-sample ``n.bit_length()`` bits."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class TraceGenerator:
@@ -151,9 +87,17 @@ class TraceGenerator:
         weights = measure_block_weights(self.layout, self._rng.fork("probe"))
         bind_streams(self.layout, params, self._rng.fork("bind"), weights)
         self._walker = ControlFlowWalker(self.layout, self._rng.fork("walk"))
-        self._regs = _RegisterModel(self._rng.fork("regs"))
-        self._addr_rng = self._rng.fork("addr")
-        self._noise_rng = self._rng.fork("noise")
+        # Emission binds the raw generators' methods (see ``_below``).
+        self._regs = self._rng.fork("regs").raw
+        self._addr = self._rng.fork("addr").raw
+        self._noise = self._rng.fork("noise").raw
+        # Register-model state, carried across generate() calls: recent
+        # integer, FP, load and ALU results, and the two dest cursors.
+        self._recent = (
+            deque([1, 2, 3, 4], maxlen=8), deque([32, 33, 34, 35], maxlen=8),
+            deque([1, 2], maxlen=4), deque([3, 4], maxlen=4),
+        )
+        self._cursors = (0, 0)
         # Pointer-family streams get load-fed address registers.
         self._pointer_family = [
             isinstance(s, (ObjectPoolStream, ConflictStream, ChaseStream))
@@ -176,7 +120,6 @@ class TraceGenerator:
         profile = self.profile
         allocator = RegionAllocator()
         hot = HotDataLayout(self._rng.fork("hot"))
-        rng = self._rng.fork("streams")
         streams: List[AddressStream] = []
         for _ in range(profile.num_scalars):
             streams.append(ScalarStream(hot.take_block()))
@@ -245,117 +188,137 @@ class TraceGenerator:
     # Emission
     # ------------------------------------------------------------------ #
 
-    def _address_register(self, stream_id: int) -> int:
-        """Pick the address base register by stream family: array and
-        scalar addresses come from induction/frame registers, pointer
-        families (pools, conflict structures, chases) from recent load
-        results."""
-        if self._pointer_family[stream_id]:
-            return self._regs.pointer_source()
-        return self._regs.induction_source()
-
-    def _memory_instr(self, pc: int, slot_kind: int, stream_id: int) -> Instr:
-        stream = self.streams[stream_id]
-        addr = stream.next_address(self._addr_rng)
-        if slot_kind == SLOT_LOAD:
-            block_addr = addr >> _BLOCK_SHIFT
-            noise = min(1.0, stream.handle_noise * self.profile.xor_noise_scale)
-            if self._noise_rng.chance(noise):
-                handle = block_addr ^ (1 + self._noise_rng.randint(0, (1 << 12) - 1))
-            else:
-                handle = block_addr
-            dst = self._regs.dest(fp=False, is_load=True)
-            instr = Instr(
-                pc=pc,
-                op=OP_LOAD,
-                dst=dst,
-                src1=self._address_register(stream_id),
-                addr=addr,
-                xor_handle=handle,
-            )
-            self._regs.note_load_dest(dst)
-            return instr
-        return Instr(
-            pc=pc,
-            op=OP_STORE,
-            src1=self._address_register(stream_id),
-            src2=self._regs.source(fp=False),
-            addr=addr,
-        )
-
-    def _body_instr(self, pc: int, slot_kind: int, stream_id: int) -> Instr:
-        if slot_kind == SLOT_LOAD or slot_kind == SLOT_STORE:
-            return self._memory_instr(pc, slot_kind, stream_id)
-        fp = slot_kind == SLOT_FP
-        return Instr(
-            pc=pc,
-            op=OP_FP if fp else OP_INT,
-            dst=self._regs.dest(fp),
-            src1=self._regs.source(fp),
-            src2=self._regs.source(fp),
-        )
-
-    def generate(self, num_instructions: int) -> Trace:
+    def generate(self, num_instructions: int) -> ColumnTrace:
         """Produce a trace of exactly ``num_instructions`` instructions.
 
-        Branch targets are made coherent with the dynamic path: a taken
-        control instruction's ``target`` equals the next instruction's
-        block start, so the fetch model and predictors observe a
-        self-consistent program.
+        One loop appends straight into the columns of a
+        :class:`ColumnTrace`; no ``Instr`` is built here.  A taken
+        control instruction's ``target`` is the next block's start, so a
+        trace ending on a terminator still walks one more block.
+
+        Registers model dataflow locality.  ~85% of sources are recent
+        results, the latest heavily favored, which puts load latency on
+        the critical path (why the paper's 2-cycle sequential d-cache
+        costs ~11% on an 8-wide out-of-order core).  Array and scalar
+        addresses come from ALU results (induction variables), so walks
+        never wait on the cache; pointer families and branches often
+        consume the latest load (``p->next``).
         """
         if num_instructions < 1:
             raise ValueError("num_instructions must be >= 1")
-        out: List[Instr] = []
-        pending: Optional[Instr] = None  # terminator awaiting its target
+        columns = {name: [] for name in COLUMN_NAMES}
+        ops, pcs, dsts, src1s, src2s, daddrs, takens, targets, xors = columns.values()
+        walk = self._walker.next_block
+        rand, bits = self._regs.random, self._regs.getrandbits
+        noise_rand, noise_bits = self._noise.random, self._noise.getrandbits
+        addr_bits = self._addr.getrandbits  # streams need only randint; skip its checks
+        addr_rng = SimpleNamespace(randint=lambda lo, hi: lo + _below(addr_bits, hi - lo + 1))
+        recent_int, recent_fp, recent_load, recent_alu = self._recent
+        int_cursor, fp_cursor = self._cursors
+        next_address = [stream.next_address for stream in self.streams]
+        pointer = self._pointer_family
+        scale = self.profile.xor_noise_scale
+        noise = [min(1.0, stream.handle_noise * scale) for stream in self.streams]
 
-        while len(out) < num_instructions:
-            block, taken, aux_pc = self._walker.next_block()
-            if pending is not None:
-                if pending.taken:
-                    pending.target = block.start_pc
-                out.append(pending)
-                pending = None
-                if len(out) >= num_instructions:
-                    break
-            pc = block.start_pc
-            for slot_kind, stream_id in zip(block.slots, block.stream_ids):
-                out.append(self._body_instr(pc, slot_kind, stream_id))
-                pc += 4
-                if len(out) >= num_instructions:
-                    break
-            if len(out) >= num_instructions:
+        def source(pool, bank):
+            if rand() < 0.85:
+                back = 0
+                last = len(pool) - 1
+                while back < last and rand() < 0.45:
+                    back += 1
+                return pool[-1 - back]
+            return bank[_below(bits, len(bank))]  # random.choice(bank)
+
+        count = 0
+        resolve = False  # the last terminator was taken: target = next block start
+        while True:
+            block, taken, _ = walk()
+            if resolve:
+                targets[-1] = block.start_pc
+            if count == num_instructions:
                 break
-            term = self._terminator(block, taken, aux_pc)
-            if term is not None:
-                pending = term  # target resolved when the next block arrives
+            slots = block.slots
+            if count + len(slots) > num_instructions:
+                slots = slots[:num_instructions - count]
+            body = len(slots)
+            start = block.start_pc
+            ops += slots  # slot kinds are their opcodes
+            pcs += range(start, start + INSTR_BYTES * body, INSTR_BYTES)
+            takens += [False] * body
+            targets += [0] * body
+            for kind, stream_id in zip(slots, block.stream_ids):
+                if kind <= SLOT_FP:
+                    if kind == SLOT_FP:
+                        fp_cursor = (fp_cursor + 1) % len(_FP_REGS)
+                        dst, pool, bank = _FP_REGS[fp_cursor], recent_fp, _FP_REGS
+                    else:
+                        int_cursor = (int_cursor + 1) % len(_INT_REGS)
+                        dst, pool, bank = _INT_REGS[int_cursor], recent_int, _INT_REGS
+                        recent_alu.append(dst)
+                    pool.append(dst)
+                    dsts.append(dst)
+                    src1s.append(source(pool, bank))
+                    src2s.append(source(pool, bank))
+                    daddrs.append(0)
+                    xors.append(0)
+                    continue
+                addr = next_address[stream_id](addr_rng)
+                daddrs.append(addr)
+                if kind == SLOT_LOAD:
+                    handle = addr >> _BLOCK_SHIFT
+                    # DeterministicRng.chance semantics: no draw at 0 or 1.
+                    chance = noise[stream_id]
+                    if chance >= 1.0 or (chance > 0.0 and noise_rand() < chance):
+                        handle ^= 1 + _below(noise_bits, 1 << 12)
+                    xors.append(handle)
+                    int_cursor = (int_cursor + 1) % len(_INT_REGS)
+                    dst = _INT_REGS[int_cursor]
+                    recent_int.append(dst)
+                else:
+                    xors.append(0)
+                    dst = -1
+                dsts.append(dst)
+                if not pointer[stream_id]:
+                    src1s.append(recent_alu[-1 - _below(bits, len(recent_alu))])
+                elif rand() < 0.7:
+                    src1s.append(recent_load[-1])
+                else:
+                    src1s.append(source(recent_int, _INT_REGS))
+                if dst < 0:
+                    src2s.append(source(recent_int, _INT_REGS))
+                else:
+                    src2s.append(-1)
+                    recent_load.append(dst)
+            count += body
+            if count == num_instructions:
+                break
+            # The terminator slot: its target is resolved by the next block.
+            kind = block.term_kind
+            if kind == TERM_COND or kind == TERM_LOOP:
+                op, dst = OP_BRANCH, -1
+                src1 = recent_load[-1] if rand() < 0.6 else source(recent_int, _INT_REGS)
+            elif taken:  # a return, or a call the depth limit kept
+                op, dst, src1 = OP_RET if kind == TERM_RET else OP_CALL, -1, -1
+            else:  # fall-through filler, or an elided call: an ALU op
+                int_cursor = (int_cursor + 1) % len(_INT_REGS)
+                op, dst, src1 = OP_INT, _INT_REGS[int_cursor], -1
+                recent_int.append(dst)
+                recent_alu.append(dst)
+            ops.append(op)
+            pcs.append(block.term_pc)
+            dsts.append(dst)
+            src1s.append(src1)
+            src2s.append(-1)
+            daddrs.append(0)
+            takens.append(taken)
+            targets.append(0)
+            xors.append(0)
+            resolve = taken
+            count += 1
+        self._cursors = (int_cursor, fp_cursor)
+        return ColumnTrace(self.profile.name, columns)
 
-        return Trace(self.profile.name, out[:num_instructions])
 
-    def _terminator(self, block, taken: bool, aux_pc: int) -> Optional[Instr]:
-        """Build the block's terminator instruction, if it has one."""
-        kind = block.term_kind
-        pc = block.term_pc
-        if kind == TERM_FALL:
-            # Filler ALU op keeps PCs contiguous across the reserved slot.
-            return Instr(pc=pc, op=OP_INT, dst=self._regs.dest(fp=False))
-        if kind == TERM_COND or kind == TERM_LOOP:
-            return Instr(
-                pc=pc,
-                op=OP_BRANCH,
-                src1=self._regs.branch_source(),
-                taken=taken,
-            )
-        if kind == TERM_CALL:
-            if not taken:
-                # Call elided by the depth limit: an ordinary instruction
-                # occupies the slot.
-                return Instr(pc=pc, op=OP_INT, dst=self._regs.dest(fp=False))
-            return Instr(pc=pc, op=OP_CALL, taken=True)
-        if kind == TERM_RET:
-            return Instr(pc=pc, op=OP_RET, taken=True, target=aux_pc)
-        raise AssertionError(f"unknown terminator kind {kind}")
-
-
-def generate_trace(benchmark: str, num_instructions: int, salt: int = 0) -> Trace:
+def generate_trace(benchmark: str, num_instructions: int, salt: int = 0) -> ColumnTrace:
     """Convenience wrapper: profile lookup + generation."""
     return TraceGenerator(get_profile(benchmark), salt).generate(num_instructions)

@@ -52,7 +52,7 @@ class AddressStream:
     handle_noise = 0.0
 
     def next_address(self, rng: DeterministicRng) -> int:
-        """Return the next effective address for this stream."""
+        """Return the next effective address; ``rng`` needs only ``randint``."""
         raise NotImplementedError
 
 

@@ -1,9 +1,9 @@
-"""Trace containers: eager lists, streaming files, lazy traces, summaries."""
+"""Trace containers: eager lists, columns, streaming files, lazy traces, summaries."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.workload.instr import (
     OP_BRANCH,
@@ -18,6 +18,10 @@ from repro.workload.instr import (
 
 #: Default block size (bytes) for summaries — the Table 1 L1 geometry.
 DEFAULT_BLOCK_BYTES = 32
+
+#: The nine per-instruction columns, named as ``EncodedTrace`` names its
+#: instruction arrays.
+COLUMN_NAMES = ("ops", "pcs", "dsts", "src1s", "src2s", "daddrs", "takens", "targets", "xors")
 
 #: Default instructions per :class:`StreamingTrace` chunk.  Small enough
 #: that a chunk of live :class:`Instr` objects is a few MB at most,
@@ -100,6 +104,10 @@ def summarize_instructions(
 
 class Trace:
     """A sequence of dynamic instructions plus its origin metadata."""
+
+    #: The stream as :data:`COLUMN_NAMES` lists when it was generated
+    #: into them (:class:`ColumnTrace`), else ``None``.
+    columns: Optional[Dict[str, list]] = None
 
     def __init__(self, name: str, instructions: Sequence[Instr]) -> None:
         self.name = name
@@ -240,15 +248,44 @@ class StreamingTrace(Trace):
         return self.instructions[index]
 
 
+class ColumnTrace(Trace):
+    """A trace held as the nine per-instruction :attr:`columns`.
+
+    Synthetic traces are generated straight into these lists, which the
+    fast and vector tiers adopt as the encoding.  Only object consumers
+    (the reference tier, summaries, trace writers) build the
+    :class:`Instr` list, once, on first touch of ``instructions``.
+    """
+
+    def __init__(self, name: str, columns: Dict[str, list]) -> None:
+        self.name = name
+        self.columns = columns
+        self._built: Optional[List[Instr]] = None
+
+    @property
+    def instructions(self) -> List[Instr]:
+        """The full instruction list, built from the columns on first access."""
+        if self._built is None:
+            c = self.columns
+            self._built = list(map(
+                Instr, c["pcs"], c["ops"], c["dsts"], c["src1s"], c["src2s"],
+                c["daddrs"], c["takens"], c["targets"], c["xors"],
+            ))
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self.columns["ops"])
+
+
 class LazyTrace(Trace):
-    """A trace whose instruction list is built on first touch.
+    """An artifact-backed trace, generated on first touch.
 
     Name and length are known up front — the runner reads them from an
     encoded-trace artifact's header — so a consumer that needs only
     those, or only the artifact-backed encoding memoized on this object,
-    never builds the list.  The first access to ``instructions`` (which
-    iteration, indexing and ``iter_chunks`` all go through) calls
-    ``build`` and keeps its result.
+    never generates.  The first access to ``instructions`` (which
+    iteration, indexing and ``iter_chunks`` all go through) or to
+    ``columns`` calls ``build`` and keeps the trace it returns.
 
     Args:
         name: trace name (reported as ``SimResult.benchmark``).
@@ -260,14 +297,22 @@ class LazyTrace(Trace):
         self.name = name
         self._length = length
         self._build = build
-        self._built: Optional[List[Instr]] = None
+        self._built: Optional[Trace] = None
+
+    def _trace(self) -> Trace:
+        if self._built is None:
+            self._built = self._build()
+        return self._built
 
     @property
     def instructions(self) -> List[Instr]:
-        """The full instruction list, built on first access."""
-        if self._built is None:
-            self._built = self._build().instructions
-        return self._built
+        """The full instruction list of the built trace."""
+        return self._trace().instructions
+
+    @property
+    def columns(self) -> Optional[Dict[str, list]]:
+        """The built trace's columns (``None`` if it has none)."""
+        return self._trace().columns
 
     def __len__(self) -> int:
         return self._length

@@ -36,8 +36,9 @@ from repro.workload.formats import (
     unregister_trace_format,
     write_trace,
 )
+from repro.workload import trace as trace_module
 from repro.workload.generator import generate_trace
-from repro.workload.trace import LazyTrace
+from repro.workload.trace import ColumnTrace, LazyTrace
 
 GEOMETRY = CacheGeometry(8 * 1024, 4, 32)
 
@@ -541,6 +542,38 @@ class TestLazyTraces:
             assert warm.core.instructions == 2_000
         finally:
             unregister_trace_format("countedcsv")
+
+
+def _refuse_instr(*_fields):
+    """Stands in for ``Instr`` where no object may be built."""
+    raise AssertionError("built an Instr object")
+
+
+class TestGeneratedColumns:
+    @pytest.mark.parametrize("backend", ["fast", "vector"])
+    def test_fast_tiers_never_build_instr_objects(self, backend, monkeypatch):
+        """A sim point and a miss-rate point over a generated trace run
+        on its columns; the reference tier then builds the ``Instr``
+        list once, from the same columns, with the same results."""
+        monkeypatch.setenv("REPRO_NO_ARTIFACTS", "1")
+        trace = runner.get_trace("gcc", 3_000, 0)
+        assert isinstance(trace, ColumnTrace)
+        with monkeypatch.context() as patch:
+            patch.setattr(trace_module, "Instr", _refuse_instr)
+            fast = _flats("gcc", 3_000, backend)
+        assert runner.get_trace("gcc", 3_000, 0) is trace
+        assert fast == _flats("gcc", 3_000, "reference")
+        assert trace.instructions is trace.instructions
+        assert [i.pc for i in trace] == trace.columns["pcs"]
+
+    def test_sim_over_mem_only_artifact_adopts_generated_columns(self, monkeypatch):
+        """The one generation a mem-only artifact costs a sim run builds
+        columns only."""
+        runner.ensure_artifact("li", 3_000, mode="missrate")
+        expected = _flats("li", 3_000, "reference")
+        _new_process()
+        monkeypatch.setattr(trace_module, "Instr", _refuse_instr)
+        assert _flats("li", 3_000, "fast") == expected
 
 
 def test_import_leaves_service_stack_unloaded():

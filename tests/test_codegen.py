@@ -1,5 +1,6 @@
 """Code-layout and control-flow-walker tests."""
 
+import pytest
 
 from repro.utils.rng import DeterministicRng
 from repro.workload.codegen import (
@@ -11,7 +12,7 @@ from repro.workload.codegen import (
     measure_block_weights,
 )
 from repro.workload.generator import TraceGenerator
-from repro.workload.profiles import get_profile
+from repro.workload.profiles import benchmark_names, get_profile
 
 
 def small_layout(seed="layout-test"):
@@ -89,3 +90,44 @@ class TestWalker:
         weights = measure_block_weights(layout, DeterministicRng("probe-test"), 5000)
         assert sum(weights.values()) == 5000
         assert max(weights.values()) > 1  # something is hot
+
+
+def per_block_weights(layout, rng, probe_blocks):
+    """The reference probe: one ``next_block()`` call per block."""
+    walker = ControlFlowWalker(layout, rng)
+    counts = {}
+    for _ in range(probe_blocks):
+        block, _, _ = walker.next_block()
+        counts[block.start_pc] = counts.get(block.start_pc, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("bench", benchmark_names())
+def test_segment_probe_matches_per_block_walk(bench):
+    """Stepping loops whole gives the per-block counts, also when the
+    budget ends mid-loop (most of these budgets do)."""
+    layout = TraceGenerator(get_profile(bench)).layout
+    for budget in (1, 137, 5_000, 25_000):
+        expected = per_block_weights(layout, DeterministicRng("probe-eq"), budget)
+        measured = measure_block_weights(layout, DeterministicRng("probe-eq"), budget)
+        assert measured == expected, budget
+
+
+@pytest.mark.parametrize("bench", ["applu", "gcc", "troff"])
+def test_run_loop_leaves_the_walker_where_next_block_would(bench):
+    """After any ``run_loop(budget)`` (whole, or cut mid-trip), the walk
+    continues exactly as it would after that many ``next_block()`` calls."""
+    layout = TraceGenerator(get_profile(bench)).layout
+    stepped = ControlFlowWalker(layout, DeterministicRng("run-loop"))
+    reference = ControlFlowWalker(layout, DeterministicRng("run-loop"))
+    loops = 0
+    for step in range(3_000):
+        loop = stepped.run_loop(1 + step % 9)
+        loops += bool(loop)
+        visited = {}
+        for _ in range(sum(visits for _, visits in loop)):
+            pc = reference.next_block()[0].start_pc
+            visited[pc] = visited.get(pc, 0) + 1
+        assert visited == {block.start_pc: visits for block, visits in loop if visits}
+        assert stepped.next_block() == reference.next_block()
+    assert loops > 100

@@ -40,8 +40,7 @@ class TestEngineInvariants:
         """Way-predicted/DM loads read 1 way, 2 on mispredict — never more."""
         for kind in ("waypred_pc", "seldm_waypred", "oracle"):
             engine = make_engine(kind)
-            outcomes = drive(engine, pattern)
-            hits = sum(o.hit for o in outcomes)
+            drive(engine, pattern)
             parallel_fallbacks = engine.stats.access_kinds.get("parallel", 0)
             max_reads = 2 * len(pattern) + 2 * parallel_fallbacks  # generous bound
             assert engine.stats.data_way_reads <= max_reads

@@ -191,7 +191,6 @@ class TestStores:
 
     def test_dirty_eviction_writes_back(self):
         engine = make_engine("parallel", geometry=CacheGeometry(256, 2, 32))
-        stride = 4 * 32 * 2  # force same set: 4 sets... use set stride
         set_stride = 4 * 32
         engine.store(0x44, 0x0)
         engine.load(0x40, set_stride)

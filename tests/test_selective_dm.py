@@ -156,7 +156,6 @@ class TestSelectiveDmEngine:
 
     def test_mispredicted_as_dm_counts(self):
         engine = make_engine("seldm_parallel")
-        fields = engine.fields
         a = 0x100
         b = a + engine.geometry.num_sets * 32 * engine.geometry.associativity
         for _ in range(40):

@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.rng import DeterministicRng
 from repro.workload.generator import TraceGenerator, generate_trace
@@ -64,6 +66,16 @@ class TestDeterminism:
 #: The nine per-instruction columns, in ``EncodedTrace`` attribute order.
 _COLUMNS = ("ops", "pcs", "dsts", "src1s", "src2s", "daddrs", "takens", "targets", "xors")
 
+
+def _columns(trace):
+    """The trace's nine per-instruction columns, as its encoding holds them."""
+    from repro.workload.encode import encode_trace
+
+    encoded = encode_trace(trace)
+    encoded.ensure_instr_arrays(trace)
+    return [getattr(encoded, name) for name in _COLUMNS]
+
+
 #: First 16 hex digits of the sha256 of each generated trace's columns,
 #: per application at (length, salt) = (1, 0), (1, 3), (999, 0),
 #: (999, 3), (12_000, 0), (12_000, 3).
@@ -103,15 +115,11 @@ def test_generated_trace_digests(bench):
     A deliberate change to generation regenerates this table together
     with the goldens and bumps ``GENERATOR_VERSION``.
     """
-    from repro.workload.encode import encode_trace
-
     digests = []
     for length in (1, 999, 12_000):
         for salt in (0, 3):
             trace = generate_trace(bench, length, salt)
-            encoded = encode_trace(trace)
-            encoded.ensure_instr_arrays(trace)
-            columns = [getattr(encoded, name) for name in _COLUMNS]
+            columns = _columns(trace)
             digest = hashlib.sha256()
             for column in columns:
                 digest.update(repr(column).encode("ascii"))
@@ -125,6 +133,34 @@ def test_generated_trace_digests(bench):
                 ]
                 assert fields == list(zip(*columns))
     assert tuple(digests) == _GENERATED_DIGESTS[bench]
+
+
+@settings(max_examples=25)
+@given(
+    bench=st.sampled_from(sorted(BENCHMARKS)),
+    length=st.integers(min_value=400, max_value=2_500),
+    salt=st.integers(min_value=0, max_value=7),
+    data=st.data(),
+)
+def test_shorter_trace_is_a_prefix_of_a_longer_one(bench, length, salt, data):
+    """``generate_trace(b, n, s)`` is the first ``n`` instructions of
+    ``generate_trace(b, m, s)`` for every ``n < m``.
+
+    Besides a drawn cut, every example cuts right after the first taken
+    terminator (whose target comes from a block the shorter trace never
+    emits) and at the first cut inside a block.
+    """
+    generator = TraceGenerator(get_profile(bench), salt)
+    starts = {block.start_pc for func in generator.layout.functions for block in func.blocks}
+    longer = _columns(generator.generate(length))
+    takens, pcs = longer[_COLUMNS.index("takens")], longer[_COLUMNS.index("pcs")]
+    after_taken = next(n for n in range(1, length) if takens[n - 1])
+    mid_block = next(n for n in range(1, length) if pcs[n] not in starts)
+    drawn = data.draw(st.integers(min_value=1, max_value=length - 1), label="cut")
+    for cut in sorted({after_taken, mid_block, drawn}):
+        shorter = _columns(generate_trace(bench, cut, salt))
+        for name, column, prefix in zip(_COLUMNS, shorter, longer):
+            assert column == prefix[:cut], (cut, name)
 
 
 class TestTraceCoherence:
@@ -232,7 +268,7 @@ class TestStreams:
 class TestHotDataLayout:
     def test_positions_unique(self):
         layout = HotDataLayout(DeterministicRng("t"))
-        chunk = layout.take_chunk(16)
+        layout.take_chunk(16)
         blocks = [layout.take_block() for _ in range(100)]
         positions = {(b >> 5) & 0x1FF for b in blocks}
         assert len(positions) == 100  # all distinct
