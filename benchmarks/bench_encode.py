@@ -10,9 +10,10 @@ committed sample trace (``benchmarks/data/bench_gcc_60k.csv.gz``,
 * **cold** — artifacts disabled: gunzip + CSV parse + encoding passes,
   the price every fresh process used to pay;
 * **warm** — the artifact is on disk and the process caches are
-  dropped, simulating a new worker/process life: the mem stream and
-  block decodes come off the mapped file (``np.frombuffer`` views on
-  the numpy tier, ``array.frombytes`` restores on the python tier).
+  dropped, simulating a new worker/process life: the mem stream comes
+  off the mapped file (read in place by the numpy tier, restored with
+  ``array.frombytes`` on the python tier) and each tier derives its
+  block decode from it.
 
 Both legs end with the same kernel-ready state (addrs, load flags,
 block ids for the base geometry), and the bench asserts the streams
@@ -39,7 +40,7 @@ import pytest
 from conftest import run_once
 
 from repro.cache.geometry import CacheGeometry
-from repro.fastsim.vector import vector_enabled
+from repro.fastsim.vector import block_array, vector_enabled
 from repro.sim import runner
 from repro.workload.encode import encode_trace
 from repro.workload.formats import make_trace_ref
@@ -58,10 +59,9 @@ _NO_ARTIFACTS_ENV = "REPRO_NO_ARTIFACTS"
 def _materialize(encoded, tier: str) -> tuple:
     """Build the kernel-ready streams and return them for checksums."""
     if tier == "vector":
-        addrs = encoded.addrs_np()
-        is_load = encoded.is_load_np()
-        blocks = encoded.blocks_np(GEOMETRY.fields)
-        return addrs.tobytes(), is_load.tobytes(), blocks.tobytes()
+        blocks = block_array(encoded, GEOMETRY.fields)
+        return (bytes(encoded.buffer("addrs")), bytes(encoded.buffer("is_load")),
+                blocks.tobytes())
     addrs = encoded.addrs
     is_load = encoded.is_load
     blocks = encoded.blocks(GEOMETRY.fields)
@@ -103,13 +103,10 @@ def _measure_tier(tier: str) -> dict:
     ref = make_trace_ref(TRACE_FILE)
     cold_seconds, cold_streams = _best_of(ref, tier, artifacts=False)
 
-    # Publish the artifact the way a real run does — after the kernels
-    # computed block decodes, so the warm legs map those sections too —
-    # then time fresh process-lives over it.
+    # Publish the artifact the way a miss-rate run does — the memory-op
+    # stream only, since block decodes are never persisted — then time
+    # fresh process-lives over it.
     runner.clear_caches()
-    trace = runner.get_trace(ref, 0, 0)
-    _materialize(encode_trace(trace), tier)
-    runner._publish_artifact(trace)
     path = runner.ensure_artifact(ref, 0, mode="missrate")
     assert path is not None and path.exists()
     runner.reset_artifact_stats()

@@ -32,8 +32,9 @@ per-set state that it keeps between calls:
   reference's by construction.
 
 The vector tier supplies a cold-start classifier instead (see
-:class:`_Epoch` for how the driver uses it).  This module stays
-dependency-free.
+:class:`_Epoch` for how the driver uses it).  The driver sees only
+bytes of miss flags, never the classifier's arrays, so this module
+stays numpy-free.
 """
 
 from __future__ import annotations
@@ -84,10 +85,11 @@ def _replay(
 ) -> MissRateResult:
     """The miss-rate driver behind every non-reference tier.
 
-    ``classify(blocks, geometry, replacement)`` is the vector tier's
-    cold-start classifier: a numpy hit mask for a block-array slice, or
-    ``None`` to decline it.  Without one, every epoch runs on the
-    python kernels.  A static run is one segment spanning the stream.
+    ``classify(encoded, geometry, replacement, start, end)`` is the
+    vector tier's cold-start classifier: the miss flags of positions
+    ``[start, end)`` as one 0/1 byte each, or ``None`` to decline the
+    range.  Without one, every epoch runs on the python kernels.  A
+    static run is one segment spanning the stream.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
@@ -98,9 +100,9 @@ def _replay(
     n = len(encoded)
     warmup = int(n * warmup_fraction)
     miss = bytearray(n)
-    # The numpy view aliases an artifact's mapped section; the python
-    # array would first copy the whole memory-op stream out of it.
-    loads = bytes(encoded.is_load if classify is None else encoded.is_load_np())
+    # Straight off an artifact's mapped section when one backs the
+    # encoding: counting needs no python restore of the stream.
+    loads = bytes(encoded.buffer("is_load"))
     epoch = _Epoch(encoded, geometry, replacement, miss, classify, 0, n)
     step = interval if ticked else max(n, 1)
     bypassed = False
@@ -218,12 +220,11 @@ class _Epoch:
             while self.start + self.span < end:
                 self.span *= 2
             horizon = min(len(self.miss), self.start + self.span)
-            blocks = self.encoded.blocks_np(self.geometry.fields)
-            hits = self.classify(blocks[self.start:horizon], self.geometry,
-                                 self.replacement)
-            if hits is None:
+            flags = self.classify(self.encoded, self.geometry,
+                                  self.replacement, self.start, horizon)
+            if flags is None:
                 return False
-            self.miss[self.start:horizon] = (~hits).tobytes()
+            self.miss[self.start:horizon] = flags
             self.horizon = horizon
         return True
 

@@ -1,12 +1,13 @@
 """Vectorized numpy miss-rate kernels (the ``"vector"`` backend tier).
 
-The python fast tier (:mod:`repro.fastsim.missrate`) replays a
-pre-encoded address stream in trace order, paying a Python-level loop
-iteration per access.  This tier runs the same driver — ticks, flushes,
-bypass and counting are shared — but hands it one primitive instead of
-the python kernels: :func:`_vector_hits`, which classifies a block
-slice from a cold cache without a per-access loop, for the policies
-whose hit/miss outcome can be computed *offline*:
+This is the one module that imports numpy.  The python fast tier
+(:mod:`repro.fastsim.missrate`) replays a pre-encoded address stream in
+trace order, paying a Python-level loop iteration per access.  This
+tier runs the same driver — ticks, flushes, bypass and counting are
+shared — but hands it one primitive instead of the python kernels:
+:func:`_vector_misses`, which classifies a range of the block stream
+from a cold cache without a per-access loop, for the policies whose
+hit/miss outcome can be computed *offline*:
 
 * **Direct-mapped** — an access hits iff the previous access to its set
   touched the same block.  One set-major sort puts every set's accesses
@@ -44,6 +45,12 @@ case where numpy is not importable — is silent and lossless because
 every tier is byte-identical by contract (enforced by the differential
 and golden suites).
 
+The block stream comes from :func:`block_array`: a read-only ``uint64``
+array built over the encoding's raw address buffer
+(:meth:`~repro.workload.encode.EncodedTrace.buffer`, the mapped section
+itself when an artifact backs the encoding) and kept in the encoding's
+derived-view memo, one per block size.
+
 The sort trick used throughout: set-major order with time order
 preserved inside each set comes from one ``np.sort`` over the packed
 key ``(set_index << 32) | position`` — several times faster than a
@@ -57,11 +64,12 @@ casing.
 from __future__ import annotations
 
 import os
-from typing import Union
+from typing import Optional, Union
 
 from repro.cache.geometry import CacheGeometry
 from repro.fastsim.missrate import _replay, fast_miss_rate
 from repro.sim.functional import MissRateResult
+from repro.utils.bitops import AddressFields
 from repro.workload.encode import EncodedTrace, encode_trace
 from repro.workload.trace import Trace
 
@@ -72,6 +80,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 
 __all__ = [
     "NO_VECTOR_ENV",
+    "block_array",
     "numpy_available",
     "resolve_tier",
     "vector_enabled",
@@ -129,7 +138,7 @@ def vector_miss_rate(
     :func:`~repro.sim.functional.measure_miss_rate`.
 
     Runs the shared miss-rate driver (static or ticked) with
-    :func:`_vector_hits` as its classifier.  Replacement kinds with no
+    :func:`_vector_misses` as its classifier.  Replacement kinds with no
     array form, and a disabled tier, go to
     :func:`~repro.fastsim.missrate.fast_miss_rate` whole; results are
     identical either way.
@@ -143,30 +152,52 @@ def vector_miss_rate(
             interval=interval, policy_factory=policy_factory,
         )
     return _replay(encoded, geometry, replacement, warmup_fraction,
-                   interval, policy_factory, _vector_hits)
+                   interval, policy_factory, _vector_misses)
 
 
-def _vector_hits(blocks, geometry: CacheGeometry, replacement: str):
-    """Per-position hit mask for ``blocks`` replayed from a cold cache.
+def block_array(encoded: EncodedTrace, fields: AddressFields):
+    """The block-address stream as a read-only ``uint64`` array.
+
+    The numpy analogue of :meth:`EncodedTrace.blocks`: built over the
+    raw address buffer, so an artifact-backed encoding is read straight
+    from the mapped section, and memoized per block size in the
+    encoding's derived-view memo.
+    """
+    def build():
+        addrs = np.frombuffer(encoded.buffer("addrs"), dtype=np.uint64)
+        blocks = addrs >> np.uint64(fields.offset_bits)
+        blocks.flags.writeable = False
+        return blocks
+
+    return encoded.derived(("block_array", fields.offset_bits), build)
+
+
+def _vector_misses(encoded: EncodedTrace, geometry: CacheGeometry,
+                   replacement: str, start: int, end: int) -> Optional[bytes]:
+    """Miss flags of positions ``[start, end)`` replayed from a cold cache.
 
     The tier's one primitive: the shared driver classifies each epoch's
-    block-array slice through it.  ``None`` declines the slice (no
-    kernel applies, or PLRU rounds would be too thin), and the driver
-    continues on the python kernels.  Slices are never empty.
+    horizon through it and gets one 0/1 byte per position.  ``None``
+    declines the range (no kernel applies, or PLRU rounds would be too
+    thin), and the driver continues on the python kernels.  Ranges are
+    never empty.
     """
+    blocks = block_array(encoded, geometry.fields)[start:end]
     num_sets = geometry.num_sets
     assoc = geometry.associativity
     if num_sets > (1 << 32) or blocks.shape[0] >= (1 << 32):
         return None  # set index or position would overflow the sort key
     if assoc == 1:
-        return _direct_mapped(blocks, num_sets)
-    if replacement == "lru" or (replacement == "plru" and assoc == 2):
+        hits = _direct_mapped(blocks, num_sets)
+    elif replacement == "lru" or (replacement == "plru" and assoc == 2):
         # A 2-way PLRU tree is exact LRU: its single bit always points
         # at the less recently used way.
-        return _lru(blocks, num_sets, assoc)
-    if replacement == "plru":
-        return _plru(blocks, num_sets, assoc)
-    return None
+        hits = _lru(blocks, num_sets, assoc)
+    elif replacement == "plru":
+        hits = _plru(blocks, num_sets, assoc)
+    else:
+        hits = None
+    return None if hits is None else (~hits).tobytes()
 
 
 # ------------------------------------------------------------------ #

@@ -245,21 +245,6 @@ def _artifact_key(benchmark: str, instructions: int, salt: int) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _section_names(encoded: EncodedTrace) -> FrozenSet[str]:
-    """Sections an export of ``encoded`` would contain, without
-    materializing any payload."""
-    from repro.workload.artifact import INSTR_SECTIONS
-
-    names = {"addrs", "is_load"}
-    names.update(f"blocks:{bits}" for bits in encoded._block_cache)
-    names.update(f"blocks:{key[1]}" for key in encoded._np_cache if key[0] == "blocks")
-    if encoded._artifact is not None:
-        names.update(encoded._artifact.section_names())
-    if encoded.ops is not None:
-        names.update(name for name, _dtype in INSTR_SECTIONS)
-    return frozenset(names)
-
-
 def _open_artifact(key: str) -> Optional[TraceArtifact]:
     """The valid on-disk artifact for ``key``, or ``None``.
 
@@ -282,10 +267,11 @@ def _publish_artifact(trace: Trace) -> None:
 
     No-op when artifacts are disabled, when nothing was encoded (the
     reference tier never encodes), or when everything built is already
-    on disk.  A re-publish after new sections appear (e.g. a full-sim
-    run adding instruction arrays to a mem-stream-only artifact)
-    rewrites the file with the union — artifact-resident sections pass
-    through as mapped bytes, so upgrades never re-read the source.
+    on disk.  An artifact holds the memory-op stream and, once a sim
+    run built them, the instruction arrays, so the one re-publish is a
+    full-sim run upgrading a mem-stream-only artifact: it rewrites the
+    file with both, and artifact-resident sections pass through as
+    mapped bytes, so upgrades never re-read the source.
     """
     directory = artifact_dir()
     if directory is None:
@@ -294,8 +280,8 @@ def _publish_artifact(trace: Trace) -> None:
     encoded = getattr(trace, _ENCODE_ATTR, None)
     if key is None or encoded is None or key in _ARTIFACT_UNCACHEABLE:
         return
-    names = _section_names(encoded)
-    if names <= _ARTIFACT_ON_DISK.get(key, frozenset()):
+    on_disk = _ARTIFACT_ON_DISK.get(key)
+    if on_disk is not None and (encoded.ops is None or "ops" in on_disk):
         return
     try:
         sections = encoded.export_sections()
@@ -505,7 +491,7 @@ def get_trace(benchmark: str, instructions: int, salt: int = 0) -> Trace:
         trace = generate_trace(benchmark, instructions, salt)
     # The key tells a later publish where to write; a loaded artifact
     # pre-seeds the encoding memo, so the fast/vector tiers skip the
-    # encode pass and numpy views alias the mapped pages.
+    # encode pass and the vector tier reads the mapped pages directly.
     setattr(trace, _ARTIFACT_KEY_ATTR, artifact_key)
     if artifact is not None:
         setattr(trace, _ENCODE_ATTR, EncodedTrace.from_artifact(artifact))

@@ -1,13 +1,11 @@
 """Persistent encoded-trace artifacts: one binary file per workload.
 
 Every fast/vector-tier run starts from :class:`~repro.workload.encode.
-EncodedTrace`'s flat arrays, and until now those memos lived per
-process: a sweep fanned out over N pool workers and a service
-restarting between submissions each redid the identical parse+encode
-work.  This module serializes the flat buffers
-ONCE into an on-disk artifact that later processes ``mmap`` read-only —
-the software analogue of way memoization (Ishihara & Fallah): cache the
-previously computed lookup work and skip the redundant effort.
+EncodedTrace`'s flat arrays.  Without a persisted copy, a sweep fanned
+out over N pool workers and a service restarting between submissions
+each redo the identical parse+encode work.  This module serializes the
+trace's streams ONCE into an on-disk artifact that later processes
+``mmap`` read-only, so they skip generation, parsing and encoding.
 
 Layout (all integers little-endian)::
 
@@ -20,10 +18,14 @@ Layout (all integers little-endian)::
                   little-endian buffers
 
 The section table maps section name -> ``{"dtype", "count", "offset"}``
-with absolute byte offsets.  Sections present depend on what the source
-encoding had built: the memory-op stream (``addrs``/``is_load``),
-per-block-size decodes (``blocks:<offset_bits>``), and the nine lazy
-per-instruction arrays when the fast pipeline built them.
+with absolute byte offsets.  An artifact holds the trace's own streams
+and nothing derived from them: always the memory-op stream
+(``addrs``/``is_load``), plus the nine per-instruction arrays once a
+full-sim run has built them.  Derived views such as block decodes cost
+one shift per access and are rebuilt in each process.  Artifacts from
+older trees may also carry ``blocks:<offset_bits>`` sections; they load
+as before, nothing reads those sections, and the next re-publish (a
+sim-mode upgrade) drops them.
 
 Robustness contract: :func:`load_artifact` returns ``None`` — never
 raises — for anything that is not a well-formed artifact of the current
@@ -100,9 +102,9 @@ def _aligned(offset: int) -> int:
 class TraceArtifact:
     """A loaded artifact: the mapped buffer plus its section table.
 
-    The object owns the ``mmap``; numpy views built over its sections
-    keep it alive through their ``base`` chain, so the mapping lives
-    exactly as long as anything still references the data.
+    The object owns the ``mmap``; views built over its sections keep it
+    alive through their ``base`` chain, so the mapping lives exactly as
+    long as anything still references the data.
     """
 
     __slots__ = ("path", "name", "instructions", "_buffer", "_sections")
@@ -130,10 +132,6 @@ class TraceArtifact:
         """Every stored section name."""
         return tuple(self._sections)
 
-    def dtype(self, name: str) -> str:
-        """The dtype code of section ``name``."""
-        return self._sections[name][0]
-
     def count(self, name: str) -> int:
         """Element count of section ``name``."""
         return self._sections[name][1]
@@ -143,14 +141,6 @@ class TraceArtifact:
         dtype, count, offset = self._sections[name]
         nbytes = count * DTYPE_SIZES[dtype]
         return memoryview(self._buffer)[offset:offset + nbytes]
-
-    def block_sizes(self) -> Tuple[int, ...]:
-        """``offset_bits`` of every stored per-block-size decode."""
-        return tuple(
-            int(name.split(":", 1)[1])
-            for name in self._sections
-            if name.startswith("blocks:")
-        )
 
 
 def _validate_sections(sections: Dict[str, Tuple[str, int, int]]) -> bool:
@@ -324,9 +314,9 @@ def list_to_bytes(values, dtype: str) -> bytes:
 def bytes_to_array(payload, dtype: str) -> array:
     """Decode raw little-endian bytes back into an ``array.array``.
 
-    This is the lossless pure-python fallback path
-    (``array.array.frombytes``); the numpy path views the same bytes
-    zero-copy via ``np.frombuffer`` instead.
+    This is the python tiers' lossless restore
+    (``array.array.frombytes``); the vector tier views the same bytes
+    zero-copy instead.
     """
     decoded = array(dtype)
     decoded.frombytes(payload)

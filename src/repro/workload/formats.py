@@ -74,11 +74,7 @@ from repro.workload.instr import (
     OP_STORE,
     Instr,
 )
-from repro.workload.trace import (
-    DEFAULT_CHUNK_INSTRUCTIONS,
-    StreamingTrace,
-    Trace,
-)
+from repro.workload.trace import StreamingTrace
 
 #: URI scheme marking a workload name as a trace file reference.
 TRACE_SCHEME = "trace://"
@@ -272,22 +268,16 @@ def load_trace(
     fmt: Optional[str] = None,
     *,
     limit: Optional[int] = None,
-    chunk_instructions: int = DEFAULT_CHUNK_INSTRUCTIONS,
-    streaming: bool = True,
     name: Optional[str] = None,
     length: Optional[int] = None,
-) -> Trace:
-    """Open a trace file as a (streaming by default) :class:`Trace`.
+) -> StreamingTrace:
+    """Open a trace file as a bounded-memory :class:`StreamingTrace`.
 
     Args:
         path: the trace file.
         fmt: registered format name; auto-detected from the extension
             when omitted.
         limit: replay at most this many instructions (``None`` = all).
-        chunk_instructions: streaming chunk granularity.
-        streaming: return a bounded-memory
-            :class:`~repro.workload.trace.StreamingTrace` (default) or
-            an eagerly materialized :class:`Trace`.
         name: override the trace/benchmark name (default: file stem).
         length: the replayed instruction count, when already known
             (e.g. from an encoded-trace artifact's header); spares a
@@ -315,10 +305,7 @@ def load_trace(
             f"trace file {str(path)!r} contains no instructions ({info.name} format)"
         )
     trace_label = name if name is not None else trace_name(path)
-    stream = StreamingTrace(trace_label, opener, chunk_instructions, length)
-    if streaming:
-        return stream
-    return Trace(trace_label, stream.instructions)
+    return StreamingTrace(trace_label, opener, length=length)
 
 
 def write_trace(
@@ -420,17 +407,12 @@ def load_trace_ref(
     ref: str,
     *,
     limit: Optional[int] = None,
-    chunk_instructions: int = DEFAULT_CHUNK_INSTRUCTIONS,
-    streaming: bool = True,
     length: Optional[int] = None,
-) -> Trace:
+) -> StreamingTrace:
     """Open the trace a ``trace://`` workload reference names."""
     path, fmt = parse_trace_ref(ref)
     _check_ref_format(ref, fmt)
-    return load_trace(
-        path, fmt, limit=limit, chunk_instructions=chunk_instructions,
-        streaming=streaming, length=length,
-    )
+    return load_trace(path, fmt, limit=limit, length=length)
 
 
 def trace_fingerprint(path: Union[str, Path], fmt: Optional[str] = None) -> str:

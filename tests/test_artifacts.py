@@ -19,13 +19,15 @@ import pytest
 from repro.sim import runner
 from repro.sim.config import SystemConfig
 from repro.cache.geometry import CacheGeometry
-from repro.workload import encode as encode_module
+from repro.fastsim import vector as vector_module
+from repro.fastsim.vector import block_array
 from repro.workload import formats as formats_module
 from repro.workload.artifact import (
     ARTIFACT_VERSION,
     INSTR_SECTIONS,
     MAGIC,
     TraceArtifact,
+    list_to_bytes,
     load_artifact,
     write_artifact,
 )
@@ -58,7 +60,7 @@ def _isolated_caches(tmp_path, monkeypatch):
 
 
 def _encode_full(instructions=4_000, salt=0):
-    """A fully built encoding (mem stream + blocks + instr arrays)."""
+    """A fully built encoding (mem stream, a block decode, instr arrays)."""
     trace = generate_trace("gcc", instructions, salt)
     encoded = encode_trace(trace)
     encoded.blocks(GEOMETRY.fields)
@@ -100,15 +102,16 @@ class TestFormatRoundTrip:
             path, encoded.name, encoded.instructions, encoded.export_sections()
         )
         restored = EncodedTrace.from_artifact(load_artifact(path))
-        assert np.array_equal(restored.addrs_np(), encoded.addrs_np())
-        assert np.array_equal(restored.is_load_np(), encoded.is_load_np())
         assert np.array_equal(
-            restored.blocks_np(GEOMETRY.fields), encoded.blocks_np(GEOMETRY.fields)
+            block_array(restored, GEOMETRY.fields), block_array(encoded, GEOMETRY.fields)
         )
-        # Zero-copy: the views must be windows onto the mapped buffer,
-        # not per-process heap copies.
+        assert bytes(restored.buffer("is_load")) == encoded.is_load.tobytes()
+        # Zero-copy: the vector tier's views are windows onto the mapped
+        # buffer, not per-process heap copies.
+        addrs = np.frombuffer(restored.buffer("addrs"), dtype=np.uint64)
         assert restored._addrs is None
-        assert not restored.addrs_np().flags.writeable
+        assert addrs.tolist() == list(encoded.addrs)
+        assert not addrs.flags.writeable
 
     def test_mem_only_artifact_then_upgrade(self, tmp_path):
         trace = generate_trace("swim", 3_000)
@@ -293,8 +296,7 @@ class TestNumpyAbsentLoad:
         # losslessly via array.array.frombytes.
         runner.clear_caches()
         runner.reset_artifact_stats()
-        monkeypatch.setattr(encode_module, "_np", None)
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
+        monkeypatch.setattr(vector_module, "np", None)
         fallback = runner.run_benchmark(
             "gcc", config, 4_000, mode="missrate", backend="vector", use_cache=False
         )
@@ -370,6 +372,50 @@ class TestRunnerPolicy:
         assert encoded._artifact is not None
         encoded.ensure_instr_arrays(None)  # would crash if it read a trace
         assert len(encoded.ops) == 3_000
+
+    def test_artifacts_hold_only_the_trace_streams(self, monkeypatch):
+        """A miss-rate run publishes the memory-op stream and nothing
+        derived.  An artifact that also carries a ``blocks:5`` decode,
+        as older trees wrote them, loads and gives the same results on
+        the python and numpy kernels, and the next sim-mode upgrade
+        drops the section."""
+        config = SystemConfig()
+        fields = config.dcache.geometry().fields
+        expected = runner.run_benchmark(
+            "gcc", config, 3_000, mode="missrate", backend="reference",
+            use_cache=False,
+        ).to_flat()
+        runner.run_benchmark(
+            "gcc", config, 3_000, mode="missrate", backend="fast", use_cache=False
+        )
+        (path,) = runner.artifact_dir().glob("*.etr")
+        published = load_artifact(path)
+        assert set(published.section_names()) == {"addrs", "is_load"}
+        sections = {
+            name: (dtype, bytes(published.section(name)))
+            for name, dtype in (("addrs", "Q"), ("is_load", "b"))
+        }
+        blocks = encode_trace(generate_trace("gcc", 3_000)).blocks(fields)
+        sections[f"blocks:{fields.offset_bits}"] = ("Q", list_to_bytes(blocks, "Q"))
+        assert write_artifact(path, published.name, published.instructions, sections)
+        for backend, no_vector in (("fast", "1"), ("vector", "0")):
+            _new_process()
+            monkeypatch.setenv("REPRO_NO_VECTOR", no_vector)
+            result = runner.run_benchmark(
+                "gcc", config, 3_000, mode="missrate", backend=backend,
+                use_cache=False,
+            )
+            assert result.to_flat() == expected, backend
+            assert runner.artifact_stats()["loads"] == 1
+            assert runner.artifact_stats()["stores"] == 0
+        _new_process()
+        runner.run_benchmark(
+            "gcc", config, 3_000, mode="sim", backend="fast", use_cache=False
+        )
+        upgraded = load_artifact(path)
+        assert set(upgraded.section_names()) == {"addrs", "is_load"} | {
+            name for name, _dtype in INSTR_SECTIONS
+        }
 
     def test_trace_ref_artifacts_key_on_content(self, tmp_path):
         trace_file = tmp_path / "w.csv"
@@ -672,7 +718,8 @@ class TestArtifactStats:
         )
         artifact = load_artifact(path)
         assert isinstance(artifact, TraceArtifact)
-        assert artifact.dtype("addrs") == "Q"
         assert artifact.count("addrs") == len(encoded)
-        assert artifact.block_sizes() == (GEOMETRY.fields.offset_bits,)
-        assert set(artifact.section_names()) >= {"addrs", "is_load", "ops"}
+        # The trace's own streams only: the built block decode stays out.
+        assert set(artifact.section_names()) == {"addrs", "is_load"} | {
+            name for name, _dtype in INSTR_SECTIONS
+        }

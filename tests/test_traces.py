@@ -326,12 +326,19 @@ class TestLoadTrace:
         with pytest.raises(ValueError, match="limit"):
             load_trace(path, limit=0)
 
-    def test_streaming_flag(self, tmp_path):
+    def test_loads_a_streaming_trace(self, tmp_path):
         path = tmp_path / "t.din"
         write_trace(path, generate_trace("gcc", 50))
-        assert isinstance(load_trace(path), StreamingTrace)
-        eager = load_trace(path, streaming=False)
-        assert type(eager) is Trace and len(eager) == 50
+        trace = load_trace(path)
+        assert isinstance(trace, StreamingTrace) and len(trace) == 50
+        assert trace._materialized is None
+
+
+def _rechunked(path: Path, chunk: int, name=None) -> StreamingTrace:
+    """``load_trace(path)`` served in chunks of ``chunk`` instructions
+    instead of the default chunk size."""
+    loaded = load_trace(path, name=name)
+    return StreamingTrace(loaded.name, loaded.__iter__, chunk_instructions=chunk)
 
 
 class TestStreamingTrace:
@@ -364,7 +371,7 @@ class TestStreamingTrace:
         path = tmp_path / "t.csv.gz"
         source = generate_trace("swim", 600)
         write_trace(path, source)
-        streaming = load_trace(path, chunk_instructions=64)
+        streaming = _rechunked(path, 64)
         assert streaming.summary() == source.summary()
         assert streaming.summary(64) == source.summary(block_bytes=64)
 
@@ -421,11 +428,13 @@ class TestChunkedEncodingMemoryBound:
         assert long_peak <= short_peak + chunk // 4
 
     def test_numpy_views_preserve_streaming_bound(self):
-        """The numpy views wrap the chunk-built array storage: building
-        them (and the per-geometry block decode) never re-materializes
-        the source, so peak live Instr stays chunk-bounded on the array
-        path exactly as on the list path."""
-        np = pytest.importorskip("numpy")
+        """The vector tier's block array is built over the chunk-built
+        array storage: building it never re-materializes the source, so
+        peak live Instr stays chunk-bounded on the array path exactly
+        as on the list path."""
+        pytest.importorskip("numpy")
+        from repro.fastsim.vector import block_array
+
         chunk = 256
         n = 20_000
         live = set()
@@ -445,12 +454,11 @@ class TestChunkedEncodingMemoryBound:
         trace = StreamingTrace("synth", opener, chunk_instructions=chunk)
         encoded = encode_trace(trace)
         fields = SystemConfig().dcache.geometry().fields
-        addrs = encoded.addrs_np()  # triggers the chunked encode pass
-        blocks = encoded.blocks_np(fields)
+        blocks = block_array(encoded, fields)  # triggers the chunked encode pass
         assert peak <= 2 * chunk
-        assert addrs.shape == blocks.shape == (len(encoded),)
-        # Zero-copy: the view aliases the chunk-built array storage.
-        assert np.shares_memory(addrs, np.frombuffer(encoded.addrs, dtype=np.uint64))
+        assert blocks.shape == (len(encoded),)
+        # Zero-copy: the raw buffer is the chunk-built array storage.
+        assert encoded.buffer("addrs") is encoded.addrs
 
     def test_each_simulation_path_parses_the_source_once(self):
         """Miss-rate (both backends) and fast full-sim each consume the
@@ -493,10 +501,10 @@ class TestChunkedEncodingMemoryBound:
         path = tmp_path / "t.csv.gz"
         write_trace(path, generate_trace("gcc", 2_000))
         geometry = SystemConfig().dcache.geometry()
-        streaming = load_trace(path, chunk_instructions=128)
+        streaming = _rechunked(path, 128)
         fast = fast_miss_rate(streaming, geometry)
         assert streaming._materialized is None  # chunk-wise encode only
-        streaming2 = load_trace(path, chunk_instructions=128)
+        streaming2 = _rechunked(path, 128)
         reference = measure_miss_rate(streaming2, geometry)
         assert streaming2._materialized is None  # two-pass iteration only
         assert fast == reference
@@ -711,12 +719,8 @@ class TestMachineFileTraces:
 def _sim_flats(path: Path, name: str, backend: str):
     """to_flat() for streaming and eager replays of one file."""
     config = SystemConfig()
-    flats = []
-    for streaming in (True, False):
-        trace = load_trace(path, name=name, streaming=streaming,
-                           chunk_instructions=64)
-        flats.append(Simulator(config, backend=backend).run(trace).to_flat())
-    return flats
+    traces = (_rechunked(path, 64, name), Trace(name, load_trace(path, name=name)))
+    return [Simulator(config, backend=backend).run(trace).to_flat() for trace in traces]
 
 
 def _runner_flats(benchmark: str, instructions: int, salt: int, artifacts: bool,

@@ -1,4 +1,4 @@
-"""Vector kernel tier: views, tier resolution, kernels, integration.
+"""Vector kernel tier: block arrays, tier resolution, kernels, integration.
 
 The vector tier's contract has three legs, each pinned here:
 
@@ -11,17 +11,21 @@ The vector tier's contract has three legs, each pinned here:
   ``REPRO_NO_VECTOR`` opt-out, every entry point silently resolves to
   the python tier with identical results; nothing anywhere requires
   numpy to import.
-* **Plumbing** — :class:`EncodedTrace` numpy views are zero-copy,
-  read-only, memoized, and chunk-construction-equal to eager; runner
-  dispatch and the v6 cache key track the *resolved* tier; results
-  stay plain-int (JSON-serializable) whatever tier produced them.
+* **Plumbing** — numpy is imported by :mod:`repro.fastsim.vector`
+  alone; its block arrays (:func:`~repro.fastsim.vector.block_array`)
+  are built over the encoding's own raw buffers, read-only, memoized
+  per block size, and chunk-construction-equal to eager; runner
+  dispatch and the cache key track the *resolved* tier; results stay
+  plain-int (JSON-serializable) whatever tier produced them.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +35,7 @@ from repro.fastsim import vector as vector_module
 from repro.fastsim.missrate import fast_miss_rate
 from repro.fastsim.vector import (
     NO_VECTOR_ENV,
+    block_array,
     numpy_available,
     resolve_tier,
     vector_enabled,
@@ -40,7 +45,6 @@ from repro.sim import runner
 from repro.sim.config import SystemConfig
 from repro.sim.functional import measure_miss_rate
 from repro.sim.simulator import BACKENDS, Simulator
-from repro.workload import encode as encode_module
 from repro.workload.encode import encode_trace
 from repro.workload.generator import generate_trace
 from repro.workload.instr import OP_LOAD, OP_STORE, Instr
@@ -109,8 +113,26 @@ class TestTierResolution:
 
 
 # ------------------------------------------------------------------ #
-# EncodedTrace numpy views
+# numpy confinement and the vector tier's block arrays
 # ------------------------------------------------------------------ #
+
+
+def test_only_the_vector_module_imports_numpy():
+    """numpy is known to one module, so every other module of the
+    package imports and runs without it."""
+    package = Path(vector_module.__file__).resolve().parents[1]
+    importers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"fastsim/vector.py"}
 
 
 @requires_numpy
@@ -121,32 +143,24 @@ class TestEncodedViews:
         import numpy as np
 
         encoded = encode_trace(generate_trace("gcc", 2_000))
-        addrs = encoded.addrs_np()
-        is_load = encoded.is_load_np()
-        assert addrs.dtype == np.uint64 and is_load.dtype == np.bool_
-        assert addrs.shape == is_load.shape == (len(encoded),)
-        assert addrs.tolist() == list(encoded.addrs)
-        assert is_load.tolist() == [bool(flag) for flag in encoded.is_load]
-        assert np.shares_memory(addrs, np.frombuffer(encoded.addrs, dtype=np.uint64))
-        assert encoded.addrs_np() is addrs and encoded.is_load_np() is is_load
-        for view in (addrs, is_load):
-            with pytest.raises(ValueError):
-                view[0] = 0
+        # Without an artifact the raw buffers are the array storage.
+        assert encoded.buffer("addrs") is encoded.addrs
+        assert encoded.buffer("is_load") is encoded.is_load
+        blocks = block_array(encoded, self.GEOMETRY.fields)
+        assert blocks.dtype == np.uint64 and blocks.shape == (len(encoded),)
+        # Memoized per block size: a geometry sharing it shares the array.
+        assert block_array(encoded, self.GEOMETRY.fields) is blocks
+        assert block_array(encoded, CacheGeometry(16 * 1024, 1, 32).fields) is blocks
+        with pytest.raises(ValueError):
+            blocks[0] = 0
 
-    def test_block_set_tag_decodes_match_scalar_arithmetic(self):
+    def test_block_decode_matches_scalar_arithmetic(self):
         encoded = encode_trace(generate_trace("swim", 2_000))
         fields = self.GEOMETRY.fields
-        blocks = encoded.blocks_np(fields)
-        sets = encoded.set_indices_np(fields)
-        tags = encoded.tags_np(fields)
-        mask = (1 << fields.index_bits) - 1
-        shift = fields.offset_bits + fields.index_bits
+        blocks = block_array(encoded, fields)
         assert blocks.tolist() == encoded.blocks(fields)
-        assert sets.tolist() == [b & mask for b in encoded.blocks(fields)]
-        assert tags.tolist() == [a >> shift for a in encoded.addrs]
-        assert encoded.blocks_np(fields) is blocks  # memoized per shift
-        for view in (blocks, sets, tags):
-            assert not view.flags.writeable
+        assert blocks.tolist() == [a >> fields.offset_bits for a in encoded.addrs]
+        assert not blocks.flags.writeable
 
     def test_chunkwise_construction_equals_eager(self):
         import numpy as np
@@ -157,27 +171,14 @@ class TestEncodedViews:
                                    chunk_instructions=128)
         fields = self.GEOMETRY.fields
         chunked, whole = encode_trace(streaming), encode_trace(eager)
-        assert np.array_equal(chunked.addrs_np(), whole.addrs_np())
-        assert np.array_equal(chunked.is_load_np(), whole.is_load_np())
-        assert np.array_equal(chunked.blocks_np(fields), whole.blocks_np(fields))
+        for name in ("addrs", "is_load"):
+            assert bytes(chunked.buffer(name)) == bytes(whole.buffer(name))
+        assert np.array_equal(block_array(chunked, fields), block_array(whole, fields))
 
     def test_empty_trace_views(self):
         encoded = encode_trace(Trace("empty", []))
-        assert encoded.addrs_np().shape == (0,)
-        assert encoded.is_load_np().shape == (0,)
-        assert encoded.blocks_np(self.GEOMETRY.fields).shape == (0,)
-
-
-def test_views_raise_cleanly_without_numpy(monkeypatch):
-    monkeypatch.setattr(encode_module, "_np", None)
-    encoded = encode_trace(Trace("t", [Instr(0x1000, OP_LOAD, dst=1, addr=0x40)]))
-    fields = CacheGeometry(1024, 2, 32).fields
-    for build in (encoded.addrs_np, encoded.is_load_np):
-        with pytest.raises(RuntimeError, match="numpy is not importable"):
-            build()
-    for build in (encoded.blocks_np, encoded.set_indices_np, encoded.tags_np):
-        with pytest.raises(RuntimeError, match="numpy is not importable"):
-            build(fields)
+        assert len(encoded.buffer("addrs")) == len(encoded.buffer("is_load")) == 0
+        assert block_array(encoded, self.GEOMETRY.fields).shape == (0,)
 
 
 # ------------------------------------------------------------------ #
@@ -228,12 +229,15 @@ class TestVectorMissRate:
     def test_plru_rounds_kernel_engages_on_balanced_streams(self):
         trace = _balanced_trace(sets=64)
         geometry = CacheGeometry(8 * 1024, 4, 32)  # 64 sets
+        import numpy as np
+
         encoded = encode_trace(trace)
-        blocks = encoded.blocks_np(geometry.fields)
+        blocks = block_array(encoded, geometry.fields)
         warmup = int(blocks.shape[0] * 0.2)
         hits = vector_module._plru(blocks, geometry.num_sets, 4)
         assert hits is not None, "rounds kernel unexpectedly hit the skew guard"
-        counted, loads = ~hits[warmup:], encoded.is_load_np()[warmup:]
+        loads = np.frombuffer(encoded.buffer("is_load"), dtype=np.bool_)
+        counted, loads = ~hits[warmup:], loads[warmup:]
         counts = (
             counted.size,
             int(counted.sum()),
@@ -283,8 +287,7 @@ class TestVectorMissRate:
     def test_plru_skew_guard_falls_back_correctly(self):
         trace = _skewed_trace()
         geometry = CacheGeometry(32 * 1024, 4, 32)  # 256 sets, one used
-        encoded = encode_trace(trace)
-        blocks = encoded.blocks_np(geometry.fields)
+        blocks = block_array(encode_trace(trace), geometry.fields)
         hits = vector_module._plru(blocks, geometry.num_sets, 4)
         assert hits is None  # guard tripped: rounds of width one
         reference = measure_miss_rate(trace, geometry, "plru", 0.2)
