@@ -90,19 +90,6 @@ class L2Cache:
         latency = self.latency + self.memory.access_latency(self.geometry.block_bytes)
         return L2AccessResult(hit=False, latency=latency)
 
-    def reconfigure(self, new_geometry: CacheGeometry) -> None:
-        """Flush-and-rebuild the L2 array with ``new_geometry``.
-
-        Invalidate-all semantics, matching the L1 path
-        (:meth:`repro.cache.sram.SetAssociativeCache.reconfigure`).
-        Dirty victims are considered flushed straight to memory — a
-        latency- and energy-free event, since reconfiguration happens
-        between accesses, outside any load path — and cumulative stats
-        are preserved.
-        """
-        self.geometry = new_geometry
-        self.array.reconfigure(new_geometry)
-
     def writeback(self, addr: int) -> None:
         """Absorb a dirty writeback from L1 (energy-only event)."""
         self.stats.stores += 1

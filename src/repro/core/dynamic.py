@@ -23,11 +23,11 @@ PAPERS.md rather than the source paper itself:
 Probes themselves stay conventional parallel accesses — these families
 adapt *shape and level*, not the probe schedule, so they compose with
 the paper's static way-prediction axis rather than competing with it.
-Neither kind has a batched fast-sim kernel: under ``backend="fast"``
-the simulator transparently falls back to the reference engines
-(exactly the :class:`~repro.fastsim.FastBackendUnsupported` path every
-unknown kind takes), which is what keeps sim-mode reports
-byte-identical across backends.
+Neither kind has an inlined fast-sim kernel: under ``backend="fast"``
+the array-state d-cache engine drives the policy object through its
+adapter kernel (:func:`~repro.fastsim.kernels.policy_kernel`), flushing
+and bypassing exactly as the reference engine does, so sim-mode
+reports stay byte-identical across backends.
 """
 
 from __future__ import annotations

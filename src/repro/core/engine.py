@@ -136,6 +136,13 @@ class DCacheEngine:
 
         self.energy = CactiLite().energy_model(new_geometry)
 
+    def charged_energy(self) -> float:
+        """Cache plus prediction energy charged so far (the interval
+        driver's per-window energy signal)."""
+        return self.ledger.get(self.ENERGY_COMPONENT) + self.ledger.get(
+            self.PREDICTION_COMPONENT
+        )
+
     # ------------------------------------------------------------------ #
     # Helper charging shortcuts
     # ------------------------------------------------------------------ #

@@ -188,22 +188,6 @@ class ICacheEngine:
         self.stats.count_kind(kind)
         return FetchOutcome(hit=hit, latency=latency, kind=kind, way=way)
 
-    def reconfigure(self, new_geometry: "CacheGeometry") -> None:
-        """Apply a controlled mid-run geometry change (invalidate-all).
-
-        Same semantics as :meth:`DCacheEngine.reconfigure
-        <repro.core.engine.DCacheEngine.reconfigure>`; the i-cache holds
-        no dirty blocks, so the flush drops everything silently.
-        """
-        from repro.core.interval import validate_reconfigure
-        from repro.energy.cactilite import CactiLite
-
-        validate_reconfigure(self.geometry, new_geometry)
-        self.array.reconfigure(new_geometry)
-        self.geometry = new_geometry
-        self.fields = new_geometry.fields
-        self.energy = CactiLite().energy_model(new_geometry)
-
     def way_of(self, pc: int) -> Optional[int]:
         """Quiet tag inspection (no energy): used when pushing RAS ways."""
         return self.array.probe(pc)

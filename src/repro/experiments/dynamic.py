@@ -17,9 +17,9 @@ over the synthetic applications::
     REPRO_BENCHMARKS=trace://traces/app.din repro-experiment dynamic
 
 Reports are byte-identical across backends (and across the CLI and the
-sweep service) by the fast backend's equivalence contract: dynamic
-kinds carry no batched kernels, so every backend hosts the same
-reference d-cache engine for them.
+sweep service) by the fast backend's equivalence contract: the fast
+d-cache engine drives the dynamic policy objects through its adapter
+kernel and replays every flush and bypass as the reference engine does.
 """
 
 from __future__ import annotations

@@ -10,12 +10,13 @@ backend tiers:
 * ``"fast"`` — this package.  Traces are pre-encoded into flat arrays
   (:mod:`repro.workload.encode`), the functional miss-rate path runs as
   a batched per-set replay (:mod:`repro.fastsim.missrate`), and the full
-  simulator swaps in array-state L1 engines with per-policy inlined
-  kernels (:mod:`repro.fastsim.dcache`, :mod:`repro.fastsim.icache`)
-  for every registered d-cache kind and the i-cache fetch family —
-  driven by the array-state out-of-order core and fetch unit
-  (:mod:`repro.fastsim.core`, :mod:`repro.fastsim.fetch`) with the
-  table-state branch predictors of :mod:`repro.fastsim.predictors`,
+  simulator swaps in array-state L1 engines
+  (:mod:`repro.fastsim.dcache`, :mod:`repro.fastsim.icache`) for every
+  registered policy — inlined kernels for the paper's static d-cache
+  kinds, one adapter kernel over the policy object for dynamic kinds
+  and plugins — driven by the array-state out-of-order core and fetch
+  unit (:mod:`repro.fastsim.core`, :mod:`repro.fastsim.fetch`) with
+  the table-state branch predictors of :mod:`repro.fastsim.predictors`,
   so ``mode="sim"`` runs batched end to end.
 * ``"vector"`` — the numpy kernel tier (:mod:`repro.fastsim.vector`)
   for functional miss-rate runs: direct-mapped and LRU replays become
@@ -33,17 +34,14 @@ floats included — the kernels accumulate energy in the reference
 engines' exact float-addition order).  The differential property suite
 (``tests/test_differential.py``) and the golden-trace equivalence tests
 (``tests/test_fastsim.py``) enforce the contract for every policy kind
-in the registry; policy kinds without a fast kernel (third-party
-plugins) raise :class:`FastBackendUnsupported` and the simulator falls
-back to the reference engine for that cache side, keeping results
-correct by construction.
+in the registry.
 """
 
 from repro.fastsim.core import FastCore
 from repro.fastsim.dcache import FastDCacheEngine
 from repro.fastsim.fetch import FastFetchUnit
 from repro.fastsim.icache import FastICacheEngine
-from repro.fastsim.kernels import FastBackendUnsupported, fast_dcache_kinds
+from repro.fastsim.kernels import fast_dcache_kinds
 from repro.fastsim.missrate import fast_miss_rate
 from repro.fastsim.predictors import (
     FastBranchTargetBuffer,
@@ -58,7 +56,6 @@ from repro.fastsim.vector import (
 )
 
 __all__ = [
-    "FastBackendUnsupported",
     "FastBranchTargetBuffer",
     "FastCore",
     "FastDCacheEngine",

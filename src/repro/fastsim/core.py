@@ -29,11 +29,11 @@ the per-cycle cost is list indexing instead of object-graph traversal:
   :class:`~repro.fastsim.fetch.FastFetchUnit` instead of
   ``FetchedInstr`` objects.
 
-The d-cache is driven through the same ``load``/``store`` surface as
-the reference core, so both engine backends (and plugin fallbacks)
-observe the identical access sequence — which is what keeps energy
-accumulation, latencies, and every counter byte-identical under
-``SimResult.to_flat()``.
+The d-cache is a :class:`~repro.fastsim.dcache.FastDCacheEngine`,
+driven through its ``load_tuple``/``store_tuple`` methods in the same
+access sequence as the reference core drives ``DCacheEngine`` — which
+is what keeps energy accumulation, latencies, and every counter
+byte-identical under ``SimResult.to_flat()``.
 """
 
 from __future__ import annotations
@@ -93,21 +93,8 @@ class FastCore:
         t_xors = encoded.xors
         n = encoded.instructions
 
-        # Tuple fast paths when the engines offer them (the array-state
-        # engines do); reference/plugin engines adapt through the
-        # outcome objects, once, here.
-        load_tuple = getattr(self.dcache, "load_tuple", None)
-        if load_tuple is None:
-            def load_tuple(pc, addr, xor_handle, _load=self.dcache.load):
-                outcome = _load(pc, addr, xor_handle)
-                return outcome.hit, outcome.latency, outcome.kind, outcome.way
-
-        store_tuple = getattr(self.dcache, "store_tuple", None)
-        if store_tuple is None:
-            def store_tuple(pc, addr, _store=self.dcache.store):
-                outcome = _store(pc, addr)
-                return outcome.hit, outcome.latency
-
+        load_tuple = self.dcache.load_tuple
+        store_tuple = self.dcache.store_tuple
         fetch = fetch_unit.fetch
         resume = fetch_unit.resume
         queue = fetch_unit.queue

@@ -1,13 +1,16 @@
-"""Array-state L1 d-cache engine with inlined policy kernels.
+"""Array-state L1 d-cache engine with per-policy kernels.
 
-Drop-in replacement for :class:`~repro.core.engine.DCacheEngine`: same
-constructor shape (a :class:`~repro.core.spec.PolicySpec` instead of a
-built policy object), same ``load``/``store``/``stats`` surface, same
-outcomes — but the tag array is a list of per-set block-address lists,
-the policy is a compiled :class:`~repro.fastsim.kernels.DCacheKernel`,
-and per-event energies are precomputed floats accumulated locally in
-the reference engine's exact charge order (flushed to the shared ledger
-by :meth:`flush_energy`), so results are byte-identical.
+Counterpart of :class:`~repro.core.engine.DCacheEngine` for every
+registered d-cache kind: same constructor shape (a
+:class:`~repro.core.spec.PolicySpec` instead of a built policy object),
+same ``stats``/``policy``/``bypassed``/``reconfigure`` surface, same
+access events — but the tag array is a list of per-set block-address
+lists, the policy is a :class:`~repro.fastsim.kernels.DCacheKernel`
+(inlined for the paper's static kinds, the policy-object adapter for
+dynamic kinds and plugins), accesses return plain tuples, and per-event
+energies are precomputed floats accumulated locally in the reference
+engine's exact charge order (published to the shared ledger by
+:meth:`flush_energy`), so results are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,17 +21,19 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.replacement import make_replacement
 from repro.cache.stats import CacheStats
-from repro.core.engine import LoadOutcome, StoreOutcome
-from repro.core.kinds import KIND_MISPREDICTED
+from repro.core.factory import build_dcache_policy
+from repro.core.interval import validate_reconfigure
+from repro.core.kinds import KIND_BYPASSED, KIND_MISPREDICTED
 from repro.core.spec import PolicySpec
-from repro.energy.cactilite import CacheEnergyModel
+from repro.energy.cactilite import CacheEnergyModel, CactiLite
 from repro.energy.ledger import EnergyLedger
 from repro.energy.tables import PredictionStructureEnergy
 from repro.fastsim.kernels import (
+    FAST_DCACHE_KERNELS,
     MODE_ORACLE,
     MODE_PARALLEL,
     MODE_SEQUENTIAL,
-    make_dcache_kernel,
+    policy_kernel,
 )
 from repro.utils.bitops import bit_mask
 
@@ -38,7 +43,7 @@ class FastDCacheEngine:
 
     Args:
         geometry: L1 geometry.
-        spec: the d-cache policy spec (must name a built-in kind).
+        spec: the d-cache policy spec (any registered kind).
         hierarchy: backing L2 + memory (shared with the i-cache).
         energy: per-event energies for this geometry.
         pred_energy: energies of the prediction structures.
@@ -48,9 +53,6 @@ class FastDCacheEngine:
             other registered names drive the real per-set policy
             objects (identical victims, including ``random``'s
             deterministic stream).
-
-    Raises:
-        FastBackendUnsupported: when ``spec.kind`` has no fast kernel.
     """
 
     ENERGY_COMPONENT = "l1_dcache"
@@ -67,36 +69,61 @@ class FastDCacheEngine:
         base_latency: int = 1,
         replacement: str = "lru",
     ) -> None:
-        self.geometry = geometry
-        self.fields = geometry.fields
         self.hierarchy = hierarchy
-        self.energy = energy
         self.pred_energy = pred_energy
         self.ledger = ledger
         self.base_latency = base_latency
         self.stats = CacheStats()
+        self._replacement = replacement
+        self._build(geometry, energy)
 
-        kernel = make_dcache_kernel(spec.kind, spec.as_dict(), self.fields)
+        # ``policy`` is the object behind the adapter kernel (dynamic
+        # kinds and plugins); None when an inlined kernel runs the kind.
+        factory = FAST_DCACHE_KERNELS.get(spec.kind)
+        if factory is None:
+            self.policy = build_dcache_policy(spec)
+            kernel = policy_kernel(self.policy)
+        else:
+            self.policy = None
+            kernel = factory(spec.as_dict())
         self._plan = kernel.plan
         self._observe = kernel.observe
         self._placement = kernel.placement
         self._on_eviction = kernel.on_eviction
         self._uses_victim_list = kernel.uses_victim_list
+        self._e_table = pred_energy.table_access
+        self._e_vsearch = pred_energy.victim_list_search
 
-        self._assoc = geometry.associativity
-        self._offset_bits = self.fields.offset_bits
-        self._index_bits = self.fields.index_bits
-        self._set_mask = bit_mask(self.fields.index_bits)
-        self._way_mask = bit_mask(self.fields.way_bits)
+        #: When set (by the interval driver), accesses skip L1 and go
+        #: straight to the hierarchy, as in ``DCacheEngine``.
+        self.bypassed = False
+        self.bypassed_accesses = 0
+
+        # Local accumulators, flushed once: same additions in the same
+        # order as the reference ledger, so the totals are bit-equal.
+        self._e_cache = 0.0
+        self._e_pred = 0.0
+        self._fill_way = -1
+
+    def _build(self, geometry: CacheGeometry, energy: CacheEnergyModel) -> None:
+        """Set up empty arrays and per-event energies for ``geometry``."""
+        self.geometry = geometry
+        self.fields = fields = geometry.fields
+        self.energy = energy
+        assoc = self._assoc = geometry.associativity
+        self._offset_bits = fields.offset_bits
+        self._index_bits = fields.index_bits
+        self._set_mask = bit_mask(fields.index_bits)
+        self._way_mask = bit_mask(fields.way_bits)
         num_sets = geometry.num_sets
-        self._tags = [[-1] * self._assoc for _ in range(num_sets)]
-        self._dirty = [[False] * self._assoc for _ in range(num_sets)]
-        if replacement == "lru":
-            self._orders = [list(range(self._assoc)) for _ in range(num_sets)]
+        self._tags = [[-1] * assoc for _ in range(num_sets)]
+        self._dirty = [[False] * assoc for _ in range(num_sets)]
+        if self._replacement == "lru":
+            self._orders = [list(range(assoc)) for _ in range(num_sets)]
             self._repl = None
         else:
             self._orders = None
-            self._repl = [make_replacement(replacement, self._assoc) for _ in range(num_sets)]
+            self._repl = [make_replacement(self._replacement, assoc) for _ in range(num_sets)]
 
         # Precomputed per-event energies (identical floats to the
         # reference engine's per-call computations).
@@ -106,16 +133,33 @@ class FastDCacheEngine:
         self._e_store = energy.store_write()
         self._e_fill = energy.fill_write()
         self._e_tagmiss = energy.addr_route + energy.tag_all_read
-        self._e_table = pred_energy.table_access
-        self._e_vsearch = pred_energy.victim_list_search
-
-        # Local accumulators, flushed once: same additions in the same
-        # order as the reference ledger, so the totals are bit-equal.
-        self._e_cache = 0.0
-        self._e_pred = 0.0
-        self._fill_way = -1
 
     # ------------------------------------------------------------------ #
+
+    def reconfigure(self, new_geometry: CacheGeometry) -> None:
+        """Mirror ``DCacheEngine.reconfigure``: flush, then rebuild.
+
+        Dirty blocks are written back in set-major, way-minor order;
+        the arrays and per-event energies are rebuilt for
+        ``new_geometry``, and the stats carry over.  Kernels get the
+        current fields on every fill, so none needs rebuilding.
+        """
+        validate_reconfigure(self.geometry, new_geometry)
+        offset_bits = self._offset_bits
+        for tags, dirty in zip(self._tags, self._dirty):
+            for block, is_dirty in zip(tags, dirty):
+                if is_dirty:
+                    self.stats.writebacks += 1
+                    self.hierarchy.absorb_writeback(block << offset_bits)
+        self._build(new_geometry, CactiLite().energy_model(new_geometry))
+
+    def charged_energy(self) -> float:
+        """Cache plus prediction energy charged so far.
+
+        Bit-equal to ``DCacheEngine.charged_energy`` at the same point
+        of the run.
+        """
+        return self._e_cache + self._e_pred
 
     def flush_energy(self) -> None:
         """Publish accumulated energy into the shared ledger.
@@ -135,19 +179,20 @@ class FastDCacheEngine:
     # Loads
     # ------------------------------------------------------------------ #
 
-    def load(self, pc: int, addr: int, xor_handle: int = 0) -> LoadOutcome:
-        """Perform a load; mirrors ``DCacheEngine.load`` event for event."""
-        hit, latency, kind, way = self.load_tuple(pc, addr, xor_handle)
-        return LoadOutcome(hit=hit, latency=latency, kind=kind, way=way)
-
     def load_tuple(self, pc: int, addr: int, xor_handle: int = 0) -> tuple:
-        """:meth:`load` returning a plain ``(hit, latency, kind, way)``.
+        """Perform a load; mirrors ``DCacheEngine.load`` event for event.
 
-        The fast core consumes only the latency; a tuple costs ~1/40th
-        of a frozen-dataclass outcome on the hottest call in full-sim
-        mode.  Same events, same order, same state.
+        Returns a plain ``(hit, latency, kind, way)``: the fast core
+        consumes only the latency, and a tuple costs ~1/40th of a
+        frozen-dataclass outcome on the hottest call in full-sim mode.
         """
         stats = self.stats
+        if self.bypassed:
+            # Straight to L2: no L1 state, energy or training.
+            stats.loads += 1
+            self.bypassed_accesses += 1
+            stats.count_kind(KIND_BYPASSED)
+            return False, self.hierarchy.fetch_block(addr), KIND_BYPASSED, -1
         stats.loads += 1
         stats.tag_probes += 1
         mode, plan_way, kind, table_reads = self._plan(pc, addr, xor_handle)
@@ -223,15 +268,15 @@ class FastDCacheEngine:
     # Stores
     # ------------------------------------------------------------------ #
 
-    def store(self, pc: int, addr: int) -> StoreOutcome:
-        """Perform a store; mirrors ``DCacheEngine.store`` event for event."""
-        hit, latency = self.store_tuple(pc, addr)
-        return StoreOutcome(hit=hit, latency=latency)
-
     def store_tuple(self, pc: int, addr: int) -> tuple:
-        """:meth:`store` returning a plain ``(hit, latency)`` (the fast
-        core discards store outcomes entirely)."""
+        """Perform a store; mirrors ``DCacheEngine.store`` event for
+        event and returns a plain ``(hit, latency)`` (the fast core
+        discards store outcomes entirely)."""
         stats = self.stats
+        if self.bypassed:
+            stats.stores += 1
+            self.bypassed_accesses += 1
+            return False, self.hierarchy.store_block(addr)
         stats.stores += 1
         stats.tag_probes += 1
         block = addr >> self._offset_bits
@@ -276,7 +321,7 @@ class FastDCacheEngine:
             added = self.hierarchy.store_block(addr)
         else:
             added = self.hierarchy.fetch_block(addr)
-        way, _dm_placed = self._placement(addr)
+        way, _dm_placed = self._placement(addr, self.fields)
         if self._uses_victim_list:
             self._e_pred += self._e_vsearch
         tags = self._tags[index]

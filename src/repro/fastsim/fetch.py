@@ -20,10 +20,9 @@ prediction) over the pre-encoded instruction arrays of
 * i-block indices come pre-shifted from
   :meth:`~repro.workload.encode.EncodedTrace.iblocks`.
 
-The i-cache engine itself is driven through the same
-``fetch``/``way_of`` surface as the reference fetch unit, so either
-engine backend (array-state or reference, e.g. a plugin fallback)
-slots in unchanged and sees the identical access sequence.
+The i-cache is a :class:`~repro.fastsim.icache.FastICacheEngine`,
+driven through ``fetch_tuple``/``way_of`` in the same access sequence
+as the reference fetch unit drives ``ICacheEngine``.
 """
 
 from __future__ import annotations
@@ -85,16 +84,7 @@ class FastFetchUnit:
         self._block_shift = icache.fields.offset_bits
         self._blocks = encoded.iblocks(self._block_shift)
         self._base_latency = icache.base_latency
-        # Tuple fast path when the engine offers one (the array-state
-        # engine does); reference/plugin engines go through the outcome
-        # object, adapted once here.
-        fetch_tuple = getattr(icache, "fetch_tuple", None)
-        if fetch_tuple is None:
-            def fetch_tuple(pc, way, source, _fetch=icache.fetch):
-                outcome = _fetch(pc, way, source)
-                return outcome.hit, outcome.latency, outcome.kind, outcome.way
-
-        self._fetch_tuple = fetch_tuple
+        self._fetch_tuple = icache.fetch_tuple
         self._line_buffer_block = -1  # blocks are >= 0; -1 forces an access
         self._ready_cycle = 0
         self.branch_stalled = False

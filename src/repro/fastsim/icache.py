@@ -1,11 +1,11 @@
 """Array-state L1 i-cache engine for the fetch-policy family.
 
-Drop-in replacement for :class:`~repro.core.icache.ICacheEngine`
-covering both registered i-cache policies (``parallel`` and the
-``waypred`` SAWP+BTB+RAS family).  The fetch unit drives it through the
-same surface — ``fetch``/``way_of``/``way_predictor``/``way_predict`` —
-and gets byte-identical outcomes; energy accumulates locally in the
-reference order and flushes via :meth:`flush_energy`.
+Counterpart of :class:`~repro.core.icache.ICacheEngine`, built from the
+same :class:`~repro.core.icache_policy.ICachePolicy` object, so every
+registered i-cache kind (plugins included) runs on it.  The fast fetch
+unit drives it through ``fetch_tuple``/``way_of``/``way_predictor``/
+``way_predict`` and gets byte-identical results; energy accumulates
+locally in the reference order and flushes via :meth:`flush_energy`.
 """
 
 from __future__ import annotations
@@ -16,14 +16,8 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.replacement import make_replacement
 from repro.cache.stats import CacheStats
-from repro.core.icache import (
-    SOURCE_BTB,
-    SOURCE_NONE,
-    SOURCE_RAS,
-    SOURCE_SAWP,
-    FetchOutcome,
-)
-from repro.core.icache_policy import IFetchWayPredictor
+from repro.core.icache import SOURCE_BTB, SOURCE_NONE, SOURCE_RAS, SOURCE_SAWP
+from repro.core.icache_policy import ICachePolicy, WayPredictedFetchPolicy
 from repro.core.kinds import (
     KIND_BTB_CORRECT,
     KIND_MISPREDICTED,
@@ -31,11 +25,9 @@ from repro.core.kinds import (
     KIND_PARALLEL,
     KIND_SAWP_CORRECT,
 )
-from repro.core.spec import PolicySpec
 from repro.energy.cactilite import CacheEnergyModel
 from repro.energy.ledger import EnergyLedger
 from repro.energy.tables import PredictionStructureEnergy
-from repro.fastsim.kernels import FastBackendUnsupported
 from repro.utils.bitops import bit_mask
 
 #: Correct-prediction kind per source (the paper groups BTB and RAS).
@@ -47,11 +39,9 @@ _CORRECT_KIND = {
 
 
 class FastICacheEngine:
-    """L1 instruction cache: flat arrays + inlined fetch policy.
+    """L1 instruction cache: flat arrays + the fetch policy's predictor.
 
-    Raises:
-        FastBackendUnsupported: for i-cache policy kinds outside the
-            built-in family.
+    Takes the same arguments as ``ICacheEngine``.
     """
 
     ENERGY_COMPONENT = "l1_icache"
@@ -65,7 +55,7 @@ class FastICacheEngine:
         pred_energy: PredictionStructureEnergy,
         ledger: EnergyLedger,
         base_latency: int = 1,
-        spec: Optional[PolicySpec] = None,
+        policy: Optional[ICachePolicy] = None,
         replacement: str = "lru",
     ) -> None:
         self.geometry = geometry
@@ -77,19 +67,9 @@ class FastICacheEngine:
         self.base_latency = base_latency
         self.stats = CacheStats()
 
-        kind = spec.kind if spec is not None else "waypred"
-        if kind == "waypred":
-            entries = spec.get("sawp_entries", 1024) if spec is not None else 1024
-            self.way_predictor: Optional[IFetchWayPredictor] = IFetchWayPredictor(entries)
-            self.way_predict = True
-        elif kind == "parallel":
-            self.way_predictor = None
-            self.way_predict = False
-        else:
-            raise FastBackendUnsupported(
-                f"no fast kernel for icache policy {kind!r}; "
-                "supported: ('parallel', 'waypred')"
-            )
+        self.policy = policy if policy is not None else WayPredictedFetchPolicy()
+        self.way_predictor = self.policy.make_predictor()
+        self.way_predict = self.policy.way_predict and self.way_predictor is not None
 
         self._assoc = geometry.associativity
         self._offset_bits = self.fields.offset_bits
@@ -127,14 +107,10 @@ class FastICacheEngine:
 
     # ------------------------------------------------------------------ #
 
-    def fetch(self, pc: int, predicted_way: Optional[int], source: str) -> FetchOutcome:
-        """Fetch the block containing ``pc``; mirrors ``ICacheEngine.fetch``."""
-        hit, latency, kind, way = self.fetch_tuple(pc, predicted_way, source)
-        return FetchOutcome(hit=hit, latency=latency, kind=kind, way=way)
-
     def fetch_tuple(self, pc: int, predicted_way: Optional[int], source: str) -> tuple:
-        """:meth:`fetch` returning a plain ``(hit, latency, kind, way)``
-        (the fast fetch unit consumes only latency and way)."""
+        """Fetch the block containing ``pc``; mirrors ``ICacheEngine.fetch``
+        and returns a plain ``(hit, latency, kind, way)`` (the fast fetch
+        unit consumes only latency and way)."""
         stats = self.stats
         stats.loads += 1
         stats.tag_probes += 1

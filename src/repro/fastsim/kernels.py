@@ -1,24 +1,27 @@
 """Per-policy fast kernels for the d-cache access policies.
 
-Each registered d-cache kind gets a kernel: four closures over plain
-list/dict state replicating the corresponding
-:class:`~repro.core.policy.DCachePolicy` exactly —
+Each d-cache kind runs through a kernel: four closures over plain
+list/dict state —
 
 * ``plan(pc, addr, xor_handle) -> (mode, way, kind, table_reads)``
   mirrors ``plan_load`` (``mode`` is one of the ``MODE_*`` ints below;
   ``way == -1`` means "the direct-mapping way");
 * ``observe(pc, addr, xor_handle, resident_way, final_way, dm_way)``
   mirrors ``observe_load`` and returns the table-write count;
-* ``placement(addr) -> (way_or_None, dm_placed)`` mirrors
-  ``placement_way``;
+* ``placement(addr, fields) -> (way_or_None, dm_placed)`` mirrors
+  ``placement_way`` and reads the cache's current fields, so no kernel
+  depends on the geometry it was built for;
 * ``on_eviction(block_addr) -> searches`` mirrors ``on_eviction``.
 
-The table/counter/victim-list semantics are transliterated from
+The paper's static kinds have inlined kernels (:data:`FAST_DCACHE_KERNELS`)
+whose table/counter/victim-list semantics are transliterated from
 :mod:`repro.predictors.table` and :mod:`repro.core.selective_dm`
 (untagged power-of-two tables, 2-bit saturating counters, a small LRU
-victim list) so behaviour — including which accesses count as physical
-table writes — is identical to the reference policies.  The
-differential suite asserts this per kind, field for field.
+victim list), so behaviour — including which accesses count as physical
+table writes — is identical to the reference policies.  Every other
+kind, dynamic or plugin, runs through :func:`policy_kernel`, which
+drives the policy object itself through its hooks.  The differential
+suite asserts this per kind, field for field.
 """
 
 from __future__ import annotations
@@ -26,28 +29,20 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Dict, Mapping, Tuple
 
+from repro.core import policy as core_policy
 from repro.core.kinds import (
     KIND_DIRECT_MAPPED,
     KIND_PARALLEL,
     KIND_SEQUENTIAL,
     KIND_WAY_PREDICTED,
 )
-from repro.utils.bitops import AddressFields, is_power_of_two
+from repro.utils.bitops import is_power_of_two
 
 #: Integer probe modes (mirroring ``repro.core.policy.MODE_*``).
 MODE_PARALLEL = 0
 MODE_SINGLE = 1
 MODE_SEQUENTIAL = 2
 MODE_ORACLE = 3
-
-
-class FastBackendUnsupported(ValueError):
-    """The fast backend has no kernel for this policy/replacement.
-
-    The simulator catches this and falls back to the reference engine
-    for the affected cache side, so plugin policies keep working — they
-    just don't get the fast path.
-    """
 
 
 class DCacheKernel:
@@ -72,7 +67,7 @@ def _no_observe(pc, addr, xor_handle, resident_way, final_way, dm_way) -> int:
     return 0
 
 
-def _default_placement(addr) -> Tuple[None, bool]:
+def _default_placement(addr, fields) -> Tuple[None, bool]:
     return None, False
 
 
@@ -94,7 +89,7 @@ def _table_mask(entries: int) -> int:
 def _make_static(mode: int, kind: str):
     plan_result = (mode, -1, kind, 0)
 
-    def factory(params: Mapping[str, object], fields: AddressFields) -> DCacheKernel:
+    def factory(params: Mapping[str, object]) -> DCacheKernel:
         def plan(pc, addr, xor_handle):
             return plan_result
 
@@ -109,7 +104,7 @@ def _make_static(mode: int, kind: str):
 
 
 def _make_waypred(use_xor: bool):
-    def factory(params: Mapping[str, object], fields: AddressFields) -> DCacheKernel:
+    def factory(params: Mapping[str, object]) -> DCacheKernel:
         mask = _table_mask(int(params.get("table_entries", 1024)))
         ways = [0] * (mask + 1)
         valid = [False] * (mask + 1)
@@ -154,7 +149,7 @@ def _make_waypred(use_xor: bool):
 
 
 def _make_seldm(handler: str):
-    def factory(params: Mapping[str, object], fields: AddressFields) -> DCacheKernel:
+    def factory(params: Mapping[str, object]) -> DCacheKernel:
         mask = _table_mask(int(params.get("table_entries", 1024)))
         counters = [0] * (mask + 1)  # 2-bit saturating, initial 0
         victim_entries = int(params.get("victim_entries", 16))
@@ -200,15 +195,11 @@ def _make_seldm(handler: str):
                 changed = True
             return 1 if changed else 0
 
-        offset_bits = fields.offset_bits
-        index_bits = fields.index_bits
-        way_mask = (1 << fields.way_bits) - 1
-
-        def placement(addr):
-            block = addr >> offset_bits
+        def placement(addr, fields):
+            block = addr >> fields.offset_bits
             if victims.get(block, 0) > conflict_threshold:
                 return None, False  # conflicting: set-associative position
-            return (block >> index_bits) & way_mask, True
+            return (block >> fields.index_bits) & ((1 << fields.way_bits) - 1), True
 
         def on_eviction(block_addr):
             if block_addr in victims:
@@ -225,8 +216,8 @@ def _make_seldm(handler: str):
     return factory
 
 
-#: kind -> kernel factory, for every built-in d-cache policy.
-FAST_DCACHE_KERNELS: Dict[str, Callable[[Mapping[str, object], AddressFields], DCacheKernel]] = {
+#: kind -> inlined kernel factory, for the paper's static d-cache policies.
+FAST_DCACHE_KERNELS: Dict[str, Callable[[Mapping[str, object]], DCacheKernel]] = {
     "parallel": _make_static(MODE_PARALLEL, KIND_PARALLEL),
     "sequential": _make_static(MODE_SEQUENTIAL, KIND_SEQUENTIAL),
     "oracle": _make_static(MODE_ORACLE, KIND_WAY_PREDICTED),
@@ -239,20 +230,43 @@ FAST_DCACHE_KERNELS: Dict[str, Callable[[Mapping[str, object], AddressFields], D
 
 
 def fast_dcache_kinds() -> Tuple[str, ...]:
-    """D-cache kinds the fast backend has kernels for."""
+    """D-cache kinds the fast backend has inlined kernels for."""
     return tuple(FAST_DCACHE_KERNELS)
 
 
-def make_dcache_kernel(kind: str, params: Mapping[str, object], fields: AddressFields) -> DCacheKernel:
-    """Build the kernel for ``kind``.
+#: ``ProbePlan.mode`` -> integer mode; anything else probes a single
+#: way, as in ``DCacheEngine._execute_plan``.
+_PLAN_MODES = {
+    core_policy.MODE_PARALLEL: MODE_PARALLEL,
+    core_policy.MODE_SEQUENTIAL: MODE_SEQUENTIAL,
+    core_policy.MODE_ORACLE: MODE_ORACLE,
+}
 
-    Raises:
-        FastBackendUnsupported: for kinds with no fast kernel (plugins).
+
+def policy_kernel(policy: core_policy.DCachePolicy) -> DCacheKernel:
+    """The adapter kernel: drives ``policy`` through its own hooks.
+
+    Serves every kind without an inlined kernel (dynamic kinds and
+    plugins); ``observe_load`` receives the plan of the same access.
     """
-    factory = FAST_DCACHE_KERNELS.get(kind)
-    if factory is None:
-        raise FastBackendUnsupported(
-            f"no fast kernel for dcache policy {kind!r}; "
-            f"supported: {fast_dcache_kinds()}"
+    plan_load = policy.plan_load
+    observe_load = policy.observe_load
+    last_plan = None
+
+    def plan(pc, addr, xor_handle):
+        nonlocal last_plan
+        last_plan = probe = plan_load(pc, addr, xor_handle)
+        way = probe.way
+        return (
+            _PLAN_MODES.get(probe.mode, MODE_SINGLE),
+            -1 if way is None else way,
+            probe.kind,
+            probe.table_reads,
         )
-    return factory(params, fields)
+
+    def observe(pc, addr, xor_handle, resident_way, final_way, dm_way):
+        return observe_load(pc, addr, xor_handle, last_plan, resident_way, final_way, dm_way)
+
+    return DCacheKernel(
+        plan, observe, policy.placement_way, policy.on_eviction, policy.uses_victim_list
+    )

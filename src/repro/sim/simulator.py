@@ -1,15 +1,16 @@
 """The simulator: builds a system from a config and runs one trace.
 
-Two interchangeable backends build the L1 engines:
+Two interchangeable backends build the L1 engines, one engine class
+per backend and cache side:
 
 * ``"reference"`` — the per-access object-dispatch engines
   (:class:`~repro.core.engine.DCacheEngine`,
   :class:`~repro.core.icache.ICacheEngine`);
-* ``"fast"`` — the array-state engines with inlined policy kernels
-  (:mod:`repro.fastsim`), byte-identical by contract (enforced by the
-  differential suite).  Policy kinds without a fast kernel — plugins —
-  silently fall back to the reference engine for that cache side, so
-  the fast backend is always safe to request.
+* ``"fast"`` — the array-state engines (:mod:`repro.fastsim`),
+  byte-identical by contract (enforced by the differential suite).
+  They host every registered policy: the paper's static d-cache kinds
+  run inlined kernels, while dynamic kinds and plugins drive the policy
+  object through one adapter kernel.
 
 ``"vector"`` is also accepted and builds the same fast pipeline: the
 vector tier accelerates functional miss-rate runs only
@@ -20,28 +21,21 @@ float-addition order.
 The backend also selects the pipeline implementation for ``run``: the
 fast backend replays the pre-encoded instruction arrays through the
 array-state core and fetch unit (:class:`~repro.fastsim.core.FastCore`,
-:class:`~repro.fastsim.fetch.FastFetchUnit`), which drive whichever L1
-engines were built — including reference fallbacks — through the same
-``load``/``store``/``fetch`` surface, so the mode="sim" contract stays
-byte-identical end to end.
+:class:`~repro.fastsim.fetch.FastFetchUnit`), which drive the fast
+engines through their tuple methods in the reference pipeline's access
+order, so the mode="sim" contract stays byte-identical end to end.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from repro.cache.hierarchy import L2Cache, MainMemory, MemoryHierarchy
 from repro.core.engine import DCacheEngine
 from repro.core.factory import build_dcache_policy, build_icache_policy
 from repro.core.icache import ICacheEngine
 from repro.core.interval import IntervalStats, is_dynamic_policy
-from repro.fastsim import (
-    FastBackendUnsupported,
-    FastCore,
-    FastDCacheEngine,
-    FastFetchUnit,
-    FastICacheEngine,
-)
+from repro.fastsim import FastCore, FastDCacheEngine, FastFetchUnit, FastICacheEngine
 from repro.cpu.fetch import FetchUnit
 from repro.cpu.ooo import OutOfOrderCore
 from repro.cpu.stats import CoreStats
@@ -70,22 +64,19 @@ BACKENDS = ("reference", "fast", "vector")
 class _IntervalDriver:
     """Delivers interval ticks to a dynamic d-cache policy.
 
-    Reads the engine's cumulative stats/ledger at each tick, hands the
-    window delta to ``policy.on_interval``, and applies any returned
-    action to the engine.  Only the reference engine ever hosts a
-    dynamic policy (dynamic kinds have no fast kernels, so the fast
-    backend falls back for that side), so ``engine.policy``,
-    ``engine.reconfigure``, and ``engine.bypassed`` always exist here.
-    ``way_mispredicts`` is the window's second-probe count and
-    ``energy_delta`` the window's d-cache + prediction ledger charge —
-    the two signals the paper's section 4 feedback schemes key on.
+    Reads the engine's cumulative stats and charged energy at each tick,
+    hands the window delta to ``policy.on_interval``, and applies any
+    returned action to the engine.  Both d-cache engines (reference and
+    fast) expose ``policy``, ``charged_energy``, ``reconfigure`` and
+    ``bypassed``.  ``way_mispredicts`` is the window's second-probe count
+    and ``energy_delta`` the window's d-cache + prediction energy — the
+    two signals the paper's section 4 feedback schemes key on.
     """
 
     def __init__(
-        self, engine: DCacheEngine, ledger: EnergyLedger, interval: int
+        self, engine: Union[DCacheEngine, FastDCacheEngine], interval: int
     ) -> None:
         self.engine = engine
-        self.ledger = ledger
         self.interval = interval
         self.ticks = 0
         self.reconfigurations = 0
@@ -96,11 +87,6 @@ class _IntervalDriver:
         self._prev_mispredicts = 0
         self._prev_energy = 0.0
 
-    def _energy(self) -> float:
-        return self.ledger.get(self.engine.ENERGY_COMPONENT) + self.ledger.get(
-            self.engine.PREDICTION_COMPONENT
-        )
-
     def __call__(self, cycle: int) -> None:
         engine = self.engine
         stats = engine.stats
@@ -108,7 +94,7 @@ class _IntervalDriver:
         loads = stats.loads
         misses = stats.misses
         mispredicts = stats.second_probes
-        energy = self._energy()
+        energy = engine.charged_energy()
         win_accesses = accesses - self._prev_accesses
         win_loads = loads - self._prev_loads
         tick_stats = IntervalStats(
@@ -207,58 +193,35 @@ class Simulator:
             way_bits=max(config.icache.geometry().fields.way_bits, 1),
         )
 
-        # L1 engines, per the selected backend.
-        self.dcache = None
-        self.icache = None
-        if backend != "reference":
-            try:
-                self.dcache = FastDCacheEngine(
-                    geometry=config.dcache.geometry(),
-                    spec=dspec,
-                    hierarchy=hierarchy,
-                    energy=cacti.energy_model(config.dcache.geometry()),
-                    pred_energy=pred_energy,
-                    ledger=self.ledger,
-                    base_latency=config.dcache.latency,
-                    replacement=config.replacement,
-                )
-            except FastBackendUnsupported:
-                pass  # plugin kind: reference engine below
-            try:
-                self.icache = FastICacheEngine(
-                    geometry=config.icache.geometry(),
-                    hierarchy=hierarchy,
-                    energy=cacti.energy_model(config.icache.geometry()),
-                    pred_energy=ipred_energy,
-                    ledger=self.ledger,
-                    base_latency=config.icache.latency,
-                    spec=config.icache_policy,
-                    replacement=config.replacement,
-                )
-            except FastBackendUnsupported:
-                pass
-        if self.dcache is None:
-            self.dcache = DCacheEngine(
-                geometry=config.dcache.geometry(),
-                policy=build_dcache_policy(dspec),
-                hierarchy=hierarchy,
-                energy=cacti.energy_model(config.dcache.geometry()),
-                pred_energy=pred_energy,
-                ledger=self.ledger,
-                base_latency=config.dcache.latency,
-                replacement=config.replacement,
-            )
-        if self.icache is None:
-            self.icache = ICacheEngine(
-                geometry=config.icache.geometry(),
-                hierarchy=hierarchy,
-                energy=cacti.energy_model(config.icache.geometry()),
-                pred_energy=ipred_energy,
-                ledger=self.ledger,
-                base_latency=config.icache.latency,
-                policy=build_icache_policy(config.icache_policy),
-                replacement=config.replacement,
-            )
+        # L1 engines: one class per backend and cache side.  The fast
+        # d-cache takes the spec, so static kinds get inlined kernels.
+        dgeometry = config.dcache.geometry()
+        dcache_args = dict(
+            geometry=dgeometry,
+            hierarchy=hierarchy,
+            energy=cacti.energy_model(dgeometry),
+            pred_energy=pred_energy,
+            ledger=self.ledger,
+            base_latency=config.dcache.latency,
+            replacement=config.replacement,
+        )
+        if backend == "reference":
+            self.dcache = DCacheEngine(policy=build_dcache_policy(dspec), **dcache_args)
+            icache_engine = ICacheEngine
+        else:
+            self.dcache = FastDCacheEngine(spec=dspec, **dcache_args)
+            icache_engine = FastICacheEngine
+        igeometry = config.icache.geometry()
+        self.icache = icache_engine(
+            geometry=igeometry,
+            hierarchy=hierarchy,
+            energy=cacti.energy_model(igeometry),
+            pred_energy=ipred_energy,
+            ledger=self.ledger,
+            base_latency=config.icache.latency,
+            policy=build_icache_policy(config.icache_policy),
+            replacement=config.replacement,
+        )
         self.wattch = WattchLite(wattch if wattch is not None else WattchParameters())
 
     # ------------------------------------------------------------------ #
@@ -267,30 +230,25 @@ class Simulator:
         """Execute ``trace`` and assemble the result record."""
         core_stats = CoreStats()
         driver = None
-        if self.interval > 0 and is_dynamic_policy(
-            getattr(self.dcache, "policy", None)
-        ):
-            driver = _IntervalDriver(self.dcache, self.ledger, self.interval)
+        if self.interval > 0 and is_dynamic_policy(self.dcache.policy):
+            driver = _IntervalDriver(self.dcache, self.interval)
         tick_interval = self.interval if driver is not None else 0
-        if self.backend != "reference":
-            fast_fetch = FastFetchUnit(trace, self.icache, self.config.core, core_stats)
-            FastCore(
-                self.config.core, fast_fetch, self.dcache, core_stats,
-                interval=tick_interval, on_tick=driver,
-            ).run()
-        else:
+        if self.backend == "reference":
             fetch_unit = FetchUnit(trace, self.icache, self.config.core, core_stats)
             OutOfOrderCore(
                 self.config.core, fetch_unit, self.dcache, core_stats,
                 interval=tick_interval, on_tick=driver,
             ).run()
-
-        # Fast engines accumulate energy locally; publish it before the
-        # ledger is read (no-op for the reference engines).
-        for engine in (self.dcache, self.icache):
-            flush = getattr(engine, "flush_energy", None)
-            if flush is not None:
-                flush()
+        else:
+            fast_fetch = FastFetchUnit(trace, self.icache, self.config.core, core_stats)
+            FastCore(
+                self.config.core, fast_fetch, self.dcache, core_stats,
+                interval=tick_interval, on_tick=driver,
+            ).run()
+            # The fast engines accumulate energy locally; publish it
+            # before the ledger is read.
+            self.dcache.flush_energy()
+            self.icache.flush_energy()
 
         # Post-run L2 energy: the L2 uses sequential (tag-then-way) access
         # as in the Alpha 21164, so each access costs one-way energy.

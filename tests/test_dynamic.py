@@ -5,10 +5,12 @@ experiment's CLI/service byte-identity.
 The correctness bar mirrors the static suite: reference == fast ==
 vector ``MissRateResult`` equality under ticks (Hypothesis-driven,
 across replacement x assoc x interval x warmup edges), and reference
-== fast ``SimResult.to_flat()`` equality in full-sim mode.  The fast
-and vector tiers share one replay driver; the vector tier must follow
-every flush with a fresh classified epoch and every bypass release by
-continuing on the python kernels, with identical results.
+== fast ``SimResult.to_flat()`` and per-tick ``IntervalStats``
+equality in full-sim mode, where the fast tier hosts dynamic kinds on
+its own d-cache engine.  The fast and vector tiers share one miss-rate
+replay driver; the vector tier must follow every flush with a fresh
+classified epoch and every bypass release by continuing on the python
+kernels, with identical results.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from repro.core.interval import (
     is_dynamic_policy,
     validate_reconfigure,
 )
-from repro.core.registry import get_policy
+from repro.core.policy import MODE_SINGLE, ProbePlan
+from repro.core.registry import get_policy, register_policy, unregister_policy
+from repro.fastsim import FastDCacheEngine
 from repro.fastsim.missrate import fast_miss_rate
 from repro.fastsim.vector import vector_miss_rate
 from repro.sim import runner
@@ -35,6 +39,7 @@ from repro.sim.functional import measure_miss_rate
 from repro.sim.results import DynamicsMetrics, SimResult
 from repro.sim.simulator import Simulator
 from repro.sweep.spec import RunSpec, SweepSpec
+from repro.workload.generator import generate_trace
 from repro.workload.instr import OP_LOAD, OP_STORE, Instr
 from repro.workload.trace import Trace
 
@@ -184,14 +189,102 @@ def test_dynamic_miss_rate_identical(kind, trace, warmup, assoc, interval,
 @given(trace=traces(), interval=st.sampled_from([16, 64, 1000]))
 def test_dynamic_sim_identical(kind, trace, interval):
     """Full-sim mode: reference == fast to_flat() with ticks firing
-    (both backends host the reference d-cache engine for dynamic kinds,
-    and the fast core must visit the same tick cycles)."""
+    (the fast d-cache engine drives the dynamic policy through its
+    adapter kernel, and the fast core must visit the same tick cycles)."""
     config = SMALL.with_dcache_policy(kind)
     reference = Simulator(config, backend="reference", interval=interval).run(trace)
     fast = Simulator(config, backend="fast", interval=interval).run(trace)
     assert json.dumps(reference.to_flat(), sort_keys=True) == json.dumps(
         fast.to_flat(), sort_keys=True
     )
+
+
+def _run_recorded(config: SystemConfig, backend: str, trace: Trace):
+    """One ticked sim run: the simulator, its result, and the addresses
+    each flush wrote back, in order."""
+    simulator = Simulator(config, backend=backend, interval=200)
+    engine = simulator.dcache
+    hierarchy = engine.hierarchy
+    reconfigure = engine.reconfigure
+    writeback = hierarchy.absorb_writeback
+    flushed = []
+
+    def recording_reconfigure(geometry):
+        written = []
+
+        def recording_writeback(addr):
+            written.append(addr)
+            writeback(addr)
+
+        hierarchy.absorb_writeback = recording_writeback
+        reconfigure(geometry)
+        del hierarchy.absorb_writeback
+        flushed.append(written)
+
+    engine.reconfigure = recording_reconfigure
+    return simulator, simulator.run(trace), flushed
+
+
+@pytest.mark.parametrize(
+    "kind, params, counter, fired",
+    [
+        ("dri", {"miss_hi": 0.3, "miss_lo": 0.1, "min_kb": 1, "max_kb": 8},
+         "reconfigurations", 1),
+        ("levelpred", {"bypass_threshold": 0.2}, "bypass_toggles", 2),
+    ],
+    ids=["dri-dirty-flush", "levelpred-release"],
+)
+def test_dynamic_sim_runs_on_fast_engine(kind, params, counter, fired):
+    """Sim-mode dynamic kinds run on the fast d-cache engine, with
+    results and per-tick observations equal to the reference tier.
+
+    Tight thresholds make dri resize while holding dirty lines and
+    levelpred engage and release bypass.  A recording subclass,
+    registered as a plugin, captures every ``IntervalStats``: that pins
+    ``energy_delta`` and ``way_mispredicts`` per tick, which
+    ``to_flat()`` never sees.  So that those move, the subclass probes
+    the direct-mapped way with a table read, and places odd blocks
+    there, which after a resize depends on the new geometry.
+    """
+    info = get_policy(kind, "dcache")
+    recording = f"recording_{kind}"
+
+    @register_policy(recording, side="dcache", params=info.defaults())
+    class RecordingPolicy(info.factory):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.ticks = []
+
+        def plan_load(self, pc, addr, xor_handle):
+            return ProbePlan(mode=MODE_SINGLE, kind="direct_mapped", table_reads=1)
+
+        def placement_way(self, addr, fields):
+            if fields.block_address(addr) % 2:
+                return fields.direct_mapped_way(addr), True
+            return None, False
+
+        def on_interval(self, stats):
+            self.ticks.append(stats)
+            return super().on_interval(stats)
+
+    trace = generate_trace("gcc", 3_000, 0)
+    try:
+        config = SMALL.with_dcache_policy(recording, **params)
+        reference, reference_result, reference_flushed = _run_recorded(
+            config, "reference", trace)
+        fast, fast_result, fast_flushed = _run_recorded(config, "fast", trace)
+    finally:
+        unregister_policy(recording, side="dcache")
+    assert isinstance(fast.dcache, FastDCacheEngine)
+    assert getattr(reference_result.dynamics, counter) >= fired
+    if kind == "dri":
+        assert any(reference_flushed)  # a resize wrote back dirty lines
+    ticks = reference.dcache.policy.ticks
+    assert any(tick.way_mispredicts for tick in ticks)
+    assert reference_result.energy.components["prediction_dcache"] > 0
+    assert fast_flushed == reference_flushed
+    assert fast_result.to_flat() == reference_result.to_flat()
+    assert fast.dcache.policy.ticks == ticks
 
 
 @pytest.mark.parametrize(

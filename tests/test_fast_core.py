@@ -223,14 +223,12 @@ def test_fast_core_raises_on_genuine_deadlock(monkeypatch):
         def __init__(self, inner):
             self.inner = inner
 
-        def load(self, pc, addr, xor_handle=0):
-            outcome = self.inner.load(pc, addr, xor_handle)
-            return type(outcome)(
-                hit=outcome.hit, latency=1 << 33, kind=outcome.kind, way=outcome.way
-            )
+        def load_tuple(self, pc, addr, xor_handle=0):
+            hit, _latency, kind, way = self.inner.load_tuple(pc, addr, xor_handle)
+            return hit, 1 << 33, kind, way
 
-        def store(self, pc, addr):
-            return self.inner.store(pc, addr)
+        def store_tuple(self, pc, addr):
+            return self.inner.store_tuple(pc, addr)
 
     from repro.cpu.stats import CoreStats
 
@@ -246,32 +244,33 @@ def test_fast_core_raises_on_genuine_deadlock(monkeypatch):
 # ------------------------------------------------------------------ #
 
 
-def test_fast_core_drives_reference_icache_fallback():
-    """A plugin i-cache policy drops that side to the reference engine;
-    the fast fetch unit must drive it through the outcome adapter and
-    stay byte-identical."""
-    from repro.core.icache import ICacheEngine
+def test_fast_core_drives_plugin_icache_policy():
+    """A plugin i-cache policy runs on the fast i-cache engine, which
+    takes the built policy object; the fast fetch unit must stay
+    byte-identical to the reference pipeline."""
     from repro.core.icache_policy import ICachePolicy, IFetchWayPredictor
     from repro.core.registry import register_policy, unregister_policy
+    from repro.fastsim import FastICacheEngine
 
-    @register_policy("fallback_fetch", side="icache", label="Fallback fetch")
-    class FallbackFetchPolicy(ICachePolicy):
-        name = "fallback_fetch"
+    @register_policy("plugin_fetch", side="icache", label="Plugin fetch")
+    class PluginFetchPolicy(ICachePolicy):
+        name = "plugin_fetch"
         way_predict = True
 
         def make_predictor(self):
             return IFetchWayPredictor(64)
 
     try:
-        config = SMALL.with_icache_policy("fallback_fetch")
+        config = SMALL.with_icache_policy("plugin_fetch")
         simulator = Simulator(config, backend="fast")
-        assert isinstance(simulator.icache, ICacheEngine)
+        assert isinstance(simulator.icache, FastICacheEngine)
         trace = generate_trace("gcc", 2_000, 0)
         reference = Simulator(config, backend="reference").run(trace).to_flat()
-        fast = Simulator(config, backend="fast").run(trace).to_flat()
+        fast = simulator.run(trace).to_flat()
         assert reference == fast
+        assert fast["icache_kinds"].get("sawp_correct")  # the plugin's SAWP predicted
     finally:
-        unregister_policy("fallback_fetch", side="icache")
+        unregister_policy("plugin_fetch", side="icache")
 
 
 def test_fast_backend_selects_fast_core_path():

@@ -4,8 +4,8 @@ The differential suite (``test_differential.py``) explores random
 traces; this module pins the acceptance contract on *golden* traces —
 the deterministic synthetic benchmarks the experiments actually run —
 for every registered policy kind, and unit-tests the encoding layer,
-the kernel registry, the runner integration, and the plugin-fallback
-path.
+the kernel registry, the runner integration, and plugin policies on the
+fast engines.
 """
 
 from __future__ import annotations
@@ -13,11 +13,15 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.core.engine import DCacheEngine
-from repro.core.policy import DCachePolicy, MODE_PARALLEL, ProbePlan
+from repro.core.policy import (
+    DCachePolicy,
+    MODE_PARALLEL,
+    MODE_SEQUENTIAL,
+    MODE_SINGLE,
+    ProbePlan,
+)
 from repro.core.registry import iter_policies, register_policy, unregister_policy
-from repro.fastsim import FastBackendUnsupported, FastDCacheEngine, fast_dcache_kinds
-from repro.fastsim.kernels import make_dcache_kernel
+from repro.fastsim import FastDCacheEngine, FastICacheEngine, fast_dcache_kinds
 from repro.fastsim.missrate import fast_miss_rate
 from repro.sim import runner
 from repro.sim.config import CacheLevelConfig, SystemConfig
@@ -77,43 +81,71 @@ def test_json_serialization_identical_across_backends():
 
 
 def test_fast_kernels_cover_every_builtin_kind():
-    """The kernel registry tracks the policy registry's d-cache side.
+    """The inlined kernels cover exactly the static d-cache kinds.
 
-    Dynamic kinds are excluded by design: they fall back to the
-    reference engine so the interval driver can reach the live policy
-    instance (and byte-identity across backends comes for free).
+    Dynamic kinds run through the adapter kernel instead, so the
+    interval driver reaches the live policy instance on both tiers.
     """
     assert set(fast_dcache_kinds()) == {
         info.kind for info in iter_policies("dcache") if not info.dynamic
     }
 
 
-def test_unknown_kind_raises_fast_backend_unsupported():
-    with pytest.raises(FastBackendUnsupported):
-        make_dcache_kernel("nonesuch", {}, CacheGeometry(1024, 2, 32).fields)
+def test_plugin_policy_runs_on_fast_engine():
+    """A registered plugin kind without an inlined kernel runs on the
+    fast d-cache engine through the adapter kernel and matches the
+    reference engine.  The plugin exercises every hook: single-way
+    plans with ``way=None`` and a fixed way, table reads, training
+    writes, forced placement, and victim-list evictions."""
 
+    @register_policy("hook_probe", side="dcache", label="Hook probe")
+    class HookProbePolicy(DCachePolicy):
+        name = "hook_probe"
+        uses_victim_list = True
 
-def test_plugin_policy_falls_back_to_reference_engine():
-    """A registered plugin kind without a fast kernel still simulates
-    (the fast backend swaps in the reference engine for that side)."""
-
-    @register_policy("fallback_probe", side="dcache", label="Fallback probe")
-    class FallbackProbePolicy(DCachePolicy):
-        name = "fallback_probe"
+        def __init__(self):
+            self.evicted = set()
 
         def plan_load(self, pc, addr, xor_handle):
-            return ProbePlan(mode=MODE_PARALLEL, kind="parallel")
+            choice = (pc >> 2) % 4
+            if choice == 0:
+                return ProbePlan(mode=MODE_SINGLE, kind="direct_mapped", table_reads=1)
+            if choice == 1:
+                return ProbePlan(mode=MODE_SINGLE, way=1, kind="way_predicted",
+                                 table_reads=2)
+            if choice == 2:
+                return ProbePlan(mode=MODE_SEQUENTIAL, kind="sequential")
+            return ProbePlan(mode=MODE_PARALLEL, kind="parallel", table_reads=1)
+
+        def observe_load(self, pc, addr, xor_handle, plan, resident_way,
+                         final_way, dm_way):
+            return 1 if plan.mode == MODE_SINGLE and resident_way != dm_way else 0
+
+        def placement_way(self, addr, fields):
+            if fields.block_address(addr) in self.evicted:
+                return None, False
+            return fields.direct_mapped_way(addr), True
+
+        def on_eviction(self, block_addr):
+            self.evicted.add(block_addr)
+            return 1
 
     try:
-        config = SMALL.with_dcache_policy("fallback_probe")
+        config = SMALL.with_dcache_policy("hook_probe")
         simulator = Simulator(config, backend="fast")
-        assert isinstance(simulator.dcache, DCacheEngine)
+        assert isinstance(simulator.dcache, FastDCacheEngine)
         trace = generate_trace("gcc", 2_000, 0)
         reference = Simulator(config).run(trace).to_flat()
-        fast = Simulator(config, backend="fast").run(trace).to_flat()
+        fast = simulator.run(trace).to_flat()
         assert reference == fast
+        # The premises: every plan shape ran, and evictions were noted.
+        assert set(fast["dcache_kinds"]) == {
+            "direct_mapped", "way_predicted", "mispredicted", "sequential",
+            "parallel",
+        }
+        assert simulator.dcache.policy.evicted
     finally:
-        unregister_policy("fallback_probe", side="dcache")
+        unregister_policy("hook_probe", side="dcache")
 
 
 def test_simulator_rejects_unknown_backend():
@@ -123,9 +155,21 @@ def test_simulator_rejects_unknown_backend():
         runner.execute("gcc", SystemConfig(), 2_000, backend="warp")
 
 
-def test_fast_backend_uses_fast_engines():
-    simulator = Simulator(SMALL, backend="fast")
+@pytest.mark.parametrize(
+    "side, kind",
+    [(info.side, info.kind) for info in iter_policies()],
+    ids=lambda value: value,
+)
+def test_fast_backend_uses_fast_engines(side, kind):
+    """One engine class per cache side: every registered kind, dynamic
+    ones included, runs on the fast engines."""
+    if side == "dcache":
+        config = SMALL.with_dcache_policy(kind)
+    else:
+        config = SMALL.with_icache_policy(kind)
+    simulator = Simulator(config, backend="fast")
     assert isinstance(simulator.dcache, FastDCacheEngine)
+    assert isinstance(simulator.icache, FastICacheEngine)
     assert simulator.backend == "fast"
 
 
