@@ -4,6 +4,10 @@ The paper's Table 1 system: 1MB 8-way L2 with 12-cycle latency, and main
 memory at 80 cycles plus 4 cycles per 8 bytes transferred.  L2 accesses
 are conventional (the energy techniques apply only to L1), so the L2 is a
 plain set-associative cache with fixed latency and per-access energy.
+
+This is the reference tier's L2.  The fast tier runs its array-state
+counterpart, :class:`~repro.fastsim.l2.FastL2`, which answers the same
+three :class:`MemoryHierarchy` calls with equal latencies and counts.
 """
 
 from __future__ import annotations

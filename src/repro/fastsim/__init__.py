@@ -14,9 +14,10 @@ backend tiers:
   (:mod:`repro.fastsim.dcache`, :mod:`repro.fastsim.icache`) for every
   registered policy — inlined kernels for the paper's static d-cache
   kinds, one adapter kernel over the policy object for dynamic kinds
-  and plugins — driven by the array-state out-of-order core and fetch
-  unit (:mod:`repro.fastsim.core`, :mod:`repro.fastsim.fetch`) with
-  the table-state branch predictors of :mod:`repro.fastsim.predictors`,
+  and plugins — over an array-state L2 (:mod:`repro.fastsim.l2`),
+  driven by the array-state out-of-order core and fetch unit
+  (:mod:`repro.fastsim.core`, :mod:`repro.fastsim.fetch`) with the
+  table-state branch predictors of :mod:`repro.fastsim.predictors`,
   so ``mode="sim"`` runs batched end to end.
 * ``"vector"`` — the numpy kernel tier (:mod:`repro.fastsim.vector`)
   for functional miss-rate runs: direct-mapped and LRU replays become
@@ -42,6 +43,7 @@ from repro.fastsim.dcache import FastDCacheEngine
 from repro.fastsim.fetch import FastFetchUnit
 from repro.fastsim.icache import FastICacheEngine
 from repro.fastsim.kernels import fast_dcache_kinds
+from repro.fastsim.l2 import FastL2
 from repro.fastsim.missrate import fast_miss_rate
 from repro.fastsim.predictors import (
     FastBranchTargetBuffer,
@@ -62,6 +64,7 @@ __all__ = [
     "FastFetchUnit",
     "FastHybridPredictor",
     "FastICacheEngine",
+    "FastL2",
     "FastReturnAddressStack",
     "fast_dcache_kinds",
     "fast_miss_rate",

@@ -24,7 +24,13 @@ the per-cycle cost is list indexing instead of object-graph traversal:
   ``done``, the consumer provably cannot issue before ``done`` (a
   producer's ``done`` never changes after issue), so re-scans until
   then are a single compare instead of a full dependency check —
-  pure scan-cost elision, never a scheduling change;
+  pure scan-cost elision, never a scheduling change.  An entry whose
+  in-window producer has not issued is *parked* on that producer's ROB
+  slot instead; when the producer issues, its parked consumers rejoin
+  the list in sequence order with its completion cycle as their wake
+  bound.  No decision changes: the older producer is scanned first, a
+  parked entry cannot issue before its producer completes, and a
+  producer cannot commit (freeing its slot) before it issues;
 * fetched instructions arrive as packed ints through the deques of
   :class:`~repro.fastsim.fetch.FastFetchUnit` instead of
   ``FetchedInstr`` objects.
@@ -124,8 +130,11 @@ class FastCore:
         lsq_count = 0
         # Rename map: architectural register -> youngest producer sequence.
         rename = [-1] * 64
-        # Unissued sequences, oldest first.
+        # Unissued sequences, oldest first, except those parked in
+        # ``waiters[slot]`` on the unissued producer in ``slot``.
         pending = []
+        waiters = [[] for _ in range(rob_size)]
+        woken = []
 
         committed_total = 0
         issued_total = 0
@@ -188,8 +197,7 @@ class FastCore:
                     if src >= head:  # in-window producer: check readiness
                         src_slot = src % rob_size
                         if not r_issued[src_slot]:
-                            pending[keep] = item
-                            keep += 1
+                            waiters[src_slot].append(seq)  # park
                             continue
                         done = r_done[src_slot]
                         if done > cycle:
@@ -200,8 +208,7 @@ class FastCore:
                     if src >= head:
                         src_slot = src % rob_size
                         if not r_issued[src_slot]:
-                            pending[keep] = item
-                            keep += 1
+                            waiters[src_slot].append(seq)
                             continue
                         done = r_done[src_slot]
                         if done > cycle:
@@ -239,7 +246,17 @@ class FastCore:
                     if r_resolves[slot]:
                         resume(done + redirect_penalty)
                     issued += 1
+                    parked = waiters[slot]
+                    if parked:
+                        woken += [(waiter << _WAKE_BITS) | done for waiter in parked]
+                        parked.clear()
                 del pending[keep:]
+                if woken:
+                    # Woken entries cannot issue before ``done`` > cycle,
+                    # so rejoining after this scan changes no decision.
+                    pending += woken
+                    pending.sort()
+                    woken.clear()
                 issued_total += issued
 
             # ---- dispatch: fetch queue -> ROB/LSQ ---- #

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.replacement import make_replacement
 from repro.cache.stats import CacheStats
 from repro.core.factory import build_dcache_policy
@@ -35,6 +34,7 @@ from repro.fastsim.kernels import (
     MODE_SEQUENTIAL,
     policy_kernel,
 )
+from repro.fastsim.l2 import FastL2
 from repro.utils.bitops import bit_mask
 
 
@@ -44,7 +44,9 @@ class FastDCacheEngine:
     Args:
         geometry: L1 geometry.
         spec: the d-cache policy spec (any registered kind).
-        hierarchy: backing L2 + memory (shared with the i-cache).
+        hierarchy: backing L2 + memory, shared with the i-cache: the
+            fast tier's :class:`~repro.fastsim.l2.FastL2` (a
+            ``MemoryHierarchy`` answers the same three calls).
         energy: per-event energies for this geometry.
         pred_energy: energies of the prediction structures.
         ledger: energy accumulation target (see :meth:`flush_energy`).
@@ -62,7 +64,7 @@ class FastDCacheEngine:
         self,
         geometry: CacheGeometry,
         spec: PolicySpec,
-        hierarchy: MemoryHierarchy,
+        hierarchy: FastL2,
         energy: CacheEnergyModel,
         pred_energy: PredictionStructureEnergy,
         ledger: EnergyLedger,

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.replacement import make_replacement
 from repro.cache.stats import CacheStats
 from repro.core.icache import SOURCE_BTB, SOURCE_NONE, SOURCE_RAS, SOURCE_SAWP
@@ -28,6 +27,7 @@ from repro.core.kinds import (
 from repro.energy.cactilite import CacheEnergyModel
 from repro.energy.ledger import EnergyLedger
 from repro.energy.tables import PredictionStructureEnergy
+from repro.fastsim.l2 import FastL2
 from repro.utils.bitops import bit_mask
 
 #: Correct-prediction kind per source (the paper groups BTB and RAS).
@@ -41,7 +41,9 @@ _CORRECT_KIND = {
 class FastICacheEngine:
     """L1 instruction cache: flat arrays + the fetch policy's predictor.
 
-    Takes the same arguments as ``ICacheEngine``.
+    Takes the same arguments as ``ICacheEngine``, except that
+    ``hierarchy`` is the fast tier's :class:`~repro.fastsim.l2.FastL2`
+    (any object with the L2's ``fetch_block`` serves).
     """
 
     ENERGY_COMPONENT = "l1_icache"
@@ -50,7 +52,7 @@ class FastICacheEngine:
     def __init__(
         self,
         geometry: CacheGeometry,
-        hierarchy: MemoryHierarchy,
+        hierarchy: FastL2,
         energy: CacheEnergyModel,
         pred_energy: PredictionStructureEnergy,
         ledger: EnergyLedger,

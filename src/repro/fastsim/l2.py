@@ -1,0 +1,118 @@
+"""Array-state unified L2 for the fast backend.
+
+Counterpart of :class:`~repro.cache.hierarchy.L2Cache`: it takes the
+same inputs and answers the three :class:`~repro.cache.hierarchy.MemoryHierarchy`
+calls the L1 engines make with the same latencies and the same
+:class:`~repro.cache.stats.CacheStats` counts, but keeps each set as a
+plain list, materialized on first touch, and builds no result records.
+LRU, the paper's default, keeps a set's resident blocks MRU-first: by
+the LRU stack property its resident sets and victims equal those of
+the reference's way slots.  Every other replacement name keeps way
+slots driven by the real per-set policy objects, filling the lowest
+invalid way first as ``CacheSet`` does, so victims (``random``'s
+stream included) match.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from repro.cache.geometry import CacheGeometry
+from repro.cache.hierarchy import MainMemory
+from repro.cache.replacement import make_replacement
+from repro.cache.stats import CacheStats
+from repro.utils.bitops import bit_mask
+
+
+class FastL2:
+    """Unified write-back/write-allocate L2 over flat per-set state.
+
+    Takes ``L2Cache``'s arguments; an unknown replacement name raises
+    ``ValueError`` here, as it does there.
+    """
+
+    def __init__(
+        self,
+        geometry: CacheGeometry,
+        latency: int = 12,
+        memory: Optional[MainMemory] = None,
+        replacement: str = "lru",
+    ) -> None:
+        make_replacement(replacement, geometry.associativity)  # validate
+        memory = memory if memory is not None else MainMemory()
+        self.geometry = geometry
+        self.latency = latency
+        self.stats = CacheStats()
+        self._miss_latency = latency + memory.access_latency(geometry.block_bytes)
+        self._offset_bits = geometry.fields.offset_bits
+        self._set_mask = bit_mask(geometry.fields.index_bits)
+        self._assoc = geometry.associativity
+        self._replacement = replacement
+        self._sets = {}
+        self._dirty = set()  # block numbers of dirty resident blocks
+
+    def fetch_block(self, addr: int) -> int:
+        """Fetch a block for an L1 miss; returns added latency in cycles."""
+        stats = self.stats
+        stats.loads += 1
+        stats.tag_probes += 1
+        if self._access(addr >> self._offset_bits):
+            stats.load_hits += 1
+            stats.data_way_reads += 1
+            return self.latency
+        stats.data_way_writes += 1
+        return self._miss_latency
+
+    def store_block(self, addr: int) -> int:
+        """Handle an L1 store miss (write-allocate): fetch for ownership."""
+        stats = self.stats
+        stats.stores += 1
+        stats.tag_probes += 1
+        block = addr >> self._offset_bits
+        hit = self._access(block)
+        self._dirty.add(block)
+        stats.data_way_writes += 1
+        if hit:
+            stats.store_hits += 1
+            return self.latency
+        return self._miss_latency
+
+    def absorb_writeback(self, addr: int) -> None:
+        """Accept a dirty L1 victim: counted exactly like a store."""
+        self.store_block(addr)
+
+    def _access(self, block: int) -> bool:
+        """Touch ``block`` if resident, else fill it; True on a hit."""
+        index = block & self._set_mask
+        state = self._sets.get(index)
+        if self._replacement == "lru":
+            if state is None:
+                state = self._sets[index] = []
+            if block in state:
+                state.remove(block)
+                state.insert(0, block)
+                return True
+            if len(state) == self._assoc:
+                self._evict(state.pop())
+            state.insert(0, block)
+        else:
+            if state is None:
+                policy = make_replacement(self._replacement, self._assoc)
+                state = self._sets[index] = ([-1] * self._assoc, policy)
+            tags, policy = state
+            if block in tags:
+                policy.touch(tags.index(block))
+                return True
+            way = tags.index(-1) if -1 in tags else policy.victim()
+            if tags[way] != -1:
+                self._evict(tags[way])
+            tags[way] = block
+            policy.fill(way)
+        self.stats.fills += 1
+        return False
+
+    def _evict(self, block: int) -> None:
+        self.stats.evictions += 1
+        if block in self._dirty:
+            self._dirty.remove(block)
+            self.stats.writebacks += 1

@@ -1,12 +1,15 @@
 """The simulator: builds a system from a config and runs one trace.
 
-Two interchangeable backends build the L1 engines, one engine class
-per backend and cache side:
+Two interchangeable backends build the caches, one class per backend
+and cache side, the unified L2 included:
 
 * ``"reference"`` — the per-access object-dispatch engines
   (:class:`~repro.core.engine.DCacheEngine`,
-  :class:`~repro.core.icache.ICacheEngine`);
-* ``"fast"`` — the array-state engines (:mod:`repro.fastsim`),
+  :class:`~repro.core.icache.ICacheEngine`) over
+  :class:`~repro.cache.hierarchy.L2Cache` behind a
+  :class:`~repro.cache.hierarchy.MemoryHierarchy`;
+* ``"fast"`` — the array-state engines (:mod:`repro.fastsim`) over
+  :class:`~repro.fastsim.l2.FastL2`, which they call directly,
   byte-identical by contract (enforced by the differential suite).
   They host every registered policy: the paper's static d-cache kinds
   run inlined kernels, while dynamic kinds and plugins drive the policy
@@ -35,7 +38,7 @@ from repro.core.engine import DCacheEngine
 from repro.core.factory import build_dcache_policy, build_icache_policy
 from repro.core.icache import ICacheEngine
 from repro.core.interval import IntervalStats, is_dynamic_policy
-from repro.fastsim import FastCore, FastDCacheEngine, FastFetchUnit, FastICacheEngine
+from repro.fastsim import FastCore, FastDCacheEngine, FastFetchUnit, FastICacheEngine, FastL2
 from repro.cpu.fetch import FetchUnit
 from repro.cpu.ooo import OutOfOrderCore
 from repro.cpu.stats import CoreStats
@@ -169,13 +172,18 @@ class Simulator:
             cycles_per_chunk=config.memory_cycles_per_chunk,
             chunk_bytes=config.memory_chunk_bytes,
         )
-        self.l2 = L2Cache(
+        l2_args = dict(
             geometry=config.l2.geometry(),
             latency=config.l2.latency,
             memory=memory,
             replacement=config.replacement,
         )
-        hierarchy = MemoryHierarchy(self.l2)
+        if backend == "reference":
+            self.l2 = L2Cache(**l2_args)
+            hierarchy = MemoryHierarchy(self.l2)
+        else:
+            # The fast L2 answers the engines' three hierarchy calls itself.
+            self.l2 = hierarchy = FastL2(**l2_args)
         self._l2_energy_model = cacti.energy_model(config.l2.geometry())
 
         # Prediction-structure energies sized from the policy specs

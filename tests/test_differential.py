@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
@@ -145,6 +145,47 @@ def traces(draw) -> Trace:
     return Trace("hypothesis", instrs)
 
 
+def straight_line(name: str, rows) -> Trace:
+    """A branch-free trace of ``(op, dst, src1, src2, addr)`` rows."""
+    return Trace(name, [
+        Instr(0x1000 + 4 * i, op, dst=dst, src1=src1, src2=src2, addr=addr,
+              xor_handle=addr >> 5)
+        for i, (op, dst, src1, src2, addr) in enumerate(rows)
+    ])
+
+
+#: Hand-built traces for the fast core's parked-consumer paths (an
+#: entry whose producer has not issued waits on that producer's list).
+#: The consumer (row 4) parks on its src1 producer, wakes when that
+#: issues, then parks again on its src2 producer, which still waits on
+#: a load that misses to memory.
+PARK_TWICE = straight_line("park-twice", [
+    (OP_LOAD, 1, -1, -1, 0x4000),
+    (OP_INT, 2, 1, -1, 0),
+    (OP_FP, 5, -1, -1, 0),
+    (OP_INT, 3, 5, -1, 0),
+    (OP_INT, 6, 3, 2, 0),
+    (OP_INT, 7, 6, -1, 0),
+])
+#: Each load's address register comes from the previous load.
+POINTER_CHASE = straight_line("pointer-chase", [
+    (OP_LOAD, 1, 1, -1, addr)
+    for addr in (0x4000, 0x4800, 0x4000, 0x5000, 0x4800, 0x6000)
+] + [(OP_INT, 2, 1, -1, 0), (OP_STORE, -1, 2, -1, 0x4000)])
+#: A load misses to memory ahead of a two-level dependency chain, so the
+#: idle skip runs while the chain's second level and its users are parked.
+#: Row 3 is a younger sibling of the first level; on a single-issue core
+#: the woken second level, a slow FP op, must still issue before it.
+MISS_THEN_CHAIN = straight_line("miss-then-chain", [
+    (OP_LOAD, 1, -1, -1, 0x4000),
+    (OP_INT, 2, 1, -1, 0),
+    (OP_FP, 3, 2, -1, 0),
+    (OP_INT, 4, 1, -1, 0),
+    (OP_FP, 5, 3, -1, 0),
+    (OP_FP, 6, 5, 4, 0),
+])
+
+
 def assert_backends_identical(config: SystemConfig, trace: Trace) -> None:
     """Run both backends over one trace; assert to_flat() equality."""
     reference = Simulator(config, backend="reference").run(trace).to_flat()
@@ -205,6 +246,9 @@ CORE_SHAPES = {
 @pytest.mark.parametrize("shape", sorted(CORE_SHAPES))
 @settings(max_examples=8)
 @given(trace=traces())
+@example(trace=PARK_TWICE)
+@example(trace=POINTER_CHASE)
+@example(trace=MISS_THEN_CHAIN)
 def test_core_shapes_identical(shape, trace):
     """The fast core is cycle-exact under starved pipeline shapes too."""
     config = dataclasses.replace(
@@ -217,6 +261,9 @@ def test_core_shapes_identical(shape, trace):
 @pytest.mark.parametrize("shape", ["paper", "tiny_window", "deep_redirect"])
 @settings(max_examples=8)
 @given(trace=traces())
+@example(trace=PARK_TWICE)
+@example(trace=POINTER_CHASE)
+@example(trace=MISS_THEN_CHAIN)
 def test_core_stats_identical(shape, trace):
     """Every CoreStats field matches — including the purely diagnostic
     ones (fetch/ROB/LSQ stall counters, RAS mispredicts, BTB misses)

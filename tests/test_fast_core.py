@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.hierarchy import L2Cache
 from repro.cpu.config import CoreConfig
 from repro.cpu.ooo import _DEADLOCK_FLOOR, deadlock_limit
 from repro.fastsim import FastCore, FastFetchUnit
@@ -274,7 +275,8 @@ def test_fast_core_drives_plugin_icache_policy():
 
 
 def test_fast_backend_selects_fast_core_path():
-    """backend='fast' must not instantiate the reference pipeline."""
+    """backend='fast' must not instantiate the reference pipeline, and
+    the reference tier keeps the object-graph L2 as the oracle."""
     import repro.sim.simulator as simulator_module
 
     trace = generate_trace("gcc", 1_500, 0)
@@ -290,7 +292,9 @@ def test_fast_backend_selects_fast_core_path():
         result["fast"] = Simulator(SMALL, backend="fast").run(trace)
     finally:
         simulator_module.OutOfOrderCore = original
-    result["reference"] = Simulator(SMALL, backend="reference").run(trace)
+    reference = Simulator(SMALL, backend="reference")
+    assert isinstance(reference.l2, L2Cache)
+    result["reference"] = reference.run(trace)
     assert result["fast"].to_flat() == result["reference"].to_flat()
 
 

@@ -21,7 +21,7 @@ from repro.core.policy import (
     ProbePlan,
 )
 from repro.core.registry import iter_policies, register_policy, unregister_policy
-from repro.fastsim import FastDCacheEngine, FastICacheEngine, fast_dcache_kinds
+from repro.fastsim import FastDCacheEngine, FastICacheEngine, FastL2, fast_dcache_kinds
 from repro.fastsim.missrate import fast_miss_rate
 from repro.sim import runner
 from repro.sim.config import CacheLevelConfig, SystemConfig
@@ -162,7 +162,7 @@ def test_simulator_rejects_unknown_backend():
 )
 def test_fast_backend_uses_fast_engines(side, kind):
     """One engine class per cache side: every registered kind, dynamic
-    ones included, runs on the fast engines."""
+    ones included, runs on the fast engines over the fast L2."""
     if side == "dcache":
         config = SMALL.with_dcache_policy(kind)
     else:
@@ -170,6 +170,9 @@ def test_fast_backend_uses_fast_engines(side, kind):
     simulator = Simulator(config, backend="fast")
     assert isinstance(simulator.dcache, FastDCacheEngine)
     assert isinstance(simulator.icache, FastICacheEngine)
+    assert isinstance(simulator.l2, FastL2)
+    assert simulator.dcache.hierarchy is simulator.l2
+    assert simulator.icache.hierarchy is simulator.l2
     assert simulator.backend == "fast"
 
 

@@ -1,8 +1,13 @@
 """L2 cache and memory hierarchy tests."""
 
+import dataclasses
+import random
+
+import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import L2Cache, MainMemory, MemoryHierarchy
+from repro.fastsim.l2 import FastL2
 
 
 class TestMainMemory:
@@ -58,3 +63,46 @@ class TestMemoryHierarchy:
         hierarchy = MemoryHierarchy(L2Cache(CacheGeometry(4096, 8, 32)))
         hierarchy.absorb_writeback(0x300)
         assert hierarchy.l2.array.contains(0x300)
+
+
+#: The paper's L2 (4,096 sets, so the reference builds its sets lazily)
+#: and a 4 KB 4-way one.
+L2_GEOMETRIES = {
+    "paper": CacheGeometry(1024 * 1024, 8, 32),
+    "4k": CacheGeometry(4096, 4, 32),
+}
+
+
+class TestFastL2:
+    """The fast tier's L2 against the reference ``L2Cache``."""
+
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "random", "plru"])
+    @pytest.mark.parametrize("name", sorted(L2_GEOMETRIES))
+    def test_matches_reference(self, name, replacement):
+        geometry = L2_GEOMETRIES[name]
+        memory = MainMemory(base_latency=60, cycles_per_chunk=2, chunk_bytes=16)
+        reference = MemoryHierarchy(
+            L2Cache(geometry, latency=9, memory=memory, replacement=replacement)
+        )
+        fast = FastL2(geometry, latency=9, memory=memory, replacement=replacement)
+        rng = random.Random(f"{name}-{replacement}")
+        # Three times as many blocks as ways in each of four sets: conflicts.
+        sets = rng.sample(range(geometry.num_sets), 4)
+        pool = [
+            (tag * geometry.num_sets + index) * geometry.block_bytes
+            for tag in range(3 * geometry.associativity)
+            for index in sets
+        ]
+        calls = ("fetch_block", "store_block", "absorb_writeback")
+        for _ in range(2_000):
+            call = rng.choice(calls)
+            addr = rng.choice(pool) + rng.randrange(geometry.block_bytes)
+            assert getattr(fast, call)(addr) == getattr(reference, call)(addr), call
+        assert dataclasses.asdict(fast.stats) == dataclasses.asdict(reference.l2.stats)
+        # The premises: the stream evicted blocks and wrote dirty ones back.
+        assert fast.stats.evictions > 0
+        assert fast.stats.writebacks > 0
+
+    def test_rejects_unknown_replacement(self):
+        with pytest.raises(ValueError, match="unknown replacement"):
+            FastL2(CacheGeometry(4096, 4, 32), replacement="mru")

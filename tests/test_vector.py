@@ -333,11 +333,12 @@ class TestRunnerIntegration:
         assert reference.to_flat() == vector.to_flat()
 
     def test_simulator_builds_fast_engines_for_vector(self):
-        from repro.fastsim import FastDCacheEngine, FastICacheEngine
+        from repro.fastsim import FastDCacheEngine, FastICacheEngine, FastL2
 
         simulator = Simulator(self.CONFIG, backend="vector")
         assert isinstance(simulator.dcache, FastDCacheEngine)
         assert isinstance(simulator.icache, FastICacheEngine)
+        assert isinstance(simulator.l2, FastL2)
 
     def test_cache_key_tracks_the_resolved_tier(self, monkeypatch):
         args = ("gcc", self.CONFIG, 6_000)
