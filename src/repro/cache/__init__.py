@@ -1,7 +1,7 @@
 """Set-associative cache substrate.
 
 This package models the storage arrays the paper's techniques operate on:
-geometry/address decomposition, per-set replacement state, the
+geometry/address decomposition, per-set LRU order, the
 set-associative tag/data arrays, and the backing hierarchy (L2 + main
 memory).  It deliberately knows nothing about *probe scheduling* — which
 ways get read, in what order, at what energy — because that is the
@@ -11,14 +11,6 @@ paper's contribution and lives in :mod:`repro.core`.
 from repro.cache.block import CacheBlock
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import L2Cache, MainMemory, MemoryHierarchy
-from repro.cache.replacement import (
-    FifoReplacement,
-    LruReplacement,
-    PlruTreeReplacement,
-    RandomReplacement,
-    ReplacementPolicy,
-    make_replacement,
-)
 from repro.cache.cacheset import CacheSet
 from repro.cache.sram import EvictionRecord, FillResult, SetAssociativeCache
 from repro.cache.stats import CacheStats
@@ -29,15 +21,9 @@ __all__ = [
     "CacheSet",
     "CacheStats",
     "EvictionRecord",
-    "FifoReplacement",
     "FillResult",
     "L2Cache",
-    "LruReplacement",
     "MainMemory",
     "MemoryHierarchy",
-    "PlruTreeReplacement",
-    "RandomReplacement",
-    "ReplacementPolicy",
     "SetAssociativeCache",
-    "make_replacement",
 ]

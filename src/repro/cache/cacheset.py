@@ -1,26 +1,28 @@
-"""One cache set: N ways plus replacement state."""
+"""One cache set: N ways plus their LRU order."""
 
 from __future__ import annotations
 
 from typing import List, Optional
 
 from repro.cache.block import CacheBlock
-from repro.cache.replacement import ReplacementPolicy
 
 
 class CacheSet:
-    """A set of ``associativity`` blocks sharing one replacement policy.
+    """A set of ``associativity`` blocks under true LRU, the paper's
+    replacement policy.
 
-    The set exposes primitive operations (find, choose victim, install);
+    ``order`` lists the ways MRU-first: a reference (hit or fill) moves
+    a way to the front, and a full set evicts the tail.  The set
+    exposes primitive operations (find, choose victim, install);
     hit/miss accounting and probe-energy accounting happen above this
     layer.
     """
 
-    __slots__ = ("ways", "replacement")
+    __slots__ = ("ways", "order")
 
-    def __init__(self, associativity: int, replacement: ReplacementPolicy) -> None:
+    def __init__(self, associativity: int) -> None:
         self.ways: List[CacheBlock] = [CacheBlock() for _ in range(associativity)]
-        self.replacement = replacement
+        self.order: List[int] = list(range(associativity))
 
     def find(self, block_addr: int) -> Optional[int]:
         """Return the way holding ``block_addr`` or None (no state change)."""
@@ -37,19 +39,20 @@ class CacheSet:
         return None
 
     def choose_victim(self) -> int:
-        """Return the way a fill should use: an invalid way, else the
-        replacement policy's victim."""
+        """Return the way a fill should use: the lowest invalid way,
+        else the least recently used one."""
         way = self.invalid_way()
         if way is not None:
             return way
-        return self.replacement.victim()
+        return self.order[-1]
 
     def touch(self, way: int) -> None:
-        """Record a reference to ``way`` for replacement."""
-        self.replacement.touch(way)
+        """Record a reference to ``way``: it becomes the MRU way."""
+        self.order.remove(way)
+        self.order.insert(0, way)
 
     def install(self, way: int, block_addr: int, dm_placed: bool) -> Optional[CacheBlock]:
-        """Install ``block_addr`` into ``way``.
+        """Install ``block_addr`` into ``way``; the fill counts as a use.
 
         Returns:
             A copy-like reference to the evicted block's prior state as a
@@ -64,7 +67,7 @@ class CacheSet:
             evicted.dirty = block.dirty
             evicted.dm_placed = block.dm_placed
         block.load(block_addr, dm_placed=dm_placed)
-        self.replacement.fill(way)
+        self.touch(way)
         return evicted
 
     def valid_count(self) -> int:

@@ -55,12 +55,11 @@ class L2Cache:
         geometry: CacheGeometry,
         latency: int = 12,
         memory: Optional[MainMemory] = None,
-        replacement: str = "lru",
     ) -> None:
         self.geometry = geometry
         self.latency = latency
         self.memory = memory if memory is not None else MainMemory()
-        self.array = SetAssociativeCache(geometry, replacement=replacement, name="L2")
+        self.array = SetAssociativeCache(geometry, name="L2")
         self.stats = CacheStats()
 
     def access(self, addr: int, is_store: bool = False) -> L2AccessResult:

@@ -13,7 +13,6 @@ from typing import List, Optional
 
 from repro.cache.cacheset import CacheSet
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import make_replacement
 
 
 @dataclass(frozen=True)
@@ -48,32 +47,24 @@ class FillResult:
 class _LazySets(list):
     """Set list materializing each :class:`CacheSet` on first access.
 
-    Safe because per-set state is fully independent — including random
-    replacement, whose :class:`~repro.utils.rng.DeterministicRng` is
-    self-seeded per instance, so creation *order* never influences any
-    stream.  Used for large arrays (the 4096-set L2) where building
-    every set up front dominates simulator construction while a typical
-    run touches a fraction of them.
+    Safe because per-set state is fully independent, so creation
+    *order* never influences any result.  Used for large arrays (the
+    4096-set L2) where building every set up front dominates simulator
+    construction while a typical run touches a fraction of them.
     """
 
-    __slots__ = ("_associativity", "_replacement")
+    __slots__ = ("_associativity",)
 
-    def __init__(self, num_sets: int, associativity: int, replacement: str) -> None:
+    def __init__(self, num_sets: int, associativity: int) -> None:
         super().__init__([None] * num_sets)
         self._associativity = associativity
-        self._replacement = replacement
-        # Validate the replacement name eagerly, exactly like the eager
-        # list comprehension would (unknown names must raise at build).
-        make_replacement(replacement, associativity)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         cache_set = list.__getitem__(self, index)
         if cache_set is None:
-            cache_set = CacheSet(
-                self._associativity, make_replacement(self._replacement, self._associativity)
-            )
+            cache_set = CacheSet(self._associativity)
             list.__setitem__(self, index, cache_set)
         return cache_set
 
@@ -93,23 +84,17 @@ class SetAssociativeCache:
     decomposition is applied internally.
     """
 
-    def __init__(self, geometry: CacheGeometry, replacement: str = "lru", name: str = "") -> None:
+    def __init__(self, geometry: CacheGeometry, name: str = "") -> None:
         self.geometry = geometry
         self.fields = geometry.fields
         self.name = name or geometry.describe()
-        self.replacement_name = replacement
-        self.sets = self._build_sets(geometry, replacement)
+        self.sets = self._build_sets(geometry)
 
     @staticmethod
-    def _build_sets(geometry: CacheGeometry, replacement: str) -> List[CacheSet]:
+    def _build_sets(geometry: CacheGeometry) -> List[CacheSet]:
         if geometry.num_sets >= _LAZY_SETS_THRESHOLD:
-            return _LazySets(geometry.num_sets, geometry.associativity, replacement)
-        return [
-            CacheSet(
-                geometry.associativity, make_replacement(replacement, geometry.associativity)
-            )
-            for _ in range(geometry.num_sets)
-        ]
+            return _LazySets(geometry.num_sets, geometry.associativity)
+        return [CacheSet(geometry.associativity) for _ in range(geometry.num_sets)]
 
     # ------------------------------------------------------------------ #
     # Runtime reconfiguration
@@ -119,7 +104,7 @@ class SetAssociativeCache:
         """Flush the array and rebuild it with ``new_geometry``.
 
         Invalidate-all semantics (see :mod:`repro.core.interval`): every
-        resident block is dropped and replacement state restarts fresh,
+        resident block is dropped and the LRU order restarts fresh,
         exactly as if the array had just been constructed — the property
         that keeps runtime resizing byte-identical across backend tiers.
         Statistics live above this layer and are untouched.
@@ -143,7 +128,7 @@ class SetAssociativeCache:
                     dirty.append(block.block_addr)
         self.geometry = new_geometry
         self.fields = new_geometry.fields
-        self.sets = self._build_sets(new_geometry, self.replacement_name)
+        self.sets = self._build_sets(new_geometry)
         return dirty
 
     # ------------------------------------------------------------------ #
@@ -153,7 +138,7 @@ class SetAssociativeCache:
     def probe(self, addr: int) -> Optional[int]:
         """Tag-array lookup: return the matching way or None.
 
-        Does not update replacement state; callers decide when a probe
+        Does not update the LRU order; callers decide when a probe
         counts as a use (e.g. the tag check of a selective-DM access that
         will be retried must still mark the block referenced exactly once).
         """
@@ -191,7 +176,7 @@ class SetAssociativeCache:
             addr: byte address being filled.
             way: forced placement way (selective-DM's direct-mapping
                 placement); when None the set picks an invalid way or the
-                replacement victim.
+                LRU victim.
             dm_placed: recorded on the block for later mapping-predictor
                 training.
 
@@ -251,4 +236,4 @@ class SetAssociativeCache:
         return sum(s.valid_count() for s in self.sets)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SetAssociativeCache({self.name}, {self.replacement_name})"
+        return f"SetAssociativeCache({self.name})"

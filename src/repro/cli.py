@@ -38,7 +38,7 @@ from typing import List, Optional
 
 from repro.core.registry import SIDES, iter_policies
 from repro.experiments.common import settings_from_env
-from repro.sim.runner import BACKENDS, RUN_MODES, run_benchmark
+from repro.sim.runner import BACKENDS, RUN_MODES, run_benchmark, trace_cache_capacity
 from repro.experiments.registry import (
     experiment_json,
     get_experiment,
@@ -144,10 +144,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(experiment_id)
         return 0
 
-    try:  # --jobs 0, or a bad $REPRO_JOBS/$REPRO_SCALE/$REPRO_INTERVAL
+    try:  # --jobs 0, or a bad $REPRO_JOBS/$REPRO_SCALE/$REPRO_INTERVAL/$REPRO_TRACE_CACHE
         jobs = args.jobs if args.jobs is not None else default_jobs()
         engine = SweepEngine(jobs=jobs)
         settings = settings_from_env()
+        trace_cache_capacity()
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2

@@ -91,7 +91,6 @@ class DCacheEngine:
         pred_energy: PredictionStructureEnergy,
         ledger: EnergyLedger,
         base_latency: int = 1,
-        replacement: str = "lru",
     ) -> None:
         self.geometry = geometry
         self.fields = geometry.fields
@@ -101,7 +100,7 @@ class DCacheEngine:
         self.pred_energy = pred_energy
         self.ledger = ledger
         self.base_latency = base_latency
-        self.array = SetAssociativeCache(geometry, replacement=replacement, name="L1D")
+        self.array = SetAssociativeCache(geometry, name="L1D")
         self.stats = CacheStats()
         #: When set (by the interval driver), loads/stores skip L1
         #: entirely and go straight to the hierarchy (forced misses).

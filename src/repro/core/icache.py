@@ -99,7 +99,6 @@ class ICacheEngine:
         ledger: EnergyLedger,
         base_latency: int = 1,
         policy: Optional[ICachePolicy] = None,
-        replacement: str = "lru",
     ) -> None:
         self.geometry = geometry
         self.fields = geometry.fields
@@ -110,7 +109,7 @@ class ICacheEngine:
         self.base_latency = base_latency
         self.policy = policy if policy is not None else WayPredictedFetchPolicy()
         self.way_predictor = self.policy.make_predictor()
-        self.array = SetAssociativeCache(geometry, replacement=replacement, name="L1I")
+        self.array = SetAssociativeCache(geometry, name="L1I")
         self.stats = CacheStats()
 
     @property

@@ -21,12 +21,10 @@ backend tiers:
   so ``mode="sim"`` runs batched end to end.
 * ``"vector"`` — the numpy kernel tier (:mod:`repro.fastsim.vector`)
   for functional miss-rate runs: direct-mapped and LRU replays become
-  whole-stream gather/scatter classification, tree-PLRU a
-  round-partitioned batched state advance.  ``backend="fast"``
+  whole-stream gather/scatter classification.  ``backend="fast"``
   auto-upgrades to it when numpy is importable (opt out with
-  ``REPRO_NO_VECTOR=1``); policies whose victims are object-driven
-  (``fifo``/``random``, plugins) and environments without numpy fall
-  back to the python kernels silently and losslessly.
+  ``REPRO_NO_VECTOR=1``); environments without numpy fall back to the
+  python kernels silently and losslessly.
 
 The fast backend's contract is *byte-identical results*: the same
 :class:`~repro.sim.functional.MissRateResult` and the same

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import make_replacement
 from repro.cache.stats import CacheStats
 from repro.core.factory import build_dcache_policy
 from repro.core.interval import validate_reconfigure
@@ -51,10 +50,6 @@ class FastDCacheEngine:
         pred_energy: energies of the prediction structures.
         ledger: energy accumulation target (see :meth:`flush_energy`).
         base_latency: hit latency in cycles.
-        replacement: replacement policy name; LRU runs inline, the
-            other registered names drive the real per-set policy
-            objects (identical victims, including ``random``'s
-            deterministic stream).
     """
 
     ENERGY_COMPONENT = "l1_dcache"
@@ -69,14 +64,12 @@ class FastDCacheEngine:
         pred_energy: PredictionStructureEnergy,
         ledger: EnergyLedger,
         base_latency: int = 1,
-        replacement: str = "lru",
     ) -> None:
         self.hierarchy = hierarchy
         self.pred_energy = pred_energy
         self.ledger = ledger
         self.base_latency = base_latency
         self.stats = CacheStats()
-        self._replacement = replacement
         self._build(geometry, energy)
 
         # ``policy`` is the object behind the adapter kernel (dynamic
@@ -120,12 +113,8 @@ class FastDCacheEngine:
         num_sets = geometry.num_sets
         self._tags = [[-1] * assoc for _ in range(num_sets)]
         self._dirty = [[False] * assoc for _ in range(num_sets)]
-        if self._replacement == "lru":
-            self._orders = [list(range(assoc)) for _ in range(num_sets)]
-            self._repl = None
-        else:
-            self._orders = None
-            self._repl = [make_replacement(self._replacement, assoc) for _ in range(num_sets)]
+        # Way order per set, MRU-first (the reference's ``CacheSet.order``).
+        self._orders = [list(range(assoc)) for _ in range(num_sets)]
 
         # Precomputed per-event energies (identical floats to the
         # reference engine's per-call computations).
@@ -310,12 +299,9 @@ class FastDCacheEngine:
     # ------------------------------------------------------------------ #
 
     def _touch(self, index: int, way: int) -> None:
-        if self._orders is not None:
-            order = self._orders[index]
-            order.remove(way)
-            order.insert(0, way)
-        else:
-            self._repl[index].touch(way)
+        order = self._orders[index]
+        order.remove(way)
+        order.insert(0, way)
 
     def _miss_path(self, addr: int, block: int, index: int, is_store: bool) -> int:
         """Fetch from L2/memory and install; returns the added latency."""
@@ -331,22 +317,13 @@ class FastDCacheEngine:
             try:
                 way = tags.index(-1)  # lowest invalid way first
             except ValueError:
-                way = (
-                    self._orders[index][-1]
-                    if self._orders is not None
-                    else self._repl[index].victim()
-                )
+                way = self._orders[index][-1]  # the LRU way
         evicted = tags[way]  # prior occupant's block address (or -1)
         dirty = self._dirty[index]
         evicted_dirty = dirty[way]
         tags[way] = block
         dirty[way] = False
-        if self._orders is not None:
-            order = self._orders[index]
-            order.remove(way)
-            order.insert(0, way)
-        else:
-            self._repl[index].fill(way)
+        self._touch(index, way)
         self.stats.fills += 1
         self._e_cache += self._e_fill
         self.stats.data_way_writes += 1

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import make_replacement
 from repro.cache.stats import CacheStats
 from repro.core.icache import SOURCE_BTB, SOURCE_NONE, SOURCE_RAS, SOURCE_SAWP
 from repro.core.icache_policy import ICachePolicy, WayPredictedFetchPolicy
@@ -58,7 +57,6 @@ class FastICacheEngine:
         ledger: EnergyLedger,
         base_latency: int = 1,
         policy: Optional[ICachePolicy] = None,
-        replacement: str = "lru",
     ) -> None:
         self.geometry = geometry
         self.fields = geometry.fields
@@ -78,12 +76,8 @@ class FastICacheEngine:
         self._set_mask = bit_mask(self.fields.index_bits)
         num_sets = geometry.num_sets
         self._tags = [[-1] * self._assoc for _ in range(num_sets)]
-        if replacement == "lru":
-            self._orders = [list(range(self._assoc)) for _ in range(num_sets)]
-            self._repl = None
-        else:
-            self._orders = None
-            self._repl = [make_replacement(replacement, self._assoc) for _ in range(num_sets)]
+        # Way order per set, MRU-first (the reference's ``CacheSet.order``).
+        self._orders = [list(range(self._assoc)) for _ in range(num_sets)]
 
         self._e_parallel = energy.parallel_read()
         self._e_oneway = energy.one_way_read()
@@ -185,12 +179,9 @@ class FastICacheEngine:
     # ------------------------------------------------------------------ #
 
     def _touch(self, index: int, way: int) -> None:
-        if self._orders is not None:
-            order = self._orders[index]
-            order.remove(way)
-            order.insert(0, way)
-        else:
-            self._repl[index].touch(way)
+        order = self._orders[index]
+        order.remove(way)
+        order.insert(0, way)
 
     def _miss_path(self, pc: int, block: int, index: int) -> int:
         added = self.hierarchy.fetch_block(pc)
@@ -198,19 +189,10 @@ class FastICacheEngine:
         try:
             way = tags.index(-1)  # lowest invalid way first
         except ValueError:
-            way = (
-                self._orders[index][-1]
-                if self._orders is not None
-                else self._repl[index].victim()
-            )
+            way = self._orders[index][-1]  # the LRU way
         evicted = tags[way]
         tags[way] = block
-        if self._orders is not None:
-            order = self._orders[index]
-            order.remove(way)
-            order.insert(0, way)
-        else:
-            self._repl[index].fill(way)
+        self._touch(index, way)
         self.stats.fills += 1
         self._e_cache += self._e_fill
         self.stats.data_way_writes += 1

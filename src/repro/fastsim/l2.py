@@ -4,13 +4,9 @@ Counterpart of :class:`~repro.cache.hierarchy.L2Cache`: it takes the
 same inputs and answers the three :class:`~repro.cache.hierarchy.MemoryHierarchy`
 calls the L1 engines make with the same latencies and the same
 :class:`~repro.cache.stats.CacheStats` counts, but keeps each set as a
-plain list, materialized on first touch, and builds no result records.
-LRU, the paper's default, keeps a set's resident blocks MRU-first: by
-the LRU stack property its resident sets and victims equal those of
-the reference's way slots.  Every other replacement name keeps way
-slots driven by the real per-set policy objects, filling the lowest
-invalid way first as ``CacheSet`` does, so victims (``random``'s
-stream included) match.
+plain list of its resident blocks, MRU-first, materialized on first
+touch, and builds no result records.  By the LRU stack property its
+resident sets and victims equal those of the reference's way slots.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from typing import Optional
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import MainMemory
-from repro.cache.replacement import make_replacement
 from repro.cache.stats import CacheStats
 from repro.utils.bitops import bit_mask
 
@@ -27,8 +22,7 @@ from repro.utils.bitops import bit_mask
 class FastL2:
     """Unified write-back/write-allocate L2 over flat per-set state.
 
-    Takes ``L2Cache``'s arguments; an unknown replacement name raises
-    ``ValueError`` here, as it does there.
+    Takes ``L2Cache``'s arguments.
     """
 
     def __init__(
@@ -36,9 +30,7 @@ class FastL2:
         geometry: CacheGeometry,
         latency: int = 12,
         memory: Optional[MainMemory] = None,
-        replacement: str = "lru",
     ) -> None:
-        make_replacement(replacement, geometry.associativity)  # validate
         memory = memory if memory is not None else MainMemory()
         self.geometry = geometry
         self.latency = latency
@@ -47,7 +39,6 @@ class FastL2:
         self._offset_bits = geometry.fields.offset_bits
         self._set_mask = bit_mask(geometry.fields.index_bits)
         self._assoc = geometry.associativity
-        self._replacement = replacement
         self._sets = {}
         self._dirty = set()  # block numbers of dirty resident blocks
 
@@ -85,29 +76,15 @@ class FastL2:
         """Touch ``block`` if resident, else fill it; True on a hit."""
         index = block & self._set_mask
         state = self._sets.get(index)
-        if self._replacement == "lru":
-            if state is None:
-                state = self._sets[index] = []
-            if block in state:
-                state.remove(block)
-                state.insert(0, block)
-                return True
-            if len(state) == self._assoc:
-                self._evict(state.pop())
+        if state is None:
+            state = self._sets[index] = []
+        if block in state:
+            state.remove(block)
             state.insert(0, block)
-        else:
-            if state is None:
-                policy = make_replacement(self._replacement, self._assoc)
-                state = self._sets[index] = ([-1] * self._assoc, policy)
-            tags, policy = state
-            if block in tags:
-                policy.touch(tags.index(block))
-                return True
-            way = tags.index(-1) if -1 in tags else policy.victim()
-            if tags[way] != -1:
-                self._evict(tags[way])
-            tags[way] = block
-            policy.fill(way)
+            return True
+        if len(state) == self._assoc:
+            self._evict(state.pop())
+        state.insert(0, block)
         self.stats.fills += 1
         return False
 

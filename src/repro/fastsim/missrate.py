@@ -3,7 +3,7 @@ vector tiers.
 
 :func:`fast_miss_rate` computes exactly what
 :func:`repro.sim.functional.measure_miss_rate` computes — same warmup
-gating, same replacement behaviour, same interval ticks, same counts —
+gating, same LRU replacement, same interval ticks, same counts —
 but over a pre-encoded flat block stream with per-set state held in
 plain Python lists.
 
@@ -16,20 +16,16 @@ starts a new cold *epoch*) and bypass (the window's accesses all miss),
 and counting: every position gets one flag in a miss ``bytearray``, so
 window sums and warmup-gated result counts are C-level counts over it.
 
-A tier supplies only the hit/miss decision.  The python tier has one
-kernel per replacement family, each replaying a position range through
-per-set state that it keeps between calls:
+A tier supplies only the hit/miss decision.  The python tier has two
+kernels, each replaying a position range through per-set state that it
+keeps between calls:
 
 * direct-mapped: one resident block per set;
-* LRU (the paper's default and the hot path): MRU-first block lists.
-  An MRU short-circuit skips all list surgery for the commonest access,
-  a repeat of the set's most recent block.  (Index-slot recency arrays
-  with per-way stamps were measured here and lost: at the paper's 4-way
+* set-associative LRU: MRU-first block lists.  An MRU short-circuit
+  skips all list surgery for the commonest access, a repeat of the
+  set's most recent block.  (Index-slot recency arrays with per-way
+  stamps were measured here and lost: at the paper's 4-way
   associativity the C-level scan of a tiny list wins.)
-* everything else (``fifo``/``random``/``plru``/plugins): way slots
-  driven by the *real* :mod:`repro.cache.replacement` objects, so
-  victim choice — including the RNG stream of ``random`` — is the
-  reference's by construction.
 
 The vector tier supplies a cold-start classifier instead (see
 :class:`_Epoch` for how the driver uses it).  The driver sees only
@@ -42,7 +38,6 @@ from __future__ import annotations
 from typing import Union
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import make_replacement
 from repro.core.interval import (
     IntervalStats,
     is_dynamic_policy,
@@ -57,7 +52,6 @@ from repro.workload.trace import Trace
 def fast_miss_rate(
     trace: Union[Trace, EncodedTrace],
     geometry: CacheGeometry,
-    replacement: str = "lru",
     warmup_fraction: float = 0.2,
     *,
     interval: int = 0,
@@ -70,14 +64,12 @@ def fast_miss_rate(
     knobs are inert.
     """
     encoded = trace if isinstance(trace, EncodedTrace) else encode_trace(trace)
-    return _replay(encoded, geometry, replacement, warmup_fraction,
-                   interval, policy_factory)
+    return _replay(encoded, geometry, warmup_fraction, interval, policy_factory)
 
 
 def _replay(
     encoded: EncodedTrace,
     geometry: CacheGeometry,
-    replacement: str,
     warmup_fraction: float,
     interval: int,
     policy_factory,
@@ -85,7 +77,7 @@ def _replay(
 ) -> MissRateResult:
     """The miss-rate driver behind every non-reference tier.
 
-    ``classify(encoded, geometry, replacement, start, end)`` is the
+    ``classify(encoded, geometry, start, end)`` is the
     vector tier's cold-start classifier: the miss flags of positions
     ``[start, end)`` as one 0/1 byte each, or ``None`` to decline the
     range.  Without one, every epoch runs on the python kernels.  A
@@ -103,7 +95,7 @@ def _replay(
     # Straight off an artifact's mapped section when one backs the
     # encoding: counting needs no python restore of the stream.
     loads = bytes(encoded.buffer("is_load"))
-    epoch = _Epoch(encoded, geometry, replacement, miss, classify, 0, n)
+    epoch = _Epoch(encoded, geometry, miss, classify, 0, n)
     step = interval if ticked else max(n, 1)
     bypassed = False
     ticks = reconfigurations = bypass_toggles = bypassed_accesses = 0
@@ -140,8 +132,8 @@ def _replay(
         if action is not None:
             if action.geometry is not None and action.geometry != epoch.geometry:
                 validate_reconfigure(epoch.geometry, action.geometry)
-                epoch = _Epoch(encoded, action.geometry, replacement, miss,
-                               classify, end, 2 * interval)
+                epoch = _Epoch(encoded, action.geometry, miss, classify,
+                               end, 2 * interval)
                 reconfigurations += 1
             if action.bypass is not None and action.bypass != bypassed:
                 bypassed = action.bypass
@@ -183,14 +175,9 @@ class _Epoch:
     """
 
     def __init__(self, encoded: EncodedTrace, geometry: CacheGeometry,
-                 replacement: str, miss: bytearray, classify, start: int,
-                 span: int) -> None:
-        # Unknown replacement names must raise at build, like the
-        # reference constructor, whichever kernel ends up running.
-        make_replacement(replacement, geometry.associativity)
+                 miss: bytearray, classify, start: int, span: int) -> None:
         self.encoded = encoded
         self.geometry = geometry
-        self.replacement = replacement
         self.miss = miss
         self.classify = classify
         # The run fed so far is [start, fed); the classifier's flags
@@ -205,8 +192,7 @@ class _Epoch:
                 self.fed = end
                 return
             self.kernel = _python_kernel(
-                self.encoded.blocks(self.geometry.fields), self.geometry,
-                self.replacement, self.miss,
+                self.encoded.blocks(self.geometry.fields), self.geometry, self.miss
             )
             self._run(self.start, self.fed)
         self._run(start, end)
@@ -220,8 +206,7 @@ class _Epoch:
             while self.start + self.span < end:
                 self.span *= 2
             horizon = min(len(self.miss), self.start + self.span)
-            flags = self.classify(self.encoded, self.geometry,
-                                  self.replacement, self.start, horizon)
+            flags = self.classify(self.encoded, self.geometry, self.start, horizon)
             if flags is None:
                 return False
             self.miss[self.start:horizon] = flags
@@ -233,8 +218,8 @@ class _Epoch:
         self.kernel(start, end)
 
 
-def _python_kernel(blocks, geometry: CacheGeometry, replacement: str, miss):
-    """The python kernel for ``geometry`` and ``replacement``.
+def _python_kernel(blocks, geometry: CacheGeometry, miss):
+    """The python kernel for ``geometry``.
 
     Returns ``run(start, end)``, which replays positions
     ``[start, end)`` of the decoded ``blocks`` through per-set state it
@@ -245,7 +230,7 @@ def _python_kernel(blocks, geometry: CacheGeometry, replacement: str, miss):
     set_mask = bit_mask(geometry.fields.index_bits)
     assoc = geometry.associativity
     if assoc == 1:
-        # Replacement never arbitrates: one resident block per set.
+        # No victim choice: one resident block per set.
         resident = [-1] * geometry.num_sets
 
         def direct_mapped(start: int, end: int) -> None:
@@ -257,45 +242,19 @@ def _python_kernel(blocks, geometry: CacheGeometry, replacement: str, miss):
 
         return direct_mapped
 
-    if replacement == "lru":
-        orders = [[] for _ in range(geometry.num_sets)]
+    orders = [[] for _ in range(geometry.num_sets)]
 
-        def lru(start: int, end: int) -> None:
-            for pos, block in enumerate(blocks[start:end], start):
-                order = orders[block & set_mask]
-                if order and order[0] == block:
-                    continue  # already MRU: nothing moves
-                try:
-                    order.remove(block)  # hit: re-insert at MRU below
-                except ValueError:
-                    miss[pos] = 1
-                    if len(order) >= assoc:
-                        order.pop()  # evict the LRU tail
-                order.insert(0, block)
-
-        return lru
-
-    # Mirrors CacheSet: first matching way, then the lowest invalid
-    # way, and only a full set asks the policy for a victim.
-    slots = [[-1] * assoc for _ in range(geometry.num_sets)]
-    policies = [make_replacement(replacement, assoc) for _ in range(geometry.num_sets)]
-
-    def object_driven(start: int, end: int) -> None:
+    def lru(start: int, end: int) -> None:
         for pos, block in enumerate(blocks[start:end], start):
-            index = block & set_mask
-            ways = slots[index]
-            policy = policies[index]
+            order = orders[block & set_mask]
+            if order and order[0] == block:
+                continue  # already MRU: nothing moves
             try:
-                way = ways.index(block)
+                order.remove(block)  # hit: re-insert at MRU below
             except ValueError:
                 miss[pos] = 1
-                try:
-                    way = ways.index(-1)
-                except ValueError:
-                    way = policy.victim()
-                ways[way] = block
-                policy.fill(way)
-            else:
-                policy.touch(way)
+                if len(order) >= assoc:
+                    order.pop()  # evict the LRU tail
+            order.insert(0, block)
 
-    return object_driven
+    return lru

@@ -6,8 +6,8 @@ trace order, paying a Python-level loop iteration per access.  This
 tier runs the same driver — ticks, flushes, bypass and counting are
 shared — but hands it one primitive instead of the python kernels:
 :func:`_vector_misses`, which classifies a range of the block stream
-from a cold cache without a per-access loop, for the policies whose
-hit/miss outcome can be computed *offline*:
+from a cold cache without a per-access loop: for both cache shapes the
+hit/miss outcome can be computed *offline*.
 
 * **Direct-mapped** — an access hits iff the previous access to its set
   touched the same block.  One set-major sort puts every set's accesses
@@ -24,26 +24,11 @@ hit/miss outcome can be computed *offline*:
   alternation windows, and only the residue — a fraction of a percent
   of accesses on the paper's workloads — falls to an early-exit scalar
   scan over the collapsed stream.
-* **Tree-PLRU** — genuinely stateful (victim choice depends on the
-  bit-tree left behind by every prior access), so it cannot be
-  classified offline.  Instead the collapsed stream is partitioned into
-  *rounds* — the k-th access of every set — and whole rounds advance a
-  ``(num_sets, ways)`` slot matrix and ``(num_sets, ways-1)`` bit-tree
-  matrix at once, walking the tree levels vectorially.  2-way tree-PLRU
-  *is* exact LRU (one bit pointing away from the last-used way), so
-  that case routes to the LRU kernel; on heavily skewed streams, where
-  rounds degenerate to a handful of lanes each, the classifier declines
-  and the driver continues on the python kernels (see
-  ``_PLRU_MIN_BATCH``).
 
-Everything else runs whole on
-:func:`~repro.fastsim.missrate.fast_miss_rate`: ``fifo``/``random``
-victims follow an object-driven order (the deterministic RNG stream of
-``random`` must advance exactly as the reference's does), and plugin
-replacement kinds have no array form at all.  That route — and the
-case where numpy is not importable — is silent and lossless because
-every tier is byte-identical by contract (enforced by the differential
-and golden suites).
+Without numpy, or under the ``REPRO_NO_VECTOR`` opt-out, a run goes
+whole to :func:`~repro.fastsim.missrate.fast_miss_rate`.  That route is
+silent and lossless because every tier is byte-identical by contract
+(enforced by the differential and golden suites).
 
 The block stream comes from :func:`block_array`: a read-only ``uint64``
 array built over the encoding's raw address buffer
@@ -92,11 +77,6 @@ __all__ = [
 #: the python kernels, and ``backend="vector"`` falls back to them).
 NO_VECTOR_ENV = "REPRO_NO_VECTOR"
 
-#: Minimum collapsed accesses per PLRU round for the batched state
-#: advance to beat the python tier; thinner rounds mean the per-round
-#: numpy dispatch overhead dominates, so skewed streams are declined.
-_PLRU_MIN_BATCH = 32
-
 
 def numpy_available() -> bool:
     """True when numpy imported successfully."""
@@ -128,7 +108,6 @@ def resolve_tier(backend: str, mode: str = "missrate") -> str:
 def vector_miss_rate(
     trace: Union[Trace, EncodedTrace],
     geometry: CacheGeometry,
-    replacement: str = "lru",
     warmup_fraction: float = 0.2,
     *,
     interval: int = 0,
@@ -138,21 +117,18 @@ def vector_miss_rate(
     :func:`~repro.sim.functional.measure_miss_rate`.
 
     Runs the shared miss-rate driver (static or ticked) with
-    :func:`_vector_misses` as its classifier.  Replacement kinds with no
-    array form, and a disabled tier, go to
+    :func:`_vector_misses` as its classifier.  A disabled tier goes to
     :func:`~repro.fastsim.missrate.fast_miss_rate` whole; results are
     identical either way.
     """
     encoded = trace if isinstance(trace, EncodedTrace) else encode_trace(trace)
-    if not vector_enabled() or (
-        geometry.associativity > 1 and replacement not in ("lru", "plru")
-    ):
+    if not vector_enabled():
         return fast_miss_rate(
-            encoded, geometry, replacement, warmup_fraction,
+            encoded, geometry, warmup_fraction,
             interval=interval, policy_factory=policy_factory,
         )
-    return _replay(encoded, geometry, replacement, warmup_fraction,
-                   interval, policy_factory, _vector_misses)
+    return _replay(encoded, geometry, warmup_fraction, interval,
+                   policy_factory, _vector_misses)
 
 
 def block_array(encoded: EncodedTrace, fields: AddressFields):
@@ -173,14 +149,13 @@ def block_array(encoded: EncodedTrace, fields: AddressFields):
 
 
 def _vector_misses(encoded: EncodedTrace, geometry: CacheGeometry,
-                   replacement: str, start: int, end: int) -> Optional[bytes]:
+                   start: int, end: int) -> Optional[bytes]:
     """Miss flags of positions ``[start, end)`` replayed from a cold cache.
 
     The tier's one primitive: the shared driver classifies each epoch's
     horizon through it and gets one 0/1 byte per position.  ``None``
-    declines the range (no kernel applies, or PLRU rounds would be too
-    thin), and the driver continues on the python kernels.  Ranges are
-    never empty.
+    declines the range (the sort key would overflow), and the driver
+    continues on the python kernels.  Ranges are never empty.
     """
     blocks = block_array(encoded, geometry.fields)[start:end]
     num_sets = geometry.num_sets
@@ -189,15 +164,9 @@ def _vector_misses(encoded: EncodedTrace, geometry: CacheGeometry,
         return None  # set index or position would overflow the sort key
     if assoc == 1:
         hits = _direct_mapped(blocks, num_sets)
-    elif replacement == "lru" or (replacement == "plru" and assoc == 2):
-        # A 2-way PLRU tree is exact LRU: its single bit always points
-        # at the less recently used way.
-        hits = _lru(blocks, num_sets, assoc)
-    elif replacement == "plru":
-        hits = _plru(blocks, num_sets, assoc)
     else:
-        hits = None
-    return None if hits is None else (~hits).tobytes()
+        hits = _lru(blocks, num_sets, assoc)
+    return (~hits).tobytes()
 
 
 # ------------------------------------------------------------------ #
@@ -333,107 +302,3 @@ def _scan_unresolved(collapsed, prev, unresolved, assoc: int, hit) -> None:
                 break
             j -= 1
         hit[k] = is_hit
-
-
-# ------------------------------------------------------------------ #
-# Tree-PLRU (round-partitioned state advance)
-# ------------------------------------------------------------------ #
-
-
-def _plru(blocks, num_sets: int, assoc: int):
-    """Advance all sets' tree state one occurrence-rank at a time.
-
-    Repeated same-block accesses are hits that re-touch the same way,
-    and a tree-PLRU touch is idempotent, so the state walk runs over
-    the collapsed stream only; run tails are unconditional hits.  In
-    round k every set contributes at most its k-th collapsed access, so
-    a round's accesses touch disjoint sets and one batched
-    lookup/victim/touch over a ``(num_sets, ways)`` slot matrix and a
-    ``(num_sets, ways-1)`` bit matrix is exact.  Returns ``None`` when
-    the stream is too skewed for rounds to pay for themselves.
-    """
-    n = blocks.shape[0]
-    index = blocks & np.uint64(num_sets - 1)
-    key = (index << np.uint64(32)) | np.arange(n, dtype=np.uint64)
-    key.sort()
-    order = (key & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    set_ids = (key >> np.uint64(32)).astype(np.int64)
-    sorted_blocks = blocks[order]
-    run_start = np.empty(n, dtype=bool)
-    run_start[0] = True
-    np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=run_start[1:])
-    hits_sorted = ~run_start
-
-    collapsed_pos = np.flatnonzero(run_start)
-    collapsed_sets = set_ids[collapsed_pos]
-    m = collapsed_pos.shape[0]
-    # Occurrence rank of each collapsed access within its set.
-    set_start = np.empty(m, dtype=bool)
-    set_start[0] = True
-    np.not_equal(collapsed_sets[1:], collapsed_sets[:-1], out=set_start[1:])
-    start_index = np.maximum.accumulate(
-        np.where(set_start, np.arange(m, dtype=np.int64), 0)
-    )
-    rank = np.arange(m, dtype=np.int64) - start_index
-    rounds = int(rank.max()) + 1
-    if m < rounds * _PLRU_MIN_BATCH:
-        return None  # rounds too thin: python tier wins
-
-    # Compact block ids so the slot matrix stores small ints.
-    block_ids = np.unique(sorted_blocks[collapsed_pos], return_inverse=True)[1]
-    block_ids = block_ids.astype(np.int64)
-    # Round buckets: rank-major, collapsed order within a rank.
-    round_key = (rank.astype(np.uint64) << np.uint64(32)) | np.arange(m, dtype=np.uint64)
-    round_key.sort()
-    round_order = (round_key & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    bounds = np.empty(rounds + 1, dtype=np.int64)
-    bounds[0] = 0
-    np.cumsum(np.bincount(rank, minlength=rounds), out=bounds[1:])
-
-    slots = np.full((num_sets, assoc), -1, dtype=np.int64)
-    bits = np.zeros((num_sets, assoc - 1), dtype=np.int8)
-    collapsed_hit = np.empty(m, dtype=bool)
-    for k in range(rounds):
-        chosen = round_order[bounds[k]:bounds[k + 1]]
-        sets = collapsed_sets[chosen]
-        wanted = block_ids[chosen]
-        rows = np.arange(sets.shape[0])
-        ways = slots[sets]
-        match = ways == wanted[:, None]
-        hit = match.any(axis=1)
-        invalid = ways == -1
-        has_invalid = invalid.any(axis=1)
-        # Victim walk over the pre-touch tree (bit 0 points left).
-        tree = bits[sets]
-        node = np.zeros(sets.shape[0], dtype=np.int64)
-        base = np.zeros(sets.shape[0], dtype=np.int64)
-        span = assoc
-        while span > 1:
-            span //= 2
-            right = tree[rows, node] != 0
-            node = 2 * node + np.where(right, 2, 1)
-            base += np.where(right, span, 0)
-        # Lookup first, lowest invalid way next, tree victim last —
-        # the CacheSet order exactly.
-        way = np.where(
-            hit, match.argmax(axis=1), np.where(has_invalid, invalid.argmax(axis=1), base)
-        )
-        ways[rows, way] = wanted  # no-op for hits: that way holds the block
-        slots[sets] = ways
-        # Touch walk: each level's bit points away from the used side.
-        node[:] = 0
-        base[:] = 0
-        span = assoc
-        while span > 1:
-            span //= 2
-            left = way < base + span
-            tree[rows, node] = np.where(left, 1, 0)
-            node = 2 * node + np.where(left, 1, 2)
-            base += np.where(left, 0, span)
-        bits[sets] = tree
-        collapsed_hit[chosen] = hit
-
-    hits_sorted[collapsed_pos] = collapsed_hit
-    hits = np.empty(n, dtype=bool)
-    hits[order] = hits_sorted
-    return hits

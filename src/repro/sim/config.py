@@ -34,6 +34,7 @@ class SystemConfig:
 
     Defaults reproduce Table 1: 16K 4-way 1-cycle L1s, 1M 8-way
     12-cycle L2, 80-cycle (+4/8B) memory, 8-wide core, ROB 64, LSQ 32.
+    Every cache level replaces LRU, as in the paper.
     """
 
     core: CoreConfig = field(default_factory=CoreConfig)
@@ -49,7 +50,6 @@ class SystemConfig:
     icache_policy: PolicySpec = field(
         default_factory=lambda: PolicySpec(kind="parallel", side="icache")
     )
-    replacement: str = "lru"
 
     # -------------------------------------------------------------- #
 

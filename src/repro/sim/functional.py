@@ -3,7 +3,7 @@
 Table 4 of the paper compares raw d-cache miss rates between a
 direct-mapped and a 4-way set-associative 16K cache.  That experiment —
 and workload calibration — only needs hit/miss behaviour, so this module
-streams a trace's memory accesses through a bare
+streams a trace's memory accesses through a bare LRU
 :class:`SetAssociativeCache` with no pipeline, which is an order of
 magnitude faster than the full simulator.
 
@@ -92,13 +92,12 @@ class MissRateResult:
 def measure_miss_rate(
     trace: Trace,
     geometry: CacheGeometry,
-    replacement: str = "lru",
     warmup_fraction: float = 0.2,
     *,
     interval: int = 0,
     policy_factory=None,
 ) -> MissRateResult:
-    """Stream ``trace``'s memory accesses through a cache; LRU by default.
+    """Stream ``trace``'s memory accesses through an LRU cache.
 
     Args:
         warmup_fraction: fraction of the trace's memory accesses used to
@@ -124,16 +123,13 @@ def measure_miss_rate(
     if interval > 0 and policy_factory is not None:
         policy = policy_factory()
         if is_dynamic_policy(policy):
-            return _measure_dynamic(
-                trace, geometry, replacement, warmup, interval, policy
-            )
-    return _measure_static(trace, geometry, replacement, warmup)
+            return _measure_dynamic(trace, geometry, warmup, interval, policy)
+    return _measure_static(trace, geometry, warmup)
 
 
 def _measure_dynamic(
     trace: Trace,
     geometry: CacheGeometry,
-    replacement: str,
     warmup: int,
     interval: int,
     policy,
@@ -148,7 +144,7 @@ def _measure_dynamic(
     """
     addrs, loads = trace_mem_ops(trace)
     n = len(addrs)
-    cache = SetAssociativeCache(geometry, replacement=replacement)
+    cache = SetAssociativeCache(geometry)
     bypassed = False
     accesses = misses = load_accesses = load_misses = 0
     ticks = reconfigurations = bypass_toggles = bypassed_accesses = 0
@@ -224,14 +220,12 @@ def _measure_dynamic(
     )
 
 
-def _measure_static(
-    trace: Trace, geometry: CacheGeometry, replacement: str, warmup: int
-) -> MissRateResult:
+def _measure_static(trace: Trace, geometry: CacheGeometry, warmup: int) -> MissRateResult:
     """Replay the whole memory-op stream from cold state, counting
     statistics only at positions ``>= warmup``.  A stream that is
     entirely warmup counts zero accesses, so its ``miss_rate`` is 0.0
     on every tier."""
-    cache = SetAssociativeCache(geometry, replacement=replacement)
+    cache = SetAssociativeCache(geometry)
     addrs, loads = trace_mem_ops(trace)
 
     accesses = misses = load_accesses = load_misses = 0

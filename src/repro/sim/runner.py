@@ -113,25 +113,23 @@ _RESULT_CACHE: Dict[str, SimResult] = {}
 _TRACE_CACHE: "OrderedDict[Tuple[str, int, int], Trace]" = OrderedDict()
 
 
-def _trace_cache_capacity() -> int:
-    """Max traces kept in memory (``REPRO_TRACE_CACHE``, default 16).
+def trace_cache_capacity() -> int:
+    """Max traces kept in memory (``REPRO_TRACE_CACHE``, default 16;
+    0 keeps one).
 
     Raises:
         ValueError: ``REPRO_TRACE_CACHE`` is set to a non-integer or a
-            negative value.  A silent fallback here would hide a typo'd
-            tuning knob until a long-lived service OOMs.
+            negative value; the message names the variable and its
+            value.  A silent fallback here would hide a typo'd tuning
+            knob until a long-lived service OOMs.
     """
     raw = os.environ.get("REPRO_TRACE_CACHE", "16")
     try:
         capacity = int(raw)
     except ValueError:
-        raise ValueError(
-            f"REPRO_TRACE_CACHE must be an integer, got {raw!r}"
-        ) from None
+        capacity = -1
     if capacity < 0:
-        raise ValueError(
-            f"REPRO_TRACE_CACHE must be >= 0, got {capacity}"
-        )
+        raise ValueError(f"REPRO_TRACE_CACHE must be an integer >= 0, got {raw!r}")
     return max(1, capacity)
 
 #: Flat keys a cached JSON blob must carry to round-trip losslessly.
@@ -504,7 +502,7 @@ def _trace_cache_put(key: Tuple[str, int, int], trace: Trace) -> None:
     entries past the capacity bound."""
     _TRACE_CACHE[key] = trace
     _TRACE_CACHE.move_to_end(key)
-    capacity = _trace_cache_capacity()
+    capacity = trace_cache_capacity()
     while len(_TRACE_CACHE) > capacity:
         _TRACE_CACHE.popitem(last=False)
 
@@ -598,7 +596,7 @@ def execute(
         trace = get_trace(benchmark, instructions, salt)
         factory = _dynamic_policy_factory(config) if interval > 0 else None
         measured = _MISSRATE_MEASURES[resolve_tier(backend, mode)](
-            trace, config.dcache.geometry(), replacement=config.replacement,
+            trace, config.dcache.geometry(),
             interval=interval if factory is not None else 0,
             policy_factory=factory,
         )

@@ -176,7 +176,6 @@ class Simulator:
             geometry=config.l2.geometry(),
             latency=config.l2.latency,
             memory=memory,
-            replacement=config.replacement,
         )
         if backend == "reference":
             self.l2 = L2Cache(**l2_args)
@@ -211,7 +210,6 @@ class Simulator:
             pred_energy=pred_energy,
             ledger=self.ledger,
             base_latency=config.dcache.latency,
-            replacement=config.replacement,
         )
         if backend == "reference":
             self.dcache = DCacheEngine(policy=build_dcache_policy(dspec), **dcache_args)
@@ -228,7 +226,6 @@ class Simulator:
             ledger=self.ledger,
             base_latency=config.icache.latency,
             policy=build_icache_policy(config.icache_policy),
-            replacement=config.replacement,
         )
         self.wattch = WattchLite(wattch if wattch is not None else WattchParameters())
 

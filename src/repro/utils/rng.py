@@ -1,6 +1,6 @@
 """Deterministic random number generation for reproducible experiments.
 
-Every stochastic component (workload generators, random replacement) draws
+Every stochastic component (the workload generators) draws
 from a :class:`DeterministicRng` seeded from a stable string so that two
 runs of the same experiment produce bit-identical traces and results.
 """

@@ -684,13 +684,13 @@ class TestTraceCacheLRU:
 
     def test_capacity_floor_and_bad_values(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        assert runner._trace_cache_capacity() == 1
+        assert runner.trace_cache_capacity() == 1
         monkeypatch.setenv("REPRO_TRACE_CACHE", "junk")
         with pytest.raises(ValueError, match="REPRO_TRACE_CACHE.*junk"):
-            runner._trace_cache_capacity()
+            runner.trace_cache_capacity()
         monkeypatch.setenv("REPRO_TRACE_CACHE", "-3")
         with pytest.raises(ValueError, match="REPRO_TRACE_CACHE"):
-            runner._trace_cache_capacity()
+            runner.trace_cache_capacity()
 
 
 # ------------------------------------------------------------------ #

@@ -159,12 +159,3 @@ class TestLazySets:
         sliced = cache.sets[7:10]
         assert len(sliced) == 3
         assert all(isinstance(s, CacheSet) for s in sliced)
-
-    def test_lazy_sets_reject_bad_replacement_eagerly(self):
-        import pytest
-
-        from repro.cache.sram import _LAZY_SETS_THRESHOLD
-
-        geometry = CacheGeometry(_LAZY_SETS_THRESHOLD * 4 * 32, 4, 32)
-        with pytest.raises(ValueError, match="unknown replacement"):
-            SetAssociativeCache(geometry, replacement="bogus")

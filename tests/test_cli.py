@@ -194,6 +194,8 @@ def test_repro_backend_env_selects_fast(monkeypatch):
         # --workers 0 is also invalid, so a regression fails fast
         # instead of starting a server.
         (["serve", "--workers", "0"], "REPRO_JOBS", "abc"),
+        (["table4"], "REPRO_TRACE_CACHE", "abc"),
+        (["table4"], "REPRO_TRACE_CACHE", "-1"),
     ],
 )
 def test_bad_env_value_exits_two_naming_the_variable(argv, name, value,

@@ -6,7 +6,7 @@ backends — every d-cache policy kind and every i-cache policy kind in
 the registry — and assert ``SimResult.to_flat()`` equality field for
 field (integer counters, access-kind breakdowns, and energy floats
 alike), plus :class:`MissRateResult` equality for the functional path
-across every replacement policy and the warmup-fraction edges — with
+across associativities and the warmup-fraction edges — with
 the numpy vector tier held to the same byte-identical contract as a
 third leg of the miss-rate property.  Degenerate streams (empty, no
 memory ops, one access) must give identical miss-rate flats on every
@@ -292,16 +292,15 @@ def test_core_stats_identical(shape, trace):
     assert not mismatched, f"fast core stats diverged on: {mismatched}"
 
 
-@pytest.mark.parametrize("replacement", ["lru", "fifo", "random", "plru"])
 @settings(max_examples=6)
 @given(trace=traces())
-def test_replacement_policies_identical(replacement, trace):
-    """The fast arrays replicate every replacement policy's victims."""
+def test_small_evicting_caches_identical(trace):
+    """With 1 KB L1s and a 4 KB L2, small enough for Hypothesis traces
+    to evict, the fast arrays pick the reference's LRU victims."""
     config = SystemConfig(
         icache=CacheLevelConfig(1, 4, 32, 1),
         dcache=CacheLevelConfig(1, 4, 32, 1),
         l2=CacheLevelConfig(4, 4, 32, 6),
-        replacement=replacement,
     ).with_dcache_policy("waypred_pc")
     assert_backends_identical(config, trace)
 
@@ -316,17 +315,16 @@ def test_replacement_policies_identical(replacement, trace):
     trace=traces(),
     warmup=st.sampled_from([0.0, 0.2, 0.5, 0.95, 0.999]),
     assoc=st.sampled_from([1, 2, 4]),
-    replacement=st.sampled_from(["lru", "fifo", "random", "plru"]),
 )
-def test_miss_rate_identical(trace, warmup, assoc, replacement):
+def test_miss_rate_identical(trace, warmup, assoc):
     """fast_miss_rate == vector_miss_rate == measure_miss_rate at
     every warmup fraction, including the 0.0 and near-1.0 edges.
     (Without numpy the vector tier transparently replays the python
     kernels, so this property holds on every install.)"""
     geometry = CacheGeometry(1024, assoc, 32)
-    reference = measure_miss_rate(trace, geometry, replacement, warmup)
-    fast = fast_miss_rate(trace, geometry, replacement, warmup)
-    vector = vector_miss_rate(trace, geometry, replacement, warmup)
+    reference = measure_miss_rate(trace, geometry, warmup)
+    fast = fast_miss_rate(trace, geometry, warmup)
+    vector = vector_miss_rate(trace, geometry, warmup)
     assert reference == fast == vector
 
 
@@ -341,20 +339,6 @@ def test_miss_rate_rejects_bad_warmup():
             fast_miss_rate(trace, geometry, warmup_fraction=warmup)
         with pytest.raises(ValueError):
             vector_miss_rate(trace, geometry, warmup_fraction=warmup)
-
-
-@pytest.mark.parametrize("assoc", [1, 2])
-def test_miss_rate_rejects_unknown_replacement(assoc):
-    """Unknown replacement names raise on both backends — including the
-    direct-mapped fast path, which never arbitrates replacement."""
-    trace = Trace("t", [Instr(0x1000, OP_LOAD, addr=0x40)])
-    geometry = CacheGeometry(1024, assoc, 32)
-    with pytest.raises(ValueError, match="unknown replacement"):
-        measure_miss_rate(trace, geometry, replacement="bogus")
-    with pytest.raises(ValueError, match="unknown replacement"):
-        fast_miss_rate(trace, geometry, replacement="bogus")
-    with pytest.raises(ValueError, match="unknown replacement"):
-        vector_miss_rate(trace, geometry, replacement="bogus")
 
 
 # ------------------------------------------------------------------ #

@@ -4,7 +4,7 @@ experiment's CLI/service byte-identity.
 
 The correctness bar mirrors the static suite: reference == fast ==
 vector ``MissRateResult`` equality under ticks (Hypothesis-driven,
-across replacement x assoc x interval x warmup edges), and reference
+across assoc x interval x warmup edges), and reference
 == fast ``SimResult.to_flat()`` and per-tick ``IntervalStats``
 equality in full-sim mode, where the fast tier hosts dynamic kinds on
 its own d-cache engine.  The fast and vector tiers share one miss-rate
@@ -161,12 +161,10 @@ class TestValidateReconfigure:
     warmup=st.sampled_from([0.0, 0.2, 0.95]),
     assoc=st.sampled_from([1, 2, 4, 8]),
     interval=st.sampled_from([1, 7, 32]),
-    replacement=st.sampled_from(["lru", "fifo", "random", "plru"]),
 )
-def test_dynamic_miss_rate_identical(kind, trace, warmup, assoc, interval,
-                                     replacement):
+def test_dynamic_miss_rate_identical(kind, trace, warmup, assoc, interval):
     """reference == fast == vector under interval ticks, across the
-    replacement x assoc x interval x warmup edges.  Thresholds are
+    assoc x interval x warmup edges.  Thresholds are
     tightened so short Hypothesis traces actually trigger
     resizing/bypass actions."""
     geometry = CacheGeometry(1024, assoc, 32)
@@ -176,7 +174,7 @@ def test_dynamic_miss_rate_identical(kind, trace, warmup, assoc, interval,
     )
     results = [
         measure(
-            trace, geometry, replacement, warmup,
+            trace, geometry, warmup,
             interval=interval, policy_factory=_factory(kind, **params),
         )
         for measure in (measure_miss_rate, fast_miss_rate, vector_miss_rate)

@@ -76,16 +76,13 @@ L2_GEOMETRIES = {
 class TestFastL2:
     """The fast tier's L2 against the reference ``L2Cache``."""
 
-    @pytest.mark.parametrize("replacement", ["lru", "fifo", "random", "plru"])
     @pytest.mark.parametrize("name", sorted(L2_GEOMETRIES))
-    def test_matches_reference(self, name, replacement):
+    def test_matches_reference(self, name):
         geometry = L2_GEOMETRIES[name]
         memory = MainMemory(base_latency=60, cycles_per_chunk=2, chunk_bytes=16)
-        reference = MemoryHierarchy(
-            L2Cache(geometry, latency=9, memory=memory, replacement=replacement)
-        )
-        fast = FastL2(geometry, latency=9, memory=memory, replacement=replacement)
-        rng = random.Random(f"{name}-{replacement}")
+        reference = MemoryHierarchy(L2Cache(geometry, latency=9, memory=memory))
+        fast = FastL2(geometry, latency=9, memory=memory)
+        rng = random.Random(name)
         # Three times as many blocks as ways in each of four sets: conflicts.
         sets = rng.sample(range(geometry.num_sets), 4)
         pool = [
@@ -102,7 +99,3 @@ class TestFastL2:
         # The premises: the stream evicted blocks and wrote dirty ones back.
         assert fast.stats.evictions > 0
         assert fast.stats.writebacks > 0
-
-    def test_rejects_unknown_replacement(self):
-        with pytest.raises(ValueError, match="unknown replacement"):
-            FastL2(CacheGeometry(4096, 4, 32), replacement="mru")

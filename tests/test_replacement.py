@@ -1,114 +1,49 @@
-"""Replacement-policy behaviour and invariants."""
+"""LRU replacement: the victim order of :class:`CacheSet`."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.replacement import (
-    FifoReplacement,
-    LruReplacement,
-    PlruTreeReplacement,
-    RandomReplacement,
-    make_replacement,
-)
+from repro.cache.cacheset import CacheSet
+
+
+def _full_set(fills):
+    """A set whose ways were installed in ``fills`` order (block = way)."""
+    cache_set = CacheSet(len(fills))
+    for way in fills:
+        cache_set.install(way, way, dm_placed=False)
+    return cache_set
 
 
 class TestLru:
     def test_initial_victim_is_last_way(self):
-        lru = LruReplacement(4)
-        assert lru.victim() == 3
+        # Before any reference the recency order is way order.
+        cache_set = CacheSet(4)
+        assert cache_set.order == [0, 1, 2, 3]
+        for way, block in enumerate(cache_set.ways):
+            block.load(way, dm_placed=False)
+        assert cache_set.choose_victim() == 3
 
     def test_touch_moves_to_mru(self):
-        lru = LruReplacement(4)
-        lru.touch(3)
-        assert lru.victim() != 3
-        assert lru.recency_order()[0] == 3
+        cache_set = _full_set([0, 1, 2, 3])
+        cache_set.touch(0)
+        assert cache_set.order[0] == 0
+        assert cache_set.choose_victim() == 1
 
     def test_victim_is_least_recent(self):
-        lru = LruReplacement(4)
+        cache_set = _full_set([0, 1, 2, 3])
         for way in (0, 1, 2, 3, 0, 1):
-            lru.touch(way)
-        assert lru.victim() == 2
+            cache_set.touch(way)
+        assert cache_set.choose_victim() == 2
 
     def test_fill_counts_as_use(self):
-        lru = LruReplacement(2)
-        lru.fill(1)
-        assert lru.victim() == 0
+        cache_set = _full_set([0, 1])
+        assert cache_set.choose_victim() == 0
+        cache_set.install(0, 0x40, dm_placed=False)
+        assert cache_set.order == [0, 1]
+        assert cache_set.choose_victim() == 1
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=60))
     def test_victim_never_most_recent(self, touches):
-        lru = LruReplacement(4)
+        cache_set = _full_set([0, 1, 2, 3])
         for way in touches:
-            lru.touch(way)
-        assert lru.victim() != touches[-1]
-
-
-class TestFifo:
-    def test_touch_does_not_reorder(self):
-        fifo = FifoReplacement(4)
-        fifo.fill(0)
-        fifo.touch(0)
-        fifo.touch(0)
-        # 1 is now the oldest fill (initial order 1,2,3 then 0).
-        assert fifo.victim() == 1
-
-    def test_fill_moves_to_back(self):
-        fifo = FifoReplacement(2)
-        fifo.fill(0)
-        assert fifo.victim() == 1
-        fifo.fill(1)
-        assert fifo.victim() == 0
-
-
-class TestRandom:
-    def test_victims_in_range_and_deterministic(self):
-        from repro.utils.rng import DeterministicRng
-
-        a = RandomReplacement(4, DeterministicRng("r"))
-        b = RandomReplacement(4, DeterministicRng("r"))
-        va = [a.victim() for _ in range(50)]
-        vb = [b.victim() for _ in range(50)]
-        assert va == vb
-        assert all(0 <= v < 4 for v in va)
-
-
-class TestPlru:
-    def test_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            PlruTreeReplacement(3)
-
-    def test_single_way(self):
-        plru = PlruTreeReplacement(1)
-        plru.touch(0)
-        assert plru.victim() == 0
-
-    def test_victim_avoids_just_touched(self):
-        plru = PlruTreeReplacement(4)
-        for way in range(4):
-            plru.touch(way)
-            assert plru.victim() != way
-
-    def test_plru_approximates_lru_cycle(self):
-        plru = PlruTreeReplacement(4)
-        for way in (0, 1, 2, 3):
-            plru.touch(way)
-        # After touching 0..3 in order, the victim must be 0 or 1 (the
-        # oldest half); exact LRU would say 0.
-        assert plru.victim() in (0, 1)
-
-    @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=100))
-    def test_victim_in_range_8way(self, touches):
-        plru = PlruTreeReplacement(8)
-        for way in touches:
-            plru.touch(way)
-        assert 0 <= plru.victim() < 8
-
-
-class TestFactory:
-    @pytest.mark.parametrize("name", ["lru", "fifo", "random", "plru"])
-    def test_constructs_each(self, name):
-        policy = make_replacement(name, 4)
-        assert policy.associativity == 4
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            make_replacement("belady", 4)
+            cache_set.touch(way)
+        assert cache_set.choose_victim() != touches[-1]

@@ -193,27 +193,32 @@ class TestEngineAccounting:
         assert "1 cached" in text and "3 executed" in text
 
 
+#: A config ``RunSpec`` accepts but the worker cannot build: the
+#: geometry rejects a 3-way L1 when the run executes.
+BAD_CONFIG = SystemConfig().with_dcache(associativity=3)
+
+
 class TestFailureSemantics:
     def test_worker_error_propagates_serial(self, no_cache):
-        bad = RunSpec("gcc", SystemConfig(replacement="bogus"), INSTRUCTIONS)
-        with pytest.raises(ValueError, match="unknown replacement policy"):
+        bad = RunSpec("gcc", BAD_CONFIG, INSTRUCTIONS)
+        with pytest.raises(ValueError, match="power of two"):
             SweepEngine(jobs=1, use_cache=False).run(SweepSpec("bad", (bad,)))
 
     def test_worker_error_propagates_parallel(self, no_cache):
         """A simulation error in a worker is not masked by the serial
         fallback — it surfaces to the caller unchanged."""
         runs = (
-            RunSpec("gcc", SystemConfig(replacement="bogus"), INSTRUCTIONS),
-            RunSpec("swim", SystemConfig(replacement="bogus"), INSTRUCTIONS),
+            RunSpec("gcc", BAD_CONFIG, INSTRUCTIONS),
+            RunSpec("swim", BAD_CONFIG, INSTRUCTIONS),
         )
-        with pytest.raises(ValueError, match="unknown replacement policy"):
+        with pytest.raises(ValueError, match="power of two"):
             SweepEngine(jobs=2, use_cache=False).run(SweepSpec("bad", runs))
 
     def test_completed_runs_cached_before_failure(self, isolated_cache):
         """Results finished before an error are already published, so a
         re-run after fixing the spec does not repeat them."""
         good = RunSpec("gcc", SystemConfig(), INSTRUCTIONS)
-        bad = RunSpec("gcc", SystemConfig(replacement="bogus"), INSTRUCTIONS)
+        bad = RunSpec("gcc", BAD_CONFIG, INSTRUCTIONS)
         with pytest.raises(ValueError):
             SweepEngine(jobs=1).run(SweepSpec("partial", (good, bad)))
         assert runner.load_cached("gcc", SystemConfig(), INSTRUCTIONS) is not None

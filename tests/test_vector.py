@@ -4,9 +4,9 @@ The vector tier's contract has three legs, each pinned here:
 
 * **Equivalence** — :func:`~repro.fastsim.vector.vector_miss_rate`
   returns exactly what the reference functional model and the python
-  fast tier return, for every replacement policy, associativity, and
-  warmup edge (with the differential Hypothesis suite adding the
-  generative counterpart in ``test_differential.py``).
+  fast tier return, for every associativity and warmup edge (with the
+  differential Hypothesis suite adding the generative counterpart in
+  ``test_differential.py``).
 * **Graceful degradation** — without numpy, or under the
   ``REPRO_NO_VECTOR`` opt-out, every entry point silently resolves to
   the python tier with identical results; nothing anywhere requires
@@ -54,8 +54,8 @@ requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy unavail
 
 
 def _balanced_trace(sets: int = 64, length: int = 6_000) -> Trace:
-    """A stream visiting every set evenly (the PLRU rounds sweet spot),
-    with a deterministic LCG supplying tag/op variety."""
+    """A stream visiting every set evenly, with a deterministic LCG
+    supplying tag/op variety."""
     state = 12345
     instrs = []
     for i in range(length):
@@ -65,16 +65,6 @@ def _balanced_trace(sets: int = 64, length: int = 6_000) -> Trace:
         op = OP_LOAD if (state >> 7) % 3 else OP_STORE
         instrs.append(Instr(0x1000 + 4 * i, op, dst=1, addr=addr))
     return Trace("balanced", instrs)
-
-
-def _skewed_trace(length: int = 600) -> Trace:
-    """Every access lands in one set: rounds degenerate to width one."""
-    instrs = [
-        Instr(0x1000 + 4 * i, OP_LOAD if i % 2 else OP_STORE, dst=1,
-              addr=(i % 7) << 16)
-        for i in range(length)
-    ]
-    return Trace("skewed", instrs)
 
 
 # ------------------------------------------------------------------ #
@@ -187,15 +177,14 @@ class TestEncodedViews:
 
 
 class TestVectorMissRate:
-    @pytest.mark.parametrize("replacement", ["lru", "fifo", "random", "plru"])
     @pytest.mark.parametrize("assoc", [1, 2, 4])
-    def test_matches_reference_and_fast(self, replacement, assoc):
+    def test_matches_reference_and_fast(self, assoc):
         trace = generate_trace("gcc", 6_000)
         geometry = CacheGeometry(1024 * assoc, assoc, 32)
         for warmup in (0.0, 0.2, 0.999):
-            reference = measure_miss_rate(trace, geometry, replacement, warmup)
-            fast = fast_miss_rate(trace, geometry, replacement, warmup)
-            vector = vector_miss_rate(trace, geometry, replacement, warmup)
+            reference = measure_miss_rate(trace, geometry, warmup)
+            fast = fast_miss_rate(trace, geometry, warmup)
+            vector = vector_miss_rate(trace, geometry, warmup)
             assert reference == fast == vector
 
     def test_rejects_bad_warmup_like_the_other_tiers(self):
@@ -205,101 +194,43 @@ class TestVectorMissRate:
             with pytest.raises(ValueError):
                 vector_miss_rate(trace, geometry, warmup_fraction=warmup)
 
-    @pytest.mark.parametrize("assoc", [1, 2])
-    def test_rejects_unknown_replacement(self, assoc):
-        trace = Trace("t", [Instr(0x1000, OP_LOAD, dst=1, addr=0x40)])
-        geometry = CacheGeometry(1024 * assoc, assoc, 32)
-        with pytest.raises(ValueError, match="unknown replacement"):
-            vector_miss_rate(trace, geometry, replacement="bogus")
-
     def test_empty_trace(self):
         geometry = CacheGeometry(1024, 4, 32)
-        for replacement in ("lru", "plru", "fifo"):
-            reference = measure_miss_rate(Trace("e", []), geometry, replacement)
-            assert vector_miss_rate(Trace("e", []), geometry, replacement) == reference
+        reference = measure_miss_rate(Trace("e", []), geometry)
+        assert vector_miss_rate(Trace("e", []), geometry) == reference
 
     def test_opt_out_is_lossless(self, monkeypatch):
         trace = generate_trace("mgrid", 4_000)
         geometry = CacheGeometry(4 * 1024, 4, 32)
-        baseline = measure_miss_rate(trace, geometry, "lru", 0.2)
+        baseline = measure_miss_rate(trace, geometry, 0.2)
         monkeypatch.setenv(NO_VECTOR_ENV, "1")
-        assert vector_miss_rate(trace, geometry, "lru", 0.2) == baseline
+        assert vector_miss_rate(trace, geometry, 0.2) == baseline
 
     @requires_numpy
-    def test_plru_rounds_kernel_engages_on_balanced_streams(self):
-        trace = _balanced_trace(sets=64)
-        geometry = CacheGeometry(8 * 1024, 4, 32)  # 64 sets
-        import numpy as np
-
-        encoded = encode_trace(trace)
-        blocks = block_array(encoded, geometry.fields)
-        warmup = int(blocks.shape[0] * 0.2)
-        hits = vector_module._plru(blocks, geometry.num_sets, 4)
-        assert hits is not None, "rounds kernel unexpectedly hit the skew guard"
-        loads = np.frombuffer(encoded.buffer("is_load"), dtype=np.bool_)
-        counted, loads = ~hits[warmup:], loads[warmup:]
-        counts = (
-            counted.size,
-            int(counted.sum()),
-            int(loads.sum()),
-            int((counted & loads).sum()),
-        )
-        reference = measure_miss_rate(trace, geometry, "plru", 0.2)
-        assert counts == (
-            reference.accesses,
-            reference.misses,
-            reference.load_accesses,
-            reference.load_misses,
-        )
-        assert vector_miss_rate(trace, geometry, "plru", 0.2) == reference
-
-    @requires_numpy
-    def test_plru_rounds_kernel_classifies_flushed_epochs(self, monkeypatch):
-        """After a dri flush the rounds kernel classifies the new epoch's
-        horizon, not the whole stream, and every tier still agrees.
-        (Hypothesis-sized traces never fill a round, so only a long
-        balanced stream reaches this path.)"""
+    def test_classifier_classifies_flushed_epochs(self, monkeypatch):
+        """After a dri flush the LRU classifier classifies the new
+        epoch's horizon, not the whole stream, and every tier still
+        agrees."""
         engaged = []
-        plru = vector_module._plru
+        lru = vector_module._lru
 
-        def recording_plru(blocks, num_sets, assoc):
-            mask = plru(blocks, num_sets, assoc)
-            if mask is not None:
-                engaged.append(blocks.shape[0])
-            return mask
+        def recording_lru(blocks, num_sets, assoc):
+            engaged.append(blocks.shape[0])
+            return lru(blocks, num_sets, assoc)
 
-        monkeypatch.setattr(vector_module, "_plru", recording_plru)
+        monkeypatch.setattr(vector_module, "_lru", recording_lru)
         trace = _balanced_trace(sets=64)
         geometry = CacheGeometry(8 * 1024, 4, 32)
         factory = functools.partial(
             get_policy("dri", "dcache").build, miss_hi=0.2, miss_lo=0.01, max_kb=32
         )
         results = [
-            measure(trace, geometry, "plru", 0.2, interval=500,
-                    policy_factory=factory)
+            measure(trace, geometry, 0.2, interval=500, policy_factory=factory)
             for measure in (measure_miss_rate, fast_miss_rate, vector_miss_rate)
         ]
         assert results[0].reconfigurations > 0
         assert min(engaged) < len(encode_trace(trace))
         assert results[0] == results[1] == results[2]
-
-    @requires_numpy
-    def test_plru_skew_guard_falls_back_correctly(self):
-        trace = _skewed_trace()
-        geometry = CacheGeometry(32 * 1024, 4, 32)  # 256 sets, one used
-        blocks = block_array(encode_trace(trace), geometry.fields)
-        hits = vector_module._plru(blocks, geometry.num_sets, 4)
-        assert hits is None  # guard tripped: rounds of width one
-        reference = measure_miss_rate(trace, geometry, "plru", 0.2)
-        assert vector_miss_rate(trace, geometry, "plru", 0.2) == reference
-
-    @requires_numpy
-    def test_plru_two_way_routes_to_the_lru_kernel(self):
-        # A 2-way tree is exact LRU; the route must stay byte-identical.
-        trace = _balanced_trace(sets=32)
-        geometry = CacheGeometry(2 * 1024, 2, 32)
-        reference = measure_miss_rate(trace, geometry, "plru", 0.2)
-        assert vector_miss_rate(trace, geometry, "plru", 0.2) == reference
 
     @requires_numpy
     def test_counts_are_plain_ints(self):
