@@ -2,7 +2,8 @@
 
 The counters here mirror the quantities the paper reports: hit/miss
 rates (Table 4), the access-type breakdown of Figures 6-8 and 10, and
-the probe counts the energy model multiplies by per-probe energies.
+the L1 events whose counts :mod:`repro.energy.pricing` prices after a
+run (the engines themselves charge no energy).
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ class CacheStats:
     bottom graphs of Figures 6-8/10): ``direct_mapped``, ``parallel``,
     ``way_predicted``, ``sequential``, ``mispredicted``, plus the i-cache
     source categories ``sawp_correct``, ``btb_correct``, ``no_prediction``.
+
+    ``tag_only_probes`` counts misses known from the tags alone (a
+    sequential load's or a store's); ``table_accesses`` counts
+    prediction-table reads and writes.
     """
 
     loads: int = 0
@@ -37,6 +42,12 @@ class CacheStats:
     extra_cycles: int = 0
     predictions: int = 0
     correct_predictions: int = 0
+    parallel_reads: int = 0
+    one_way_reads: int = 0
+    tag_only_probes: int = 0
+    table_accesses: int = 0
+    victim_searches: int = 0
+    way_field_accesses: int = 0
     access_kinds: Dict[str, int] = field(default_factory=dict)
 
     # -------------------------------------------------------------- #
@@ -86,22 +97,3 @@ class CacheStats:
         """Return ``kind``'s share of all kind-classified accesses."""
         total = sum(self.access_kinds.values())
         return safe_ratio(self.access_kinds.get(kind, 0), total)
-
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate ``other`` into self (used by multi-phase runs)."""
-        self.loads += other.loads
-        self.stores += other.stores
-        self.load_hits += other.load_hits
-        self.store_hits += other.store_hits
-        self.data_way_reads += other.data_way_reads
-        self.data_way_writes += other.data_way_writes
-        self.tag_probes += other.tag_probes
-        self.fills += other.fills
-        self.evictions += other.evictions
-        self.writebacks += other.writebacks
-        self.second_probes += other.second_probes
-        self.extra_cycles += other.extra_cycles
-        self.predictions += other.predictions
-        self.correct_predictions += other.correct_predictions
-        for kind, count in other.access_kinds.items():
-            self.count_kind(kind, count)

@@ -1,21 +1,24 @@
 """The policy-driven L1 d-cache engine.
 
-Executes probe plans against the functional array, charges energy per
-the schedules of Figure 1, reports latency to the core, handles the
-miss path through the L2/memory hierarchy, and drives policy training.
+Executes probe plans against the functional array, counts the events of
+Figure 1's schedules, reports latency to the core, handles the miss path
+through the L2/memory hierarchy, and drives policy training.  The
+engine charges no energy: :mod:`repro.energy.pricing` prices its
+:class:`~repro.cache.stats.CacheStats` counts after the run.
 
-Energy/latency schedule (section 2.1), with ``base`` the cache's pipeline
+Event/latency schedule (section 2.1), with ``base`` the cache's pipeline
 latency in cycles:
 
-====================  =============================================  ========
-Access                Energy                                          Latency
-====================  =============================================  ========
-parallel read         tag + N x way + parallel output                 base
-one-way read, right   tag + 1 x way + single output                   base
-one-way read, wrong   tag + 2 x way + 2 x single output               base + 1
-sequential read       tag + 1 x way + single output                   base + 1
-store (any policy)    tag + 1 x way write                             base
-====================  =============================================  ========
+=====================  ============================================  ========
+Access                 Events counted                                Latency
+=====================  ============================================  ========
+parallel read          parallel read                                 base
+one-way read, right    one-way read                                  base
+one-way read, wrong    one-way read + second probe                   base + 1
+sequential read, hit   one-way read                                  base + 1
+sequential read, miss  tag-only probe                                base + 1
+store (any policy)     store write (+ tag-only probe on a miss)      base
+=====================  ============================================  ========
 
 Mispredictions probe "only two data ways ... in all, the total energy of
 a misprediction is not as high as that of a parallel access when
@@ -40,9 +43,6 @@ from repro.core.policy import (
     MODE_SEQUENTIAL,
     ProbePlan,
 )
-from repro.energy.cactilite import CacheEnergyModel
-from repro.energy.ledger import EnergyLedger
-from repro.energy.tables import PredictionStructureEnergy
 
 
 @dataclass(frozen=True)
@@ -70,35 +70,20 @@ class DCacheEngine:
         geometry: L1 geometry.
         policy: the access policy under evaluation.
         hierarchy: backing L2 + memory.
-        energy: per-event energies for this geometry.
-        pred_energy: energies of the prediction structures.
-        ledger: energy accumulation target; cache events are charged to
-            component ``l1_dcache``, prediction overhead to ``prediction``.
         base_latency: hit latency in cycles (1 or 2 in the paper).
-        miss_extra_penalty: extra cycles a single-way probe pays on a
-            misprediction (1 in the paper).
     """
-
-    ENERGY_COMPONENT = "l1_dcache"
-    PREDICTION_COMPONENT = "prediction_dcache"
 
     def __init__(
         self,
         geometry: CacheGeometry,
         policy: DCachePolicy,
         hierarchy: MemoryHierarchy,
-        energy: CacheEnergyModel,
-        pred_energy: PredictionStructureEnergy,
-        ledger: EnergyLedger,
         base_latency: int = 1,
     ) -> None:
         self.geometry = geometry
         self.fields = geometry.fields
         self.policy = policy
         self.hierarchy = hierarchy
-        self.energy = energy
-        self.pred_energy = pred_energy
-        self.ledger = ledger
         self.base_latency = base_latency
         self.array = SetAssociativeCache(geometry, name="L1D")
         self.stats = CacheStats()
@@ -116,12 +101,11 @@ class DCacheEngine:
         """Apply a controlled mid-run geometry change (invalidate-all).
 
         Dirty victims are written back to the hierarchy first (counted
-        as ordinary writebacks, but — like the L2's own flush — charged
-        no latency or probe energy: the resize is modeled as happening
+        as ordinary writebacks, but — like the L2's own flush — with no
+        latency and no probe events: the resize is modeled as happening
         off the critical path).  The array rebuilds with fresh
-        replacement state, the energy model is re-derived for the new
-        geometry, and all cumulative stats are preserved.  Block size
-        and address width must not change
+        replacement state, and all cumulative stats are preserved.
+        Block size and address width must not change
         (:func:`~repro.core.interval.validate_reconfigure`).
         """
         validate_reconfigure(self.geometry, new_geometry)
@@ -131,30 +115,6 @@ class DCacheEngine:
             self.hierarchy.absorb_writeback(block_addr << offset_bits)
         self.geometry = new_geometry
         self.fields = new_geometry.fields
-        from repro.energy.cactilite import CactiLite
-
-        self.energy = CactiLite().energy_model(new_geometry)
-
-    def charged_energy(self) -> float:
-        """Cache plus prediction energy charged so far (the interval
-        driver's per-window energy signal)."""
-        return self.ledger.get(self.ENERGY_COMPONENT) + self.ledger.get(
-            self.PREDICTION_COMPONENT
-        )
-
-    # ------------------------------------------------------------------ #
-    # Helper charging shortcuts
-    # ------------------------------------------------------------------ #
-
-    def _charge(self, amount: float) -> None:
-        self.ledger.charge(self.ENERGY_COMPONENT, amount)
-
-    def _charge_tables(self, reads: int, writes: int = 0) -> None:
-        if reads or writes:
-            self.ledger.charge(
-                self.PREDICTION_COMPONENT,
-                (reads + writes) * self.pred_energy.table_access,
-            )
 
     # ------------------------------------------------------------------ #
     # Loads
@@ -164,7 +124,7 @@ class DCacheEngine:
         """Perform a load; returns hit/latency/kind."""
         if self.bypassed:
             # Level-predictor bypass: straight to L2, no L1 state or
-            # energy, no prediction.  Counts as a (forced) miss.
+            # events, no prediction.  Counts as a (forced) miss.
             self.stats.loads += 1
             self.bypassed_accesses += 1
             latency = self.hierarchy.fetch_block(addr)
@@ -173,7 +133,7 @@ class DCacheEngine:
         self.stats.loads += 1
         self.stats.tag_probes += 1
         plan = self.policy.plan_load(pc, addr, xor_handle)
-        self._charge_tables(plan.table_reads)
+        self.stats.table_accesses += plan.table_reads
 
         resident_way = self.array.probe(addr)
         hit = resident_way is not None
@@ -191,10 +151,9 @@ class DCacheEngine:
             assert final_way is not None
 
         self.stats.count_kind(kind)
-        writes = self.policy.observe_load(
+        self.stats.table_accesses += self.policy.observe_load(
             pc, addr, xor_handle, plan, resident_way, final_way, dm_way
         )
-        self._charge_tables(0, writes)
         return LoadOutcome(hit=hit, latency=latency, kind=kind, way=final_way)
 
     def _execute_plan(
@@ -204,29 +163,29 @@ class DCacheEngine:
         dm_way: int,
         hit: bool,
     ) -> tuple:
-        """Charge probe energy and compute latency; returns
+        """Count the probe events and compute latency; returns
         (latency, kind, probed_way)."""
         base = self.base_latency
         n = self.geometry.associativity
 
         if plan.mode == MODE_PARALLEL:
-            self._charge(self.energy.parallel_read())
+            self.stats.parallel_reads += 1
             self.stats.data_way_reads += n
             return base, plan.kind, resident_way if hit else -1
 
         if plan.mode == MODE_SEQUENTIAL:
             if hit:
-                self._charge(self.energy.one_way_read())
+                self.stats.one_way_reads += 1
                 self.stats.data_way_reads += 1
             else:
                 # Tag array says miss; no data way is probed.
-                self._charge(self.energy.addr_route + self.energy.tag_all_read)
+                self.stats.tag_only_probes += 1
             self.stats.extra_cycles += 1
             return base + 1, plan.kind, resident_way if hit else -1
 
         if plan.mode == MODE_ORACLE:
             # Perfect prediction: matching way (or DM way on a miss fill).
-            self._charge(self.energy.one_way_read())
+            self.stats.one_way_reads += 1
             self.stats.data_way_reads += 1
             if hit:
                 self.stats.predictions += 1
@@ -236,7 +195,7 @@ class DCacheEngine:
         # MODE_SINGLE: a predicted or direct-mapped way.
         probed_way = plan.way if plan.way is not None and plan.way >= 0 else dm_way
         probed_way = probed_way % n
-        self._charge(self.energy.one_way_read())
+        self.stats.one_way_reads += 1
         self.stats.data_way_reads += 1
         if hit:
             self.stats.predictions += 1
@@ -244,12 +203,11 @@ class DCacheEngine:
                 self.stats.correct_predictions += 1
                 return base, plan.kind, probed_way
             # Misprediction: second probe of the correct way.
-            self._charge(self.energy.extra_probe())
             self.stats.data_way_reads += 1
             self.stats.second_probes += 1
             self.stats.extra_cycles += 1
             return base + 1, KIND_MISPREDICTED, resident_way
-        # Miss: the single probe was all the data-array energy spent.
+        # Miss: the single probe was the only data-array read.
         return base, plan.kind, -1
 
     # ------------------------------------------------------------------ #
@@ -261,7 +219,7 @@ class DCacheEngine:
 
         Stores "check the tag array first to determine the matching way
         and then probe and write into only the matching way, even in
-        conventional parallel access caches" — identical energy under
+        conventional parallel access caches" — the same events under
         every policy, and no prediction involved.
         """
         if self.bypassed:
@@ -276,15 +234,13 @@ class DCacheEngine:
         latency = self.base_latency
         if hit:
             self.stats.store_hits += 1
-            self._charge(self.energy.store_write())
             self.stats.data_way_writes += 1
             self.array.touch(addr, resident_way)
             self.array.mark_dirty(addr)
         else:
             # Write-allocate: fetch the block, then write into it.
-            self._charge(self.energy.addr_route + self.energy.tag_all_read)
+            self.stats.tag_only_probes += 1
             latency += self._miss_path(addr, is_store=True)
-            self._charge(self.energy.store_write())
             self.stats.data_way_writes += 1
             self.array.mark_dirty(addr)
         return StoreOutcome(hit=hit, latency=latency)
@@ -302,21 +258,15 @@ class DCacheEngine:
             added = self.hierarchy.fetch_block(addr)
         way, dm_placed = self.policy.placement_way(addr, self.fields)
         if self.policy.uses_victim_list:
-            self.ledger.charge(
-                self.PREDICTION_COMPONENT, self.pred_energy.victim_list_search
-            )
+            self.stats.victim_searches += 1
         fill = self.array.fill(addr, way=way, dm_placed=dm_placed)
         self.stats.fills += 1
-        self._charge(self.energy.fill_write())
         self.stats.data_way_writes += 1
         if fill.eviction is not None:
             self.stats.evictions += 1
-            searches = self.policy.on_eviction(fill.eviction.block_addr)
-            if searches:
-                self.ledger.charge(
-                    self.PREDICTION_COMPONENT,
-                    searches * self.pred_energy.victim_list_search,
-                )
+            self.stats.victim_searches += self.policy.on_eviction(
+                fill.eviction.block_addr
+            )
             if fill.eviction.dirty:
                 self.stats.writebacks += 1
                 self.hierarchy.absorb_writeback(

@@ -41,9 +41,6 @@ from repro.core.kinds import (
     KIND_PARALLEL,
     KIND_SAWP_CORRECT,
 )
-from repro.energy.cactilite import CacheEnergyModel
-from repro.energy.ledger import EnergyLedger
-from repro.energy.tables import PredictionStructureEnergy
 
 __all__ = [
     "FetchOutcome",
@@ -84,28 +81,20 @@ class ICacheEngine:
 
     The policy decides whether fetches use way prediction and owns the
     SAWP state; a ``parallel`` policy models the conventional baseline
-    where every fetch probes all ways.
+    where every fetch probes all ways.  Like the d-cache engine it only
+    counts events; :mod:`repro.energy.pricing` prices them.
     """
-
-    ENERGY_COMPONENT = "l1_icache"
-    PREDICTION_COMPONENT = "prediction_icache"
 
     def __init__(
         self,
         geometry: CacheGeometry,
         hierarchy: MemoryHierarchy,
-        energy: CacheEnergyModel,
-        pred_energy: PredictionStructureEnergy,
-        ledger: EnergyLedger,
         base_latency: int = 1,
         policy: Optional[ICachePolicy] = None,
     ) -> None:
         self.geometry = geometry
         self.fields = geometry.fields
         self.hierarchy = hierarchy
-        self.energy = energy
-        self.pred_energy = pred_energy
-        self.ledger = ledger
         self.base_latency = base_latency
         self.policy = policy if policy is not None else WayPredictedFetchPolicy()
         self.way_predictor = self.policy.make_predictor()
@@ -117,9 +106,6 @@ class ICacheEngine:
         """Whether the configured policy predicts fetch ways."""
         return self.policy.way_predict and self.way_predictor is not None
 
-    def _charge(self, amount: float) -> None:
-        self.ledger.charge(self.ENERGY_COMPONENT, amount)
-
     def fetch(self, pc: int, predicted_way: Optional[int], source: str) -> FetchOutcome:
         """Fetch the block containing ``pc``.
 
@@ -127,7 +113,7 @@ class ICacheEngine:
             predicted_way: way supplied by the fetch unit's structures,
                 or None (defaults to parallel access).
             source: one of the ``SOURCE_*`` labels (for the Figure 10
-                breakdown and way-field energy accounting).
+                breakdown and the way-field/table access counts).
         """
         self.stats.loads += 1
         self.stats.tag_probes += 1
@@ -141,22 +127,18 @@ class ICacheEngine:
 
         if predicted_way is None:
             # Conventional parallel access.
-            self._charge(self.energy.parallel_read())
+            self.stats.parallel_reads += 1
             self.stats.data_way_reads += n
             latency = self.base_latency
             kind = KIND_NO_PREDICTION if self.way_predict else KIND_PARALLEL
         else:
             # Probe only the predicted way, in parallel with the tags.
-            self._charge(self.energy.one_way_read())
+            self.stats.one_way_reads += 1
             self.stats.data_way_reads += 1
             if source in (SOURCE_BTB, SOURCE_RAS):
-                self.ledger.charge(
-                    self.PREDICTION_COMPONENT, self.pred_energy.way_field_access
-                )
+                self.stats.way_field_accesses += 1
             else:
-                self.ledger.charge(
-                    self.PREDICTION_COMPONENT, self.pred_energy.table_access
-                )
+                self.stats.table_accesses += 1
             if hit:
                 self.stats.predictions += 1
                 if predicted_way == resident_way:
@@ -165,7 +147,6 @@ class ICacheEngine:
                     kind = _CORRECT_KIND[source]
                 else:
                     # Second probe of the matching way.
-                    self._charge(self.energy.extra_probe())
                     self.stats.data_way_reads += 1
                     self.stats.second_probes += 1
                     self.stats.extra_cycles += 1
@@ -188,14 +169,13 @@ class ICacheEngine:
         return FetchOutcome(hit=hit, latency=latency, kind=kind, way=way)
 
     def way_of(self, pc: int) -> Optional[int]:
-        """Quiet tag inspection (no energy): used when pushing RAS ways."""
+        """Quiet tag inspection (no events): used when pushing RAS ways."""
         return self.array.probe(pc)
 
     def _miss_path(self, pc: int) -> int:
         added = self.hierarchy.fetch_block(pc)
         fill = self.array.fill(pc)
         self.stats.fills += 1
-        self._charge(self.energy.fill_write())
         self.stats.data_way_writes += 1
         if fill.eviction is not None:
             self.stats.evictions += 1

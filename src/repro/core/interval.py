@@ -27,9 +27,11 @@ Reconfigure semantics (the documented flush policy):
   semantics DRI-style resizing literature assumes, and it is what
   keeps the batched/vector tiers byte-identical to the reference:
   "fresh state at a deterministic point" replays the same everywhere.
-* **Cumulative statistics.**  Counters (loads, misses, energy, ...) are
-  never reset by a reconfiguration; results aggregate across the whole
-  run regardless of how many times the shape changed.
+* **Cumulative statistics.**  Counters (loads, misses, probe events,
+  ...) are never reset by a reconfiguration; results aggregate across
+  the whole run regardless of how many times the shape changed.  In
+  full simulation a resize closes an energy epoch: the events before it
+  are priced for the old geometry, the events after it for the new.
 * **Stable block decomposition.**  A reconfiguration may change
   capacity and associativity but must preserve ``block_bytes`` and
   ``address_bits`` (:func:`validate_reconfigure`); the block-address
@@ -76,8 +78,9 @@ class IntervalStats:
         way_mispredicts: mispredicted first probes in the window
             (sim mode; always 0 in missrate mode, which has no
             prediction machinery).
-        energy_delta: cache + prediction energy charged during the
-            window, in the ledger's units (sim mode; 0.0 in missrate).
+        energy_delta: cache + prediction energy (REU) of the window's
+            events, each priced for the geometry it happened in (sim
+            mode; 0.0 in missrate).
         total_accesses: cumulative accesses since the start of the run.
         total_misses: cumulative misses since the start of the run.
         geometry: the cache's *current* shape (reflecting any earlier

@@ -27,11 +27,13 @@ from repro.energy.constants import TECH_0_25_UM, TechnologyConstants
 class CacheEnergyModel:
     """Per-event energies (REU) for one cache geometry.
 
-    The access engines combine these primitives:
+    :mod:`repro.energy.pricing` combines these primitives:
 
     * parallel load hit:   ``addr + tag_all_read + N*data_way_read + output(N)``
     * one-way load hit:    ``addr + tag_all_read + data_way_read + output(1)``
       (sequential, correctly way-predicted, and direct-mapped accesses)
+    * tag-only probe:      ``addr + tag_all_read`` (sequential load miss,
+      store miss)
     * extra probe:         ``data_way_read + output(1)`` (mispredictions)
     * store hit:           ``addr + tag_all_read + data_way_write``
     * fill (block install):``addr + data_block_write + tag_way_write``

@@ -82,13 +82,12 @@ class WattchLite:
         committed_instrs: int,
         cache_energies: Mapping[str, float],
     ) -> ProcessorEnergyReport:
-        """Combine core event counts with measured cache/table energies.
+        """Combine core event counts with the priced cache energies.
 
         Args:
-            cache_energies: component map from the simulation's
-                :class:`~repro.energy.ledger.EnergyLedger` — expected keys
-                are ``l1_icache``, ``l1_dcache``, ``l2``, ``prediction``
-                (missing keys count as zero).
+            cache_energies: ``l1_icache``, ``l1_dcache`` (each including
+                its prediction structures) and ``l2``; missing keys
+                count as zero.
         """
         p = self.params
         components = {
@@ -105,6 +104,5 @@ class WattchLite:
             "l1_icache": cache_energies.get("l1_icache", 0.0),
             "l1_dcache": cache_energies.get("l1_dcache", 0.0),
             "l2": cache_energies.get("l2", 0.0),
-            "prediction": cache_energies.get("prediction", 0.0),
         }
         return ProcessorEnergyReport(components=components)

@@ -132,25 +132,6 @@ def run_comparison(
     return comparison_rows(sweep, comparisons, settings, component)
 
 
-def run_dcache_comparison(
-    techniques: Sequence[Tuple[str, SystemConfig]],
-    baseline: SystemConfig,
-    settings: Optional[ExperimentSettings] = None,
-    component: str = "dcache",
-    engine: Optional[SweepEngine] = None,
-) -> Dict[str, List[MetricRow]]:
-    """Back-compat shim: techniques against one shared baseline.
-
-    Returns:
-        Mapping from technique label to per-application rows followed by
-        a MEAN row.  ``extras`` carries prediction accuracy and the
-        access-kind breakdown fractions used by the figures' bottom
-        graphs.
-    """
-    comparisons = [(label, config, baseline) for label, config in techniques]
-    return run_comparison(comparisons, settings, component, engine)
-
-
 def render_comparison(
     results: Dict[str, List[MetricRow]],
     title: str,

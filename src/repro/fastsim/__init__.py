@@ -29,8 +29,9 @@ backend tiers:
 The fast backend's contract is *byte-identical results*: the same
 :class:`~repro.sim.functional.MissRateResult` and the same
 :class:`~repro.sim.results.SimResult` (``to_flat()`` equality, energy
-floats included — the kernels accumulate energy in the reference
-engines' exact float-addition order).  The differential property suite
+floats included — the engines count the reference engines' events, and
+the simulator prices every tier's counts with one function).  The
+differential property suite
 (``tests/test_differential.py``) and the golden-trace equivalence tests
 (``tests/test_fastsim.py``) enforce the contract for every policy kind
 in the registry.

@@ -38,7 +38,7 @@ the per-cycle cost is list indexing instead of object-graph traversal:
 The d-cache is a :class:`~repro.fastsim.dcache.FastDCacheEngine`,
 driven through its ``load_tuple``/``store_tuple`` methods in the same
 access sequence as the reference core drives ``DCacheEngine`` — which
-is what keeps energy accumulation, latencies, and every counter
+is what keeps latencies and every counter (so every priced energy)
 byte-identical under ``SimResult.to_flat()``.
 """
 

@@ -7,10 +7,9 @@ same ``stats``/``policy``/``bypassed``/``reconfigure`` surface, same
 access events — but the tag array is a list of per-set block-address
 lists, the policy is a :class:`~repro.fastsim.kernels.DCacheKernel`
 (inlined for the paper's static kinds, the policy-object adapter for
-dynamic kinds and plugins), accesses return plain tuples, and per-event
-energies are precomputed floats accumulated locally in the reference
-engine's exact charge order (published to the shared ledger by
-:meth:`flush_energy`), so results are byte-identical.
+dynamic kinds and plugins) and accesses return plain tuples.  It counts
+the reference engine's events on its ``CacheStats``, which are priced
+after the run like the reference's, so results are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from repro.core.factory import build_dcache_policy
 from repro.core.interval import validate_reconfigure
 from repro.core.kinds import KIND_BYPASSED, KIND_MISPREDICTED
 from repro.core.spec import PolicySpec
-from repro.energy.cactilite import CacheEnergyModel, CactiLite
-from repro.energy.ledger import EnergyLedger
-from repro.energy.tables import PredictionStructureEnergy
 from repro.fastsim.kernels import (
     FAST_DCACHE_KERNELS,
     MODE_ORACLE,
@@ -46,31 +42,20 @@ class FastDCacheEngine:
         hierarchy: backing L2 + memory, shared with the i-cache: the
             fast tier's :class:`~repro.fastsim.l2.FastL2` (a
             ``MemoryHierarchy`` answers the same three calls).
-        energy: per-event energies for this geometry.
-        pred_energy: energies of the prediction structures.
-        ledger: energy accumulation target (see :meth:`flush_energy`).
         base_latency: hit latency in cycles.
     """
-
-    ENERGY_COMPONENT = "l1_dcache"
-    PREDICTION_COMPONENT = "prediction_dcache"
 
     def __init__(
         self,
         geometry: CacheGeometry,
         spec: PolicySpec,
         hierarchy: FastL2,
-        energy: CacheEnergyModel,
-        pred_energy: PredictionStructureEnergy,
-        ledger: EnergyLedger,
         base_latency: int = 1,
     ) -> None:
         self.hierarchy = hierarchy
-        self.pred_energy = pred_energy
-        self.ledger = ledger
         self.base_latency = base_latency
         self.stats = CacheStats()
-        self._build(geometry, energy)
+        self._build(geometry)
 
         # ``policy`` is the object behind the adapter kernel (dynamic
         # kinds and plugins); None when an inlined kernel runs the kind.
@@ -86,25 +71,17 @@ class FastDCacheEngine:
         self._placement = kernel.placement
         self._on_eviction = kernel.on_eviction
         self._uses_victim_list = kernel.uses_victim_list
-        self._e_table = pred_energy.table_access
-        self._e_vsearch = pred_energy.victim_list_search
 
         #: When set (by the interval driver), accesses skip L1 and go
         #: straight to the hierarchy, as in ``DCacheEngine``.
         self.bypassed = False
         self.bypassed_accesses = 0
-
-        # Local accumulators, flushed once: same additions in the same
-        # order as the reference ledger, so the totals are bit-equal.
-        self._e_cache = 0.0
-        self._e_pred = 0.0
         self._fill_way = -1
 
-    def _build(self, geometry: CacheGeometry, energy: CacheEnergyModel) -> None:
-        """Set up empty arrays and per-event energies for ``geometry``."""
+    def _build(self, geometry: CacheGeometry) -> None:
+        """Set up empty arrays for ``geometry``."""
         self.geometry = geometry
         self.fields = fields = geometry.fields
-        self.energy = energy
         assoc = self._assoc = geometry.associativity
         self._offset_bits = fields.offset_bits
         self._index_bits = fields.index_bits
@@ -116,24 +93,15 @@ class FastDCacheEngine:
         # Way order per set, MRU-first (the reference's ``CacheSet.order``).
         self._orders = [list(range(assoc)) for _ in range(num_sets)]
 
-        # Precomputed per-event energies (identical floats to the
-        # reference engine's per-call computations).
-        self._e_parallel = energy.parallel_read()
-        self._e_oneway = energy.one_way_read()
-        self._e_extra = energy.extra_probe()
-        self._e_store = energy.store_write()
-        self._e_fill = energy.fill_write()
-        self._e_tagmiss = energy.addr_route + energy.tag_all_read
-
     # ------------------------------------------------------------------ #
 
     def reconfigure(self, new_geometry: CacheGeometry) -> None:
         """Mirror ``DCacheEngine.reconfigure``: flush, then rebuild.
 
         Dirty blocks are written back in set-major, way-minor order;
-        the arrays and per-event energies are rebuilt for
-        ``new_geometry``, and the stats carry over.  Kernels get the
-        current fields on every fill, so none needs rebuilding.
+        the arrays are rebuilt for ``new_geometry``, and the stats carry
+        over.  Kernels get the current fields on every fill, so none
+        needs rebuilding.
         """
         validate_reconfigure(self.geometry, new_geometry)
         offset_bits = self._offset_bits
@@ -142,29 +110,7 @@ class FastDCacheEngine:
                 if is_dirty:
                     self.stats.writebacks += 1
                     self.hierarchy.absorb_writeback(block << offset_bits)
-        self._build(new_geometry, CactiLite().energy_model(new_geometry))
-
-    def charged_energy(self) -> float:
-        """Cache plus prediction energy charged so far.
-
-        Bit-equal to ``DCacheEngine.charged_energy`` at the same point
-        of the run.
-        """
-        return self._e_cache + self._e_pred
-
-    def flush_energy(self) -> None:
-        """Publish accumulated energy into the shared ledger.
-
-        Charges only when events occurred, matching the reference
-        engine, which never creates a ledger component it didn't
-        charge.
-        """
-        if self._e_cache:
-            self.ledger.charge(self.ENERGY_COMPONENT, self._e_cache)
-            self._e_cache = 0.0
-        if self._e_pred:
-            self.ledger.charge(self.PREDICTION_COMPONENT, self._e_pred)
-            self._e_pred = 0.0
+        self._build(new_geometry)
 
     # ------------------------------------------------------------------ #
     # Loads
@@ -179,7 +125,7 @@ class FastDCacheEngine:
         """
         stats = self.stats
         if self.bypassed:
-            # Straight to L2: no L1 state, energy or training.
+            # Straight to L2: no L1 state, events or training.
             stats.loads += 1
             self.bypassed_accesses += 1
             stats.count_kind(KIND_BYPASSED)
@@ -188,7 +134,7 @@ class FastDCacheEngine:
         stats.tag_probes += 1
         mode, plan_way, kind, table_reads = self._plan(pc, addr, xor_handle)
         if table_reads:
-            self._e_pred += table_reads * self._e_table
+            stats.table_accesses += table_reads
 
         block = addr >> self._offset_bits
         index = block & self._set_mask
@@ -203,20 +149,20 @@ class FastDCacheEngine:
 
         base = self.base_latency
         if mode == MODE_PARALLEL:
-            self._e_cache += self._e_parallel
+            stats.parallel_reads += 1
             stats.data_way_reads += self._assoc
             latency = base
         elif mode == MODE_SEQUENTIAL:
             if hit:
-                self._e_cache += self._e_oneway
+                stats.one_way_reads += 1
                 stats.data_way_reads += 1
             else:
                 # Tag array says miss; no data way is probed.
-                self._e_cache += self._e_tagmiss
+                stats.tag_only_probes += 1
             stats.extra_cycles += 1
             latency = base + 1
         elif mode == MODE_ORACLE:
-            self._e_cache += self._e_oneway
+            stats.one_way_reads += 1
             stats.data_way_reads += 1
             if hit:
                 stats.predictions += 1
@@ -224,7 +170,7 @@ class FastDCacheEngine:
             latency = base
         else:  # MODE_SINGLE: a predicted or direct-mapped way
             probed_way = (plan_way if plan_way >= 0 else dm_way) % self._assoc
-            self._e_cache += self._e_oneway
+            stats.one_way_reads += 1
             stats.data_way_reads += 1
             latency = base
             if hit:
@@ -233,7 +179,6 @@ class FastDCacheEngine:
                     stats.correct_predictions += 1
                 else:
                     # Misprediction: second probe of the correct way.
-                    self._e_cache += self._e_extra
                     stats.data_way_reads += 1
                     stats.second_probes += 1
                     stats.extra_cycles += 1
@@ -252,7 +197,7 @@ class FastDCacheEngine:
         kinds[kind] = kinds.get(kind, 0) + 1
         writes = self._observe(pc, addr, xor_handle, resident_way, final_way, dm_way)
         if writes:
-            self._e_pred += writes * self._e_table
+            stats.table_accesses += writes
         return hit, latency, kind, final_way
 
     # ------------------------------------------------------------------ #
@@ -281,15 +226,13 @@ class FastDCacheEngine:
         latency = self.base_latency
         if hit:
             stats.store_hits += 1
-            self._e_cache += self._e_store
             stats.data_way_writes += 1
             self._touch(index, way)
             self._dirty[index][way] = True
         else:
             # Write-allocate: fetch the block, then write into it.
-            self._e_cache += self._e_tagmiss
+            stats.tag_only_probes += 1
             latency += self._miss_path(addr, block, index, is_store=True)
-            self._e_cache += self._e_store
             stats.data_way_writes += 1
             self._dirty[index][self._fill_way] = True
         return hit, latency
@@ -310,8 +253,9 @@ class FastDCacheEngine:
         else:
             added = self.hierarchy.fetch_block(addr)
         way, _dm_placed = self._placement(addr, self.fields)
+        stats = self.stats
         if self._uses_victim_list:
-            self._e_pred += self._e_vsearch
+            stats.victim_searches += 1
         tags = self._tags[index]
         if way is None:
             try:
@@ -324,16 +268,15 @@ class FastDCacheEngine:
         tags[way] = block
         dirty[way] = False
         self._touch(index, way)
-        self.stats.fills += 1
-        self._e_cache += self._e_fill
-        self.stats.data_way_writes += 1
+        stats.fills += 1
+        stats.data_way_writes += 1
         if evicted != -1:
-            self.stats.evictions += 1
+            stats.evictions += 1
             searches = self._on_eviction(evicted)
             if searches:
-                self._e_pred += searches * self._e_vsearch
+                stats.victim_searches += searches
             if evicted_dirty:
-                self.stats.writebacks += 1
+                stats.writebacks += 1
                 self.hierarchy.absorb_writeback(evicted << self._offset_bits)
         self._fill_way = way
         return added

@@ -4,8 +4,8 @@ Counterpart of :class:`~repro.core.icache.ICacheEngine`, built from the
 same :class:`~repro.core.icache_policy.ICachePolicy` object, so every
 registered i-cache kind (plugins included) runs on it.  The fast fetch
 unit drives it through ``fetch_tuple``/``way_of``/``way_predictor``/
-``way_predict`` and gets byte-identical results; energy accumulates
-locally in the reference order and flushes via :meth:`flush_energy`.
+``way_predict`` and gets byte-identical results: it counts the
+reference engine's events, which are priced after the run.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from repro.core.kinds import (
     KIND_PARALLEL,
     KIND_SAWP_CORRECT,
 )
-from repro.energy.cactilite import CacheEnergyModel
-from repro.energy.ledger import EnergyLedger
-from repro.energy.tables import PredictionStructureEnergy
 from repro.fastsim.l2 import FastL2
 from repro.utils.bitops import bit_mask
 
@@ -45,25 +42,16 @@ class FastICacheEngine:
     (any object with the L2's ``fetch_block`` serves).
     """
 
-    ENERGY_COMPONENT = "l1_icache"
-    PREDICTION_COMPONENT = "prediction_icache"
-
     def __init__(
         self,
         geometry: CacheGeometry,
         hierarchy: FastL2,
-        energy: CacheEnergyModel,
-        pred_energy: PredictionStructureEnergy,
-        ledger: EnergyLedger,
         base_latency: int = 1,
         policy: Optional[ICachePolicy] = None,
     ) -> None:
         self.geometry = geometry
         self.fields = geometry.fields
         self.hierarchy = hierarchy
-        self.energy = energy
-        self.pred_energy = pred_energy
-        self.ledger = ledger
         self.base_latency = base_latency
         self.stats = CacheStats()
 
@@ -78,28 +66,7 @@ class FastICacheEngine:
         self._tags = [[-1] * self._assoc for _ in range(num_sets)]
         # Way order per set, MRU-first (the reference's ``CacheSet.order``).
         self._orders = [list(range(self._assoc)) for _ in range(num_sets)]
-
-        self._e_parallel = energy.parallel_read()
-        self._e_oneway = energy.one_way_read()
-        self._e_extra = energy.extra_probe()
-        self._e_fill = energy.fill_write()
-        self._e_table = pred_energy.table_access
-        self._e_way_field = pred_energy.way_field_access
-
-        self._e_cache = 0.0
-        self._e_pred = 0.0
         self._fill_way = -1
-
-    # ------------------------------------------------------------------ #
-
-    def flush_energy(self) -> None:
-        """Publish accumulated energy into the shared ledger."""
-        if self._e_cache:
-            self.ledger.charge(self.ENERGY_COMPONENT, self._e_cache)
-            self._e_cache = 0.0
-        if self._e_pred:
-            self.ledger.charge(self.PREDICTION_COMPONENT, self._e_pred)
-            self._e_pred = 0.0
 
     # ------------------------------------------------------------------ #
 
@@ -126,18 +93,18 @@ class FastICacheEngine:
 
         if predicted_way is None:
             # Conventional parallel access.
-            self._e_cache += self._e_parallel
+            stats.parallel_reads += 1
             stats.data_way_reads += self._assoc
             latency = self.base_latency
             kind = KIND_NO_PREDICTION if self.way_predict else KIND_PARALLEL
         else:
             # Probe only the predicted way, in parallel with the tags.
-            self._e_cache += self._e_oneway
+            stats.one_way_reads += 1
             stats.data_way_reads += 1
             if source in (SOURCE_BTB, SOURCE_RAS):
-                self._e_pred += self._e_way_field
+                stats.way_field_accesses += 1
             else:
-                self._e_pred += self._e_table
+                stats.table_accesses += 1
             if hit:
                 stats.predictions += 1
                 if predicted_way == resident_way:
@@ -146,7 +113,6 @@ class FastICacheEngine:
                     kind = _CORRECT_KIND[source]
                 else:
                     # Second probe of the matching way.
-                    self._e_cache += self._e_extra
                     stats.data_way_reads += 1
                     stats.second_probes += 1
                     stats.extra_cycles += 1
@@ -169,7 +135,7 @@ class FastICacheEngine:
         return hit, latency, kind, way
 
     def way_of(self, pc: int) -> Optional[int]:
-        """Quiet tag inspection (no energy): used when pushing RAS ways."""
+        """Quiet tag inspection (no events): used when pushing RAS ways."""
         block = pc >> self._offset_bits
         try:
             return self._tags[block & self._set_mask].index(block)
@@ -194,7 +160,6 @@ class FastICacheEngine:
         tags[way] = block
         self._touch(index, way)
         self.stats.fills += 1
-        self._e_cache += self._e_fill
         self.stats.data_way_writes += 1
         if evicted != -1:
             self.stats.evictions += 1

@@ -94,9 +94,8 @@ def resolve_tier(backend: str, mode: str = "missrate") -> str:
     ``"fast"`` auto-upgrades to the vector kernels for miss-rate runs
     when they are enabled; ``"vector"`` silently degrades to the python
     kernels when they are not (no numpy, or :data:`NO_VECTOR_ENV` set).
-    Full-sim mode always resolves to the array-state python pipeline —
-    energy accumulation stays a scalar pass so float-addition order is
-    bit-identical to the reference.
+    Full-sim mode always resolves to the array-state python pipeline:
+    the vector tier has no full-sim kernels.
     """
     if backend == "reference":
         return "reference"

@@ -106,9 +106,10 @@ class EnergyMetrics:
     """Energy accounting in relative energy units (REU).
 
     Attributes:
-        components: the ledger's per-component cache/prediction energies
-            (``l1_dcache``, ``prediction_dcache``, ``l1_icache``,
-            ``prediction_icache``, ``l2``).
+        components: cache and prediction-structure energies priced from
+            the run's event counts (``l1_dcache``, ``prediction_dcache``,
+            ``l1_icache``, ``prediction_icache``, ``l2``); an L1
+            component with no energy is left out.
         processor: Wattch-lite whole-processor component energies.
     """
 
@@ -131,8 +132,13 @@ class EnergyMetrics:
 
     @property
     def processor_total(self) -> float:
-        """Whole-processor energy (Wattch-lite)."""
-        return sum(self.processor.values())
+        """Whole-processor energy (Wattch-lite).
+
+        Summed in sorted component order, the order :meth:`SimResult.to_flat`
+        stores them in, so a result rebuilt from a flat gives the same
+        float as the run that produced it.
+        """
+        return sum(self.processor[name] for name in sorted(self.processor))
 
     @property
     def cache_fraction_of_processor(self) -> float:
@@ -238,10 +244,8 @@ class SimResult:
         """Flatten to one JSON-safe ``{section_field: value}`` mapping.
 
         Dict-valued fields (access-kind counts, energy components) are
-        emitted in sorted key order: their in-memory insertion order is
-        an execution-backend artifact (e.g. which L1 engine charged the
-        ledger first), and serializing them canonically keeps JSON
-        dumps of equal results byte-identical across backends.  The
+        emitted in sorted key order, so JSON dumps of equal results are
+        byte-identical whatever order the mappings were built in.  The
         dynamics section is emitted only when the run delivered ticks,
         so every no-ticks flat round-trips byte-identically to the
         pre-dynamics schema.

@@ -389,13 +389,15 @@ def cache_key(
     behaviour is a function of the interval, so the same config at two
     intervals is two distinct runs (the policy's own parameters already
     ride in via ``config.key()``).  The v8->v9 bump drops the chunk-plan
-    token v7 added, along with chunked replay itself.
+    token v7 added, along with chunked replay itself.  The v9->v10 bump
+    retires results whose energies were summed event by event: energy
+    is now priced from event counts, which moves the last digits.
     """
     _validate_interval(interval)
     payload = (
         f"{workload_id(benchmark)}|{config.key()}|{instructions}|{salt}|{mode}|{backend}"
         f"|{resolve_tier(backend, mode)}|{_interval_token(interval)}"
-        f"|v9:{SCHEMA_VERSION}"
+        f"|v10:{SCHEMA_VERSION}"
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -17,9 +17,13 @@ and cache side, the unified L2 included:
 
 ``"vector"`` is also accepted and builds the same fast pipeline: the
 vector tier accelerates functional miss-rate runs only
-(:mod:`repro.fastsim.vector`), while full simulation keeps the scalar
-array-state engines so energy accumulates in the reference's exact
-float-addition order.
+(:mod:`repro.fastsim.vector`).
+
+The engines of every backend only count events.  After the run the
+simulator prices the counts (:mod:`repro.energy.pricing`): the L2's
+once, each L1's per geometry epoch, since a ``dri`` resize changes
+what every d-cache event costs.  Equal counts give equal energy, so the
+energy of every tier is the same by construction.
 
 The backend also selects the pipeline implementation for ``run``: the
 fast backend replays the pre-encoded instruction arrays through the
@@ -31,9 +35,11 @@ order, so the mode="sim" contract stays byte-identical end to end.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
+from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import L2Cache, MainMemory, MemoryHierarchy
+from repro.cache.stats import CacheStats
 from repro.core.engine import DCacheEngine
 from repro.core.factory import build_dcache_policy, build_icache_policy
 from repro.core.icache import ICacheEngine
@@ -43,7 +49,7 @@ from repro.cpu.fetch import FetchUnit
 from repro.cpu.ooo import OutOfOrderCore
 from repro.cpu.stats import CoreStats
 from repro.energy.cactilite import CactiLite
-from repro.energy.ledger import EnergyLedger
+from repro.energy.pricing import l1_energy, l1_events, l2_energy
 from repro.energy.processor import WattchLite, WattchParameters
 from repro.energy.tables import PredictionStructureEnergy
 from repro.sim.config import SystemConfig
@@ -64,67 +70,97 @@ from repro.workload.trace import Trace
 BACKENDS = ("reference", "fast", "vector")
 
 
-class _IntervalDriver:
-    """Delivers interval ticks to a dynamic d-cache policy.
+class _EpochEnergy:
+    """Prices one L1's event counts, one geometry epoch at a time.
 
-    Reads the engine's cumulative stats and charged energy at each tick,
-    hands the window delta to ``policy.on_interval``, and applies any
-    returned action to the engine.  Both d-cache engines (reference and
-    fast) expose ``policy``, ``charged_energy``, ``reconfigure`` and
-    ``bypassed``.  ``way_mispredicts`` is the window's second-probe count
-    and ``energy_delta`` the window's d-cache + prediction energy — the
-    two signals the paper's section 4 feedback schemes key on.
+    A resize changes what every event costs, so the events since the
+    last resize are priced for the geometry they happened in and added
+    to the energy of the closed epochs.
     """
 
     def __init__(
-        self, engine: Union[DCacheEngine, FastDCacheEngine], interval: int
+        self,
+        stats: CacheStats,
+        geometry: CacheGeometry,
+        pred_energy: PredictionStructureEnergy,
+    ) -> None:
+        self._stats = stats
+        self._pred_energy = pred_energy
+        self._model = CactiLite().energy_model(geometry)
+        self._start = l1_events(stats)
+        self._closed = (0.0, 0.0)
+
+    def total(self) -> Tuple[float, float]:
+        """The (cache, prediction) energy of every event so far."""
+        events = [now - start for now, start in zip(l1_events(self._stats), self._start)]
+        cache, prediction = l1_energy(self._model, self._pred_energy, events)
+        return self._closed[0] + cache, self._closed[1] + prediction
+
+    def close_epoch(self, geometry: CacheGeometry) -> None:
+        """Price the open epoch; later events are priced for ``geometry``."""
+        self._closed = self.total()
+        self._start = l1_events(self._stats)
+        self._model = CactiLite().energy_model(geometry)
+
+
+class _IntervalDriver:
+    """Delivers interval ticks to a dynamic d-cache policy.
+
+    Reads the engine's cumulative stats and priced energy at each tick,
+    hands the window delta to ``policy.on_interval``, and applies any
+    returned action to the engine: a resize closes the energy epoch
+    first.  Both d-cache engines (reference and fast) expose ``policy``,
+    ``reconfigure`` and ``bypassed``.  ``way_mispredicts`` is the
+    window's second-probe count and ``energy_delta`` the window's
+    d-cache + prediction energy — the two signals the paper's section 4
+    feedback schemes key on.
+    """
+
+    def __init__(
+        self,
+        engine: Union[DCacheEngine, FastDCacheEngine],
+        interval: int,
+        energy: _EpochEnergy,
     ) -> None:
         self.engine = engine
         self.interval = interval
+        self.energy = energy
         self.ticks = 0
         self.reconfigurations = 0
         self.bypass_toggles = 0
-        self._prev_accesses = 0
-        self._prev_loads = 0
-        self._prev_misses = 0
-        self._prev_mispredicts = 0
-        self._prev_energy = 0.0
+        #: Cumulative (accesses, loads, misses, second probes, energy)
+        #: at the previous tick.
+        self._prev = (0, 0, 0, 0, 0.0)
 
     def __call__(self, cycle: int) -> None:
         engine = self.engine
         stats = engine.stats
-        accesses = stats.accesses
-        loads = stats.loads
-        misses = stats.misses
-        mispredicts = stats.second_probes
-        energy = engine.charged_energy()
-        win_accesses = accesses - self._prev_accesses
-        win_loads = loads - self._prev_loads
+        now = (stats.accesses, stats.loads, stats.misses, stats.second_probes,
+               sum(self.energy.total()))
+        accesses, loads, misses, mispredicts, energy = (
+            current - previous for current, previous in zip(now, self._prev))
+        self._prev = now
         tick_stats = IntervalStats(
             index=self.ticks,
             position=cycle,
             interval=self.interval,
-            accesses=win_accesses,
-            loads=win_loads,
-            stores=win_accesses - win_loads,
-            misses=misses - self._prev_misses,
-            way_mispredicts=mispredicts - self._prev_mispredicts,
-            energy_delta=energy - self._prev_energy,
-            total_accesses=accesses,
-            total_misses=misses,
+            accesses=accesses,
+            loads=loads,
+            stores=accesses - loads,
+            misses=misses,
+            way_mispredicts=mispredicts,
+            energy_delta=energy,
+            total_accesses=stats.accesses,
+            total_misses=stats.misses,
             geometry=engine.geometry,
             bypassed=engine.bypassed,
         )
         action = engine.policy.on_interval(tick_stats)
         self.ticks += 1
-        self._prev_accesses = accesses
-        self._prev_loads = loads
-        self._prev_misses = misses
-        self._prev_mispredicts = mispredicts
-        self._prev_energy = energy
         if action is None:
             return
         if action.geometry is not None and action.geometry != engine.geometry:
+            self.energy.close_epoch(action.geometry)
             engine.reconfigure(action.geometry)  # validates the change
             self.reconfigurations += 1
         if action.bypass is not None and action.bypass != engine.bypassed:
@@ -163,8 +199,6 @@ class Simulator:
         self.config = config
         self.backend = backend
         self.interval = interval
-        self.ledger = EnergyLedger()
-        cacti = CactiLite()
 
         # Backing hierarchy (shared, unified L2 as in Table 1).
         memory = MainMemory(
@@ -183,11 +217,11 @@ class Simulator:
         else:
             # The fast L2 answers the engines' three hierarchy calls itself.
             self.l2 = hierarchy = FastL2(**l2_args)
-        self._l2_energy_model = cacti.energy_model(config.l2.geometry())
+        self._l2_energy_model = CactiLite().energy_model(config.l2.geometry())
 
         # Prediction-structure energies sized from the policy specs
         # (policies that declare no tables fall back to paper sizes;
-        # the structures only charge energy when a policy uses them).
+        # the structures only cost energy when a policy uses them).
         dspec = config.dcache_policy
         pred_energy = PredictionStructureEnergy.build(
             table_entries=dspec.get("table_entries", 1024),
@@ -206,9 +240,6 @@ class Simulator:
         dcache_args = dict(
             geometry=dgeometry,
             hierarchy=hierarchy,
-            energy=cacti.energy_model(dgeometry),
-            pred_energy=pred_energy,
-            ledger=self.ledger,
             base_latency=config.dcache.latency,
         )
         if backend == "reference":
@@ -221,12 +252,11 @@ class Simulator:
         self.icache = icache_engine(
             geometry=igeometry,
             hierarchy=hierarchy,
-            energy=cacti.energy_model(igeometry),
-            pred_energy=ipred_energy,
-            ledger=self.ledger,
             base_latency=config.icache.latency,
             policy=build_icache_policy(config.icache_policy),
         )
+        self._dcache_energy = _EpochEnergy(self.dcache.stats, dgeometry, pred_energy)
+        self._icache_energy = _EpochEnergy(self.icache.stats, igeometry, ipred_energy)
         self.wattch = WattchLite(wattch if wattch is not None else WattchParameters())
 
     # ------------------------------------------------------------------ #
@@ -236,7 +266,7 @@ class Simulator:
         core_stats = CoreStats()
         driver = None
         if self.interval > 0 and is_dynamic_policy(self.dcache.policy):
-            driver = _IntervalDriver(self.dcache, self.interval)
+            driver = _IntervalDriver(self.dcache, self.interval, self._dcache_energy)
         tick_interval = self.interval if driver is not None else 0
         if self.backend == "reference":
             fetch_unit = FetchUnit(trace, self.icache, self.config.core, core_stats)
@@ -250,21 +280,20 @@ class Simulator:
                 self.config.core, fast_fetch, self.dcache, core_stats,
                 interval=tick_interval, on_tick=driver,
             ).run()
-            # The fast engines accumulate energy locally; publish it
-            # before the ledger is read.
-            self.dcache.flush_energy()
-            self.icache.flush_energy()
 
-        # Post-run L2 energy: the L2 uses sequential (tag-then-way) access
-        # as in the Alpha 21164, so each access costs one-way energy.
+        # Price the counts; components with no energy are left out.
+        l1d, pred_d = self._dcache_energy.total()
+        l1i, pred_i = self._icache_energy.total()
+        energy = {
+            name: value
+            for name, value in (
+                ("l1_dcache", l1d), ("prediction_dcache", pred_d),
+                ("l1_icache", l1i), ("prediction_icache", pred_i),
+            )
+            if value
+        }
         l2_stats = self.l2.stats
-        l2_energy = (
-            l2_stats.accesses * self._l2_energy_model.one_way_read()
-            + l2_stats.fills * self._l2_energy_model.fill_write()
-        )
-        self.ledger.charge("l2", l2_energy)
-
-        energy = dict(self.ledger.as_dict())
+        energy["l2"] = l2_energy(self._l2_energy_model, l2_stats)
         report = self.wattch.report(
             cycles=core_stats.cycles,
             fetched_instrs=core_stats.fetched,
@@ -276,11 +305,9 @@ class Simulator:
             mem_ops=core_stats.mem_ops,
             committed_instrs=core_stats.committed,
             cache_energies={
-                "l1_icache": energy.get("l1_icache", 0.0)
-                + energy.get("prediction_icache", 0.0),
-                "l1_dcache": energy.get("l1_dcache", 0.0)
-                + energy.get("prediction_dcache", 0.0),
-                "l2": energy.get("l2", 0.0),
+                "l1_icache": l1i + pred_i,
+                "l1_dcache": l1d + pred_d,
+                "l2": energy["l2"],
             },
         )
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.energy.cactilite import CactiLite
-from repro.energy.ledger import EnergyLedger
 from repro.energy.tables import PredictionStructureEnergy
 from repro.sim.config import SystemConfig
 
@@ -92,12 +91,6 @@ def energy16k4w(geometry16k4w):
 def pred_energy():
     """Paper-sized prediction structure energies."""
     return PredictionStructureEnergy.build()
-
-
-@pytest.fixture
-def ledger():
-    """Fresh energy ledger."""
-    return EnergyLedger()
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from repro.sim.results import (
     L2Metrics,
     SimResult,
 )
+from repro.sim import runner
 from repro.sim.runner import clear_caches, get_trace
 
 
@@ -116,3 +117,14 @@ class TestFlatRoundTrip:
             "gcc", instructions=3000
         )
         assert SimResult.from_flat(result.to_flat()) == result
+
+    def test_rebuilt_result_reports_the_same_processor_total(self):
+        """A warm-cache rerun reads results rebuilt from their flats; its
+        derived totals must be the floats a cold run computed.  Summing
+        the processor components in insertion order gave this point
+        11165.139122816008 fresh and 11165.13912281601 rebuilt."""
+        result = runner.execute("vortex", SystemConfig(), 2000, 0, "sim", "reference")
+        rebuilt = SimResult.from_flat(json.loads(json.dumps(result.to_flat())))
+        assert rebuilt.energy.processor_total == result.energy.processor_total
+        assert (rebuilt.energy.cache_fraction_of_processor
+                == result.energy.cache_fraction_of_processor)

@@ -30,6 +30,9 @@ from repro.core.interval import (
 )
 from repro.core.policy import MODE_SINGLE, ProbePlan
 from repro.core.registry import get_policy, register_policy, unregister_policy
+from repro.energy.cactilite import CactiLite
+from repro.energy.pricing import l1_energy, l1_events
+from repro.energy.tables import PredictionStructureEnergy
 from repro.fastsim import FastDCacheEngine
 from repro.fastsim.missrate import fast_miss_rate
 from repro.fastsim.vector import vector_miss_rate
@@ -283,6 +286,50 @@ def test_dynamic_sim_runs_on_fast_engine(kind, params, counter, fired):
     assert fast_flushed == reference_flushed
     assert fast_result.to_flat() == reference_result.to_flat()
     assert fast.dcache.policy.ticks == ticks
+
+
+@pytest.mark.parametrize("backend", ["reference", "fast"])
+def test_dri_energy_is_priced_per_geometry_epoch(backend):
+    """A resize changes what every d-cache event costs, so each epoch's
+    events are priced for the geometry they happened in: the d-cache
+    energy is the shared pricing of each epoch's count deltas, summed in
+    epoch order.  Pricing every count for the final geometry gives a
+    different number, so dropping the epochs cannot pass."""
+    config = SMALL.with_dcache_policy(
+        "dri", miss_hi=0.3, miss_lo=0.1, min_kb=1, max_kb=8)
+    simulator = Simulator(config, backend=backend, interval=200)
+    engine = simulator.dcache
+    # (geometry, events at the epoch's start) per epoch.
+    epochs = [(engine.geometry, l1_events(engine.stats))]
+    reconfigure = engine.reconfigure
+
+    def recording_reconfigure(geometry):
+        epochs.append((geometry, l1_events(engine.stats)))
+        reconfigure(geometry)
+
+    engine.reconfigure = recording_reconfigure
+    result = simulator.run(generate_trace("gcc", 3_000, 0))
+    assert result.dynamics.reconfigurations == len(epochs) - 1 >= 1
+    assert engine.geometry != epochs[0][0]
+
+    # Sized as the simulator sizes them (dri declares no tables).
+    pred_energy = PredictionStructureEnergy.build(
+        way_bits=max(config.dcache.geometry().fields.way_bits, 1))
+    ends = [start for _geometry, start in epochs[1:]] + [l1_events(engine.stats)]
+    cache = prediction = 0.0
+    for (geometry, start), end in zip(epochs, ends):
+        deltas = [b - a for a, b in zip(start, end)]
+        epoch_cache, epoch_prediction = l1_energy(
+            CactiLite().energy_model(geometry), pred_energy, deltas)
+        cache += epoch_cache
+        prediction += epoch_prediction
+    components = result.energy.components
+    assert components["l1_dcache"] == cache
+    assert components.get("prediction_dcache", 0.0) == prediction
+
+    final_only, _ = l1_energy(CactiLite().energy_model(engine.geometry),
+                              pred_energy, l1_events(engine.stats))
+    assert final_only != pytest.approx(cache, rel=1e-6)
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,12 @@
-"""Energy-model tests: Table 3 calibration, scaling trends, ledger."""
+"""Energy-model tests: Table 3 calibration, scaling trends, pricing."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.cache.geometry import CacheGeometry
+from repro.cache.stats import CacheStats
 from repro.energy.cactilite import CactiLite
 from repro.energy.constants import NANOJOULE_PER_REU
-from repro.energy.ledger import EnergyLedger
+from repro.energy.pricing import l1_energy, l1_events, l2_energy
 from repro.energy.processor import WattchLite
 from repro.energy.tables import PredictionStructureEnergy, cam_energy, prediction_table_energy
 
@@ -116,39 +116,37 @@ class TestPredictionStructures:
         assert overhead.victim_list_search < 0.01 * model.parallel_read()
 
 
-class TestLedger:
-    def test_accumulates(self):
-        ledger = EnergyLedger()
-        ledger.charge("a", 1.0)
-        ledger.charge("a", 0.5)
-        assert ledger.get("a") == pytest.approx(1.5)
+class TestPricing:
+    """Event counts priced with Figure 1's per-event energies."""
 
-    def test_total_and_filter(self):
-        ledger = EnergyLedger()
-        ledger.charge("a", 1.0)
-        ledger.charge("b", 2.0)
-        assert ledger.total() == pytest.approx(3.0)
-        assert ledger.total(["a"]) == pytest.approx(1.0)
+    def setup_method(self):
+        self.model = CactiLite().energy_model(CacheGeometry(16 * 1024, 4, 32))
+        self.pred = PredictionStructureEnergy.build()
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            EnergyLedger().charge("a", -1.0)
+    def _price(self, **counts):
+        return l1_energy(self.model, self.pred, l1_events(CacheStats(**counts)))
 
-    def test_merge(self):
-        a, b = EnergyLedger(), EnergyLedger()
-        a.charge("x", 1.0)
-        b.charge("x", 2.0)
-        b.charge("y", 1.0)
-        a.merge(b)
-        assert a.get("x") == pytest.approx(3.0)
-        assert a.get("y") == pytest.approx(1.0)
+    def test_one_event_each(self):
+        model, pred = self.model, self.pred
+        assert self._price(parallel_reads=1) == (model.parallel_read(), 0.0)
+        assert self._price(one_way_reads=1) == (model.one_way_read(), 0.0)
+        assert self._price(tag_only_probes=1) == (
+            model.addr_route + model.tag_all_read, 0.0)
+        assert self._price(second_probes=1) == (model.extra_probe(), 0.0)
+        assert self._price(fills=1, data_way_writes=1) == (model.fill_write(), 0.0)
+        assert self._price(data_way_writes=1) == (model.store_write(), 0.0)
+        assert self._price(table_accesses=1) == (0.0, pred.table_access)
+        assert self._price(victim_searches=1) == (0.0, pred.victim_list_search)
+        assert self._price(way_field_accesses=1) == (0.0, pred.way_field_access)
 
-    @given(st.lists(st.floats(min_value=0, max_value=10), max_size=50))
-    def test_total_equals_sum_of_charges(self, charges):
-        ledger = EnergyLedger()
-        for i, value in enumerate(charges):
-            ledger.charge(f"c{i % 3}", value)
-        assert ledger.total() == pytest.approx(sum(charges))
+    def test_counters_outside_the_schedule_cost_nothing(self):
+        assert self._price(loads=9, stores=4, load_hits=7, data_way_reads=30,
+                           evictions=2, writebacks=1, predictions=5) == (0.0, 0.0)
+
+    def test_l2_prices_accesses_one_way_and_fills(self):
+        stats = CacheStats(loads=10, stores=2, fills=3)
+        assert l2_energy(self.model, stats) == (
+            12 * self.model.one_way_read() + 3 * self.model.fill_write())
 
 
 class TestWattchLite:
@@ -161,6 +159,8 @@ class TestWattchLite:
         )
         assert report.total > 0
         assert all(v >= 0 for v in report.components.values())
+        # Prediction energy lives inside the L1 components.
+        assert "prediction" not in report.components
 
     def test_cache_fraction_definition(self):
         report = WattchLite().report(

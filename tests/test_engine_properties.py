@@ -8,7 +8,7 @@ must hold.
 from hypothesis import given, settings, strategies as st
 
 
-from tests.test_policies import make_engine
+from tests.test_policies import make_engine, priced
 
 # Access pattern: (pc_index, block_index) pairs over a small space so
 # hits, misses, conflicts, and aliasing all occur.
@@ -64,7 +64,7 @@ class TestEngineInvariants:
         last = 0.0
         for pc_index, block_index in pattern:
             engine.load(0x400 + pc_index * 4, block_index * 32)
-            total = engine.ledger.total()
+            total = sum(priced(engine))
             assert total >= last
             last = total
 
@@ -107,7 +107,7 @@ class TestEngineInvariants:
         oracle = make_engine("oracle")
         drive(parallel, pattern)
         drive(oracle, pattern)
-        assert parallel.ledger.get("l1_dcache") >= oracle.ledger.get("l1_dcache") - 1e-9
+        assert priced(parallel)[0] >= priced(oracle)[0] - 1e-9
 
     @settings(max_examples=15, deadline=None)
     @given(pattern=ACCESSES)

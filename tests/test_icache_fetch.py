@@ -26,10 +26,9 @@ from repro.core.kinds import (
 from repro.cpu.config import CoreConfig
 from repro.cpu.fetch import FetchUnit
 from repro.cpu.stats import CoreStats
-from repro.energy.cactilite import CactiLite
-from repro.energy.ledger import EnergyLedger
-from repro.energy.tables import PredictionStructureEnergy
 from repro.workload.generator import generate_trace
+
+from tests.test_policies import model_of, priced
 
 
 def make_icache(way_predict=True, geometry=None):
@@ -39,9 +38,6 @@ def make_icache(way_predict=True, geometry=None):
     return ICacheEngine(
         geometry=geometry,
         hierarchy=MemoryHierarchy(l2),
-        energy=CactiLite().energy_model(geometry),
-        pred_energy=PredictionStructureEnergy.build(),
-        ledger=EnergyLedger(),
         policy=policy,
     )
 
@@ -63,12 +59,12 @@ class TestICacheEngine:
     def test_correct_prediction_single_way(self):
         icache = make_icache()
         outcome = icache.fetch(0x400, None, SOURCE_NONE)  # miss, fills
-        before = icache.ledger.get("l1_icache")
+        before = priced(icache)[0]
         hit = icache.fetch(0x400, outcome.way, SOURCE_SAWP)
         assert hit.latency == 1
         assert hit.kind == KIND_SAWP_CORRECT
-        assert icache.ledger.get("l1_icache") - before == pytest.approx(
-            icache.energy.one_way_read()
+        assert priced(icache)[0] - before == pytest.approx(
+            model_of(icache).one_way_read()
         )
 
     def test_btb_and_ras_grouped(self):
@@ -89,9 +85,9 @@ class TestICacheEngine:
     def test_way_of_is_quiet(self):
         icache = make_icache()
         icache.fetch(0x400, None, SOURCE_NONE)
-        before = icache.ledger.total()
+        before = priced(icache)
         assert icache.way_of(0x400) is not None
-        assert icache.ledger.total() == before
+        assert priced(icache) == before
 
 
 class TestIFetchWayPredictor:
@@ -156,4 +152,4 @@ class TestFetchUnit:
     def test_icache_energy_lower_with_prediction(self):
         _, icache_wp, _, _ = self._run_fetch(way_predict=True)
         _, icache_par, _, _ = self._run_fetch(way_predict=False)
-        assert icache_wp.ledger.get("l1_icache") < icache_par.ledger.get("l1_icache")
+        assert priced(icache_wp)[0] < priced(icache_par)[0]

@@ -14,7 +14,7 @@ from repro.core.kinds import (
 )
 from repro.core.spec import DCachePolicySpec, ICachePolicySpec
 from repro.energy.cactilite import CactiLite
-from repro.energy.ledger import EnergyLedger
+from repro.energy.pricing import l1_energy, l1_events
 from repro.energy.tables import PredictionStructureEnergy
 
 
@@ -26,12 +26,21 @@ def make_engine(kind="parallel", geometry=None, latency=1, **spec_kwargs):
         geometry=geometry,
         policy=build_dcache_policy(DCachePolicySpec(kind=kind, **spec_kwargs)),
         hierarchy=MemoryHierarchy(l2),
-        energy=CactiLite().energy_model(geometry),
-        pred_energy=PredictionStructureEnergy.build(),
-        ledger=EnergyLedger(),
         base_latency=latency,
     )
     return engine
+
+
+def model_of(engine):
+    """The per-event energies of ``engine``'s geometry."""
+    return CactiLite().energy_model(engine.geometry)
+
+
+def priced(engine):
+    """The (cache, prediction) energy of ``engine``'s events so far,
+    with the paper's prediction structures."""
+    return l1_energy(model_of(engine), PredictionStructureEnergy.build(),
+                     l1_events(engine.stats))
 
 
 class TestSpecs:
@@ -59,12 +68,12 @@ class TestParallelEngine:
     def test_hit_latency_and_energy(self):
         engine = make_engine("parallel")
         engine.load(0x40, 0x100)  # cold miss fills
-        before = engine.ledger.get("l1_dcache")
+        before = priced(engine)[0]
         outcome = engine.load(0x40, 0x100)
         assert outcome.hit
         assert outcome.latency == 1
-        spent = engine.ledger.get("l1_dcache") - before
-        assert spent == pytest.approx(engine.energy.parallel_read())
+        spent = priced(engine)[0] - before
+        assert spent == pytest.approx(model_of(engine).parallel_read())
 
     def test_miss_latency_includes_l2(self):
         engine = make_engine("parallel")
@@ -87,12 +96,12 @@ class TestSequentialEngine:
     def test_hit_pays_extra_cycle_one_way_energy(self):
         engine = make_engine("sequential")
         engine.load(0x40, 0x100)
-        before = engine.ledger.get("l1_dcache")
+        before = priced(engine)[0]
         outcome = engine.load(0x40, 0x100)
         assert outcome.hit
         assert outcome.latency == 2
-        assert engine.ledger.get("l1_dcache") - before == pytest.approx(
-            engine.energy.one_way_read()
+        assert priced(engine)[0] - before == pytest.approx(
+            model_of(engine).one_way_read()
         )
         assert outcome.kind == KIND_SEQUENTIAL
 
@@ -126,12 +135,12 @@ class TestWayPredictionEngine:
     def test_trained_hit_is_one_way(self):
         engine = make_engine("waypred_pc")
         engine.load(0x40, 0x100)  # train
-        before = engine.ledger.get("l1_dcache")
+        before = priced(engine)[0]
         outcome = engine.load(0x40, 0x100)
         assert outcome.hit and outcome.latency == 1
         assert outcome.kind == KIND_WAY_PREDICTED
-        assert engine.ledger.get("l1_dcache") - before == pytest.approx(
-            engine.energy.one_way_read()
+        assert priced(engine)[0] - before == pytest.approx(
+            model_of(engine).one_way_read()
         )
 
     def test_misprediction_second_probe(self):
@@ -176,9 +185,9 @@ class TestStores:
         for kind in ("parallel", "sequential", "waypred_pc"):
             engine = make_engine(kind)
             engine.load(0x40, 0x100)
-            before = engine.ledger.get("l1_dcache")
+            before = priced(engine)[0]
             engine.store(0x44, 0x100)
-            energies.append(engine.ledger.get("l1_dcache") - before)
+            energies.append(priced(engine)[0] - before)
         assert energies[0] == pytest.approx(energies[1])
         assert energies[0] == pytest.approx(energies[2])
 

@@ -8,7 +8,7 @@ from repro.core.kinds import KIND_DIRECT_MAPPED, KIND_MISPREDICTED
 from repro.core.selective_dm import SelectiveDmPolicy, VictimList
 from repro.core.policy import MODE_PARALLEL, MODE_SEQUENTIAL, MODE_SINGLE
 
-from tests.test_policies import make_engine
+from tests.test_policies import make_engine, priced
 
 
 class TestVictimList:
@@ -166,4 +166,5 @@ class TestSelectiveDmEngine:
     def test_victim_energy_charged(self):
         engine = make_engine("seldm_waypred")
         engine.load(0x40, 0x100)
-        assert engine.ledger.get("prediction_dcache") > 0
+        assert engine.stats.victim_searches == 1
+        assert priced(engine)[1] > 0

@@ -34,17 +34,6 @@ class TestCacheStats:
         stats.count_kind("sequential")
         assert stats.kind_fraction("parallel") == pytest.approx(0.75)
 
-    def test_merge(self):
-        a = CacheStats(loads=1, load_hits=1)
-        a.count_kind("parallel")
-        b = CacheStats(loads=2, load_hits=1, second_probes=1)
-        b.count_kind("parallel", 2)
-        a.merge(b)
-        assert a.loads == 3
-        assert a.load_hits == 2
-        assert a.second_probes == 1
-        assert a.access_kinds["parallel"] == 3
-
 
 class TestCoreStats:
     def test_ipc(self):

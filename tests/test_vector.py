@@ -107,9 +107,9 @@ class TestTierResolution:
 # ------------------------------------------------------------------ #
 
 
-def test_only_the_vector_module_imports_numpy():
-    """numpy is known to one module, so every other module of the
-    package imports and runs without it."""
+def _importers(package_name: str) -> set:
+    """Package-relative paths of the ``repro`` modules that import
+    ``package_name`` or one of its modules, at any nesting depth."""
     package = Path(vector_module.__file__).resolve().parents[1]
     importers = set()
     for path in package.rglob("*.py"):
@@ -118,11 +118,27 @@ def test_only_the_vector_module_imports_numpy():
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 modules = [node.module]
+                modules += [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+            if any(m == package_name or m.startswith(package_name + ".")
+                   for m in modules):
                 importers.add(path.relative_to(package).as_posix())
-    assert importers == {"fastsim/vector.py"}
+    return importers
+
+
+def test_only_the_vector_module_imports_numpy():
+    """numpy is known to one module, so every other module of the
+    package imports and runs without it."""
+    assert _importers("numpy") == {"fastsim/vector.py"}
+
+
+def test_engines_and_cores_never_import_the_energy_models():
+    """The cache engines only count events; the simulator prices them.
+    So no module of the cache, core, cpu or fast-tier layers imports
+    ``repro.energy``."""
+    layers = ("cache/", "core/", "cpu/", "fastsim/")
+    assert {path for path in _importers("repro.energy") if path.startswith(layers)} == set()
 
 
 @requires_numpy
