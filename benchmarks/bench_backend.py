@@ -6,8 +6,9 @@ The repository's performance trajectory in three points:
   instructions through the direct-mapped and 4-way 16K d-caches) in
   functional miss-rate mode, through all three tiers: the
   object-dispatch functional model (``reference``), the batched
-  python per-set replay (``fast``, pinned to the python kernels with
-  ``REPRO_NO_VECTOR``), and the numpy vector kernels (``vector``).
+  python per-set replay (``fast`` with numpy hidden from
+  :mod:`repro.fastsim.vector`), and the numpy vector kernels
+  (``vector``: ``fast`` with numpy visible).
 * **trace-missrate** — the same DM-vs-4-way pair over an *external*
   file-backed workload (a 60k-instruction trace written to ``csv.gz``
   and streamed back via ``trace://``), i.e. the Table-4-style report
@@ -16,9 +17,8 @@ The repository's performance trajectory in three points:
   baseline, the combined seldm+waypred technique, and perfect way
   prediction) in full ``mode="sim"``: the array-state out-of-order
   core, fetch unit, and table-state predictors vs the reference
-  pipeline.  (``backend="vector"`` runs this same fast pipeline — the
-  vector tier only accelerates miss-rate mode — so only two tiers are
-  timed here.)
+  pipeline.  (The vector tier only accelerates miss-rate mode, so only
+  two tiers are timed here.)
 
 Every tier is timed twice over the same points with caching disabled
 and traces pre-loaded:
@@ -59,7 +59,8 @@ from conftest import run_once
 
 from repro.experiments.fig11_processor import comparisons
 from repro.experiments.tables import table4_configs, _table4_instructions
-from repro.fastsim.vector import NO_VECTOR_ENV, vector_enabled
+from repro.fastsim import vector as vector_module
+from repro.fastsim.vector import numpy_available
 from repro.sim import runner
 from repro.workload.formats import is_trace_ref, make_trace_ref, parse_trace_ref, write_trace
 from repro.workload.generator import generate_trace
@@ -118,16 +119,14 @@ def _sim_workload(benchmarks=None, instructions=None):
 
 @contextmanager
 def _python_kernels():
-    """Pin backend resolution to the python tier for the duration."""
-    previous = os.environ.get(NO_VECTOR_ENV)
-    os.environ[NO_VECTOR_ENV] = "1"
+    """Hide numpy from the vector tier for the duration, so ``fast``
+    miss-rate runs take the python kernels."""
+    hidden = vector_module.np
+    vector_module.np = None
     try:
         yield
     finally:
-        if previous is None:
-            del os.environ[NO_VECTOR_ENV]
-        else:
-            os.environ[NO_VECTOR_ENV] = previous
+        vector_module.np = hidden
 
 
 def _preload_traces(points) -> None:
@@ -206,7 +205,7 @@ def _measure_workload(bench_name: str, points, tiers) -> dict:
     record = {"bench": bench_name, "workload": _describe_workload(points), "tiers": {}}
     baseline_cold = baseline_warm = None
     for label, backend, pin_python in tiers:
-        if label == "vector" and not vector_enabled():
+        if label == "vector" and not numpy_available():
             record["tiers"][label] = None
             continue
         cold, warm = _time_tier(points, backend, pin_python)
@@ -220,16 +219,16 @@ def _measure_workload(bench_name: str, points, tiers) -> dict:
     return record
 
 
-#: Tier rows for miss-rate benches: the python fast tier is pinned via
-#: the opt-out so it cannot silently auto-upgrade to the vector kernels.
+#: Tier rows for miss-rate benches: the python fast tier hides numpy,
+#: so it cannot silently run the vector kernels.
 _MISSRATE_TIERS = (
     ("reference", "reference", False),
     ("fast", "fast", True),
-    ("vector", "vector", False),
+    ("vector", "fast", False),
 )
 
-#: Full-sim runs build the same pipeline for fast and vector, so only
-#: the genuinely distinct implementations are timed.
+#: Full-sim runs have no vector kernels, so only the genuinely distinct
+#: implementations are timed.
 _SIM_TIERS = (
     ("reference", "reference", False),
     ("fast", "fast", False),
@@ -281,15 +280,15 @@ def test_fast_backend_missrate_speedup(benchmark):
 
 def test_vector_backend_missrate_speedup(benchmark):
     """The vector tier clears the 10x floor on the Table-4 sweep."""
-    if not vector_enabled():
-        pytest.skip("numpy unavailable (or vector tier opted out)")
+    if not numpy_available():
+        pytest.skip("numpy unavailable")
     points = _missrate_workload()
     _preload_traces(points)
     _clear_derived(points)
     _time_backend(points, "reference")
     reference_seconds = _best_of(points, "reference")
-    _time_backend(points, "vector")
-    vector_seconds = run_once(benchmark, lambda: _best_of(points, "vector"))
+    _time_backend(points, "fast")
+    vector_seconds = run_once(benchmark, lambda: _best_of(points, "fast"))
     speedup = reference_seconds / vector_seconds
     print(f"\nmissrate: reference {reference_seconds:.3f}s vector {vector_seconds:.3f}s "
           f"speedup {speedup:.2f}x")

@@ -40,7 +40,7 @@ import pytest
 from conftest import run_once
 
 from repro.cache.geometry import CacheGeometry
-from repro.fastsim.vector import block_array, vector_enabled
+from repro.fastsim.vector import block_array, numpy_available
 from repro.sim import runner
 from repro.workload.encode import encode_trace
 from repro.workload.formats import make_trace_ref
@@ -142,7 +142,7 @@ def _environment() -> dict:
 
 def measure() -> dict:
     tiers = [_measure_tier("fast")]
-    if vector_enabled():
+    if numpy_available():
         tiers.append(_measure_tier("vector"))
     return {
         "bench": "encode-artifacts",
@@ -171,8 +171,8 @@ def test_encode_fast_tier_warm_artifact_floor(benchmark):
 
 
 def test_encode_vector_tier_warm_artifact_floor(benchmark):
-    if not vector_enabled():
-        pytest.skip("numpy unavailable (or vector tier opted out)")
+    if not numpy_available():
+        pytest.skip("numpy unavailable")
     entry = run_once(benchmark, lambda: _measure_tier("vector"))
     print(f"\nencode vector: cold {entry['cold_seconds']:.4f}s "
           f"warm {entry['warm_seconds']:.4f}s "

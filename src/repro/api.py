@@ -197,9 +197,8 @@ class Machine:
             use_cache: resolve benchmark/file runs against the memo
                 caches (file runs are keyed by content fingerprint, so
                 an edited file always re-executes).
-            backend: ``"reference"``, ``"fast"`` (the batched
-                backend), or ``"vector"`` (numpy miss-rate kernels);
-                results are byte-identical by contract.
+            backend: ``"reference"`` or ``"fast"`` (the batched
+                backend); results are byte-identical by contract.
 
         Returns:
             The structured :class:`SimResult`.

@@ -10,7 +10,7 @@ paper's contribution and lives in :mod:`repro.core`.
 
 from repro.cache.block import CacheBlock
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hierarchy import L2Cache, MainMemory, MemoryHierarchy
+from repro.cache.hierarchy import L2Cache, MainMemory
 from repro.cache.cacheset import CacheSet
 from repro.cache.sram import EvictionRecord, FillResult, SetAssociativeCache
 from repro.cache.stats import CacheStats
@@ -24,6 +24,5 @@ __all__ = [
     "FillResult",
     "L2Cache",
     "MainMemory",
-    "MemoryHierarchy",
     "SetAssociativeCache",
 ]

@@ -7,7 +7,7 @@ plain set-associative cache with fixed latency and per-access energy.
 
 This is the reference tier's L2.  The fast tier runs its array-state
 counterpart, :class:`~repro.fastsim.l2.FastL2`, which answers the same
-three :class:`MemoryHierarchy` calls with equal latencies and counts.
+three calls the L1 engines make with equal latencies and counts.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ class MainMemory:
         return self.base_latency + self.cycles_per_chunk * chunks
 
 
-@dataclass(frozen=True)
-class L2AccessResult:
-    """Latency and hit/miss outcome of an L2 access."""
-
-    hit: bool
-    latency: int
-
-
 class L2Cache:
     """Unified second-level cache with conventional parallel access.
 
@@ -62,8 +54,21 @@ class L2Cache:
         self.array = SetAssociativeCache(geometry, name="L2")
         self.stats = CacheStats()
 
-    def access(self, addr: int, is_store: bool = False) -> L2AccessResult:
-        """Access the L2 for a block, filling from memory on a miss."""
+    def fetch_block(self, addr: int) -> int:
+        """Fetch a block for an L1 miss; returns added latency in cycles."""
+        return self._access(addr, is_store=False)
+
+    def store_block(self, addr: int) -> int:
+        """Handle an L1 store miss (write-allocate): fetch for ownership."""
+        return self._access(addr, is_store=True)
+
+    def absorb_writeback(self, addr: int) -> None:
+        """Accept a dirty L1 victim: counted exactly like a store."""
+        self.store_block(addr)
+
+    def _access(self, addr: int, is_store: bool) -> int:
+        """Access the L2 for a block, filling from memory on a miss;
+        returns the latency in cycles."""
         if is_store:
             self.stats.stores += 1
         else:
@@ -79,7 +84,7 @@ class L2Cache:
             else:
                 self.stats.load_hits += 1
                 self.stats.data_way_reads += 1
-            return L2AccessResult(hit=True, latency=self.latency)
+            return self.latency
         # Miss: fetch the block from memory.
         fill = self.array.fill(addr)
         self.stats.fills += 1
@@ -90,47 +95,4 @@ class L2Cache:
                 self.stats.writebacks += 1
         if is_store:
             self.array.mark_dirty(addr)
-        latency = self.latency + self.memory.access_latency(self.geometry.block_bytes)
-        return L2AccessResult(hit=False, latency=latency)
-
-    def writeback(self, addr: int) -> None:
-        """Absorb a dirty writeback from L1 (energy-only event)."""
-        self.stats.stores += 1
-        self.stats.tag_probes += 1
-        way = self.array.probe(addr)
-        if way is not None:
-            self.stats.store_hits += 1
-            self.array.touch(addr, way)
-            self.array.mark_dirty(addr)
-        else:
-            fill = self.array.fill(addr)
-            self.stats.fills += 1
-            if fill.eviction is not None:
-                self.stats.evictions += 1
-                if fill.eviction.dirty:
-                    self.stats.writebacks += 1
-            self.array.mark_dirty(addr)
-        self.stats.data_way_writes += 1
-
-
-class MemoryHierarchy:
-    """Shared L2 + memory used below both L1 caches.
-
-    A single L2 is shared by instruction and data streams, as in the
-    paper's unified 1MB L2.
-    """
-
-    def __init__(self, l2: L2Cache) -> None:
-        self.l2 = l2
-
-    def fetch_block(self, addr: int) -> int:
-        """Fetch a block for an L1 miss; returns added latency in cycles."""
-        return self.l2.access(addr, is_store=False).latency
-
-    def store_block(self, addr: int) -> int:
-        """Handle an L1 store miss (write-allocate): fetch for ownership."""
-        return self.l2.access(addr, is_store=True).latency
-
-    def absorb_writeback(self, addr: int) -> None:
-        """Accept a dirty L1 victim."""
-        self.l2.writeback(addr)
+        return self.latency + self.memory.access_latency(self.geometry.block_bytes)

@@ -120,9 +120,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=BACKENDS,
         default=None,
         help=(
-            "simulation backend: 'reference' (object-dispatch engines), "
-            "'fast' (batched kernels), or 'vector' (numpy miss-rate "
-            "kernels); reports are byte-identical. "
+            "simulation backend: 'reference' (object-dispatch engines) "
+            "or 'fast' (batched kernels; numpy miss-rate kernels when "
+            "numpy imports); reports are byte-identical. "
             "Default: $REPRO_BACKEND or reference"
         ),
     )

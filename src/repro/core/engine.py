@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.hierarchy import L2Cache
 from repro.cache.sram import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.core.interval import validate_reconfigure
@@ -69,7 +69,7 @@ class DCacheEngine:
     Args:
         geometry: L1 geometry.
         policy: the access policy under evaluation.
-        hierarchy: backing L2 + memory.
+        l2: backing L2 (over main memory), shared with the i-cache.
         base_latency: hit latency in cycles (1 or 2 in the paper).
     """
 
@@ -77,18 +77,18 @@ class DCacheEngine:
         self,
         geometry: CacheGeometry,
         policy: DCachePolicy,
-        hierarchy: MemoryHierarchy,
+        l2: L2Cache,
         base_latency: int = 1,
     ) -> None:
         self.geometry = geometry
         self.fields = geometry.fields
         self.policy = policy
-        self.hierarchy = hierarchy
+        self.l2 = l2
         self.base_latency = base_latency
         self.array = SetAssociativeCache(geometry, name="L1D")
         self.stats = CacheStats()
         #: When set (by the interval driver), loads/stores skip L1
-        #: entirely and go straight to the hierarchy (forced misses).
+        #: entirely and go straight to the L2 (forced misses).
         self.bypassed = False
         #: Accesses performed while bypassed (observability metadata).
         self.bypassed_accesses = 0
@@ -100,7 +100,7 @@ class DCacheEngine:
     def reconfigure(self, new_geometry: CacheGeometry) -> None:
         """Apply a controlled mid-run geometry change (invalidate-all).
 
-        Dirty victims are written back to the hierarchy first (counted
+        Dirty victims are written back to the L2 first (counted
         as ordinary writebacks, but — like the L2's own flush — with no
         latency and no probe events: the resize is modeled as happening
         off the critical path).  The array rebuilds with fresh
@@ -112,7 +112,7 @@ class DCacheEngine:
         offset_bits = self.fields.offset_bits
         for block_addr in self.array.reconfigure(new_geometry):
             self.stats.writebacks += 1
-            self.hierarchy.absorb_writeback(block_addr << offset_bits)
+            self.l2.absorb_writeback(block_addr << offset_bits)
         self.geometry = new_geometry
         self.fields = new_geometry.fields
 
@@ -127,7 +127,7 @@ class DCacheEngine:
             # events, no prediction.  Counts as a (forced) miss.
             self.stats.loads += 1
             self.bypassed_accesses += 1
-            latency = self.hierarchy.fetch_block(addr)
+            latency = self.l2.fetch_block(addr)
             self.stats.count_kind(KIND_BYPASSED)
             return LoadOutcome(hit=False, latency=latency, kind=KIND_BYPASSED, way=-1)
         self.stats.loads += 1
@@ -139,7 +139,7 @@ class DCacheEngine:
         hit = resident_way is not None
         dm_way = self.fields.direct_mapped_way(addr)
 
-        latency, kind, probed_way = self._execute_plan(plan, resident_way, dm_way, hit)
+        latency, kind = self._execute_plan(plan, resident_way, dm_way, hit)
 
         if hit:
             self.stats.load_hits += 1
@@ -164,14 +164,14 @@ class DCacheEngine:
         hit: bool,
     ) -> tuple:
         """Count the probe events and compute latency; returns
-        (latency, kind, probed_way)."""
+        (latency, kind)."""
         base = self.base_latency
         n = self.geometry.associativity
 
         if plan.mode == MODE_PARALLEL:
             self.stats.parallel_reads += 1
             self.stats.data_way_reads += n
-            return base, plan.kind, resident_way if hit else -1
+            return base, plan.kind
 
         if plan.mode == MODE_SEQUENTIAL:
             if hit:
@@ -181,7 +181,7 @@ class DCacheEngine:
                 # Tag array says miss; no data way is probed.
                 self.stats.tag_only_probes += 1
             self.stats.extra_cycles += 1
-            return base + 1, plan.kind, resident_way if hit else -1
+            return base + 1, plan.kind
 
         if plan.mode == MODE_ORACLE:
             # Perfect prediction: matching way (or DM way on a miss fill).
@@ -190,7 +190,7 @@ class DCacheEngine:
             if hit:
                 self.stats.predictions += 1
                 self.stats.correct_predictions += 1
-            return base, plan.kind, resident_way if hit else -1
+            return base, plan.kind
 
         # MODE_SINGLE: a predicted or direct-mapped way.
         probed_way = plan.way if plan.way is not None and plan.way >= 0 else dm_way
@@ -201,14 +201,14 @@ class DCacheEngine:
             self.stats.predictions += 1
             if probed_way == resident_way:
                 self.stats.correct_predictions += 1
-                return base, plan.kind, probed_way
+                return base, plan.kind
             # Misprediction: second probe of the correct way.
             self.stats.data_way_reads += 1
             self.stats.second_probes += 1
             self.stats.extra_cycles += 1
-            return base + 1, KIND_MISPREDICTED, resident_way
+            return base + 1, KIND_MISPREDICTED
         # Miss: the single probe was the only data-array read.
-        return base, plan.kind, -1
+        return base, plan.kind
 
     # ------------------------------------------------------------------ #
     # Stores
@@ -225,7 +225,7 @@ class DCacheEngine:
         if self.bypassed:
             self.stats.stores += 1
             self.bypassed_accesses += 1
-            latency = self.hierarchy.store_block(addr)
+            latency = self.l2.store_block(addr)
             return StoreOutcome(hit=False, latency=latency)
         self.stats.stores += 1
         self.stats.tag_probes += 1
@@ -253,9 +253,9 @@ class DCacheEngine:
         """Fetch the block from L2/memory and install it; returns the
         added latency."""
         if is_store:
-            added = self.hierarchy.store_block(addr)
+            added = self.l2.store_block(addr)
         else:
-            added = self.hierarchy.fetch_block(addr)
+            added = self.l2.fetch_block(addr)
         way, dm_placed = self.policy.placement_way(addr, self.fields)
         if self.policy.uses_victim_list:
             self.stats.victim_searches += 1
@@ -269,7 +269,7 @@ class DCacheEngine:
             )
             if fill.eviction.dirty:
                 self.stats.writebacks += 1
-                self.hierarchy.absorb_writeback(
+                self.l2.absorb_writeback(
                     fill.eviction.block_addr << self.fields.offset_bits
                 )
         return added

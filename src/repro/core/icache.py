@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.hierarchy import L2Cache
 from repro.cache.sram import SetAssociativeCache
 from repro.cache.stats import CacheStats
 from repro.core.icache_policy import (
@@ -88,13 +88,13 @@ class ICacheEngine:
     def __init__(
         self,
         geometry: CacheGeometry,
-        hierarchy: MemoryHierarchy,
+        l2: L2Cache,
         base_latency: int = 1,
         policy: Optional[ICachePolicy] = None,
     ) -> None:
         self.geometry = geometry
         self.fields = geometry.fields
-        self.hierarchy = hierarchy
+        self.l2 = l2
         self.base_latency = base_latency
         self.policy = policy if policy is not None else WayPredictedFetchPolicy()
         self.way_predictor = self.policy.make_predictor()
@@ -173,7 +173,7 @@ class ICacheEngine:
         return self.array.probe(pc)
 
     def _miss_path(self, pc: int) -> int:
-        added = self.hierarchy.fetch_block(pc)
+        added = self.l2.fetch_block(pc)
         fill = self.array.fill(pc)
         self.stats.fills += 1
         self.stats.data_way_writes += 1

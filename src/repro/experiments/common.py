@@ -37,10 +37,9 @@ class ExperimentSettings:
     Attributes:
         instructions: trace length per (benchmark, config) run.
         benchmarks: which applications to include (paper order).
-        backend: simulation backend every run uses (``"reference"``,
-            the batched ``"fast"`` backend, or the numpy ``"vector"``
-            tier; reports are identical by the backends' equivalence
-            contract).
+        backend: simulation backend every run uses (``"reference"`` or
+            the batched ``"fast"`` backend; reports are identical by the
+            backends' equivalence contract).
         interval: tick period for dynamic policies (``0`` = each
             experiment's own default).  Only experiments that run
             dynamic policies (``dynamic``) consume it.

@@ -1,7 +1,7 @@
 """The batched fast-path simulation backend.
 
-Every result the project reports can be produced by one of three
-backend tiers:
+Every result the project reports can be produced by one of two
+backends:
 
 * ``"reference"`` — the original object-dispatch engines: per-access
   :class:`~repro.core.engine.DCacheEngine` /
@@ -18,13 +18,11 @@ backend tiers:
   driven by the array-state out-of-order core and fetch unit
   (:mod:`repro.fastsim.core`, :mod:`repro.fastsim.fetch`) with the
   table-state branch predictors of :mod:`repro.fastsim.predictors`,
-  so ``mode="sim"`` runs batched end to end.
-* ``"vector"`` — the numpy kernel tier (:mod:`repro.fastsim.vector`)
-  for functional miss-rate runs: direct-mapped and LRU replays become
-  whole-stream gather/scatter classification.  ``backend="fast"``
-  auto-upgrades to it when numpy is importable (opt out with
-  ``REPRO_NO_VECTOR=1``); environments without numpy fall back to the
-  python kernels silently and losslessly.
+  so ``mode="sim"`` runs batched end to end.  Its functional
+  miss-rate runs use the numpy kernels of :mod:`repro.fastsim.vector`
+  (the ``vector`` tier: whole-stream gather/scatter classification)
+  whenever numpy imports, and the python kernels otherwise, silently
+  and losslessly.
 
 The fast backend's contract is *byte-identical results*: the same
 :class:`~repro.sim.functional.MissRateResult` and the same
@@ -52,7 +50,6 @@ from repro.fastsim.predictors import (
 from repro.fastsim.vector import (
     numpy_available,
     resolve_tier,
-    vector_enabled,
     vector_miss_rate,
 )
 
@@ -69,6 +66,5 @@ __all__ = [
     "fast_miss_rate",
     "numpy_available",
     "resolve_tier",
-    "vector_enabled",
     "vector_miss_rate",
 ]

@@ -39,9 +39,9 @@ class FastDCacheEngine:
     Args:
         geometry: L1 geometry.
         spec: the d-cache policy spec (any registered kind).
-        hierarchy: backing L2 + memory, shared with the i-cache: the
-            fast tier's :class:`~repro.fastsim.l2.FastL2` (a
-            ``MemoryHierarchy`` answers the same three calls).
+        l2: backing L2 (over main memory), shared with the i-cache:
+            the fast tier's :class:`~repro.fastsim.l2.FastL2` (an
+            ``L2Cache`` answers the same three calls).
         base_latency: hit latency in cycles.
     """
 
@@ -49,10 +49,10 @@ class FastDCacheEngine:
         self,
         geometry: CacheGeometry,
         spec: PolicySpec,
-        hierarchy: FastL2,
+        l2: FastL2,
         base_latency: int = 1,
     ) -> None:
-        self.hierarchy = hierarchy
+        self.l2 = l2
         self.base_latency = base_latency
         self.stats = CacheStats()
         self._build(geometry)
@@ -73,7 +73,7 @@ class FastDCacheEngine:
         self._uses_victim_list = kernel.uses_victim_list
 
         #: When set (by the interval driver), accesses skip L1 and go
-        #: straight to the hierarchy, as in ``DCacheEngine``.
+        #: straight to the L2, as in ``DCacheEngine``.
         self.bypassed = False
         self.bypassed_accesses = 0
         self._fill_way = -1
@@ -109,7 +109,7 @@ class FastDCacheEngine:
             for block, is_dirty in zip(tags, dirty):
                 if is_dirty:
                     self.stats.writebacks += 1
-                    self.hierarchy.absorb_writeback(block << offset_bits)
+                    self.l2.absorb_writeback(block << offset_bits)
         self._build(new_geometry)
 
     # ------------------------------------------------------------------ #
@@ -129,7 +129,7 @@ class FastDCacheEngine:
             stats.loads += 1
             self.bypassed_accesses += 1
             stats.count_kind(KIND_BYPASSED)
-            return False, self.hierarchy.fetch_block(addr), KIND_BYPASSED, -1
+            return False, self.l2.fetch_block(addr), KIND_BYPASSED, -1
         stats.loads += 1
         stats.tag_probes += 1
         mode, plan_way, kind, table_reads = self._plan(pc, addr, xor_handle)
@@ -212,7 +212,7 @@ class FastDCacheEngine:
         if self.bypassed:
             stats.stores += 1
             self.bypassed_accesses += 1
-            return False, self.hierarchy.store_block(addr)
+            return False, self.l2.store_block(addr)
         stats.stores += 1
         stats.tag_probes += 1
         block = addr >> self._offset_bits
@@ -249,9 +249,9 @@ class FastDCacheEngine:
     def _miss_path(self, addr: int, block: int, index: int, is_store: bool) -> int:
         """Fetch from L2/memory and install; returns the added latency."""
         if is_store:
-            added = self.hierarchy.store_block(addr)
+            added = self.l2.store_block(addr)
         else:
-            added = self.hierarchy.fetch_block(addr)
+            added = self.l2.fetch_block(addr)
         way, _dm_placed = self._placement(addr, self.fields)
         stats = self.stats
         if self._uses_victim_list:
@@ -277,6 +277,6 @@ class FastDCacheEngine:
                 stats.victim_searches += searches
             if evicted_dirty:
                 stats.writebacks += 1
-                self.hierarchy.absorb_writeback(evicted << self._offset_bits)
+                self.l2.absorb_writeback(evicted << self._offset_bits)
         self._fill_way = way
         return added

@@ -37,21 +37,20 @@ _CORRECT_KIND = {
 class FastICacheEngine:
     """L1 instruction cache: flat arrays + the fetch policy's predictor.
 
-    Takes the same arguments as ``ICacheEngine``, except that
-    ``hierarchy`` is the fast tier's :class:`~repro.fastsim.l2.FastL2`
-    (any object with the L2's ``fetch_block`` serves).
+    Takes the same arguments as ``ICacheEngine``; ``l2`` is the fast
+    tier's :class:`~repro.fastsim.l2.FastL2` (either tier's L2 serves).
     """
 
     def __init__(
         self,
         geometry: CacheGeometry,
-        hierarchy: FastL2,
+        l2: FastL2,
         base_latency: int = 1,
         policy: Optional[ICachePolicy] = None,
     ) -> None:
         self.geometry = geometry
         self.fields = geometry.fields
-        self.hierarchy = hierarchy
+        self.l2 = l2
         self.base_latency = base_latency
         self.stats = CacheStats()
 
@@ -150,7 +149,7 @@ class FastICacheEngine:
         order.insert(0, way)
 
     def _miss_path(self, pc: int, block: int, index: int) -> int:
-        added = self.hierarchy.fetch_block(pc)
+        added = self.l2.fetch_block(pc)
         tags = self._tags[index]
         try:
             way = tags.index(-1)  # lowest invalid way first

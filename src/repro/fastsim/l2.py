@@ -1,11 +1,11 @@
 """Array-state unified L2 for the fast backend.
 
 Counterpart of :class:`~repro.cache.hierarchy.L2Cache`: it takes the
-same inputs and answers the three :class:`~repro.cache.hierarchy.MemoryHierarchy`
-calls the L1 engines make with the same latencies and the same
-:class:`~repro.cache.stats.CacheStats` counts, but keeps each set as a
-plain list of its resident blocks, MRU-first, materialized on first
-touch, and builds no result records.  By the LRU stack property its
+same inputs and answers the same three calls the L1 engines make
+(``fetch_block``, ``store_block``, ``absorb_writeback``) with the same
+latencies and the same :class:`~repro.cache.stats.CacheStats` counts,
+but keeps each set as a plain list of its resident blocks, MRU-first,
+materialized on first touch, and builds no result records.  By the LRU stack property its
 resident sets and victims equal those of the reference's way slots.
 """
 

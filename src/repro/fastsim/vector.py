@@ -1,4 +1,4 @@
-"""Vectorized numpy miss-rate kernels (the ``"vector"`` backend tier).
+"""Vectorized numpy miss-rate kernels (the ``vector`` tier of ``"fast"``).
 
 This is the one module that imports numpy.  The python fast tier
 (:mod:`repro.fastsim.missrate`) replays a pre-encoded address stream in
@@ -25,8 +25,9 @@ hit/miss outcome can be computed *offline*.
   of accesses on the paper's workloads — falls to an early-exit scalar
   scan over the collapsed stream.
 
-Without numpy, or under the ``REPRO_NO_VECTOR`` opt-out, a run goes
-whole to :func:`~repro.fastsim.missrate.fast_miss_rate`.  That route is
+``backend="fast"`` miss-rate runs resolve to this tier whenever numpy
+imports (:func:`resolve_tier`).  Without numpy a direct call goes whole
+to :func:`~repro.fastsim.missrate.fast_miss_rate`.  That route is
 silent and lossless because every tier is byte-identical by contract
 (enforced by the differential and golden suites).
 
@@ -48,7 +49,6 @@ casing.
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Union
 
 from repro.cache.geometry import CacheGeometry
@@ -64,18 +64,11 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     np = None
 
 __all__ = [
-    "NO_VECTOR_ENV",
     "block_array",
     "numpy_available",
     "resolve_tier",
-    "vector_enabled",
     "vector_miss_rate",
 ]
-
-#: Set to a non-empty value other than ``0`` to opt out of the vector
-#: tier even when numpy is importable (``backend="fast"`` then stays on
-#: the python kernels, and ``backend="vector"`` falls back to them).
-NO_VECTOR_ENV = "REPRO_NO_VECTOR"
 
 
 def numpy_available() -> bool:
@@ -83,25 +76,19 @@ def numpy_available() -> bool:
     return np is not None
 
 
-def vector_enabled() -> bool:
-    """True when the vector tier may run: numpy present and not opted out."""
-    return np is not None and os.environ.get(NO_VECTOR_ENV, "0") in ("", "0")
-
-
 def resolve_tier(backend: str, mode: str = "missrate") -> str:
     """The kernel tier a requested backend actually executes with.
 
-    ``"fast"`` auto-upgrades to the vector kernels for miss-rate runs
-    when they are enabled; ``"vector"`` silently degrades to the python
-    kernels when they are not (no numpy, or :data:`NO_VECTOR_ENV` set).
-    Full-sim mode always resolves to the array-state python pipeline:
-    the vector tier has no full-sim kernels.
+    ``"fast"`` miss-rate runs use the vector kernels exactly when numpy
+    imported, and the python kernels otherwise.  Full-sim mode always
+    resolves to the array-state python pipeline: the vector tier has no
+    full-sim kernels.
     """
     if backend == "reference":
         return "reference"
     if mode != "missrate":
         return "fast"
-    return "vector" if vector_enabled() else "fast"
+    return "vector" if np is not None else "fast"
 
 
 def vector_miss_rate(
@@ -116,12 +103,12 @@ def vector_miss_rate(
     :func:`~repro.sim.functional.measure_miss_rate`.
 
     Runs the shared miss-rate driver (static or ticked) with
-    :func:`_vector_misses` as its classifier.  A disabled tier goes to
-    :func:`~repro.fastsim.missrate.fast_miss_rate` whole; results are
-    identical either way.
+    :func:`_vector_misses` as its classifier.  Without numpy the run
+    goes to :func:`~repro.fastsim.missrate.fast_miss_rate` whole;
+    results are identical either way.
     """
     encoded = trace if isinstance(trace, EncodedTrace) else encode_trace(trace)
-    if not vector_enabled():
+    if np is None:
         return fast_miss_rate(
             encoded, geometry, warmup_fraction,
             interval=interval, policy_factory=policy_factory,

@@ -113,44 +113,32 @@ def measure_miss_rate(
             instance (each tier builds its own, so one factory can drive
             runs on every tier).  Ignored unless the built policy is
             dynamic (:func:`~repro.core.interval.is_dynamic_policy`).
+
+    This is the oracle the fast and vector tiers match byte for byte.
+    A static run (``interval`` 0 or a static policy) reports every
+    dynamics counter as 0, ``final_size_bytes`` included, and a stream
+    that is entirely warmup counts zero accesses (``miss_rate`` 0.0).
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     if interval < 0:
         raise ValueError(f"interval must be >= 0, got {interval}")
-    addrs, _loads = trace_mem_ops(trace)
-    warmup = int(len(addrs) * warmup_fraction)
-    if interval > 0 and policy_factory is not None:
-        policy = policy_factory()
-        if is_dynamic_policy(policy):
-            return _measure_dynamic(trace, geometry, warmup, interval, policy)
-    return _measure_static(trace, geometry, warmup)
-
-
-def _measure_dynamic(
-    trace: Trace,
-    geometry: CacheGeometry,
-    warmup: int,
-    interval: int,
-    policy,
-) -> MissRateResult:
-    """The reference interval loop: tick, maybe reconfigure, replay on.
-
-    The k-th tick fires just before position ``k*interval`` is
-    processed (k >= 1, strictly inside the stream) and describes the
-    preceding window; see :mod:`repro.core.interval` for the full
-    timing and flush semantics.  This is the behavioural contract the
-    fast and vector tiers must match byte-for-byte.
-    """
+    policy = policy_factory() if interval > 0 and policy_factory is not None else None
+    ticked = is_dynamic_policy(policy)
     addrs, loads = trace_mem_ops(trace)
     n = len(addrs)
+    warmup = int(n * warmup_fraction)
     cache = SetAssociativeCache(geometry)
     bypassed = False
     accesses = misses = load_accesses = load_misses = 0
     ticks = reconfigurations = bypass_toggles = bypassed_accesses = 0
     win_accesses = win_loads = win_misses = 0
     total_accesses = total_misses = 0
-    next_tick = interval
+    # The k-th tick fires just before position ``k*interval`` is
+    # processed (k >= 1, strictly inside the stream) and describes the
+    # preceding window; see :mod:`repro.core.interval` for the full
+    # timing and flush semantics.  A static run's first tick never comes.
+    next_tick = interval if ticked else n
     for position in range(n):
         if position == next_tick:
             stats = IntervalStats(
@@ -216,39 +204,5 @@ def _measure_dynamic(
         reconfigurations=reconfigurations,
         bypass_toggles=bypass_toggles,
         bypassed_accesses=bypassed_accesses,
-        final_size_bytes=cache.geometry.size_bytes,
-    )
-
-
-def _measure_static(trace: Trace, geometry: CacheGeometry, warmup: int) -> MissRateResult:
-    """Replay the whole memory-op stream from cold state, counting
-    statistics only at positions ``>= warmup``.  A stream that is
-    entirely warmup counts zero accesses, so its ``miss_rate`` is 0.0
-    on every tier."""
-    cache = SetAssociativeCache(geometry)
-    addrs, loads = trace_mem_ops(trace)
-
-    accesses = misses = load_accesses = load_misses = 0
-    for position, addr in enumerate(addrs):
-        way = cache.probe(addr)
-        hit = way is not None
-        if hit:
-            cache.touch(addr, way)
-        else:
-            cache.fill(addr)
-        if position < warmup:
-            continue
-        accesses += 1
-        is_load = loads[position]
-        if is_load:
-            load_accesses += 1
-        if not hit:
-            misses += 1
-            if is_load:
-                load_misses += 1
-    return MissRateResult(
-        accesses=accesses,
-        misses=misses,
-        load_accesses=load_accesses,
-        load_misses=load_misses,
+        final_size_bytes=cache.geometry.size_bytes if ticked else 0,
     )

@@ -3,7 +3,8 @@ arithmetic.
 
 A :class:`SimResult` is organized into nested sections — one
 :class:`CoreMetrics`, one :class:`L1Metrics` per L1 cache, one
-:class:`L2Metrics`, one :class:`EnergyMetrics` — and every consumer
+:class:`L2Metrics`, one :class:`EnergyMetrics`, one
+:class:`DynamicsMetrics` — and every consumer
 (the runner's schema-versioned disk cache, sweep JSON export,
 experiment renderers, the CLI's ``--json``) speaks this one schema.
 :meth:`SimResult.to_flat`/:meth:`SimResult.from_flat` round-trip the
@@ -152,8 +153,7 @@ class DynamicsMetrics:
     """Interval-tick activity of one dynamic-policy run.
 
     All-zero (``ticks == 0``) for static runs and for dynamic runs that
-    never reached a tick; such results serialize without the section at
-    all, keeping their flats byte-identical to the pre-dynamics schema.
+    never reached a tick.
 
     Attributes:
         interval: the configured tick period (accesses or cycles).
@@ -179,13 +179,6 @@ _SECTIONS: Tuple[Tuple[str, type], ...] = (
     ("icache", L1Metrics),
     ("l2", L2Metrics),
     ("energy", EnergyMetrics),
-)
-
-#: Optional sections: present in a flat mapping only when populated.
-#: Kept out of :meth:`SimResult.flat_field_names` so the disk-cache
-#: schema version — and every no-ticks flat — is unchanged from the
-#: pre-dynamics era.
-_OPTIONAL_SECTIONS: Tuple[Tuple[str, type], ...] = (
     ("dynamics", DynamicsMetrics),
 )
 
@@ -224,19 +217,9 @@ class SimResult:
     @classmethod
     def flat_field_names(cls) -> Tuple[str, ...]:
         """Sorted flat-schema keys; the cache schema version derives
-        from these, so reshaping any section rolls the version.
-        Optional sections (dynamics) are deliberately excluded — their
-        absence *is* the v7-era schema."""
+        from these, so reshaping any section rolls the version."""
         names = ["benchmark", "config_key"]
         for prefix, section in _SECTIONS:
-            names.extend(f"{prefix}_{f.name}" for f in fields(section))
-        return tuple(sorted(names))
-
-    @classmethod
-    def optional_flat_field_names(cls) -> Tuple[str, ...]:
-        """Sorted keys of the optional sections, when present."""
-        names = []
-        for prefix, section in _OPTIONAL_SECTIONS:
             names.extend(f"{prefix}_{f.name}" for f in fields(section))
         return tuple(sorted(names))
 
@@ -245,10 +228,9 @@ class SimResult:
 
         Dict-valued fields (access-kind counts, energy components) are
         emitted in sorted key order, so JSON dumps of equal results are
-        byte-identical whatever order the mappings were built in.  The
-        dynamics section is emitted only when the run delivered ticks,
-        so every no-ticks flat round-trips byte-identically to the
-        pre-dynamics schema.
+        byte-identical whatever order the mappings were built in.  Every
+        section is emitted; a run that delivered no ticks carries an
+        all-zero dynamics section.
         """
         flat: Dict[str, object] = {
             "benchmark": self.benchmark,
@@ -261,38 +243,23 @@ class SimResult:
                 if isinstance(value, dict):
                     value = {key: value[key] for key in sorted(value)}
                 flat[f"{prefix}_{f.name}"] = value
-        if self.dynamics.ticks > 0:
-            for prefix, _section in _OPTIONAL_SECTIONS:
-                part = getattr(self, prefix)
-                for f in fields(part):
-                    flat[f"{prefix}_{f.name}"] = getattr(part, f.name)
         return flat
 
     @classmethod
     def from_flat(cls, flat: Dict[str, object]) -> "SimResult":
         """Rebuild a result from :meth:`to_flat` output.
 
-        Accepts the required schema with or without the full optional
-        dynamics section (absent = all-zero dynamics).
-
         Raises:
             ValueError: when the mapping's keys don't exactly match the
                 current flat schema (the disk cache treats this as a
                 stale entry).
         """
-        expected = cls.flat_field_names()
-        keys = tuple(sorted(flat))
-        with_optional = tuple(sorted(expected + cls.optional_flat_field_names()))
-        if keys != expected and keys != with_optional:
+        if tuple(sorted(flat)) != cls.flat_field_names():
             raise ValueError("flat mapping does not match the current result schema")
         sections = {}
         for prefix, section in _SECTIONS:
             kwargs = {f.name: flat[f"{prefix}_{f.name}"] for f in fields(section)}
             sections[prefix] = section(**kwargs)
-        if keys == with_optional:
-            for prefix, section in _OPTIONAL_SECTIONS:
-                kwargs = {f.name: flat[f"{prefix}_{f.name}"] for f in fields(section)}
-                sections[prefix] = section(**kwargs)
         return cls(
             benchmark=str(flat["benchmark"]),
             config_key=str(flat["config_key"]),

@@ -5,15 +5,12 @@ This module is the execution backend of the sweep engine
 two run modes — ``"sim"`` (the full out-of-order simulator) and
 ``"missrate"`` (the functional hit/miss model behind Table 4).  The
 ``backend`` argument selects the implementation of either mode:
-``"fast"`` runs miss-rate points through the batched per-set replay and
-sim points through the array-state core/fetch/engine pipeline of
-:mod:`repro.fastsim`; ``"vector"`` runs miss-rate points through the
-numpy kernels (:mod:`repro.fastsim.vector`) and sim points through the
-same fast pipeline.  All tiers are byte-identical to ``"reference"`` by
-contract, and resolution is dynamic (:func:`repro.fastsim.resolve_tier`):
-``"fast"`` auto-upgrades miss-rate runs to the vector kernels when
-numpy is importable, ``"vector"`` silently degrades without it, and
-``REPRO_NO_VECTOR=1`` pins both to the python kernels.
+``"fast"`` runs sim points through the array-state core/fetch/engine
+pipeline of :mod:`repro.fastsim`, and miss-rate points through the
+numpy kernels (:mod:`repro.fastsim.vector`) when numpy imports or the
+python per-set replay when it does not
+(:func:`repro.fastsim.resolve_tier`).  Every kernel tier is
+byte-identical to ``"reference"`` by contract.
 The engine composes the primitives directly:
 
 * :func:`load_cached` — resolve a run against the in-process and
@@ -132,19 +129,12 @@ def trace_cache_capacity() -> int:
         raise ValueError(f"REPRO_TRACE_CACHE must be an integer >= 0, got {raw!r}")
     return max(1, capacity)
 
-#: Flat keys a cached JSON blob must carry to round-trip losslessly.
-_RESULT_FIELDS = SimResult.flat_field_names()
-
-#: The same schema with the optional dynamics section attached — what a
-#: ticked run's blob carries.  Both spellings are valid on disk.
-_RESULT_FIELDS_WITH_DYNAMICS = tuple(
-    sorted(_RESULT_FIELDS + SimResult.optional_flat_field_names())
-)
-
 #: Cache schema version: changing any result section's shape changes
 #: every key, so entries written by an older schema are ignored, not
 #: mis-parsed.  The v2->v3 bump marks the nested-sections redesign.
-SCHEMA_VERSION = hashlib.sha256(",".join(_RESULT_FIELDS).encode("utf-8")).hexdigest()[:12]
+SCHEMA_VERSION = hashlib.sha256(
+    ",".join(SimResult.flat_field_names()).encode("utf-8")
+).hexdigest()[:12]
 
 
 def disk_cache_dir() -> Optional[Path]:
@@ -373,31 +363,26 @@ def cache_key(
 ) -> str:
     """Stable cache key for one run (includes the result-schema version).
 
-    The v3->v4 payload bump adds the execution backend: reference and
-    fast results are byte-identical by contract, but keeping their
-    entries distinct means a cached result always names the backend
-    that actually produced it (and a backend bug can never satisfy the
-    other backend's lookups).  The v4->v5 bump replaces the raw
-    benchmark name with :func:`workload_id`, folding the content
-    fingerprint of file-backed (``trace://``) workloads into every key.
-    The v5->v6 bump adds the *resolved* kernel tier next to the
-    requested backend: backend resolution is environment-dependent
-    (``"fast"`` auto-upgrades to the vector kernels when numpy is
-    importable), so the tier that actually executed must be part of
-    the entry's identity for the same provenance reason.  The v7->v8
-    bump embeds the tick period (``static`` when 0): a dynamic policy's
-    behaviour is a function of the interval, so the same config at two
-    intervals is two distinct runs (the policy's own parameters already
-    ride in via ``config.key()``).  The v8->v9 bump drops the chunk-plan
-    token v7 added, along with chunked replay itself.  The v9->v10 bump
-    retires results whose energies were summed event by event: energy
-    is now priced from event counts, which moves the last digits.
+    One field per reason a result can differ:
+
+    * the workload: :func:`workload_id`, which folds a ``trace://``
+      file's content fingerprint into the name;
+    * the system (``config.key()``, the policies' parameters included),
+      trace length, salt and run mode;
+    * the backend: results are byte-identical by contract, but a
+      backend bug must never satisfy the other backend's lookups.  The
+      kernel tier a backend resolves to is not a field, so a cache
+      filled with numpy present also serves a process without it;
+    * the tick period (``static`` when 0): a dynamic policy's
+      behaviour is a function of it;
+    * the payload version and result-schema hash: a new version
+      retires results an older simulator wrote, and the schema hash
+      retires blobs of another result shape.
     """
     _validate_interval(interval)
     payload = (
         f"{workload_id(benchmark)}|{config.key()}|{instructions}|{salt}|{mode}|{backend}"
-        f"|{resolve_tier(backend, mode)}|{_interval_token(interval)}"
-        f"|v10:{SCHEMA_VERSION}"
+        f"|{_interval_token(interval)}|v11:{SCHEMA_VERSION}"
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -412,12 +397,8 @@ def _load_disk(key: str) -> Optional[SimResult]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        if not isinstance(data, dict) or tuple(sorted(data)) not in (
-            _RESULT_FIELDS,
-            _RESULT_FIELDS_WITH_DYNAMICS,
-        ):
-            return None  # stale or foreign schema: treat as a miss
-        return SimResult.from_flat(data)
+        # from_flat raises ValueError on a stale or foreign schema: a miss.
+        return SimResult.from_flat(data) if isinstance(data, dict) else None
     except (OSError, ValueError, TypeError):
         return None
 

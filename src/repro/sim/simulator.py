@@ -6,18 +6,16 @@ and cache side, the unified L2 included:
 * ``"reference"`` — the per-access object-dispatch engines
   (:class:`~repro.core.engine.DCacheEngine`,
   :class:`~repro.core.icache.ICacheEngine`) over
-  :class:`~repro.cache.hierarchy.L2Cache` behind a
-  :class:`~repro.cache.hierarchy.MemoryHierarchy`;
+  :class:`~repro.cache.hierarchy.L2Cache`;
 * ``"fast"`` — the array-state engines (:mod:`repro.fastsim`) over
-  :class:`~repro.fastsim.l2.FastL2`, which they call directly,
-  byte-identical by contract (enforced by the differential suite).
-  They host every registered policy: the paper's static d-cache kinds
-  run inlined kernels, while dynamic kinds and plugins drive the policy
-  object through one adapter kernel.
+  :class:`~repro.fastsim.l2.FastL2`, byte-identical by contract
+  (enforced by the differential suite).  They host every registered
+  policy: the paper's static d-cache kinds run inlined kernels, while
+  dynamic kinds and plugins drive the policy object through one adapter
+  kernel.
 
-``"vector"`` is also accepted and builds the same fast pipeline: the
-vector tier accelerates functional miss-rate runs only
-(:mod:`repro.fastsim.vector`).
+Both L2s answer the same three calls, and the L1 engines call the L2
+directly.
 
 The engines of every backend only count events.  After the run the
 simulator prices the counts (:mod:`repro.energy.pricing`): the L2's
@@ -38,7 +36,7 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hierarchy import L2Cache, MainMemory, MemoryHierarchy
+from repro.cache.hierarchy import L2Cache, MainMemory
 from repro.cache.stats import CacheStats
 from repro.core.engine import DCacheEngine
 from repro.core.factory import build_dcache_policy, build_icache_policy
@@ -64,10 +62,8 @@ from repro.sim.results import (
 from repro.workload.trace import Trace
 
 
-#: Backend tiers a run can request.  The simulator builds the same
-#: array-state pipeline for "fast" and "vector" (see module docstring);
-#: the tiers only diverge on the functional miss-rate path.
-BACKENDS = ("reference", "fast", "vector")
+#: Backends a run can request (see the module docstring).
+BACKENDS = ("reference", "fast")
 
 
 class _EpochEnergy:
@@ -174,9 +170,8 @@ class Simulator:
     Args:
         config: the system to build.
         wattch: processor-energy parameters (defaults to the paper's).
-        backend: ``"reference"``, ``"fast"``, or ``"vector"`` (see the
-            module docstring; the last two build identical pipelines
-            here).
+        backend: ``"reference"`` or ``"fast"`` (see the module
+            docstring).
         interval: tick period in *cycles*; with a dynamic d-cache
             policy the run delivers
             :class:`~repro.core.interval.IntervalStats` to its
@@ -206,17 +201,12 @@ class Simulator:
             cycles_per_chunk=config.memory_cycles_per_chunk,
             chunk_bytes=config.memory_chunk_bytes,
         )
-        l2_args = dict(
+        l2_class = L2Cache if backend == "reference" else FastL2
+        self.l2 = l2_class(
             geometry=config.l2.geometry(),
             latency=config.l2.latency,
             memory=memory,
         )
-        if backend == "reference":
-            self.l2 = L2Cache(**l2_args)
-            hierarchy = MemoryHierarchy(self.l2)
-        else:
-            # The fast L2 answers the engines' three hierarchy calls itself.
-            self.l2 = hierarchy = FastL2(**l2_args)
         self._l2_energy_model = CactiLite().energy_model(config.l2.geometry())
 
         # Prediction-structure energies sized from the policy specs
@@ -239,7 +229,7 @@ class Simulator:
         dgeometry = config.dcache.geometry()
         dcache_args = dict(
             geometry=dgeometry,
-            hierarchy=hierarchy,
+            l2=self.l2,
             base_latency=config.dcache.latency,
         )
         if backend == "reference":
@@ -251,7 +241,7 @@ class Simulator:
         igeometry = config.icache.geometry()
         self.icache = icache_engine(
             geometry=igeometry,
-            hierarchy=hierarchy,
+            l2=self.l2,
             base_latency=config.icache.latency,
             policy=build_icache_policy(config.icache_policy),
         )

@@ -29,11 +29,10 @@ class RunSpec:
         salt: trace-generation salt (distinct salts = distinct traces).
         mode: ``"sim"`` for the full out-of-order simulation or
             ``"missrate"`` for the functional hit/miss model (Table 4).
-        backend: ``"reference"``, ``"fast"`` (the batched backend), or
-            ``"vector"`` (the numpy kernel tier; miss-rate mode only,
-            sim points run the fast pipeline).  Results are
-            byte-identical — the tiers trade introspectability for
-            speed.
+        backend: ``"reference"`` or ``"fast"`` (the batched backend,
+            whose miss-rate points run the numpy kernels when numpy
+            imports).  Results are byte-identical — the backends trade
+            introspectability for speed.
         interval: tick period for dynamic policies (accesses in
             miss-rate mode, cycles in sim mode); ``0`` = no ticks.
     """

@@ -13,8 +13,6 @@ import os
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.energy.cactilite import CactiLite
-from repro.energy.tables import PredictionStructureEnergy
 from repro.sim.config import SystemConfig
 
 try:
@@ -47,8 +45,10 @@ def _hermetic_environment(tmp_path_factory):
     Cache keys do not cover simulator code, so a suite reading the
     working tree's ``.repro_cache/`` could pass on results a regressed
     simulator never produced.  Every session therefore starts empty.
-    Likewise a ``REPRO_JOBS`` or ``REPRO_NO_VECTOR`` left in the shell
-    would change what the tests exercise.  Tests that need a value set
+    Likewise a ``REPRO_JOBS`` or ``REPRO_BACKEND`` left in the shell
+    would change what the tests exercise.  (Tests reach the python
+    miss-rate kernels by hiding numpy, never through a variable: they
+    patch ``repro.fastsim.vector.np`` to ``None``.)  Tests that need a value set
     it themselves with ``monkeypatch``, and subprocesses inherit the
     cleaned environment.
     """
@@ -79,18 +79,6 @@ def geometry16k4w():
 def tiny_geometry():
     """A 4-set, 2-way toy cache for exhaustive behavioural tests."""
     return CacheGeometry(256, 2, 32)
-
-
-@pytest.fixture
-def energy16k4w(geometry16k4w):
-    """Energy model for the reference geometry."""
-    return CactiLite().energy_model(geometry16k4w)
-
-
-@pytest.fixture
-def pred_energy():
-    """Paper-sized prediction structure energies."""
-    return PredictionStructureEnergy.build()
 
 
 @pytest.fixture

@@ -289,7 +289,7 @@ class TestNumpyAbsentLoad:
         config = SystemConfig()
         # Write the artifact through the vector tier (numpy hot path).
         baseline = runner.run_benchmark(
-            "gcc", config, 4_000, mode="missrate", backend="vector", use_cache=False
+            "gcc", config, 4_000, mode="missrate", backend="fast", use_cache=False
         )
         assert runner.artifact_stats()["stores"] == 1
         # Reload it with numpy gone: the python kernels must restore
@@ -298,7 +298,7 @@ class TestNumpyAbsentLoad:
         runner.reset_artifact_stats()
         monkeypatch.setattr(vector_module, "np", None)
         fallback = runner.run_benchmark(
-            "gcc", config, 4_000, mode="missrate", backend="vector", use_cache=False
+            "gcc", config, 4_000, mode="missrate", backend="fast", use_cache=False
         )
         assert fallback.to_flat() == baseline.to_flat()
         assert runner.artifact_stats()["loads"] == 1
@@ -398,14 +398,16 @@ class TestRunnerPolicy:
         blocks = encode_trace(generate_trace("gcc", 3_000)).blocks(fields)
         sections[f"blocks:{fields.offset_bits}"] = ("Q", list_to_bytes(blocks, "Q"))
         assert write_artifact(path, published.name, published.instructions, sections)
-        for backend, no_vector in (("fast", "1"), ("vector", "0")):
+        for hide_numpy in (True, False):
             _new_process()
-            monkeypatch.setenv("REPRO_NO_VECTOR", no_vector)
-            result = runner.run_benchmark(
-                "gcc", config, 3_000, mode="missrate", backend=backend,
-                use_cache=False,
-            )
-            assert result.to_flat() == expected, backend
+            with monkeypatch.context() as patch:
+                if hide_numpy:
+                    patch.setattr(vector_module, "np", None)
+                result = runner.run_benchmark(
+                    "gcc", config, 3_000, mode="missrate", backend="fast",
+                    use_cache=False,
+                )
+            assert result.to_flat() == expected, hide_numpy
             assert runner.artifact_stats()["loads"] == 1
             assert runner.artifact_stats()["stores"] == 0
         _new_process()
@@ -490,7 +492,9 @@ def _flats(benchmark, instructions, backend):
 
 
 class TestLazyTraces:
-    def test_full_artifact_answers_fast_tiers_without_generating(self, generations):
+    def test_full_artifact_answers_fast_tiers_without_generating(
+        self, generations, monkeypatch
+    ):
         runner.ensure_artifact("gcc", 3_000, mode="sim")
         expected = _flats("gcc", 3_000, "reference")
         _new_process()
@@ -498,8 +502,10 @@ class TestLazyTraces:
         trace = runner.get_trace("gcc", 3_000, 0)
         assert isinstance(trace, LazyTrace)
         assert (trace.name, len(trace)) == ("gcc", 3_000)
-        for backend in ("fast", "vector"):
-            assert _flats("gcc", 3_000, backend) == expected, backend
+        assert _flats("gcc", 3_000, "fast") == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(vector_module, "np", None)  # the python kernels
+            assert _flats("gcc", 3_000, "fast") == expected
         assert generations == []
         assert runner.artifact_stats()["loads"] == 1
 
@@ -596,17 +602,21 @@ def _refuse_instr(*_fields):
 
 
 class TestGeneratedColumns:
-    @pytest.mark.parametrize("backend", ["fast", "vector"])
-    def test_fast_tiers_never_build_instr_objects(self, backend, monkeypatch):
+    @pytest.mark.parametrize("tier", ["fast", "vector"])
+    def test_fast_tiers_never_build_instr_objects(self, tier, monkeypatch):
         """A sim point and a miss-rate point over a generated trace run
-        on its columns; the reference tier then builds the ``Instr``
-        list once, from the same columns, with the same results."""
+        on its columns, on either miss-rate kernel tier of ``fast``
+        (``fast`` hides numpy, so the python kernels run); the
+        reference tier then builds the ``Instr`` list once, from the
+        same columns, with the same results."""
         monkeypatch.setenv("REPRO_NO_ARTIFACTS", "1")
         trace = runner.get_trace("gcc", 3_000, 0)
         assert isinstance(trace, ColumnTrace)
         with monkeypatch.context() as patch:
             patch.setattr(trace_module, "Instr", _refuse_instr)
-            fast = _flats("gcc", 3_000, backend)
+            if tier == "fast":
+                patch.setattr(vector_module, "np", None)
+            fast = _flats("gcc", 3_000, "fast")
         assert runner.get_trace("gcc", 3_000, 0) is trace
         assert fast == _flats("gcc", 3_000, "reference")
         assert trace.instructions is trace.instructions

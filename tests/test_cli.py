@@ -153,8 +153,11 @@ def test_sweep_rejects_bad_jobs(capsys):
 # ------------------------------------------------------------------ #
 
 
-def test_bad_repro_backend_env_exits_cleanly(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_BACKEND", "warp")
+@pytest.mark.parametrize("backend", ["warp", "vector"])
+def test_bad_repro_backend_env_exits_cleanly(backend, monkeypatch, capsys):
+    """An unknown backend exits 2 with one line; ``vector`` is a kernel
+    tier of ``fast``, not a backend."""
+    monkeypatch.setenv("REPRO_BACKEND", backend)
     assert main(["table1"]) == 2
     assert "unknown backend" in capsys.readouterr().err
     assert sweep_main(TINY_SWEEP) == 2

@@ -10,7 +10,7 @@ across associativities and the warmup-fraction edges — with
 the numpy vector tier held to the same byte-identical contract as a
 third leg of the miss-rate property.  Degenerate streams (empty, no
 memory ops, one access) must give identical miss-rate flats on every
-tier through the runner.
+kernel tier through the runner.
 
 Full-sim mode is covered on both pipeline implementations: the fast
 backend runs the batched core/fetch pair (:mod:`repro.fastsim.core`,
@@ -39,6 +39,7 @@ from repro.cpu.fetch import FetchUnit
 from repro.cpu.ooo import OutOfOrderCore
 from repro.cpu.stats import CoreStats
 from repro.fastsim import FastCore, FastFetchUnit
+from repro.fastsim import vector as vector_module
 from repro.fastsim.missrate import fast_miss_rate
 from repro.fastsim.vector import vector_miss_rate
 from repro.sim import runner
@@ -370,16 +371,22 @@ def no_cache(monkeypatch):
 
 class TestDegenerateTraces:
     @pytest.mark.parametrize("name", sorted(DEGENERATES))
-    def test_all_tiers_byte_agree(self, name, no_cache):
-        """Empty/one-access streams: identical flats on every tier."""
+    def test_all_tiers_byte_agree(self, name, no_cache, monkeypatch):
+        """Empty/one-access streams: identical flats on every tier —
+        reference, and ``fast`` with numpy visible (vector kernels)
+        and hidden (python kernels)."""
         trace = mem_trace(name, DEGENERATES[name])
         flats = []
-        for backend in ("reference", "fast", "vector"):
+        for backend, hide_numpy in (("reference", False), ("fast", False),
+                                    ("fast", True)):
             runner.clear_caches()
             runner._TRACE_CACHE[(name, 1000, 0)] = trace
-            result = runner.execute(
-                name, SystemConfig(), 1000, mode="missrate", backend=backend
-            )
+            with monkeypatch.context() as patch:
+                if hide_numpy:
+                    patch.setattr(vector_module, "np", None)
+                result = runner.execute(
+                    name, SystemConfig(), 1000, mode="missrate", backend=backend
+                )
             flats.append(result.to_flat())
         assert flats[0] == flats[1] == flats[2]
 

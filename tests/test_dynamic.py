@@ -205,9 +205,9 @@ def _run_recorded(config: SystemConfig, backend: str, trace: Trace):
     each flush wrote back, in order."""
     simulator = Simulator(config, backend=backend, interval=200)
     engine = simulator.dcache
-    hierarchy = engine.hierarchy
+    l2 = engine.l2
     reconfigure = engine.reconfigure
-    writeback = hierarchy.absorb_writeback
+    writeback = l2.absorb_writeback
     flushed = []
 
     def recording_reconfigure(geometry):
@@ -217,9 +217,9 @@ def _run_recorded(config: SystemConfig, backend: str, trace: Trace):
             written.append(addr)
             writeback(addr)
 
-        hierarchy.absorb_writeback = recording_writeback
+        l2.absorb_writeback = recording_writeback
         reconfigure(geometry)
-        del hierarchy.absorb_writeback
+        del l2.absorb_writeback
         flushed.append(written)
 
     engine.reconfigure = recording_reconfigure
@@ -413,7 +413,7 @@ class TestCacheKeyV8:
 
 
 # ------------------------------------------------------------------ #
-# Flats: the optional dynamics section
+# Flats: the dynamics section
 # ------------------------------------------------------------------ #
 
 
@@ -433,22 +433,22 @@ class TestDynamicsFlats:
         assert restored.dynamics == self._ticked().dynamics
         assert restored.to_flat() == flat
 
-    def test_no_ticks_flat_is_v7_schema(self):
-        """A static (or never-ticked) result serializes without any
-        dynamics field, so its flat is byte-identical to the
-        pre-dynamics schema."""
-        flat = SimResult(benchmark="x", config_key="k").to_flat()
-        assert not any(name.startswith("dynamics_") for name in flat)
-        assert tuple(sorted(flat)) == tuple(sorted(SimResult.flat_field_names()))
-
-    def test_from_flat_without_section_zeroes_dynamics(self):
-        restored = SimResult.from_flat(SimResult(benchmark="x", config_key="k").to_flat())
+    @pytest.mark.parametrize("mode", runner.RUN_MODES)
+    def test_static_run_flat_carries_zero_dynamics(self, mode):
+        """Every flat has one schema: a static run's carries the
+        dynamics section, all zeros, and round-trips.  A flat without
+        the section (the pre-dynamics shape) is rejected as stale."""
+        flat = runner.execute("gcc", SystemConfig(), 2_000, 0, mode, "fast").to_flat()
+        assert tuple(sorted(flat)) == SimResult.flat_field_names()
+        dynamics = {name: value for name, value in flat.items()
+                    if name.startswith("dynamics_")}
+        assert len(dynamics) == 6 and set(dynamics.values()) == {0}
+        restored = SimResult.from_flat(flat)
         assert restored.dynamics == DynamicsMetrics()
-
-    def test_optional_names_disjoint_from_schema_names(self):
-        optional = set(SimResult.optional_flat_field_names())
-        assert optional
-        assert not optional & set(SimResult.flat_field_names())
+        assert restored.to_flat() == flat
+        stale = {name: value for name, value in flat.items() if name not in dynamics}
+        with pytest.raises(ValueError):
+            SimResult.from_flat(stale)
 
 
 # ------------------------------------------------------------------ #

@@ -171,8 +171,8 @@ def test_fast_backend_uses_fast_engines(side, kind):
     assert isinstance(simulator.dcache, FastDCacheEngine)
     assert isinstance(simulator.icache, FastICacheEngine)
     assert isinstance(simulator.l2, FastL2)
-    assert simulator.dcache.hierarchy is simulator.l2
-    assert simulator.icache.hierarchy is simulator.l2
+    assert simulator.dcache.l2 is simulator.l2
+    assert simulator.icache.l2 is simulator.l2
     assert simulator.backend == "fast"
 
 

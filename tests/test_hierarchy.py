@@ -1,4 +1,4 @@
-"""L2 cache and memory hierarchy tests."""
+"""L2 cache and main memory tests."""
 
 import dataclasses
 import random
@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hierarchy import L2Cache, MainMemory, MemoryHierarchy
+from repro.cache.hierarchy import L2Cache, MainMemory
 from repro.fastsim.l2 import FastL2
 
 
@@ -26,43 +26,51 @@ class TestL2Cache:
         self.l2 = L2Cache(CacheGeometry(4096, 8, 32), latency=12)
 
     def test_miss_goes_to_memory(self):
-        result = self.l2.access(0x1000)
-        assert not result.hit
-        assert result.latency == 12 + 96
+        assert self.l2.fetch_block(0x1000) == 12 + 96
+        assert (self.l2.stats.load_hits, self.l2.stats.fills) == (0, 1)
 
     def test_hit_latency(self):
-        self.l2.access(0x1000)
-        result = self.l2.access(0x1000)
-        assert result.hit
-        assert result.latency == 12
+        self.l2.fetch_block(0x1000)
+        assert self.l2.fetch_block(0x1000) == 12
+        assert self.l2.stats.load_hits == 1
+
+    def test_fetch_and_store_paths(self):
+        assert self.l2.fetch_block(0x100) == 108
+        assert self.l2.fetch_block(0x100) == 12  # now L2-resident
+        assert self.l2.store_block(0x100) == 12
+        assert self.l2.store_block(0x2100) == 108  # write-allocate miss
+        stats = self.l2.stats
+        assert (stats.loads, stats.stores, stats.load_hits, stats.store_hits) == (2, 2, 1, 1)
 
     def test_store_marks_dirty(self):
-        self.l2.access(0x1000, is_store=True)
+        self.l2.store_block(0x1000)
         assert self.l2.array.block_at(0x1000).dirty
 
     def test_writeback_installs(self):
-        self.l2.writeback(0x2000)
+        """A dirty L1 victim is counted like a store and left dirty."""
+        assert self.l2.absorb_writeback(0x2000) is None
         assert self.l2.array.contains(0x2000)
         assert self.l2.array.block_at(0x2000).dirty
+        assert (self.l2.stats.stores, self.l2.stats.fills) == (1, 1)
+
+    def test_writeback_counts_like_a_store(self):
+        """An absorbed writeback changes the stats and the array exactly
+        as a store does, evictions and dirty victims included; only its
+        latency goes unseen."""
+        stores = L2Cache(CacheGeometry(4096, 8, 32), latency=12)
+        # Ten blocks of one set (16 sets x 32 B apart), then two hits.
+        for addr in [i * 512 for i in range(10)] + [9 * 512, 8 * 512]:
+            self.l2.absorb_writeback(addr)
+            stores.store_block(addr)
+        assert dataclasses.asdict(self.l2.stats) == dataclasses.asdict(stores.stats)
+        assert self.l2.stats.writebacks == 2  # dirty victims written back
+        assert self.l2.array.block_at(9 * 512).dirty
 
     def test_stats_tracked(self):
-        self.l2.access(0x1000)
-        self.l2.access(0x1000)
+        self.l2.fetch_block(0x1000)
+        self.l2.fetch_block(0x1000)
         assert self.l2.stats.loads == 2
         assert self.l2.stats.load_hits == 1
-
-
-class TestMemoryHierarchy:
-    def test_fetch_and_store_paths(self):
-        hierarchy = MemoryHierarchy(L2Cache(CacheGeometry(4096, 8, 32), latency=12))
-        assert hierarchy.fetch_block(0x100) == 108
-        assert hierarchy.fetch_block(0x100) == 12  # now L2-resident
-        assert hierarchy.store_block(0x100) == 12
-
-    def test_writeback_absorbed(self):
-        hierarchy = MemoryHierarchy(L2Cache(CacheGeometry(4096, 8, 32)))
-        hierarchy.absorb_writeback(0x300)
-        assert hierarchy.l2.array.contains(0x300)
 
 
 #: The paper's L2 (4,096 sets, so the reference builds its sets lazily)
@@ -80,7 +88,7 @@ class TestFastL2:
     def test_matches_reference(self, name):
         geometry = L2_GEOMETRIES[name]
         memory = MainMemory(base_latency=60, cycles_per_chunk=2, chunk_bytes=16)
-        reference = MemoryHierarchy(L2Cache(geometry, latency=9, memory=memory))
+        reference = L2Cache(geometry, latency=9, memory=memory)
         fast = FastL2(geometry, latency=9, memory=memory)
         rng = random.Random(name)
         # Three times as many blocks as ways in each of four sets: conflicts.
@@ -95,7 +103,7 @@ class TestFastL2:
             call = rng.choice(calls)
             addr = rng.choice(pool) + rng.randrange(geometry.block_bytes)
             assert getattr(fast, call)(addr) == getattr(reference, call)(addr), call
-        assert dataclasses.asdict(fast.stats) == dataclasses.asdict(reference.l2.stats)
+        assert dataclasses.asdict(fast.stats) == dataclasses.asdict(reference.stats)
         # The premises: the stream evicted blocks and wrote dirty ones back.
         assert fast.stats.evictions > 0
         assert fast.stats.writebacks > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hierarchy import L2Cache, MemoryHierarchy
+from repro.cache.hierarchy import L2Cache
 from repro.core.icache import (
     ICacheEngine,
     SOURCE_BTB,
@@ -33,11 +33,10 @@ from tests.test_policies import model_of, priced
 
 def make_icache(way_predict=True, geometry=None):
     geometry = geometry or CacheGeometry(1024, 4, 32)
-    l2 = L2Cache(CacheGeometry(64 * 1024, 8, 32))
     policy = WayPredictedFetchPolicy() if way_predict else ParallelFetchPolicy()
     return ICacheEngine(
         geometry=geometry,
-        hierarchy=MemoryHierarchy(l2),
+        l2=L2Cache(CacheGeometry(64 * 1024, 8, 32)),
         policy=policy,
     )
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.hierarchy import L2Cache, MemoryHierarchy
+from repro.cache.hierarchy import L2Cache
 from repro.core.engine import DCacheEngine
 from repro.core.factory import build_dcache_policy
 from repro.core.kinds import (
@@ -19,13 +19,12 @@ from repro.energy.tables import PredictionStructureEnergy
 
 
 def make_engine(kind="parallel", geometry=None, latency=1, **spec_kwargs):
-    """Build a DCacheEngine over a small hierarchy for direct testing."""
+    """Build a DCacheEngine over a small L2 for direct testing."""
     geometry = geometry or CacheGeometry(1024, 4, 32)  # 8 sets
-    l2 = L2Cache(CacheGeometry(64 * 1024, 8, 32), latency=12)
     engine = DCacheEngine(
         geometry=geometry,
         policy=build_dcache_policy(DCachePolicySpec(kind=kind, **spec_kwargs)),
-        hierarchy=MemoryHierarchy(l2),
+        l2=L2Cache(CacheGeometry(64 * 1024, 8, 32), latency=12),
         base_latency=latency,
     )
     return engine

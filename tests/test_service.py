@@ -94,6 +94,7 @@ class TestProtocol:
             ({"kind": "experiment", "experiments": ["nope"]}, "unknown experiment"),
             ({"kind": "experiment", "experiments": ["table4"],
               "benchmarks": ["trace://x.din"]}, "unknown benchmark"),
+            ({"kind": "sweep", "backend": "vector"}, "unknown backend"),
         ],
     )
     def test_malformed_requests(self, body, match):

@@ -7,16 +7,17 @@ The vector tier's contract has three legs, each pinned here:
   fast tier return, for every associativity and warmup edge (with the
   differential Hypothesis suite adding the generative counterpart in
   ``test_differential.py``).
-* **Graceful degradation** — without numpy, or under the
-  ``REPRO_NO_VECTOR`` opt-out, every entry point silently resolves to
-  the python tier with identical results; nothing anywhere requires
+* **Graceful degradation** — without numpy (hidden here by patching
+  the module's ``np`` to ``None``) every entry point silently resolves
+  to the python tier with identical results; nothing anywhere requires
   numpy to import.
 * **Plumbing** — numpy is imported by :mod:`repro.fastsim.vector`
   alone; its block arrays (:func:`~repro.fastsim.vector.block_array`)
   are built over the encoding's own raw buffers, read-only, memoized
   per block size, and chunk-construction-equal to eager; runner
-  dispatch and the cache key track the *resolved* tier; results stay
-  plain-int (JSON-serializable) whatever tier produced them.
+  dispatch follows the *resolved* tier, while the cache key names only
+  the requested backend; results stay plain-int (JSON-serializable)
+  whatever tier produced them.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ from repro.core.registry import get_policy
 from repro.fastsim import vector as vector_module
 from repro.fastsim.missrate import fast_miss_rate
 from repro.fastsim.vector import (
-    NO_VECTOR_ENV,
     block_array,
     numpy_available,
     resolve_tier,
-    vector_enabled,
     vector_miss_rate,
 )
 from repro.sim import runner
@@ -74,7 +73,8 @@ def _balanced_trace(sets: int = 64, length: int = 6_000) -> Trace:
 
 class TestTierResolution:
     def test_backends_tuple_exposes_all_tiers(self):
-        assert BACKENDS == ("reference", "fast", "vector")
+        """Two backends; the vector kernels are a tier of ``fast``."""
+        assert BACKENDS == ("reference", "fast")
 
     def test_reference_never_resolves_away(self):
         assert resolve_tier("reference", "missrate") == "reference"
@@ -82,24 +82,15 @@ class TestTierResolution:
 
     def test_sim_mode_always_runs_the_fast_pipeline(self):
         assert resolve_tier("fast", "sim") == "fast"
-        assert resolve_tier("vector", "sim") == "fast"
 
     @requires_numpy
     def test_fast_auto_upgrades_for_missrate(self):
         assert resolve_tier("fast", "missrate") == "vector"
-        assert resolve_tier("vector", "missrate") == "vector"
-
-    def test_env_opt_out_pins_python_kernels(self, monkeypatch):
-        monkeypatch.setenv(NO_VECTOR_ENV, "1")
-        assert not vector_enabled()
-        assert resolve_tier("fast", "missrate") == "fast"
-        assert resolve_tier("vector", "missrate") == "fast"
 
     def test_without_numpy_vector_degrades(self, monkeypatch):
         monkeypatch.setattr(vector_module, "np", None)
         assert not numpy_available()
-        assert not vector_enabled()
-        assert resolve_tier("vector", "missrate") == "fast"
+        assert resolve_tier("fast", "missrate") == "fast"
 
 
 # ------------------------------------------------------------------ #
@@ -216,10 +207,12 @@ class TestVectorMissRate:
         assert vector_miss_rate(Trace("e", []), geometry) == reference
 
     def test_opt_out_is_lossless(self, monkeypatch):
+        """Without numpy (hidden here) a direct call falls back to the
+        python kernels whole, with the same result."""
         trace = generate_trace("mgrid", 4_000)
         geometry = CacheGeometry(4 * 1024, 4, 32)
         baseline = measure_miss_rate(trace, geometry, 0.2)
-        monkeypatch.setenv(NO_VECTOR_ENV, "1")
+        monkeypatch.setattr(vector_module, "np", None)
         assert vector_miss_rate(trace, geometry, 0.2) == baseline
 
     @requires_numpy
@@ -266,40 +259,42 @@ class TestVectorMissRate:
 class TestRunnerIntegration:
     CONFIG = SystemConfig().with_dcache(associativity=4)
 
-    def test_missrate_execute_identical_and_serializable(self):
+    def test_missrate_execute_identical_and_serializable(self, monkeypatch):
         reference = runner.execute("gcc", self.CONFIG, 6_000, mode="missrate")
-        vector = runner.execute("gcc", self.CONFIG, 6_000, mode="missrate",
-                                backend="vector")
-        assert reference.to_flat() == vector.to_flat()
-        json.dumps(vector.to_flat())  # plain types end to end
+        fast = runner.execute("gcc", self.CONFIG, 6_000, mode="missrate",
+                              backend="fast")
+        assert reference.to_flat() == fast.to_flat()
+        json.dumps(fast.to_flat())  # plain types end to end
+        monkeypatch.setattr(vector_module, "np", None)
+        python = runner.execute("gcc", self.CONFIG, 6_000, mode="missrate",
+                                backend="fast")
+        assert python.to_flat() == reference.to_flat()
 
-    def test_sim_execute_runs_the_fast_pipeline(self):
+    def test_sim_execute_runs_the_fast_pipeline(self, monkeypatch):
+        """Sim mode never touches the vector kernels: hiding numpy
+        changes nothing."""
         reference = runner.execute("gcc", self.CONFIG, 2_000, mode="sim")
-        vector = runner.execute("gcc", self.CONFIG, 2_000, mode="sim",
-                                backend="vector")
-        assert reference.to_flat() == vector.to_flat()
+        monkeypatch.setattr(vector_module, "np", None)
+        fast = runner.execute("gcc", self.CONFIG, 2_000, mode="sim",
+                              backend="fast")
+        assert reference.to_flat() == fast.to_flat()
 
-    def test_simulator_builds_fast_engines_for_vector(self):
-        from repro.fastsim import FastDCacheEngine, FastICacheEngine, FastL2
+    def test_vector_is_not_a_backend(self):
+        for mode in runner.RUN_MODES:
+            with pytest.raises(ValueError, match="unknown backend"):
+                runner.execute("gcc", self.CONFIG, 1_000, mode=mode,
+                               backend="vector")
+        with pytest.raises(ValueError, match="unknown backend"):
+            Simulator(self.CONFIG, backend="vector")
 
-        simulator = Simulator(self.CONFIG, backend="vector")
-        assert isinstance(simulator.dcache, FastDCacheEngine)
-        assert isinstance(simulator.icache, FastICacheEngine)
-        assert isinstance(simulator.l2, FastL2)
-
-    def test_cache_key_tracks_the_resolved_tier(self, monkeypatch):
+    def test_cache_key_is_equal_with_numpy_hidden(self, monkeypatch):
+        """The key names the requested backend, not the kernel tier it
+        resolves to: a cache filled with numpy present serves a process
+        without it."""
         args = ("gcc", self.CONFIG, 6_000)
-        resolved = runner.cache_key(*args, mode="missrate", backend="fast")
-        sim_key = runner.cache_key(*args, mode="sim", backend="fast")
-        monkeypatch.setenv(NO_VECTOR_ENV, "1")
-        pinned = runner.cache_key(*args, mode="missrate", backend="fast")
-        if numpy_available():
-            # Same request, different resolved tier: distinct entries.
-            assert pinned != resolved
-        else:
-            assert pinned == resolved
-        # Sim mode never resolves to the vector kernels: env-invariant.
-        assert sim_key == runner.cache_key(*args, mode="sim", backend="fast")
+        visible = runner.cache_key(*args, mode="missrate", backend="fast")
+        monkeypatch.setattr(vector_module, "np", None)
+        assert runner.cache_key(*args, mode="missrate", backend="fast") == visible
 
     def test_backend_tiers_share_no_cache_entries(self):
         keys = {
