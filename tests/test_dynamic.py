@@ -436,8 +436,7 @@ class TestDynamicsFlats:
     @pytest.mark.parametrize("mode", runner.RUN_MODES)
     def test_static_run_flat_carries_zero_dynamics(self, mode):
         """Every flat has one schema: a static run's carries the
-        dynamics section, all zeros, and round-trips.  A flat without
-        the section (the pre-dynamics shape) is rejected as stale."""
+        dynamics section, all zeros, and round-trips."""
         flat = runner.execute("gcc", SystemConfig(), 2_000, 0, mode, "fast").to_flat()
         assert tuple(sorted(flat)) == SimResult.flat_field_names()
         dynamics = {name: value for name, value in flat.items()
@@ -446,7 +445,14 @@ class TestDynamicsFlats:
         restored = SimResult.from_flat(flat)
         assert restored.dynamics == DynamicsMetrics()
         assert restored.to_flat() == flat
-        stale = {name: value for name, value in flat.items() if name not in dynamics}
+
+    def test_from_flat_without_section_is_stale(self):
+        """A flat without the dynamics section (the pre-dynamics shape)
+        is rejected as stale rather than read as zero dynamics."""
+        flat = SimResult(benchmark="x", config_key="k").to_flat()
+        stale = {name: value for name, value in flat.items()
+                 if not name.startswith("dynamics_")}
+        assert len(stale) == len(flat) - 6
         with pytest.raises(ValueError):
             SimResult.from_flat(stale)
 

@@ -53,6 +53,16 @@ class TestL2Cache:
         assert self.l2.array.block_at(0x2000).dirty
         assert (self.l2.stats.stores, self.l2.stats.fills) == (1, 1)
 
+    def test_writeback_absorbed(self):
+        """A writeback to an L2-resident clean block hits it in place
+        and dirties it, with no second fill."""
+        self.l2.fetch_block(0x300)
+        assert not self.l2.array.block_at(0x300).dirty
+        self.l2.absorb_writeback(0x300)
+        assert self.l2.array.block_at(0x300).dirty
+        stats = self.l2.stats
+        assert (stats.stores, stats.store_hits, stats.fills) == (1, 1, 1)
+
     def test_writeback_counts_like_a_store(self):
         """An absorbed writeback changes the stats and the array exactly
         as a store does, evictions and dirty victims included; only its
