@@ -9,37 +9,29 @@ class CacheBlock:
     We track the block-aligned address rather than the tag so eviction
     records can report full addresses to the victim list (paper
     section 2.2.2) without re-assembling tag and index.
-
-    ``dm_placed`` records whether the block was placed in its
-    direct-mapping way by a selective-DM policy; the access engine uses it
-    to train the PC-indexed mapping predictor on hits.
     """
 
-    __slots__ = ("valid", "block_addr", "dirty", "dm_placed")
+    __slots__ = ("valid", "block_addr", "dirty")
 
     def __init__(self) -> None:
         self.valid = False
         self.block_addr = -1
         self.dirty = False
-        self.dm_placed = False
 
     def reset(self) -> None:
         """Invalidate the block."""
         self.valid = False
         self.block_addr = -1
         self.dirty = False
-        self.dm_placed = False
 
-    def load(self, block_addr: int, dm_placed: bool = False) -> None:
+    def load(self, block_addr: int) -> None:
         """Install a new block."""
         self.valid = True
         self.block_addr = block_addr
         self.dirty = False
-        self.dm_placed = dm_placed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self.valid:
             return "CacheBlock(invalid)"
         flags = "D" if self.dirty else "-"
-        flags += "M" if self.dm_placed else "-"
         return f"CacheBlock(addr={self.block_addr:#x}, {flags})"

@@ -51,7 +51,7 @@ class CacheSet:
         self.order.remove(way)
         self.order.insert(0, way)
 
-    def install(self, way: int, block_addr: int, dm_placed: bool) -> Optional[CacheBlock]:
+    def install(self, way: int, block_addr: int) -> Optional[CacheBlock]:
         """Install ``block_addr`` into ``way``; the fill counts as a use.
 
         Returns:
@@ -65,8 +65,7 @@ class CacheSet:
             evicted.valid = True
             evicted.block_addr = block.block_addr
             evicted.dirty = block.dirty
-            evicted.dm_placed = block.dm_placed
-        block.load(block_addr, dm_placed=dm_placed)
+        block.load(block_addr)
         self.touch(way)
         return evicted
 

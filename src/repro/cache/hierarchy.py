@@ -37,7 +37,8 @@ class MainMemory:
 class L2Cache:
     """Unified second-level cache with conventional parallel access.
 
-    Writes are write-back/write-allocate.  Writebacks from L1 are
+    Writes are write-allocate; write-backs to memory are neither timed
+    nor priced, so the L2 keeps no dirty bits.  Writebacks from L1 are
     accounted for energy but assumed buffered (no latency on the load
     path), matching the usual simulator treatment.
     """
@@ -73,26 +74,15 @@ class L2Cache:
             self.stats.stores += 1
         else:
             self.stats.loads += 1
-        self.stats.tag_probes += 1
         way = self.array.probe(addr)
         if way is not None:
             self.array.touch(addr, way)
             if is_store:
                 self.stats.store_hits += 1
-                self.array.mark_dirty(addr)
-                self.stats.data_way_writes += 1
             else:
                 self.stats.load_hits += 1
-                self.stats.data_way_reads += 1
             return self.latency
         # Miss: fetch the block from memory.
-        fill = self.array.fill(addr)
+        self.array.fill(addr)
         self.stats.fills += 1
-        self.stats.data_way_writes += 1
-        if fill.eviction is not None:
-            self.stats.evictions += 1
-            if fill.eviction.dirty:
-                self.stats.writebacks += 1
-        if is_store:
-            self.array.mark_dirty(addr)
         return self.latency + self.memory.access_latency(self.geometry.block_bytes)

@@ -22,13 +22,10 @@ class EvictionRecord:
     Attributes:
         block_addr: block-aligned address of the evicted block.
         dirty: whether a write-back to the next level is required.
-        dm_placed: whether the victim had been placed in its
-            direct-mapping way (selective-DM bookkeeping).
     """
 
     block_addr: int
     dirty: bool
-    dm_placed: bool
 
 
 @dataclass(frozen=True)
@@ -169,7 +166,7 @@ class SetAssociativeCache:
     # Fill / modify
     # ------------------------------------------------------------------ #
 
-    def fill(self, addr: int, way: Optional[int] = None, dm_placed: bool = False) -> FillResult:
+    def fill(self, addr: int, way: Optional[int] = None) -> FillResult:
         """Install ``addr``'s block.
 
         Args:
@@ -177,8 +174,6 @@ class SetAssociativeCache:
             way: forced placement way (selective-DM's direct-mapping
                 placement); when None the set picks an invalid way or the
                 LRU victim.
-            dm_placed: recorded on the block for later mapping-predictor
-                training.
 
         Returns:
             The chosen way and any eviction.
@@ -188,20 +183,17 @@ class SetAssociativeCache:
         block_addr = self.fields.block_address(addr)
         existing = cache_set.find(block_addr)
         if existing is not None:
-            # Refill of a resident block (e.g. placement migration):
-            # re-install in place, possibly updating dm_placed.
-            cache_set.ways[existing].dm_placed = dm_placed
+            # Refill of a resident block: it stays in place.
             cache_set.touch(existing)
             return FillResult(way=existing, eviction=None)
         if way is None:
             way = cache_set.choose_victim()
-        evicted_block = cache_set.install(way, block_addr, dm_placed)
+        evicted_block = cache_set.install(way, block_addr)
         eviction = None
         if evicted_block is not None:
             eviction = EvictionRecord(
                 block_addr=evicted_block.block_addr,
                 dirty=evicted_block.dirty,
-                dm_placed=evicted_block.dm_placed,
             )
         return FillResult(way=way, eviction=eviction)
 

@@ -3,7 +3,9 @@
 The counters here mirror the quantities the paper reports: hit/miss
 rates (Table 4), the access-type breakdown of Figures 6-8 and 10, and
 the L1 events whose counts :mod:`repro.energy.pricing` prices after a
-run (the engines themselves charge no energy).
+run (the engines themselves charge no energy).  Every field is read by
+a price, a :class:`~repro.sim.results.SimResult` section or the
+interval driver; a counter nothing reads does not belong here.
 """
 
 from __future__ import annotations
@@ -24,22 +26,18 @@ class CacheStats:
     source categories ``sawp_correct``, ``btb_correct``, ``no_prediction``.
 
     ``tag_only_probes`` counts misses known from the tags alone (a
-    sequential load's or a store's); ``table_accesses`` counts
-    prediction-table reads and writes.
+    sequential load's or a store's); ``store_writes`` counts the word
+    writes of stores (a fill is counted in ``fills`` only);
+    ``table_accesses`` counts prediction-table reads and writes.
     """
 
     loads: int = 0
     stores: int = 0
     load_hits: int = 0
     store_hits: int = 0
-    data_way_reads: int = 0
-    data_way_writes: int = 0
-    tag_probes: int = 0
+    store_writes: int = 0
     fills: int = 0
-    evictions: int = 0
-    writebacks: int = 0
     second_probes: int = 0
-    extra_cycles: int = 0
     predictions: int = 0
     correct_predictions: int = 0
     parallel_reads: int = 0

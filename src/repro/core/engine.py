@@ -100,18 +100,17 @@ class DCacheEngine:
     def reconfigure(self, new_geometry: CacheGeometry) -> None:
         """Apply a controlled mid-run geometry change (invalidate-all).
 
-        Dirty victims are written back to the L2 first (counted
-        as ordinary writebacks, but — like the L2's own flush — with no
-        latency and no probe events: the resize is modeled as happening
-        off the critical path).  The array rebuilds with fresh
-        replacement state, and all cumulative stats are preserved.
+        Dirty victims are written back to the L2 first (each reaches
+        the L2 as a store access, but with no latency and no L1 probe
+        events: the resize is modeled as happening off the critical
+        path).  The array rebuilds with fresh replacement state, and all
+        cumulative stats are preserved.
         Block size and address width must not change
         (:func:`~repro.core.interval.validate_reconfigure`).
         """
         validate_reconfigure(self.geometry, new_geometry)
         offset_bits = self.fields.offset_bits
         for block_addr in self.array.reconfigure(new_geometry):
-            self.stats.writebacks += 1
             self.l2.absorb_writeback(block_addr << offset_bits)
         self.geometry = new_geometry
         self.fields = new_geometry.fields
@@ -131,7 +130,6 @@ class DCacheEngine:
             self.stats.count_kind(KIND_BYPASSED)
             return LoadOutcome(hit=False, latency=latency, kind=KIND_BYPASSED, way=-1)
         self.stats.loads += 1
-        self.stats.tag_probes += 1
         plan = self.policy.plan_load(pc, addr, xor_handle)
         self.stats.table_accesses += plan.table_reads
 
@@ -166,27 +164,21 @@ class DCacheEngine:
         """Count the probe events and compute latency; returns
         (latency, kind)."""
         base = self.base_latency
-        n = self.geometry.associativity
-
         if plan.mode == MODE_PARALLEL:
             self.stats.parallel_reads += 1
-            self.stats.data_way_reads += n
             return base, plan.kind
 
         if plan.mode == MODE_SEQUENTIAL:
             if hit:
                 self.stats.one_way_reads += 1
-                self.stats.data_way_reads += 1
             else:
                 # Tag array says miss; no data way is probed.
                 self.stats.tag_only_probes += 1
-            self.stats.extra_cycles += 1
             return base + 1, plan.kind
 
         if plan.mode == MODE_ORACLE:
             # Perfect prediction: matching way (or DM way on a miss fill).
             self.stats.one_way_reads += 1
-            self.stats.data_way_reads += 1
             if hit:
                 self.stats.predictions += 1
                 self.stats.correct_predictions += 1
@@ -194,18 +186,15 @@ class DCacheEngine:
 
         # MODE_SINGLE: a predicted or direct-mapped way.
         probed_way = plan.way if plan.way is not None and plan.way >= 0 else dm_way
-        probed_way = probed_way % n
+        probed_way = probed_way % self.geometry.associativity
         self.stats.one_way_reads += 1
-        self.stats.data_way_reads += 1
         if hit:
             self.stats.predictions += 1
             if probed_way == resident_way:
                 self.stats.correct_predictions += 1
                 return base, plan.kind
             # Misprediction: second probe of the correct way.
-            self.stats.data_way_reads += 1
             self.stats.second_probes += 1
-            self.stats.extra_cycles += 1
             return base + 1, KIND_MISPREDICTED
         # Miss: the single probe was the only data-array read.
         return base, plan.kind
@@ -228,21 +217,18 @@ class DCacheEngine:
             latency = self.l2.store_block(addr)
             return StoreOutcome(hit=False, latency=latency)
         self.stats.stores += 1
-        self.stats.tag_probes += 1
         resident_way = self.array.probe(addr)
         hit = resident_way is not None
         latency = self.base_latency
         if hit:
             self.stats.store_hits += 1
-            self.stats.data_way_writes += 1
             self.array.touch(addr, resident_way)
-            self.array.mark_dirty(addr)
         else:
             # Write-allocate: fetch the block, then write into it.
             self.stats.tag_only_probes += 1
             latency += self._miss_path(addr, is_store=True)
-            self.stats.data_way_writes += 1
-            self.array.mark_dirty(addr)
+        self.stats.store_writes += 1
+        self.array.mark_dirty(addr)
         return StoreOutcome(hit=hit, latency=latency)
 
     # ------------------------------------------------------------------ #
@@ -256,19 +242,16 @@ class DCacheEngine:
             added = self.l2.store_block(addr)
         else:
             added = self.l2.fetch_block(addr)
-        way, dm_placed = self.policy.placement_way(addr, self.fields)
+        way = self.policy.placement_way(addr, self.fields)
         if self.policy.uses_victim_list:
             self.stats.victim_searches += 1
-        fill = self.array.fill(addr, way=way, dm_placed=dm_placed)
+        fill = self.array.fill(addr, way=way)
         self.stats.fills += 1
-        self.stats.data_way_writes += 1
         if fill.eviction is not None:
-            self.stats.evictions += 1
             self.stats.victim_searches += self.policy.on_eviction(
                 fill.eviction.block_addr
             )
             if fill.eviction.dirty:
-                self.stats.writebacks += 1
                 self.l2.absorb_writeback(
                     fill.eviction.block_addr << self.fields.offset_bits
                 )

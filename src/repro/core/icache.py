@@ -116,10 +116,8 @@ class ICacheEngine:
                 breakdown and the way-field/table access counts).
         """
         self.stats.loads += 1
-        self.stats.tag_probes += 1
         resident_way = self.array.probe(pc)
         hit = resident_way is not None
-        n = self.geometry.associativity
 
         if not self.way_predict:
             predicted_way = None
@@ -128,13 +126,11 @@ class ICacheEngine:
         if predicted_way is None:
             # Conventional parallel access.
             self.stats.parallel_reads += 1
-            self.stats.data_way_reads += n
             latency = self.base_latency
             kind = KIND_NO_PREDICTION if self.way_predict else KIND_PARALLEL
         else:
             # Probe only the predicted way, in parallel with the tags.
             self.stats.one_way_reads += 1
-            self.stats.data_way_reads += 1
             if source in (SOURCE_BTB, SOURCE_RAS):
                 self.stats.way_field_accesses += 1
             else:
@@ -147,9 +143,7 @@ class ICacheEngine:
                     kind = _CORRECT_KIND[source]
                 else:
                     # Second probe of the matching way.
-                    self.stats.data_way_reads += 1
                     self.stats.second_probes += 1
-                    self.stats.extra_cycles += 1
                     latency = self.base_latency + 1
                     kind = KIND_MISPREDICTED
             else:
@@ -161,9 +155,9 @@ class ICacheEngine:
             self.array.touch(pc, resident_way)
             way = resident_way
         else:
-            latency += self._miss_path(pc)
-            way = self.array.probe(pc)
-            assert way is not None
+            latency += self.l2.fetch_block(pc)
+            way = self.array.fill(pc).way
+            self.stats.fills += 1
 
         self.stats.count_kind(kind)
         return FetchOutcome(hit=hit, latency=latency, kind=kind, way=way)
@@ -171,12 +165,3 @@ class ICacheEngine:
     def way_of(self, pc: int) -> Optional[int]:
         """Quiet tag inspection (no events): used when pushing RAS ways."""
         return self.array.probe(pc)
-
-    def _miss_path(self, pc: int) -> int:
-        added = self.l2.fetch_block(pc)
-        fill = self.array.fill(pc)
-        self.stats.fills += 1
-        self.stats.data_way_writes += 1
-        if fill.eviction is not None:
-            self.stats.evictions += 1
-        return added

@@ -15,7 +15,7 @@ points in the paper's framework (Figure 2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.utils.bitops import AddressFields
 
@@ -83,9 +83,9 @@ class DCachePolicy:
         """
         return 0
 
-    def placement_way(self, addr: int, fields: AddressFields) -> Tuple[Optional[int], bool]:
-        """Return (forced way or None, dm_placed flag) for a fill."""
-        return None, False
+    def placement_way(self, addr: int, fields: AddressFields) -> Optional[int]:
+        """Return the way a fill must use, or None to let LRU choose."""
+        return None
 
     def on_eviction(self, block_addr: int) -> int:
         """Note an eviction; returns victim-list searches performed."""

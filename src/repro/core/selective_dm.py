@@ -26,7 +26,7 @@ probe and one extra cycle.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.kinds import (
     KIND_DIRECT_MAPPED,
@@ -64,12 +64,9 @@ class VictimList:
         self.entries = entries
         self.conflict_threshold = conflict_threshold
         self._list: "OrderedDict[int, int]" = OrderedDict()
-        self.searches = 0
-        self.allocations = 0
 
     def record_eviction(self, block_addr: int) -> None:
         """Count one eviction of ``block_addr``."""
-        self.searches += 1
         if block_addr in self._list:
             self._list[block_addr] += 1
             self._list.move_to_end(block_addr)
@@ -77,11 +74,9 @@ class VictimList:
         if len(self._list) >= self.entries:
             self._list.popitem(last=False)  # drop the oldest entry
         self._list[block_addr] = 1
-        self.allocations += 1
 
     def is_conflicting(self, block_addr: int) -> bool:
         """True when ``block_addr`` has exceeded the eviction threshold."""
-        self.searches += 1
         return self._list.get(block_addr, 0) > self.conflict_threshold
 
     def eviction_count(self, block_addr: int) -> int:
@@ -179,11 +174,11 @@ class SelectiveDmPolicy(DCachePolicy):
     # Placement
     # ------------------------------------------------------------------ #
 
-    def placement_way(self, addr: int, fields: AddressFields) -> Tuple[Optional[int], bool]:
+    def placement_way(self, addr: int, fields: AddressFields) -> Optional[int]:
         block_addr = addr >> fields.offset_bits
         if self.victim_list.is_conflicting(block_addr):
-            return None, False  # set-associative position (replacement picks)
-        return fields.direct_mapped_way(addr), True
+            return None  # set-associative position (replacement picks)
+        return fields.direct_mapped_way(addr)
 
     def on_eviction(self, block_addr: int) -> int:
         self.victim_list.record_eviction(block_addr)

@@ -111,7 +111,6 @@ class FetchUnit:
         if self.done:
             return []
         if self._branch_stalled or cycle < self._ready_cycle:
-            self.stats.fetch_stall_cycles += 1
             return []
 
         pc = self.trace[self._index].pc
@@ -212,8 +211,6 @@ class FetchUnit:
             if predicted_taken and target_ok:
                 self._set_taken_transition(instr.pc, entry.way)
             else:
-                if entry is None:
-                    self.stats.btb_misses += 1
                 self.stats.branch_mispredicts += 1
                 self._stall(fetched)
             return True
@@ -236,7 +233,6 @@ class FetchUnit:
         else:
             # Direct-call target resolves at decode: no stall, but no way
             # prediction for the target fetch either.
-            self.stats.btb_misses += 1
             self._set_restart_transition()
             self._train_kind = _TRAIN_BTB
             self._train_handle = instr.pc
@@ -252,7 +248,6 @@ class FetchUnit:
             self._train_kind = _TRAIN_NONE
             self._train_handle = 0
         else:
-            self.stats.ras_mispredicts += 1
             self.stats.branch_mispredicts += 1
             self._stall(fetched)
         return True

@@ -213,11 +213,9 @@ class OutOfOrderCore:
             if head.ready_cycle > cycle:
                 break
             if len(self._rob) >= config.rob_size:
-                self.stats.rob_full_stalls += 1
                 break
             is_mem = head.instr.op in (OP_LOAD, OP_STORE)
             if is_mem and self._lsq_count >= config.lsq_size:
-                self.stats.lsq_full_stalls += 1
                 break
             queue.popleft()
             entry = _RobEntry(head)

@@ -9,12 +9,15 @@ from repro.utils.statsutil import safe_ratio
 
 @dataclass
 class CoreStats:
-    """Aggregate pipeline statistics for one simulation."""
+    """Aggregate pipeline statistics for one simulation.
+
+    Every field is read by a :class:`~repro.sim.results.SimResult`
+    section or by :meth:`~repro.energy.processor.WattchLite.report`.
+    """
 
     cycles: int = 0
     fetched: int = 0
     fetch_cycles: int = 0  # cycles with an i-cache access (bpred energy)
-    fetch_stall_cycles: int = 0
     dispatched: int = 0
     issued: int = 0
     committed: int = 0
@@ -24,10 +27,6 @@ class CoreStats:
     stores: int = 0
     branches: int = 0
     branch_mispredicts: int = 0
-    ras_mispredicts: int = 0
-    btb_misses: int = 0
-    rob_full_stalls: int = 0
-    lsq_full_stalls: int = 0
 
     @property
     def ipc(self) -> float:

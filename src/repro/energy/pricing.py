@@ -33,7 +33,7 @@ def l1_events(stats: CacheStats) -> Tuple[int, ...]:
         stats.one_way_reads,
         stats.tag_only_probes,
         stats.second_probes,
-        stats.data_way_writes - stats.fills,  # store writes
+        stats.store_writes,
         stats.fills,
         stats.table_accesses,
         stats.victim_searches,

@@ -143,8 +143,6 @@ class FastCore:
         fp_ops = 0
         loads = 0
         stores = 0
-        rob_full_stalls = 0
-        lsq_full_stalls = 0
 
         cycle = 0
         last_commit_cycle = 0
@@ -263,14 +261,12 @@ class FastCore:
             dispatched = 0
             while queue and dispatched < dispatch_width:
                 if tail - head >= rob_size:
-                    rob_full_stalls += 1
                     break
                 packed = queue[0]
                 index = packed >> 1
                 op = t_ops[index]
                 is_mem = op == OP_LOAD or op == OP_STORE
                 if is_mem and lsq_count >= lsq_size:
-                    lsq_full_stalls += 1
                     break
                 queue.popleft()
                 slot = tail % rob_size
@@ -306,10 +302,9 @@ class FastCore:
             # reached every entry, and any entry without a future bound
             # waits on an older *unissued* producer whose own chain
             # bottoms out in a bounded entry), or the fetch unit's
-            # block-arrival cycle.  Jumping to the earliest of them and
-            # bulk-adding the per-cycle stall counters the reference
-            # core would have incremented leaves every observable value
-            # identical while eliding the dominant stall-spin cost.
+            # block-arrival cycle.  Jumping to the earliest of them
+            # leaves every observable value identical while eliding the
+            # dominant stall-spin cost.
             if count == 0 and issued == 0 and dispatched == 0 and not fetch_active:
                 event = -1
                 if head != tail:
@@ -331,16 +326,6 @@ class FastCore:
                     # remaining skip resume after the tick fires.
                     event = next_tick
                 if event > cycle + 1:
-                    skipped = event - cycle - 1
-                    if fetchable:
-                        stats.fetch_stall_cycles += skipped
-                    if queue:
-                        if tail - head >= rob_size:
-                            rob_full_stalls += skipped
-                        else:
-                            op = t_ops[queue[0] >> 1]
-                            if (op == OP_LOAD or op == OP_STORE) and lsq_count >= lsq_size:
-                                lsq_full_stalls += skipped
                     cycle = event - 1  # the increment below lands on it
 
             cycle += 1
@@ -358,6 +343,4 @@ class FastCore:
         stats.fp_ops += fp_ops
         stats.loads += loads
         stats.stores += stores
-        stats.rob_full_stalls += rob_full_stalls
-        stats.lsq_full_stalls += lsq_full_stalls
         return stats

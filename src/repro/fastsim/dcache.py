@@ -108,7 +108,6 @@ class FastDCacheEngine:
         for tags, dirty in zip(self._tags, self._dirty):
             for block, is_dirty in zip(tags, dirty):
                 if is_dirty:
-                    self.stats.writebacks += 1
                     self.l2.absorb_writeback(block << offset_bits)
         self._build(new_geometry)
 
@@ -131,7 +130,6 @@ class FastDCacheEngine:
             stats.count_kind(KIND_BYPASSED)
             return False, self.l2.fetch_block(addr), KIND_BYPASSED, -1
         stats.loads += 1
-        stats.tag_probes += 1
         mode, plan_way, kind, table_reads = self._plan(pc, addr, xor_handle)
         if table_reads:
             stats.table_accesses += table_reads
@@ -150,20 +148,16 @@ class FastDCacheEngine:
         base = self.base_latency
         if mode == MODE_PARALLEL:
             stats.parallel_reads += 1
-            stats.data_way_reads += self._assoc
             latency = base
         elif mode == MODE_SEQUENTIAL:
             if hit:
                 stats.one_way_reads += 1
-                stats.data_way_reads += 1
             else:
                 # Tag array says miss; no data way is probed.
                 stats.tag_only_probes += 1
-            stats.extra_cycles += 1
             latency = base + 1
         elif mode == MODE_ORACLE:
             stats.one_way_reads += 1
-            stats.data_way_reads += 1
             if hit:
                 stats.predictions += 1
                 stats.correct_predictions += 1
@@ -171,7 +165,6 @@ class FastDCacheEngine:
         else:  # MODE_SINGLE: a predicted or direct-mapped way
             probed_way = (plan_way if plan_way >= 0 else dm_way) % self._assoc
             stats.one_way_reads += 1
-            stats.data_way_reads += 1
             latency = base
             if hit:
                 stats.predictions += 1
@@ -179,9 +172,7 @@ class FastDCacheEngine:
                     stats.correct_predictions += 1
                 else:
                     # Misprediction: second probe of the correct way.
-                    stats.data_way_reads += 1
                     stats.second_probes += 1
-                    stats.extra_cycles += 1
                     latency = base + 1
                     kind = KIND_MISPREDICTED
 
@@ -214,7 +205,6 @@ class FastDCacheEngine:
             self.bypassed_accesses += 1
             return False, self.l2.store_block(addr)
         stats.stores += 1
-        stats.tag_probes += 1
         block = addr >> self._offset_bits
         index = block & self._set_mask
         tags = self._tags[index]
@@ -226,15 +216,14 @@ class FastDCacheEngine:
         latency = self.base_latency
         if hit:
             stats.store_hits += 1
-            stats.data_way_writes += 1
             self._touch(index, way)
-            self._dirty[index][way] = True
         else:
             # Write-allocate: fetch the block, then write into it.
             stats.tag_only_probes += 1
             latency += self._miss_path(addr, block, index, is_store=True)
-            stats.data_way_writes += 1
-            self._dirty[index][self._fill_way] = True
+            way = self._fill_way
+        stats.store_writes += 1
+        self._dirty[index][way] = True
         return hit, latency
 
     # ------------------------------------------------------------------ #
@@ -252,7 +241,7 @@ class FastDCacheEngine:
             added = self.l2.store_block(addr)
         else:
             added = self.l2.fetch_block(addr)
-        way, _dm_placed = self._placement(addr, self.fields)
+        way = self._placement(addr, self.fields)
         stats = self.stats
         if self._uses_victim_list:
             stats.victim_searches += 1
@@ -269,14 +258,11 @@ class FastDCacheEngine:
         dirty[way] = False
         self._touch(index, way)
         stats.fills += 1
-        stats.data_way_writes += 1
         if evicted != -1:
-            stats.evictions += 1
             searches = self._on_eviction(evicted)
             if searches:
                 stats.victim_searches += searches
             if evicted_dirty:
-                stats.writebacks += 1
                 self.l2.absorb_writeback(evicted << self._offset_bits)
         self._fill_way = way
         return added

@@ -124,7 +124,6 @@ class FastFetchUnit:
         if i >= self._n:
             return False
         if self.branch_stalled or cycle < self._ready_cycle:
-            self.stats.fetch_stall_cycles += 1
             return False
 
         block = self._blocks[i]
@@ -236,8 +235,6 @@ class FastFetchUnit:
             if predicted_taken and hit is not None:
                 self._set_taken_transition(pc, hit[1])
             else:
-                if hit is None:
-                    stats.btb_misses += 1
                 stats.branch_mispredicts += 1
                 self._stall()
             return True
@@ -265,7 +262,6 @@ class FastFetchUnit:
         else:
             # Direct-call target resolves at decode: no stall, but no way
             # prediction for the target fetch either.
-            self.stats.btb_misses += 1
             self._next_source = SOURCE_NONE
             self._next_way = None
             self._train_kind = _TRAIN_BTB
@@ -285,7 +281,6 @@ class FastFetchUnit:
             self._train_kind = _TRAIN_NONE
             self._train_handle = 0
         else:
-            stats.ras_mispredicts += 1
             stats.branch_mispredicts += 1
             self._stall()
         return True

@@ -58,13 +58,13 @@ class FastICacheEngine:
         self.way_predictor = self.policy.make_predictor()
         self.way_predict = self.policy.way_predict and self.way_predictor is not None
 
-        self._assoc = geometry.associativity
+        assoc = geometry.associativity
         self._offset_bits = self.fields.offset_bits
         self._set_mask = bit_mask(self.fields.index_bits)
         num_sets = geometry.num_sets
-        self._tags = [[-1] * self._assoc for _ in range(num_sets)]
+        self._tags = [[-1] * assoc for _ in range(num_sets)]
         # Way order per set, MRU-first (the reference's ``CacheSet.order``).
-        self._orders = [list(range(self._assoc)) for _ in range(num_sets)]
+        self._orders = [list(range(assoc)) for _ in range(num_sets)]
         self._fill_way = -1
 
     # ------------------------------------------------------------------ #
@@ -75,7 +75,6 @@ class FastICacheEngine:
         unit consumes only latency and way)."""
         stats = self.stats
         stats.loads += 1
-        stats.tag_probes += 1
         block = pc >> self._offset_bits
         index = block & self._set_mask
         tags = self._tags[index]
@@ -93,13 +92,11 @@ class FastICacheEngine:
         if predicted_way is None:
             # Conventional parallel access.
             stats.parallel_reads += 1
-            stats.data_way_reads += self._assoc
             latency = self.base_latency
             kind = KIND_NO_PREDICTION if self.way_predict else KIND_PARALLEL
         else:
             # Probe only the predicted way, in parallel with the tags.
             stats.one_way_reads += 1
-            stats.data_way_reads += 1
             if source in (SOURCE_BTB, SOURCE_RAS):
                 stats.way_field_accesses += 1
             else:
@@ -112,9 +109,7 @@ class FastICacheEngine:
                     kind = _CORRECT_KIND[source]
                 else:
                     # Second probe of the matching way.
-                    stats.data_way_reads += 1
                     stats.second_probes += 1
-                    stats.extra_cycles += 1
                     latency = self.base_latency + 1
                     kind = KIND_MISPREDICTED
             else:
@@ -155,12 +150,8 @@ class FastICacheEngine:
             way = tags.index(-1)  # lowest invalid way first
         except ValueError:
             way = self._orders[index][-1]  # the LRU way
-        evicted = tags[way]
         tags[way] = block
         self._touch(index, way)
         self.stats.fills += 1
-        self.stats.data_way_writes += 1
-        if evicted != -1:
-            self.stats.evictions += 1
         self._fill_way = way
         return added

@@ -8,9 +8,9 @@ list/dict state —
   ``way == -1`` means "the direct-mapping way");
 * ``observe(pc, addr, xor_handle, resident_way, final_way, dm_way)``
   mirrors ``observe_load`` and returns the table-write count;
-* ``placement(addr, fields) -> (way_or_None, dm_placed)`` mirrors
-  ``placement_way`` and reads the cache's current fields, so no kernel
-  depends on the geometry it was built for;
+* ``placement(addr, fields) -> way_or_None`` mirrors ``placement_way``
+  and reads the cache's current fields, so no kernel depends on the
+  geometry it was built for;
 * ``on_eviction(block_addr) -> searches`` mirrors ``on_eviction``.
 
 The paper's static kinds have inlined kernels (:data:`FAST_DCACHE_KERNELS`)
@@ -67,8 +67,8 @@ def _no_observe(pc, addr, xor_handle, resident_way, final_way, dm_way) -> int:
     return 0
 
 
-def _default_placement(addr, fields) -> Tuple[None, bool]:
-    return None, False
+def _default_placement(addr, fields) -> None:
+    return None
 
 
 def _no_eviction(block_addr) -> int:
@@ -198,8 +198,8 @@ def _make_seldm(handler: str):
         def placement(addr, fields):
             block = addr >> fields.offset_bits
             if victims.get(block, 0) > conflict_threshold:
-                return None, False  # conflicting: set-associative position
-            return (block >> fields.index_bits) & ((1 << fields.way_bits) - 1), True
+                return None  # conflicting: set-associative position
+            return (block >> fields.index_bits) & ((1 << fields.way_bits) - 1)
 
         def on_eviction(block_addr):
             if block_addr in victims:

@@ -5,8 +5,10 @@ same inputs and answers the same three calls the L1 engines make
 (``fetch_block``, ``store_block``, ``absorb_writeback``) with the same
 latencies and the same :class:`~repro.cache.stats.CacheStats` counts,
 but keeps each set as a plain list of its resident blocks, MRU-first,
-materialized on first touch, and builds no result records.  By the LRU stack property its
-resident sets and victims equal those of the reference's way slots.
+materialized on first touch, and builds no result records.  By the LRU
+stack property its resident sets and victims equal those of the
+reference's way slots.  Like the reference it keeps no dirty bits: a
+write-back to memory is neither timed nor priced.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.utils.bitops import bit_mask
 
 
 class FastL2:
-    """Unified write-back/write-allocate L2 over flat per-set state.
+    """Unified write-allocate L2 over flat per-set state.
 
     Takes ``L2Cache``'s arguments.
     """
@@ -40,30 +42,21 @@ class FastL2:
         self._set_mask = bit_mask(geometry.fields.index_bits)
         self._assoc = geometry.associativity
         self._sets = {}
-        self._dirty = set()  # block numbers of dirty resident blocks
 
     def fetch_block(self, addr: int) -> int:
         """Fetch a block for an L1 miss; returns added latency in cycles."""
         stats = self.stats
         stats.loads += 1
-        stats.tag_probes += 1
         if self._access(addr >> self._offset_bits):
             stats.load_hits += 1
-            stats.data_way_reads += 1
             return self.latency
-        stats.data_way_writes += 1
         return self._miss_latency
 
     def store_block(self, addr: int) -> int:
         """Handle an L1 store miss (write-allocate): fetch for ownership."""
         stats = self.stats
         stats.stores += 1
-        stats.tag_probes += 1
-        block = addr >> self._offset_bits
-        hit = self._access(block)
-        self._dirty.add(block)
-        stats.data_way_writes += 1
-        if hit:
+        if self._access(addr >> self._offset_bits):
             stats.store_hits += 1
             return self.latency
         return self._miss_latency
@@ -83,13 +76,7 @@ class FastL2:
             state.insert(0, block)
             return True
         if len(state) == self._assoc:
-            self._evict(state.pop())
+            state.pop()  # the LRU block
         state.insert(0, block)
         self.stats.fills += 1
         return False
-
-    def _evict(self, block: int) -> None:
-        self.stats.evictions += 1
-        if block in self._dirty:
-            self._dirty.remove(block)
-            self.stats.writebacks += 1

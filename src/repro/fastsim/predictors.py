@@ -13,9 +13,9 @@ list indexing.
 Equivalence contract: every structure here transitions bit-for-bit like
 its reference counterpart — same counter updates, same chooser and
 history behavior, same replacement on BTB tag conflicts and RAS
-overflow, same observability counters (``lookups``/``hits``/...).  The
-differential suite drives both fetch paths over identical traces and
-asserts the resulting pipelines never diverge by a single cycle.
+overflow.  The differential suite drives both fetch paths over
+identical traces and asserts the resulting pipelines never diverge by a
+single cycle.
 
 ``Optional[int]`` way fields are encoded as ``-1`` (no way) so the
 tables stay homogeneous int lists; the fetch unit converts back at the
@@ -49,8 +49,6 @@ class FastHybridPredictor:
         "_chooser_mask",
         "_history_mask",
         "history",
-        "lookups",
-        "correct",
     )
 
     def __init__(
@@ -75,8 +73,6 @@ class FastHybridPredictor:
         self._chooser_mask = bit_mask(log2_exact(chooser_entries))
         self._history_mask = bit_mask(history_bits)
         self.history = 0
-        self.lookups = 0
-        self.correct = 0
 
     def predict_train(self, pc: int, taken: bool) -> bool:
         """Predict ``pc``'s direction, then train with the resolved one."""
@@ -92,10 +88,6 @@ class FastHybridPredictor:
         bimodal_pred = b_value >= 2
         gshare_pred = g_value >= 2
         prediction = gshare_pred if chooser[c_index] >= 2 else bimodal_pred
-
-        self.lookups += 1
-        if prediction == taken:
-            self.correct += 1
 
         # Chooser moves toward whichever component was right (ties: no move).
         if gshare_pred == taken and bimodal_pred != taken:
@@ -119,11 +111,6 @@ class FastHybridPredictor:
             self.history = (self.history << 1) & self._history_mask
         return prediction
 
-    @property
-    def accuracy(self) -> float:
-        """Observed direction-prediction accuracy."""
-        return self.correct / self.lookups if self.lookups else 0.0
-
 
 class FastBranchTargetBuffer:
     """Direct-mapped tagged BTB as parallel tag/target/way lists.
@@ -134,8 +121,7 @@ class FastBranchTargetBuffer:
     and :meth:`update_way` writes the way only on a tag match.
     """
 
-    __slots__ = ("entries", "_index_bits", "_index_mask", "_tags", "_targets", "_ways",
-                 "lookups", "hits")
+    __slots__ = ("entries", "_index_bits", "_index_mask", "_tags", "_targets", "_ways")
 
     def __init__(self, entries: int = 2048) -> None:
         if not is_power_of_two(entries):
@@ -146,16 +132,12 @@ class FastBranchTargetBuffer:
         self._tags = [-1] * entries  # tags are >= 0; -1 marks invalid
         self._targets = [0] * entries
         self._ways = [-1] * entries  # -1 encodes "no way trained"
-        self.lookups = 0
-        self.hits = 0
 
     def lookup(self, pc: int) -> Optional[Tuple[int, int]]:
         """Return ``(target, way)`` on a tag match, else ``None``."""
         word = pc >> 2
         index = word & self._index_mask
-        self.lookups += 1
         if self._tags[index] == word >> self._index_bits:
-            self.hits += 1
             return self._targets[index], self._ways[index]
         return None
 
@@ -177,11 +159,6 @@ class FastBranchTargetBuffer:
         if self._tags[index] == word >> self._index_bits:
             self._ways[index] = way
 
-    @property
-    def hit_rate(self) -> float:
-        """Observed lookup hit rate."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class FastReturnAddressStack:
     """Fixed-depth return stack as parallel address/way lists.
@@ -190,7 +167,7 @@ class FastReturnAddressStack:
     overwrites the oldest entry, underflow returns ``None``.
     """
 
-    __slots__ = ("depth", "_addrs", "_ways", "pushes", "pops", "underflows")
+    __slots__ = ("depth", "_addrs", "_ways")
 
     def __init__(self, depth: int = 16) -> None:
         if depth < 1:
@@ -198,13 +175,9 @@ class FastReturnAddressStack:
         self.depth = depth
         self._addrs: List[int] = []
         self._ways: List[int] = []
-        self.pushes = 0
-        self.pops = 0
-        self.underflows = 0
 
     def push(self, return_addr: int, way: int = -1) -> None:
         """Push a return address (on a call) with its way (-1 = none)."""
-        self.pushes += 1
         if len(self._addrs) == self.depth:
             del self._addrs[0]
             del self._ways[0]
@@ -213,9 +186,7 @@ class FastReturnAddressStack:
 
     def pop(self) -> Optional[Tuple[int, int]]:
         """Pop the predicted ``(return address, way)``; None on underflow."""
-        self.pops += 1
         if not self._addrs:
-            self.underflows += 1
             return None
         return self._addrs.pop(), self._ways.pop()
 

@@ -6,7 +6,6 @@ for i-cache way prediction (section 2.3) — and the small PC-indexed
 tables used by d-cache way-prediction and selective-DM (section 2.2).
 """
 
-from repro.predictors.twobit import SaturatingCounter
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.hybrid import HybridPredictor
@@ -22,6 +21,5 @@ __all__ = [
     "GsharePredictor",
     "HybridPredictor",
     "ReturnAddressStack",
-    "SaturatingCounter",
     "WayPredictionTable",
 ]

@@ -34,8 +34,6 @@ class BranchTargetBuffer:
         self._index_bits = log2_exact(entries)
         self._index_mask = bit_mask(self._index_bits)
         self._table: List[Optional[BtbEntry]] = [None] * entries
-        self.lookups = 0
-        self.hits = 0
 
     def _split(self, pc: int) -> tuple:
         word = pc >> 2
@@ -45,9 +43,7 @@ class BranchTargetBuffer:
         """Return the entry for ``pc`` on a tag match, else None."""
         index, tag = self._split(pc)
         entry = self._table[index]
-        self.lookups += 1
         if entry is not None and entry.tag == tag:
-            self.hits += 1
             return entry
         return None
 
@@ -68,8 +64,3 @@ class BranchTargetBuffer:
         entry = self._table[index]
         if entry is not None and entry.tag == tag:
             entry.way = way
-
-    @property
-    def hit_rate(self) -> float:
-        """Observed lookup hit rate."""
-        return self.hits / self.lookups if self.lookups else 0.0

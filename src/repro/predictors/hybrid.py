@@ -28,8 +28,6 @@ class HybridPredictor:
         self.gshare = GsharePredictor(gshare_entries, history_bits)
         self._chooser = [1] * chooser_entries  # weakly prefer bimodal
         self._chooser_mask = bit_mask(log2_exact(chooser_entries))
-        self.lookups = 0
-        self.correct = 0
 
     def _choose_gshare(self, pc: int) -> bool:
         return self._chooser[(pc >> 2) & self._chooser_mask] >= 2
@@ -44,12 +42,6 @@ class HybridPredictor:
         """Train both components, the chooser, and the history register."""
         bimodal_pred = self.bimodal.predict(pc)
         gshare_pred = self.gshare.predict(pc)
-        prediction = gshare_pred if self._choose_gshare(pc) else bimodal_pred
-
-        self.lookups += 1
-        if prediction == taken:
-            self.correct += 1
-
         # Chooser moves toward whichever component was right (ties: no move).
         index = (pc >> 2) & self._chooser_mask
         if gshare_pred == taken and bimodal_pred != taken:
@@ -61,8 +53,3 @@ class HybridPredictor:
 
         self.bimodal.train(pc, taken)
         self.gshare.train(pc, taken)  # also shifts global history
-
-    @property
-    def accuracy(self) -> float:
-        """Observed direction-prediction accuracy."""
-        return self.correct / self.lookups if self.lookups else 0.0

@@ -23,22 +23,16 @@ class ReturnAddressStack:
             raise ValueError("RAS depth must be >= 1")
         self.depth = depth
         self._stack: List[Tuple[int, Optional[int]]] = []
-        self.pushes = 0
-        self.pops = 0
-        self.underflows = 0
 
     def push(self, return_addr: int, way: Optional[int] = None) -> None:
         """Push a return address (on a call) with its predicted way."""
-        self.pushes += 1
         if len(self._stack) == self.depth:
             del self._stack[0]
         self._stack.append((return_addr, way))
 
     def pop(self) -> Optional[Tuple[int, Optional[int]]]:
         """Pop the predicted (return address, way); None on underflow."""
-        self.pops += 1
         if not self._stack:
-            self.underflows += 1
             return None
         return self._stack.pop()
 

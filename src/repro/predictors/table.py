@@ -27,15 +27,12 @@ class WayPredictionTable:
         self._index_mask = bit_mask(log2_exact(entries))
         self._ways: List[int] = [0] * entries
         self._valid: List[bool] = [False] * entries
-        self.reads = 0
-        self.writes = 0
 
     def _index(self, handle: int) -> int:
         return handle & self._index_mask
 
     def predict(self, handle: int) -> Optional[int]:
         """Return the stored way for ``handle`` or None if never trained."""
-        self.reads += 1
         index = self._index(handle)
         if not self._valid[index]:
             return None
@@ -51,7 +48,6 @@ class WayPredictionTable:
         index = self._index(handle)
         if self._valid[index] and self._ways[index] == way:
             return False
-        self.writes += 1
         self._ways[index] = way
         self._valid[index] = True
         return True
@@ -75,15 +71,12 @@ class CounterTable:
             raise ValueError(f"initial {initial} outside [0, {self.maximum}]")
         self._index_mask = bit_mask(log2_exact(entries))
         self._counters: List[int] = [initial] * entries
-        self.reads = 0
-        self.writes = 0
 
     def _index(self, handle: int) -> int:
         return handle & self._index_mask
 
     def read(self, handle: int) -> int:
         """Return the counter value for ``handle``."""
-        self.reads += 1
         return self._counters[self._index(handle)]
 
     def msb_set(self, handle: int) -> bool:
@@ -95,7 +88,6 @@ class CounterTable:
         index = self._index(handle)
         if self._counters[index] >= self.maximum:
             return False
-        self.writes += 1
         self._counters[index] += 1
         return True
 
@@ -104,6 +96,5 @@ class CounterTable:
         index = self._index(handle)
         if self._counters[index] <= 0:
             return False
-        self.writes += 1
         self._counters[index] -= 1
         return True

@@ -74,9 +74,10 @@ class TestBasicOperation:
 
     def test_refill_resident_block_is_noop_eviction(self):
         self.cache.fill(0x100)
-        result = self.cache.fill(0x100, dm_placed=True)
+        way = self.cache.way_of(0x100)
+        result = self.cache.fill(0x100, way=(way + 1) % 2)
         assert result.eviction is None
-        assert self.cache.block_at(0x100).dm_placed
+        assert result.way == way == self.cache.way_of(0x100)
 
     def test_mark_dirty_and_eviction_reports_it(self):
         stride = 4 * 32

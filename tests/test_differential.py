@@ -266,9 +266,8 @@ def test_core_shapes_identical(shape, trace):
 @example(trace=POINTER_CHASE)
 @example(trace=MISS_THEN_CHAIN)
 def test_core_stats_identical(shape, trace):
-    """Every CoreStats field matches — including the purely diagnostic
-    ones (fetch/ROB/LSQ stall counters, RAS mispredicts, BTB misses)
-    that never reach a SimResult and so escape to_flat() equality."""
+    """Every CoreStats field matches, including those only Wattch reads
+    (dispatched, issued, ...), which escape to_flat() equality."""
     config = dataclasses.replace(
         SMALL.with_icache_policy("waypred"), core=CORE_SHAPES[shape]
     )

@@ -261,8 +261,8 @@ def test_dynamic_sim_runs_on_fast_engine(kind, params, counter, fired):
 
         def placement_way(self, addr, fields):
             if fields.block_address(addr) % 2:
-                return fields.direct_mapped_way(addr), True
-            return None, False
+                return fields.direct_mapped_way(addr)
+            return None
 
         def on_interval(self, stats):
             self.ticks.append(stats)

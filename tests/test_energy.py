@@ -133,15 +133,15 @@ class TestPricing:
         assert self._price(tag_only_probes=1) == (
             model.addr_route + model.tag_all_read, 0.0)
         assert self._price(second_probes=1) == (model.extra_probe(), 0.0)
-        assert self._price(fills=1, data_way_writes=1) == (model.fill_write(), 0.0)
-        assert self._price(data_way_writes=1) == (model.store_write(), 0.0)
+        assert self._price(fills=1) == (model.fill_write(), 0.0)
+        assert self._price(store_writes=1) == (model.store_write(), 0.0)
         assert self._price(table_accesses=1) == (0.0, pred.table_access)
         assert self._price(victim_searches=1) == (0.0, pred.victim_list_search)
         assert self._price(way_field_accesses=1) == (0.0, pred.way_field_access)
 
     def test_counters_outside_the_schedule_cost_nothing(self):
-        assert self._price(loads=9, stores=4, load_hits=7, data_way_reads=30,
-                           evictions=2, writebacks=1, predictions=5) == (0.0, 0.0)
+        assert self._price(loads=9, stores=4, load_hits=7, store_hits=3, predictions=5,
+                           correct_predictions=4) == (0.0, 0.0)
 
     def test_l2_prices_accesses_one_way_and_fills(self):
         stats = CacheStats(loads=10, stores=2, fills=3)

@@ -63,9 +63,6 @@ def test_hybrid_predictor_matches_reference():
         expected = reference.predict(pc)
         reference.train(pc, taken)
         assert fast.predict_train(pc, taken) == expected
-    assert fast.lookups == reference.lookups
-    assert fast.correct == reference.correct
-    assert fast.accuracy == reference.accuracy
     assert fast.history == reference.gshare.history
 
 
@@ -102,9 +99,6 @@ def test_btb_matches_reference_including_tag_conflicts():
             way = rng.randint(0, 3)
             reference.update_way(pc, way)
             fast.update_way(pc, way)
-    assert fast.lookups == reference.lookups
-    assert fast.hits == reference.hits
-    assert fast.hit_rate == reference.hit_rate
 
 
 def test_btb_tag_conflict_drops_trained_way():
@@ -143,9 +137,6 @@ def test_ras_matches_reference_with_overflow_and_underflow():
                 assert popped[0] == expected[0]
                 assert popped[1] == (-1 if expected[1] is None else expected[1])
         assert len(fast) == len(reference)
-    assert fast.pushes == reference.pushes
-    assert fast.pops == reference.pops
-    assert fast.underflows == reference.underflows
 
 
 def test_ras_rejects_degenerate_depth():
@@ -309,9 +300,3 @@ def test_fast_core_defaults_stats():
     assert not fetch_unit.done
     core.run()
     assert fetch_unit.done
-
-
-def test_fresh_predictor_ratios_are_zero():
-    assert FastHybridPredictor().accuracy == 0.0
-    assert FastBranchTargetBuffer().hit_rate == 0.0
-    assert len(FastReturnAddressStack()) == 0

@@ -123,8 +123,8 @@ def test_plugin_policy_runs_on_fast_engine():
 
         def placement_way(self, addr, fields):
             if fields.block_address(addr) in self.evicted:
-                return None, False
-            return fields.direct_mapped_way(addr), True
+                return None
+            return fields.direct_mapped_way(addr)
 
         def on_eviction(self, block_addr):
             self.evicted.add(block_addr)

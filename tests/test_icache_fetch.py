@@ -50,10 +50,11 @@ class TestICacheEngine:
     def test_no_prediction_defaults_to_parallel_energy(self):
         icache = make_icache()
         icache.fetch(0x400, None, SOURCE_NONE)
+        before = priced(icache)[0]
         icache.fetch(0x400, None, SOURCE_NONE)
         # Second access: hit with parallel energy.
         assert icache.stats.access_kinds[KIND_NO_PREDICTION] == 2
-        assert icache.stats.data_way_reads >= icache.geometry.associativity
+        assert priced(icache)[0] - before == pytest.approx(model_of(icache).parallel_read())
 
     def test_correct_prediction_single_way(self):
         icache = make_icache()

@@ -88,7 +88,10 @@ class TestParallelEngine:
     def test_data_way_reads_equal_associativity(self):
         engine = make_engine("parallel")
         engine.load(0x40, 0x100)
-        assert engine.stats.data_way_reads == 4
+        stats = engine.stats
+        assert (stats.parallel_reads, stats.one_way_reads, stats.tag_only_probes) == (1, 0, 0)
+        # A parallel read is priced as reading every data way.
+        assert model_of(engine).parallel_read() == pytest.approx(model_of(engine).n_way_read(4))
 
 
 class TestSequentialEngine:
@@ -107,9 +110,10 @@ class TestSequentialEngine:
     def test_miss_reads_no_data_way(self):
         engine = make_engine("sequential")
         engine.load(0x40, 0x100)
-        reads_after_miss = engine.stats.data_way_reads
-        # Fill writes happen, but no data-way read on the sequential miss.
-        assert reads_after_miss == 0
+        stats = engine.stats
+        # A fill happens, but no data-way read on the sequential miss.
+        assert (stats.parallel_reads, stats.one_way_reads, stats.tag_only_probes) == (0, 0, 1)
+        assert stats.fills == 1
 
 
 class TestOracleEngine:
@@ -202,5 +206,8 @@ class TestStores:
         set_stride = 4 * 32
         engine.store(0x44, 0x0)
         engine.load(0x40, set_stride)
+        stores = engine.l2.stats.stores
         engine.load(0x40, 2 * set_stride)  # evicts the dirty block
-        assert engine.stats.writebacks == 1
+        assert engine.l2.stats.stores == stores + 1
+        engine.load(0x40, 3 * set_stride)  # evicts a clean block
+        assert engine.l2.stats.stores == stores + 1

@@ -9,37 +9,6 @@ from repro.predictors.gshare import GsharePredictor
 from repro.predictors.hybrid import HybridPredictor
 from repro.predictors.ras import ReturnAddressStack
 from repro.predictors.table import CounterTable, WayPredictionTable
-from repro.predictors.twobit import SaturatingCounter
-
-
-class TestSaturatingCounter:
-    def test_saturates_high(self):
-        c = SaturatingCounter(2, initial=3)
-        c.increment()
-        assert c.value == 3
-
-    def test_saturates_low(self):
-        c = SaturatingCounter(2, initial=0)
-        c.decrement()
-        assert c.value == 0
-
-    def test_msb_threshold(self):
-        # 2-bit counter: 0,1 -> clear; 2,3 -> set (the paper's DM/SA flag).
-        values = [SaturatingCounter(2, initial=v).msb_set for v in range(4)]
-        assert values == [False, False, True, True]
-
-    def test_train(self):
-        c = SaturatingCounter(2, initial=1)
-        c.train(True)
-        assert c.value == 2
-        c.train(False)
-        assert c.value == 1
-
-    def test_rejects_bad_init(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(2, initial=4)
-        with pytest.raises(ValueError):
-            SaturatingCounter(0)
 
 
 class TestBimodal:
@@ -100,13 +69,6 @@ class TestHybrid:
                 h.train(pc, outcome)
         assert correct / (2 * total) > 0.9
 
-    def test_accuracy_property(self):
-        h = HybridPredictor(64, 64, 4, 64)
-        for _ in range(50):
-            h.train(0x40, True)
-        assert 0.0 <= h.accuracy <= 1.0
-        assert h.lookups == 50
-
 
 class TestBtb:
     def test_miss_then_hit(self):
@@ -134,13 +96,6 @@ class TestBtb:
         btb.update_way(0x404, 1)  # different pc: no entry, no crash
         assert btb.lookup(0x404) is None
 
-    def test_hit_rate(self):
-        btb = BranchTargetBuffer(16)
-        btb.update(0x400, 0x900)
-        btb.lookup(0x400)
-        btb.lookup(0x800)
-        assert btb.hit_rate == pytest.approx(0.5)
-
 
 class TestRas:
     def test_push_pop_lifo(self):
@@ -153,7 +108,6 @@ class TestRas:
     def test_underflow_returns_none(self):
         ras = ReturnAddressStack(4)
         assert ras.pop() is None
-        assert ras.underflows == 1
 
     def test_overflow_drops_oldest(self):
         ras = ReturnAddressStack(2)
@@ -193,7 +147,6 @@ class TestWayPredictionTable:
         table = WayPredictionTable(64)
         assert table.train(10, 3)
         assert not table.train(10, 3)
-        assert table.writes == 1
 
     def test_aliasing(self):
         """Untagged table: handles that collide share an entry (the
@@ -215,12 +168,11 @@ class TestCounterTable:
     def test_saturation_writes_are_free(self):
         table = CounterTable(64, bits=2, initial=0)
         assert not table.decrement(5)  # already 0
-        assert table.writes == 0
-        table.increment(5)
-        table.increment(5)
-        table.increment(5)
+        assert table.increment(5)
+        assert table.increment(5)
+        assert table.increment(5)
         assert not table.increment(5)  # saturated at 3
-        assert table.writes == 3
+        assert table.read(5) == 3
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ def _full_set(fills):
     """A set whose ways were installed in ``fills`` order (block = way)."""
     cache_set = CacheSet(len(fills))
     for way in fills:
-        cache_set.install(way, way, dm_placed=False)
+        cache_set.install(way, way)
     return cache_set
 
 
@@ -19,7 +19,7 @@ class TestLru:
         cache_set = CacheSet(4)
         assert cache_set.order == [0, 1, 2, 3]
         for way, block in enumerate(cache_set.ways):
-            block.load(way, dm_placed=False)
+            block.load(way)
         assert cache_set.choose_victim() == 3
 
     def test_touch_moves_to_mru(self):
@@ -37,7 +37,7 @@ class TestLru:
     def test_fill_counts_as_use(self):
         cache_set = _full_set([0, 1])
         assert cache_set.choose_victim() == 0
-        cache_set.install(0, 0x40, dm_placed=False)
+        cache_set.install(0, 0x40)
         assert cache_set.order == [0, 1]
         assert cache_set.choose_victim() == 1
 

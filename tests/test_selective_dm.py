@@ -106,9 +106,7 @@ class TestPlacement:
         policy = SelectiveDmPolicy()
         fields = CacheGeometry(16 * 1024, 4, 32).fields
         addr = 0xABC123
-        way, dm_placed = policy.placement_way(addr, fields)
-        assert dm_placed
-        assert way == fields.direct_mapped_way(addr)
+        assert policy.placement_way(addr, fields) == fields.direct_mapped_way(addr)
 
     def test_conflicting_placed_set_associatively(self):
         policy = SelectiveDmPolicy()
@@ -116,9 +114,7 @@ class TestPlacement:
         block = 0xABC123 >> 5
         for _ in range(3):
             policy.on_eviction(block)
-        way, dm_placed = policy.placement_way(0xABC123, fields)
-        assert not dm_placed
-        assert way is None
+        assert policy.placement_way(0xABC123, fields) is None
 
 
 class TestSelectiveDmEngine:
@@ -134,7 +130,6 @@ class TestSelectiveDmEngine:
         addr = 0x1400
         engine.load(0x40, addr)
         assert engine.array.way_of(addr) == engine.fields.direct_mapped_way(addr)
-        assert engine.array.block_at(addr).dm_placed
 
     def test_conflict_thrash_detected_and_resolved(self):
         """Two hot blocks sharing a DM position must end up coexisting

@@ -1,7 +1,12 @@
 """CacheStats / CoreStats / SimResult derived-metric tests."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cache.stats import CacheStats
 from repro.cpu.stats import CoreStats
 from repro.sim.results import (
@@ -52,6 +57,31 @@ class TestCoreStats:
         stats = CoreStats()
         assert stats.ipc == 0.0
         assert stats.branch_accuracy == 1.0
+
+
+def _attribute_loads():
+    """Every name read as ``x.name`` somewhere in the package.  An
+    augmented assignment (``x.name += 1``) stores, so it is no read."""
+    names = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_stats_field_is_read():
+    """Each counter is read by a price, a result section, Wattch or the
+    interval driver; one that only its own increments touch is dead
+    weight on the hot path of both tiers."""
+    loads = _attribute_loads()
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in (CacheStats, CoreStats)
+        for field in dataclasses.fields(cls)
+        if field.name not in loads
+    ]
+    assert not unread, f"stats fields nothing reads: {unread}"
 
 
 class TestSimResult:
