@@ -52,7 +52,7 @@ class L2Cache:
         self.geometry = geometry
         self.latency = latency
         self.memory = memory if memory is not None else MainMemory()
-        self.array = SetAssociativeCache(geometry, name="L2")
+        self.array = SetAssociativeCache(geometry)
         self.stats = CacheStats()
 
     def fetch_block(self, addr: int) -> int:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.cache.cacheset import CacheSet
 from repro.cache.geometry import CacheGeometry
+from repro.utils.bitops import bit_mask
 
 
 @dataclass(frozen=True)
@@ -41,57 +41,30 @@ class FillResult:
     eviction: Optional[EvictionRecord]
 
 
-class _LazySets(list):
-    """Set list materializing each :class:`CacheSet` on first access.
-
-    Safe because per-set state is fully independent, so creation
-    *order* never influences any result.  Used for large arrays (the
-    4096-set L2) where building every set up front dominates simulator
-    construction while a typical run touches a fraction of them.
-    """
-
-    __slots__ = ("_associativity",)
-
-    def __init__(self, num_sets: int, associativity: int) -> None:
-        super().__init__([None] * num_sets)
-        self._associativity = associativity
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        cache_set = list.__getitem__(self, index)
-        if cache_set is None:
-            cache_set = CacheSet(self._associativity)
-            list.__setitem__(self, index, cache_set)
-        return cache_set
-
-    def __iter__(self):
-        for index in range(len(self)):
-            yield self[index]
-
-
-#: Above this set count the array materializes sets lazily.
-_LAZY_SETS_THRESHOLD = 1024
-
-
 class SetAssociativeCache:
-    """Functional set-associative cache array.
+    """Functional set-associative cache array under true LRU, the
+    paper's replacement policy.
 
     All addresses passed in are full byte addresses; the geometry's field
-    decomposition is applied internally.
+    decomposition is applied internally.  Each set is three plain lists,
+    built on the set's first fill: the block-aligned address each way
+    holds (None when invalid), each way's dirty bit, and the ways in
+    recency order, most recent first.  A reference (hit or fill) moves a
+    way to the front of that order; a fill takes the lowest invalid way,
+    else the tail.  Hit/miss accounting and probe energy happen above
+    this layer.
     """
 
-    def __init__(self, geometry: CacheGeometry, name: str = "") -> None:
-        self.geometry = geometry
-        self.fields = geometry.fields
-        self.name = name or geometry.describe()
-        self.sets = self._build_sets(geometry)
+    def __init__(self, geometry: CacheGeometry) -> None:
+        self._build(geometry)
 
-    @staticmethod
-    def _build_sets(geometry: CacheGeometry) -> List[CacheSet]:
-        if geometry.num_sets >= _LAZY_SETS_THRESHOLD:
-            return _LazySets(geometry.num_sets, geometry.associativity)
-        return [CacheSet(geometry.associativity) for _ in range(geometry.num_sets)]
+    def _build(self, geometry: CacheGeometry) -> None:
+        """Start empty with ``geometry``: every set unbuilt."""
+        self.geometry = geometry
+        self._offset_bits = geometry.fields.offset_bits
+        self._set_mask = bit_mask(geometry.fields.index_bits)
+        #: Per set ``(blocks, dirty, order)``, or None before its first fill.
+        self._sets: List[Optional[tuple]] = [None] * geometry.num_sets
 
     # ------------------------------------------------------------------ #
     # Runtime reconfiguration
@@ -112,20 +85,14 @@ class SetAssociativeCache:
             modeling a writeback path can forward them to the next
             level before they are lost.
         """
-        dirty: List[int] = []
-        raw = self.sets
-        for position in range(len(raw)):
-            # Peek without materializing lazily-built sets: a set that
-            # was never touched holds nothing to flush.
-            cache_set = list.__getitem__(raw, position)
-            if cache_set is None:
-                continue
-            for block in cache_set.ways:
-                if block.valid and block.dirty:
-                    dirty.append(block.block_addr)
-        self.geometry = new_geometry
-        self.fields = new_geometry.fields
-        self.sets = self._build_sets(new_geometry)
+        dirty = [
+            block
+            for entry in self._sets
+            if entry is not None
+            for block, is_dirty in zip(entry[0], entry[1])
+            if is_dirty
+        ]
+        self._build(new_geometry)
         return dirty
 
     # ------------------------------------------------------------------ #
@@ -139,62 +106,56 @@ class SetAssociativeCache:
         counts as a use (e.g. the tag check of a selective-DM access that
         will be retried must still mark the block referenced exactly once).
         """
-        index = self.fields.index(addr)
-        return self.sets[index].find(self.fields.block_address(addr))
+        block_addr = addr >> self._offset_bits
+        entry = self._sets[block_addr & self._set_mask]
+        if entry is None or block_addr not in entry[0]:
+            return None
+        return entry[0].index(block_addr)
 
     def touch(self, addr: int, way: int) -> None:
-        """Mark ``way`` of the set containing ``addr`` as referenced."""
-        self.sets[self.fields.index(addr)].touch(way)
-
-    def contains(self, addr: int) -> bool:
-        """Return True when ``addr``'s block is resident."""
-        return self.probe(addr) is not None
-
-    def way_of(self, addr: int) -> Optional[int]:
-        """Alias of :meth:`probe` used where intent is introspection."""
-        return self.probe(addr)
-
-    def block_at(self, addr: int):
-        """Return the resident :class:`CacheBlock` for ``addr`` or None."""
-        index = self.fields.index(addr)
-        way = self.sets[index].find(self.fields.block_address(addr))
-        if way is None:
-            return None
-        return self.sets[index].ways[way]
+        """Mark ``way`` of the set containing ``addr`` as referenced;
+        the way must hold a resident block."""
+        order = self._sets[(addr >> self._offset_bits) & self._set_mask][2]
+        order.remove(way)
+        order.insert(0, way)
 
     # ------------------------------------------------------------------ #
     # Fill / modify
     # ------------------------------------------------------------------ #
 
     def fill(self, addr: int, way: Optional[int] = None) -> FillResult:
-        """Install ``addr``'s block.
+        """Install ``addr``'s block; the fill counts as a use.
 
         Args:
             addr: byte address being filled.
             way: forced placement way (selective-DM's direct-mapping
-                placement); when None the set picks an invalid way or the
-                LRU victim.
+                placement); when None the set picks its lowest invalid
+                way, else the LRU victim.
 
         Returns:
             The chosen way and any eviction.
         """
-        index = self.fields.index(addr)
-        cache_set = self.sets[index]
-        block_addr = self.fields.block_address(addr)
-        existing = cache_set.find(block_addr)
-        if existing is not None:
-            # Refill of a resident block: it stays in place.
-            cache_set.touch(existing)
-            return FillResult(way=existing, eviction=None)
-        if way is None:
-            way = cache_set.choose_victim()
-        evicted_block = cache_set.install(way, block_addr)
+        block_addr = addr >> self._offset_bits
+        index = block_addr & self._set_mask
+        entry = self._sets[index]
+        if entry is None:
+            ways = self.geometry.associativity
+            entry = self._sets[index] = ([None] * ways, [False] * ways, list(range(ways)))
+        blocks, dirty, order = entry
         eviction = None
-        if evicted_block is not None:
-            eviction = EvictionRecord(
-                block_addr=evicted_block.block_addr,
-                dirty=evicted_block.dirty,
-            )
+        if block_addr in blocks:
+            # Refill of a resident block: it stays in place.
+            way = blocks.index(block_addr)
+        else:
+            if way is None:
+                way = blocks.index(None) if None in blocks else order[-1]
+            victim = blocks[way]
+            if victim is not None:
+                eviction = EvictionRecord(block_addr=victim, dirty=dirty[way])
+            blocks[way] = block_addr
+            dirty[way] = False
+        order.remove(way)
+        order.insert(0, way)
         return FillResult(way=way, eviction=eviction)
 
     def mark_dirty(self, addr: int) -> None:
@@ -204,28 +165,7 @@ class SetAssociativeCache:
             KeyError: if the block is not resident (stores only write
             after a hit or fill).
         """
-        block = self.block_at(addr)
-        if block is None:
-            raise KeyError(f"mark_dirty on non-resident address {addr:#x}")
-        block.dirty = True
-
-    def invalidate(self, addr: int) -> bool:
-        """Drop ``addr``'s block if resident; returns True when dropped."""
-        index = self.fields.index(addr)
-        cache_set = self.sets[index]
-        way = cache_set.find(self.fields.block_address(addr))
+        way = self.probe(addr)
         if way is None:
-            return False
-        cache_set.ways[way].reset()
-        return True
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    def resident_blocks(self) -> int:
-        """Return the number of valid blocks (for tests/examples)."""
-        return sum(s.valid_count() for s in self.sets)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SetAssociativeCache({self.name})"
+            raise KeyError(f"mark_dirty on non-resident address {addr:#x}")
+        self._sets[(addr >> self._offset_bits) & self._set_mask][1][way] = True

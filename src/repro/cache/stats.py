@@ -78,11 +78,6 @@ class CacheStats:
         return safe_ratio(self.misses, self.accesses)
 
     @property
-    def load_miss_rate(self) -> float:
-        """Load miss ratio in [0, 1]."""
-        return safe_ratio(self.load_misses, self.loads)
-
-    @property
     def prediction_accuracy(self) -> float:
         """Fraction of predicted accesses whose prediction was correct."""
         return safe_ratio(self.correct_predictions, self.predictions)

@@ -51,16 +51,14 @@ from repro.core.registry import (
     register_policy,
     unregister_policy,
 )
-from repro.core.spec import DCachePolicySpec, ICachePolicySpec, PolicySpec
-from repro.core.factory import build_dcache_policy, build_icache_policy, build_policy
+from repro.core.spec import PolicySpec
+from repro.core.factory import build_dcache_policy, build_icache_policy
 
 __all__ = [
     "DCacheEngine",
     "DCachePolicy",
-    "DCachePolicySpec",
     "ICacheEngine",
     "ICachePolicy",
-    "ICachePolicySpec",
     "IFetchWayPredictor",
     "ParallelFetchPolicy",
     "PolicyInfo",
@@ -86,7 +84,6 @@ __all__ = [
     "XorWayPredictionPolicy",
     "build_dcache_policy",
     "build_icache_policy",
-    "build_policy",
     "iter_policies",
     "policy_kinds",
     "policy_label",

@@ -61,8 +61,6 @@ class DriResizePolicy(DCachePolicy):
         min_kb / max_kb: resizing bounds in KiB.
     """
 
-    name = "dri"
-
     def __init__(
         self,
         miss_hi: float = 0.05,
@@ -116,8 +114,6 @@ class LevelPredictorPolicy(DCachePolicy):
         probe_intervals: how many intervals a bypass engagement lasts
             before the predictor re-samples with the cache enabled.
     """
-
-    name = "levelpred"
 
     def __init__(self, bypass_threshold: float = 0.5, probe_intervals: int = 1) -> None:
         if not 0.0 < bypass_threshold <= 1.0:

@@ -85,7 +85,7 @@ class DCacheEngine:
         self.policy = policy
         self.l2 = l2
         self.base_latency = base_latency
-        self.array = SetAssociativeCache(geometry, name="L1D")
+        self.array = SetAssociativeCache(geometry)
         self.stats = CacheStats()
         #: When set (by the interval driver), loads/stores skip L1
         #: entirely and go straight to the L2 (forced misses).

@@ -15,20 +15,15 @@ from repro.core.policy import DCachePolicy
 from repro.core.spec import PolicySpec
 
 
-def build_policy(spec: PolicySpec) -> object:
-    """Instantiate the registered policy described by ``spec``."""
-    return spec.build()
-
-
 def build_dcache_policy(spec: PolicySpec) -> DCachePolicy:
     """Instantiate the d-cache policy described by ``spec``."""
     if spec.side != "dcache":
         raise ValueError(f"expected a dcache spec, got side {spec.side!r}")
-    return build_policy(spec)
+    return spec.build()
 
 
 def build_icache_policy(spec: PolicySpec) -> ICachePolicy:
     """Instantiate the i-cache fetch policy described by ``spec``."""
     if spec.side != "icache":
         raise ValueError(f"expected an icache spec, got side {spec.side!r}")
-    return build_policy(spec)
+    return spec.build()

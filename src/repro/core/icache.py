@@ -98,7 +98,7 @@ class ICacheEngine:
         self.base_latency = base_latency
         self.policy = policy if policy is not None else WayPredictedFetchPolicy()
         self.way_predictor = self.policy.make_predictor()
-        self.array = SetAssociativeCache(geometry, name="L1I")
+        self.array = SetAssociativeCache(geometry)
         self.stats = CacheStats()
 
     @property

@@ -47,8 +47,6 @@ class ICachePolicy:
     parallel-access fetch path.
     """
 
-    #: Human-readable policy name used in reports.
-    name = "base"
     #: Whether fetch uses BTB/SAWP/RAS way prediction.
     way_predict = False
 
@@ -62,7 +60,6 @@ class ICachePolicy:
 class ParallelFetchPolicy(ICachePolicy):
     """Conventional fetch: every access probes all ways."""
 
-    name = "parallel"
     way_predict = False
 
 
@@ -73,7 +70,6 @@ class ParallelFetchPolicy(ICachePolicy):
 class WayPredictedFetchPolicy(ICachePolicy):
     """Figure 3's mechanism: BTB/RAS way fields plus the SAWP table."""
 
-    name = "waypred"
     way_predict = True
 
     def __init__(self, sawp_entries: int = 1024) -> None:

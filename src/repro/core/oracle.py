@@ -19,7 +19,5 @@ _PLAN = ProbePlan(mode=MODE_ORACLE, kind=KIND_WAY_PREDICTED)
 class OraclePolicy(DCachePolicy):
     """Always probe the matching way; physically unrealizable."""
 
-    name = "oracle"
-
     def plan_load(self, pc: int, addr: int, xor_handle: int) -> ProbePlan:
         return _PLAN

@@ -17,7 +17,5 @@ _PLAN = ProbePlan(mode=MODE_PARALLEL, kind=KIND_PARALLEL)
 class ParallelPolicy(DCachePolicy):
     """Probe everything, select later."""
 
-    name = "parallel"
-
     def plan_load(self, pc: int, addr: int, xor_handle: int) -> ProbePlan:
         return _PLAN

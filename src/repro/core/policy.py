@@ -52,8 +52,6 @@ class DCachePolicy:
     no training).
     """
 
-    #: Human-readable policy name used in reports.
-    name = "base"
     #: Whether evictions must be reported (victim-list maintenance).
     uses_victim_list = False
 

@@ -79,10 +79,6 @@ class VictimList:
         """True when ``block_addr`` has exceeded the eviction threshold."""
         return self._list.get(block_addr, 0) > self.conflict_threshold
 
-    def eviction_count(self, block_addr: int) -> int:
-        """Current count for ``block_addr`` (0 when absent)."""
-        return self._list.get(block_addr, 0)
-
     def __len__(self) -> int:
         return len(self._list)
 
@@ -104,7 +100,6 @@ class SelectiveDmPolicy(DCachePolicy):
                 f"conflict_handler must be one of {CONFLICT_HANDLERS}, got {conflict_handler!r}"
             )
         self.conflict_handler = conflict_handler
-        self.name = f"seldm_{conflict_handler}"
         self.mapping_table = CounterTable(table_entries, bits=2, initial=0)
         self.victim_list = VictimList(victim_entries, conflict_threshold)
         # The paper's "incremental extension adds a way number to the

@@ -19,7 +19,5 @@ _PLAN = ProbePlan(mode=MODE_SEQUENTIAL, kind=KIND_SEQUENTIAL)
 class SequentialPolicy(DCachePolicy):
     """Tag first, then exactly the matching data way."""
 
-    name = "sequential"
-
     def plan_load(self, pc: int, addr: int, xor_handle: int) -> ProbePlan:
         return _PLAN

@@ -7,9 +7,6 @@ construction — parameters are sorted and defaults filled in — so two
 specs naming the same design point compare and hash equal however they
 were spelled, which the runner's cache keys and sweep de-duplication
 rely on.
-
-``DCachePolicySpec``/``ICachePolicySpec`` remain as thin constructor
-functions for the common case of building a spec for one side.
 """
 
 from __future__ import annotations
@@ -59,12 +56,6 @@ class PolicySpec:
         """Parameters as a plain dict."""
         return dict(self.params)
 
-    def with_params(self, **params: Any) -> "PolicySpec":
-        """Copy with some parameters overridden."""
-        merged = self.as_dict()
-        merged.update(params)
-        return PolicySpec.create(self.kind, self.side, **merged)
-
     def build(self) -> Any:
         """Instantiate the registered policy this spec names."""
         return registry.get_policy(self.kind, self.side).build(**self.as_dict())
@@ -79,44 +70,7 @@ class PolicySpec:
         truth for figure legends)."""
         return registry.policy_label(self.kind, self.side)
 
-    @property
-    def is_selective_dm(self) -> bool:
-        """True for the selective-DM family."""
-        return self.kind.startswith("seldm_")
-
     def describe(self) -> str:
         """Compact human form: ``kind(param=value, ...)``."""
         inner = ", ".join(f"{k}={v}" for k, v in self.params)
         return f"{self.kind}({inner})" if inner else self.kind
-
-
-def DCachePolicySpec(kind: str = "parallel", **params: Any) -> PolicySpec:
-    """A d-cache :class:`PolicySpec` (legacy constructor name).
-
-    The defaults are the paper's: 1024-entry prediction tables and a
-    16-entry victim list (section 3), declared by each policy.
-    """
-    return PolicySpec.create(kind, side="dcache", **params)
-
-
-def ICachePolicySpec(kind: str = "parallel", **params: Any) -> PolicySpec:
-    """An i-cache :class:`PolicySpec` (legacy constructor name)."""
-    return PolicySpec.create(kind, side="icache", **params)
-
-
-def _dcache_kinds() -> Tuple[str, ...]:
-    return registry.policy_kinds("dcache")
-
-
-def _icache_kinds() -> Tuple[str, ...]:
-    return registry.policy_kinds("icache")
-
-
-def __getattr__(name: str):  # pragma: no cover - thin module-level shim
-    # DCACHE_KINDS/ICACHE_KINDS are derived from the registry now; expose
-    # them lazily so importing this module never forces policy imports.
-    if name == "DCACHE_KINDS":
-        return _dcache_kinds()
-    if name == "ICACHE_KINDS":
-        return _icache_kinds()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

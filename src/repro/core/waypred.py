@@ -68,8 +68,6 @@ class _WayPredictionPolicyBase(DCachePolicy):
 class PcWayPredictionPolicy(_WayPredictionPolicyBase):
     """Early-but-inaccurate: handle = load PC."""
 
-    name = "waypred_pc"
-
     def _handle(self, pc: int, xor_handle: int) -> int:
         return pc >> 2
 
@@ -80,8 +78,6 @@ class PcWayPredictionPolicy(_WayPredictionPolicyBase):
 )
 class XorWayPredictionPolicy(_WayPredictionPolicyBase):
     """Accurate-but-late: handle = XOR address approximation."""
-
-    name = "waypred_xor"
 
     def _handle(self, pc: int, xor_handle: int) -> int:
         return xor_handle

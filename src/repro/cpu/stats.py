@@ -37,8 +37,3 @@ class CoreStats:
     def mem_ops(self) -> int:
         """Loads plus stores."""
         return self.loads + self.stores
-
-    @property
-    def branch_accuracy(self) -> float:
-        """Direction+target prediction accuracy over branches."""
-        return 1.0 - safe_ratio(self.branch_mispredicts, self.branches)

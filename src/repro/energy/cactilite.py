@@ -71,16 +71,6 @@ class CacheEnergyModel:
         """Additional energy of a second data-array probe (misprediction)."""
         return self.data_way_read + self.output_single
 
-    def n_way_read(self, ways: int) -> float:
-        """Energy of a read probing ``ways`` data ways at once."""
-        if ways < 1 or ways > self.associativity:
-            raise ValueError(f"ways must be in [1, {self.associativity}], got {ways}")
-        output = self.output_single if ways == 1 else (
-            self.output_single + (ways - 1) * (self.output_parallel - self.output_single)
-            / max(self.associativity - 1, 1)
-        )
-        return self.addr_route + self.tag_all_read + ways * self.data_way_read + output
-
     def store_write(self) -> float:
         """Energy of a store hit: tag check then a single-way word write."""
         return self.addr_route + self.tag_all_read + self.data_way_write

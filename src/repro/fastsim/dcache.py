@@ -90,7 +90,7 @@ class FastDCacheEngine:
         num_sets = geometry.num_sets
         self._tags = [[-1] * assoc for _ in range(num_sets)]
         self._dirty = [[False] * assoc for _ in range(num_sets)]
-        # Way order per set, MRU-first (the reference's ``CacheSet.order``).
+        # Way order per set, MRU-first (the reference array's recency order).
         self._orders = [list(range(assoc)) for _ in range(num_sets)]
 
     # ------------------------------------------------------------------ #

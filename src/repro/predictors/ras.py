@@ -36,11 +36,5 @@ class ReturnAddressStack:
             return None
         return self._stack.pop()
 
-    def update_top_way(self, way: int) -> None:
-        """Refresh the way field of the top entry (after a fill moves it)."""
-        if self._stack:
-            addr, _ = self._stack[-1]
-            self._stack[-1] = (addr, way)
-
     def __len__(self) -> int:
         return len(self._stack)

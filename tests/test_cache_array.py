@@ -47,12 +47,18 @@ class TestBasicOperation:
     def test_forced_way_placement(self):
         result = self.cache.fill(0x100, way=1)
         assert result.way == 1
-        assert self.cache.way_of(0x100) == 1
+        assert self.cache.probe(0x100) == 1
 
     def test_fill_prefers_invalid_way(self):
-        self.cache.fill(0x0)
-        result = self.cache.fill(0x0 + 4 * 32)  # same set (4 sets * 32B)
-        assert result.eviction is None
+        stride = 4 * 32  # sets * block = one full index wrap
+        assert self.cache.fill(0).way == 0
+        result = self.cache.fill(stride)
+        assert (result.way, result.eviction) == (1, None)
+        # Right after a forced fill the lowest invalid way still comes
+        # first, although the recency order's tail is another way.
+        cache = SetAssociativeCache(CacheGeometry(512, 4, 32))  # 4 sets
+        cache.fill(0, way=2)
+        assert [cache.fill(n * stride).way for n in (1, 2, 3)] == [0, 1, 3]
 
     def test_eviction_when_full(self):
         # 2-way set: three distinct tags to one set force an eviction.
@@ -74,10 +80,10 @@ class TestBasicOperation:
 
     def test_refill_resident_block_is_noop_eviction(self):
         self.cache.fill(0x100)
-        way = self.cache.way_of(0x100)
+        way = self.cache.probe(0x100)
         result = self.cache.fill(0x100, way=(way + 1) % 2)
         assert result.eviction is None
-        assert result.way == way == self.cache.way_of(0x100)
+        assert result.way == way == self.cache.probe(0x100)
 
     def test_mark_dirty_and_eviction_reports_it(self):
         stride = 4 * 32
@@ -94,17 +100,23 @@ class TestBasicOperation:
         with pytest.raises(KeyError):
             self.cache.mark_dirty(0xFACE)
 
-    def test_invalidate(self):
-        self.cache.fill(0x100)
-        assert self.cache.invalidate(0x100)
-        assert self.cache.probe(0x100) is None
-        assert not self.cache.invalidate(0x100)
-
-    def test_resident_blocks_counts(self):
-        assert self.cache.resident_blocks() == 0
+    def test_reconfigure_flushes_dirty_blocks_in_set_way_order(self):
+        stride = 4 * 32
+        # Touch set 2 before set 0, and fill set 0's way 1 before way 0.
+        self.cache.fill(2 * 32)
+        self.cache.fill(stride, way=1)
         self.cache.fill(0)
-        self.cache.fill(0x1000)
-        assert self.cache.resident_blocks() == 2
+        self.cache.fill(32)  # set 1 stays clean
+        for addr in (stride, 2 * 32, 0):
+            self.cache.mark_dirty(addr)
+        new_geometry = CacheGeometry(512, 2, 32)  # 8 sets
+        assert self.cache.reconfigure(new_geometry) == [0, stride >> 5, 2]
+        assert self.cache.geometry == new_geometry
+        assert all(self.cache.probe(a) is None for a in (0, 32, 2 * 32, stride))
+        # The flushed array fills and evicts like a new one.
+        fresh = SetAssociativeCache(new_geometry)
+        addresses = [n * 8 * 32 for n in (0, 1, 2, 0, 3)] + [32, 3 * 8 * 32]
+        assert [self.cache.fill(a) for a in addresses] == [fresh.fill(a) for a in addresses]
 
 
 class TestCapacityInvariants:
@@ -115,7 +127,8 @@ class TestCapacityInvariants:
         for addr in addresses:
             if cache.probe(addr) is None:
                 cache.fill(addr)
-        assert cache.resident_blocks() <= cache.geometry.num_blocks
+        resident = {addr >> 5 for addr in addresses if cache.probe(addr) is not None}
+        assert len(resident) <= cache.geometry.num_blocks
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=0xFFFF), min_size=1, max_size=200))
@@ -137,26 +150,3 @@ class TestCapacityInvariants:
             if way is not None:
                 assert way == 0
 
-
-class TestLazySets:
-    """Large arrays (the 4096-set L2) materialize sets on first touch."""
-
-    def test_lazy_array_behaves_like_eager(self):
-        from repro.cache.sram import _LAZY_SETS_THRESHOLD, _LazySets
-
-        geometry = CacheGeometry(_LAZY_SETS_THRESHOLD * 4 * 32, 4, 32)
-        cache = SetAssociativeCache(geometry)
-        assert isinstance(cache.sets, _LazySets)
-        cache.fill(0x1234)
-        assert cache.probe(0x1234) is not None
-        assert cache.resident_blocks() == 1  # __iter__ materializes
-
-    def test_lazy_sets_slice_materializes(self):
-        from repro.cache.cacheset import CacheSet
-        from repro.cache.sram import _LAZY_SETS_THRESHOLD
-
-        geometry = CacheGeometry(_LAZY_SETS_THRESHOLD * 4 * 32, 4, 32)
-        cache = SetAssociativeCache(geometry)
-        sliced = cache.sets[7:10]
-        assert len(sliced) == 3
-        assert all(isinstance(s, CacheSet) for s in sliced)

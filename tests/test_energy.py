@@ -39,18 +39,6 @@ class TestTable3Calibration:
         two_probe = self.model.one_way_read() + self.model.extra_probe()
         assert two_probe < self.parallel
 
-    def test_n_way_read_monotone(self):
-        values = [self.model.n_way_read(w) for w in range(1, 5)]
-        assert values == sorted(values)
-        assert values[0] == pytest.approx(self.model.one_way_read())
-        assert values[-1] == pytest.approx(self.parallel)
-
-    def test_n_way_read_bounds(self):
-        with pytest.raises(ValueError):
-            self.model.n_way_read(0)
-        with pytest.raises(ValueError):
-            self.model.n_way_read(5)
-
 
 class TestScalingTrends:
     """Figure 7/8 energy mechanics."""

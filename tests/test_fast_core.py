@@ -246,7 +246,6 @@ def test_fast_core_drives_plugin_icache_policy():
 
     @register_policy("plugin_fetch", side="icache", label="Plugin fetch")
     class PluginFetchPolicy(ICachePolicy):
-        name = "plugin_fetch"
         way_predict = True
 
         def make_predictor(self):

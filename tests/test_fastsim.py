@@ -100,7 +100,6 @@ def test_plugin_policy_runs_on_fast_engine():
 
     @register_policy("hook_probe", side="dcache", label="Hook probe")
     class HookProbePolicy(DCachePolicy):
-        name = "hook_probe"
         uses_victim_list = True
 
         def __init__(self):

@@ -45,7 +45,7 @@ class TestL2Cache:
     def test_writeback_installs(self):
         """A dirty L1 victim is counted like a store and installed."""
         assert self.l2.absorb_writeback(0x2000) is None
-        assert self.l2.array.contains(0x2000)
+        assert self.l2.array.probe(0x2000) is not None
         assert (self.l2.stats.stores, self.l2.stats.fills) == (1, 1)
 
     def test_writeback_absorbed(self):
@@ -67,8 +67,8 @@ class TestL2Cache:
             self.l2.absorb_writeback(addr)
             stores.store_block(addr)
         assert dataclasses.asdict(self.l2.stats) == dataclasses.asdict(stores.stats)
-        resident = [addr for addr in blocks if self.l2.array.contains(addr)]
-        assert resident == [addr for addr in blocks if stores.array.contains(addr)]
+        resident = [addr for addr in blocks if self.l2.array.probe(addr) is not None]
+        assert resident == [addr for addr in blocks if stores.array.probe(addr) is not None]
         assert len(resident) == 8  # two blocks were evicted
 
     def test_stats_tracked(self):

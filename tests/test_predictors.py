@@ -118,12 +118,6 @@ class TestRas:
         assert ras.pop()[0] == 2
         assert ras.pop() is None
 
-    def test_update_top_way(self):
-        ras = ReturnAddressStack(4)
-        ras.push(0x100, None)
-        ras.update_top_way(2)
-        assert ras.pop() == (0x100, 2)
-
     @given(st.lists(st.integers(min_value=0, max_value=100), max_size=40))
     def test_len_bounded_by_depth(self, pushes):
         ras = ReturnAddressStack(8)

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core import registry
-from repro.core.factory import build_dcache_policy, build_icache_policy, build_policy
+from repro.core.factory import build_dcache_policy, build_icache_policy
 from repro.core.icache_policy import ParallelFetchPolicy, WayPredictedFetchPolicy
 from repro.core.oracle import OraclePolicy
 from repro.core.parallel import ParallelPolicy
@@ -21,7 +21,7 @@ from repro.core.registry import (
 )
 from repro.core.selective_dm import SelectiveDmPolicy
 from repro.core.sequential import SequentialPolicy
-from repro.core.spec import DCachePolicySpec, ICachePolicySpec, PolicySpec
+from repro.core.spec import PolicySpec
 from repro.core.waypred import PcWayPredictionPolicy, XorWayPredictionPolicy
 from repro.sim.config import SystemConfig
 from repro.sim.runner import get_trace
@@ -67,7 +67,7 @@ class TestRegistryQueries:
     def test_labels_owned_by_registrations(self):
         assert policy_label("seldm_waypred", "dcache") == "Sel-DM + Way-pred"
         assert policy_label("waypred", "icache") == "Way-pred (SAWP+BTB+RAS)"
-        assert DCachePolicySpec(kind="seldm_waypred").label == "Sel-DM + Way-pred"
+        assert PolicySpec.create("seldm_waypred", side="dcache").label == "Sel-DM + Way-pred"
 
     def test_iter_policies_covers_both_sides(self):
         infos = list(iter_policies())
@@ -86,9 +86,9 @@ class TestPolicySpec:
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown dcache policy"):
-            DCachePolicySpec(kind="magic")
+            PolicySpec.create("magic", side="dcache")
         with pytest.raises(ValueError, match="unknown icache policy"):
-            ICachePolicySpec(kind="magic")
+            PolicySpec.create("magic", side="icache")
 
     def test_rejects_undeclared_params(self):
         with pytest.raises(ValueError, match="unknown parameter"):
@@ -97,7 +97,7 @@ class TestPolicySpec:
             PolicySpec.create("waypred_pc", sawp_entries=64)
 
     def test_with_params_and_get(self):
-        spec = PolicySpec.create("waypred_pc").with_params(table_entries=256)
+        spec = PolicySpec.create("waypred_pc", side="dcache", table_entries=256)
         assert spec.get("table_entries") == 256
         assert spec.get("missing", 7) == 7
 
@@ -107,18 +107,17 @@ class TestPolicySpec:
 
     def test_side_mismatch_rejected_by_factories(self):
         with pytest.raises(ValueError, match="expected a dcache spec"):
-            build_dcache_policy(ICachePolicySpec("waypred"))
+            build_dcache_policy(PolicySpec.create("waypred", side="icache"))
         with pytest.raises(ValueError, match="expected an icache spec"):
-            build_icache_policy(DCachePolicySpec("parallel"))
+            build_icache_policy(PolicySpec.create("parallel", side="dcache"))
 
 
 class TestBuildEquivalence:
     @pytest.mark.parametrize("kind", sorted(_DIRECT_DCACHE))
     def test_registry_builds_same_type(self, kind):
-        policy = build_dcache_policy(DCachePolicySpec(kind=kind))
+        policy = build_dcache_policy(PolicySpec.create(kind, side="dcache"))
         direct = _DIRECT_DCACHE[kind]()
         assert type(policy) is type(direct)
-        assert policy.name == direct.name
 
     @pytest.mark.parametrize("kind", sorted(_DIRECT_DCACHE))
     def test_simresult_byte_identical_to_direct_construction(self, kind):
@@ -142,11 +141,13 @@ class TestBuildEquivalence:
         ("parallel", ParallelFetchPolicy), ("waypred", WayPredictedFetchPolicy)
     ])
     def test_icache_policies_build_via_same_mechanism(self, kind, cls):
-        policy = build_icache_policy(ICachePolicySpec(kind))
+        policy = build_icache_policy(PolicySpec.create(kind, side="icache"))
         assert isinstance(policy, cls)
 
     def test_icache_waypred_spec_sizes_the_sawp(self):
-        policy = build_icache_policy(ICachePolicySpec("waypred", sawp_entries=64))
+        policy = build_icache_policy(
+            PolicySpec.create("waypred", side="icache", sawp_entries=64)
+        )
         assert policy.make_predictor().sawp.entries == 64
 
 
@@ -158,8 +159,6 @@ class TestPluginRegistration:
         @register_policy("always_way0", side="dcache", label="Way 0 only",
                          params={"way": 0})
         class AlwaysWayZero(DCachePolicy):
-            name = "always_way0"
-
             def __init__(self, way: int = 0) -> None:
                 self.way = way
 
@@ -172,7 +171,7 @@ class TestPluginRegistration:
             assert config.dcache_policy.get("way") == 1
             result = Simulator(config).run(get_trace("gcc", 2000))
             assert result.core.committed == 2000
-            assert isinstance(build_policy(config.dcache_policy), AlwaysWayZero)
+            assert isinstance(build_dcache_policy(config.dcache_policy), AlwaysWayZero)
         finally:
             unregister_policy("always_way0", "dcache")
         assert "always_way0" not in policy_kinds("dcache")
@@ -185,7 +184,6 @@ class TestPluginRegistration:
             "from repro.core.registry import register_policy\n"
             "@register_policy('env_plugin', side='dcache', label='Env plugin')\n"
             "class EnvPluginPolicy(DCachePolicy):\n"
-            "    name = 'env_plugin'\n"
             "    def plan_load(self, pc, addr, xor_handle):\n"
             "        return ProbePlan(mode='parallel', kind='parallel')\n"
         )
@@ -194,7 +192,7 @@ class TestPluginRegistration:
         monkeypatch.setattr(registry, "_BUILTINS_LOADED", False)
         try:
             assert "env_plugin" in policy_kinds("dcache")
-            build_dcache_policy(DCachePolicySpec("env_plugin"))
+            build_dcache_policy(PolicySpec.create("env_plugin", side="dcache"))
         finally:
             unregister_policy("env_plugin", "dcache")
 

@@ -371,6 +371,7 @@ class TestServeSubprocess:
                     break
             os.kill(server.pid, signal.SIGKILL)
             server.wait(timeout=10)
+            server.stdout.close()
 
             server, port = launch()
             client = ServiceClient(port=port)
@@ -382,6 +383,7 @@ class TestServeSubprocess:
         finally:
             server.kill()
             server.wait(timeout=10)
+            server.stdout.close()
 
 
 class TestWaitUntil:

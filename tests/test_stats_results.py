@@ -31,7 +31,6 @@ class TestCacheStats:
         assert stats.misses == 2
         assert stats.load_misses == 2
         assert stats.miss_rate == pytest.approx(2 / 15)
-        assert stats.load_miss_rate == pytest.approx(0.2)
 
     def test_kind_counting(self):
         stats = CacheStats()
@@ -45,10 +44,6 @@ class TestCoreStats:
         stats = CoreStats(cycles=100, committed=250)
         assert stats.ipc == pytest.approx(2.5)
 
-    def test_branch_accuracy(self):
-        stats = CoreStats(branches=100, branch_mispredicts=8)
-        assert stats.branch_accuracy == pytest.approx(0.92)
-
     def test_mem_ops(self):
         stats = CoreStats(loads=10, stores=4)
         assert stats.mem_ops == 14
@@ -56,7 +51,6 @@ class TestCoreStats:
     def test_zero_safe(self):
         stats = CoreStats()
         assert stats.ipc == 0.0
-        assert stats.branch_accuracy == 1.0
 
 
 def _attribute_loads():
