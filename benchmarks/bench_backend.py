@@ -57,7 +57,7 @@ from pathlib import Path
 import pytest
 from conftest import run_once
 
-from repro.experiments.fig11_processor import comparisons
+from repro.experiments.figures import FIGURES
 from repro.experiments.tables import table4_configs, _table4_instructions
 from repro.fastsim import vector as vector_module
 from repro.fastsim.vector import numpy_available
@@ -77,8 +77,9 @@ _DERIVED_ATTRS = ("_fastsim_encoded", "_functional_mem_ops")
 
 def _fig11_configs():
     """The figure's unique system configs (baseline + both techniques)."""
+    [fig11] = [figure for figure in FIGURES if figure.experiment_id == "fig11"]
     configs = {}
-    for label, technique, baseline in comparisons():
+    for label, technique, baseline in fig11.comparisons():
         configs.setdefault(baseline.key(), ("Baseline", baseline))
         configs.setdefault(technique.key(), (label, technique))
     return [config for _label, config in configs.values()]

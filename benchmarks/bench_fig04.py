@@ -2,13 +2,14 @@
 
 from conftest import run_once
 
-from repro.experiments import fig04_sequential
+from repro.experiments import get_experiment
 
 
 def test_fig04(benchmark, settings, engine):
     """Sequential access: large E-D savings, visible slowdown."""
-    results = run_once(benchmark, fig04_sequential.run, settings, engine)
-    print("\n" + fig04_sequential.render(settings, engine))
+    figure = get_experiment("fig4")
+    results = run_once(benchmark, figure.rows, settings, engine)
+    print("\n" + figure.render(settings, engine))
     mean = results["Sequential"][-1]
     # Paper: 68% mean E-D savings; shape check: >50%.
     assert mean.relative_energy_delay < 0.5

@@ -2,14 +2,16 @@
 
 from conftest import run_once
 
-from repro.experiments import fig05_waypred
+from repro.experiments import get_experiment
+from repro.experiments.figures import xor_timing_ratio
 
 
 def test_fig05(benchmark, settings, engine):
     """XOR beats PC on accuracy; both save >50% E-D; XOR has the timing
     problem (table lookup a large fraction of cache access time)."""
-    results = run_once(benchmark, fig05_waypred.run, settings, engine)
-    print("\n" + fig05_waypred.render(settings, engine))
+    figure = get_experiment("fig5")
+    results = run_once(benchmark, figure.rows, settings, engine)
+    print("\n" + figure.render(settings, engine))
     pc_mean = results["PC-based"][-1]
     xor_mean = results["XOR-based"][-1]
     assert pc_mean.relative_energy_delay < 0.5
@@ -25,5 +27,5 @@ def test_fig05(benchmark, settings, engine):
         lowest_three = {r.benchmark for r in accuracies[:3]}
         assert lowest_three & {"applu", "mgrid", "swim"}
     # Timing constraint (paper: ~48%).
-    ratio = fig05_waypred.xor_timing_ratio()
+    ratio = xor_timing_ratio()
     assert 0.3 < ratio < 0.7

@@ -2,7 +2,7 @@
 
 from conftest import run_once
 
-from repro.experiments import fig06_selective_dm
+from repro.experiments import get_experiment
 
 
 def test_fig06(benchmark, settings, engine):
@@ -13,8 +13,9 @@ def test_fig06(benchmark, settings, engine):
       with far less slowdown than the all-sequential cache;
     * sel-DM+parallel saves the least of the three variants.
     """
-    results = run_once(benchmark, fig06_selective_dm.run, settings, engine)
-    print("\n" + fig06_selective_dm.render(settings, engine))
+    figure = get_experiment("fig6")
+    results = run_once(benchmark, figure.rows, settings, engine)
+    print("\n" + figure.render(settings, engine))
     means = {label: rows[-1] for label, rows in results.items()}
 
     # Majority of reads are direct-mapped (paper: ~77% mean).

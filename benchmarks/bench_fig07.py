@@ -2,14 +2,15 @@
 
 from conftest import run_once
 
-from repro.experiments import fig07_cache_size
+from repro.experiments import get_experiment
 
 
 def test_fig07(benchmark, settings, engine):
     """32K savings stay large but do not exceed 16K savings by much
     (paper: 69% -> 63%, because tag/decode grow as a share)."""
-    results = run_once(benchmark, fig07_cache_size.run, settings, engine)
-    print("\n" + fig07_cache_size.render(settings, engine))
+    figure = get_experiment("fig7")
+    results = run_once(benchmark, figure.rows, settings, engine)
+    print("\n" + figure.render(settings, engine))
     mean16 = results["16K"][-1]
     mean32 = results["32K"][-1]
     assert mean16.relative_energy_delay < 0.5

@@ -2,13 +2,14 @@
 
 from conftest import run_once
 
-from repro.experiments import fig08_associativity
+from repro.experiments import get_experiment
 
 
 def test_fig08(benchmark, settings, engine):
     """Savings grow with associativity (paper: 38% / 69% / 82%)."""
-    results = run_once(benchmark, fig08_associativity.run, settings, engine)
-    print("\n" + fig08_associativity.render(settings, engine))
+    figure = get_experiment("fig8")
+    results = run_once(benchmark, figure.rows, settings, engine)
+    print("\n" + figure.render(settings, engine))
     ed2 = results["2-way"][-1].relative_energy_delay
     ed4 = results["4-way"][-1].relative_energy_delay
     ed8 = results["8-way"][-1].relative_energy_delay

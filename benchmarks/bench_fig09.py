@@ -2,14 +2,15 @@
 
 from conftest import run_once
 
-from repro.experiments import fig09_latency
+from repro.experiments import get_experiment
 
 
 def test_fig09(benchmark, settings, engine):
     """At 2-cycle base latency the sel-DM savings persist and the
     all-sequential cache degrades performance the most (paper: ~13%)."""
-    results = run_once(benchmark, fig09_latency.run, settings, engine)
-    print("\n" + fig09_latency.render(settings, engine))
+    figure = get_experiment("fig9")
+    results = run_once(benchmark, figure.rows, settings, engine)
+    print("\n" + figure.render(settings, engine))
     means = {label: rows[-1] for label, rows in results.items()}
     assert means["Sel-DM+Waypred"].relative_energy_delay < 0.5
     assert means["Sel-DM+Sequential"].relative_energy_delay < 0.5

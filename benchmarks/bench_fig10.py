@@ -2,14 +2,15 @@
 
 from conftest import run_once
 
-from repro.experiments import fig10_icache
+from repro.experiments import get_experiment
 
 
 def test_fig10(benchmark, settings, engine):
     """I-cache way prediction: high accuracy, savings grow with ways,
     negligible performance loss (paper: 39%/64%/72%, <0.5% perf)."""
-    results = run_once(benchmark, fig10_icache.run, settings, engine)
-    print("\n" + fig10_icache.render(settings, engine))
+    figure = get_experiment("fig10")
+    results = run_once(benchmark, figure.rows, settings, engine)
+    print("\n" + figure.render(settings, engine))
     ed2 = results["2-way"][-1].relative_energy_delay
     ed4 = results["4-way"][-1].relative_energy_delay
     ed8 = results["8-way"][-1].relative_energy_delay

@@ -2,15 +2,16 @@
 
 from conftest import run_once
 
-from repro.experiments import fig11_processor
+from repro.experiments import get_experiment
 
 
 def test_fig11(benchmark, settings, engine):
     """Combined techniques save several percent of processor energy-delay,
     bounded by the perfect-way-prediction configuration (paper: 8% vs 10%),
     with the L1 caches at 10-16% of processor energy."""
-    results = run_once(benchmark, fig11_processor.run, settings, engine)
-    print("\n" + fig11_processor.render(settings, engine))
+    figure = get_experiment("fig11")
+    results = run_once(benchmark, figure.rows, settings, engine)
+    print("\n" + figure.render(settings, engine))
     combined = results["Combined"][-1]
     perfect = results["Perfect"][-1]
     # Real savings exist...

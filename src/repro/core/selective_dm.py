@@ -79,9 +79,6 @@ class VictimList:
         """True when ``block_addr`` has exceeded the eviction threshold."""
         return self._list.get(block_addr, 0) > self.conflict_threshold
 
-    def __len__(self) -> int:
-        return len(self._list)
-
 
 class SelectiveDmPolicy(DCachePolicy):
     """Selective-DM with a configurable conflict handler."""

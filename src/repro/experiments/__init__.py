@@ -1,15 +1,19 @@
-"""Experiment harness: one module per table/figure of the paper.
+"""Experiment harness: the paper's tables and figures.
 
-Every experiment returns a list of result rows (plain dataclasses) and
-can render itself as the ASCII analogue of the paper's table or figure.
-The benches under ``benchmarks/`` call these and assert the paper's
-qualitative claims; ``repro-experiment <id>`` runs them from the CLI.
+``tables`` holds Tables 1-4, ``table5`` the d-cache summary,
+``figures`` the eight comparison figures (4-11) as one table of
+declarations over a shared driver, ``dynamic`` the static vs adaptive
+study and ``external`` Table-4-style reports over ingested traces.
+Every experiment returns its result rows (plain
+dataclasses) and can render itself as the ASCII analogue of the paper's
+table or figure.  The benches under ``benchmarks/`` call these and
+assert the paper's qualitative claims; ``repro-experiment <id>`` runs
+them from the CLI.
 """
 
 from repro.experiments.common import (
     DEFAULT_INSTRUCTIONS,
     ExperimentSettings,
-    benchmark_list,
     settings_from_env,
 )
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
@@ -18,7 +22,6 @@ __all__ = [
     "DEFAULT_INSTRUCTIONS",
     "EXPERIMENTS",
     "ExperimentSettings",
-    "benchmark_list",
     "get_experiment",
     "list_experiments",
     "settings_from_env",

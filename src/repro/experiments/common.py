@@ -5,21 +5,19 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 from repro.sim.results import SimResult
 from repro.utils.statsutil import arithmetic_mean
-from repro.utils.text import format_bar, format_table
+from repro.utils.text import format_table
 from repro.workload.profiles import benchmark_names
 
-# ``format_table``/``format_bar`` live in ``repro.utils.text`` (the sweep
-# layer renders too); re-exported here for the experiment modules.
+# ``format_table`` lives in ``repro.utils.text`` (the sweep layer
+# renders too); re-exported here for the experiment modules.
 __all__ = [
     "DEFAULT_INSTRUCTIONS",
     "ExperimentSettings",
     "MetricRow",
-    "benchmark_list",
-    "format_bar",
     "format_table",
     "kind_breakdown",
     "mean_row",
@@ -90,11 +88,6 @@ def settings_from_env() -> ExperimentSettings:
         instructions=instructions, benchmarks=benchmarks, backend=backend,
         interval=interval,
     )
-
-
-def benchmark_list(settings: Optional[ExperimentSettings] = None) -> Sequence[str]:
-    """The applications an experiment iterates over."""
-    return (settings or settings_from_env()).benchmarks
 
 
 @dataclass

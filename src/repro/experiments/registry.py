@@ -2,9 +2,10 @@
 
 Every experiment renders through the uniform ``(settings, engine)``
 signature, so the CLI's ``--jobs`` flag and ``REPRO_JOBS`` parallelize
-all of them without per-experiment plumbing.  ``rows`` (when present)
-returns the experiment's result rows — plain dataclasses or row dicts —
-which :func:`experiment_json` serializes for ``--json``.
+all of them without per-experiment plumbing.  ``rows`` returns the
+experiment's result rows — plain dataclasses or row dicts — which
+:func:`experiment_json` serializes for ``--json``.  The eight
+comparison figures come from :data:`~repro.experiments.figures.FIGURES`.
 """
 
 from __future__ import annotations
@@ -13,20 +14,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.experiments import (
-    dynamic,
-    fig04_sequential,
-    fig05_waypred,
-    fig06_selective_dm,
-    fig07_cache_size,
-    fig08_associativity,
-    fig09_latency,
-    fig10_icache,
-    fig11_processor,
-    table5,
-    tables,
-)
+from repro.experiments import dynamic, table5, tables
 from repro.experiments.common import ExperimentSettings
+from repro.experiments.figures import FIGURES
 from repro.sweep.engine import SweepEngine
 
 
@@ -38,15 +28,13 @@ class Experiment:
         experiment_id: the CLI id (``table1`` ... ``fig11``).
         title: short human title.
         renderer: ``(settings, engine) -> str`` ASCII report.
-        rows: optional ``(settings, engine) -> rows`` for JSON export;
-            static experiments whose renderer is the canonical output
-            may omit it.
+        rows: ``(settings, engine) -> rows`` for JSON export.
     """
 
     experiment_id: str
     title: str
     renderer: Callable[..., str]
-    rows: Optional[Callable[..., object]] = None
+    rows: Callable[..., object]
 
     def render(
         self,
@@ -74,22 +62,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
                    tables.render_table4, tables.table4_rows),
         Experiment("table5", "D-cache design-option summary",
                    table5.render, table5.run),
-        Experiment("fig4", "Sequential-access cache",
-                   fig04_sequential.render, fig04_sequential.run),
-        Experiment("fig5", "PC- and XOR-based way-prediction",
-                   fig05_waypred.render, fig05_waypred.run),
-        Experiment("fig6", "Selective-DM schemes",
-                   fig06_selective_dm.render, fig06_selective_dm.run),
-        Experiment("fig7", "Effect of cache size on selective-DM",
-                   fig07_cache_size.render, fig07_cache_size.run),
-        Experiment("fig8", "Effect of associativity on selective-DM",
-                   fig08_associativity.render, fig08_associativity.run),
-        Experiment("fig9", "Selective-DM with a 2-cycle base d-cache",
-                   fig09_latency.render, fig09_latency.run),
-        Experiment("fig10", "Way-prediction for i-caches",
-                   fig10_icache.render, fig10_icache.run),
-        Experiment("fig11", "Overall processor energy(-delay)",
-                   fig11_processor.render, fig11_processor.run),
+        *(Experiment(figure.experiment_id, figure.title, figure.render, figure.rows)
+          for figure in FIGURES),
         Experiment("dynamic", "Dynamic policies: static vs adaptive",
                    dynamic.render, dynamic.run),
     )
@@ -133,12 +107,8 @@ def experiment_json(
 ) -> Dict[str, object]:
     """Machine-readable form of one experiment (the CLI's ``--json``)."""
     experiment = get_experiment(experiment_id)
-    document: Dict[str, object] = {
+    return {
         "experiment": experiment.experiment_id,
         "title": experiment.title,
+        "rows": _jsonify(experiment.rows(settings, engine)),
     }
-    if experiment.rows is not None:
-        document["rows"] = _jsonify(experiment.rows(settings, engine))
-    else:
-        document["text"] = experiment.render(settings, engine)
-    return document

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.experiments.common import ExperimentSettings, format_table, settings_from_env
-from repro.experiments.dcache import (
+from repro.experiments.figures import (
     Comparison,
     comparison_rows,
     comparison_spec,

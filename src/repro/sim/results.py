@@ -41,11 +41,6 @@ class CoreMetrics:
         """Committed instructions per cycle."""
         return safe_ratio(self.committed, self.cycles)
 
-    @property
-    def branch_accuracy(self) -> float:
-        """Branch direction+target accuracy."""
-        return 1.0 - safe_ratio(self.branch_mispredicts, self.branches)
-
 
 @dataclass
 class L1Metrics:
@@ -72,11 +67,6 @@ class L1Metrics:
     def miss_rate(self) -> float:
         """Miss ratio over all accesses."""
         return safe_ratio(self.misses, self.accesses)
-
-    @property
-    def load_miss_rate(self) -> float:
-        """Load (fetch) miss ratio."""
-        return safe_ratio(self.load_misses, self.loads)
 
     @property
     def prediction_accuracy(self) -> float:

@@ -12,13 +12,7 @@ from repro.utils.bitops import (
     log2_exact,
 )
 from repro.utils.rng import DeterministicRng, seed_from_name
-from repro.utils.statsutil import (
-    arithmetic_mean,
-    geometric_mean,
-    harmonic_mean,
-    percent,
-    safe_ratio,
-)
+from repro.utils.statsutil import arithmetic_mean, safe_ratio
 
 __all__ = [
     "AddressFields",
@@ -29,8 +23,5 @@ __all__ = [
     "DeterministicRng",
     "seed_from_name",
     "arithmetic_mean",
-    "geometric_mean",
-    "harmonic_mean",
-    "percent",
     "safe_ratio",
 ]

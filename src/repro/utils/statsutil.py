@@ -1,14 +1,11 @@
 """Small statistics helpers shared by results reporting.
 
 The paper reports arithmetic means of relative energy-delay and
-performance degradation across applications; we expose arithmetic,
-geometric, and harmonic means so experiments can report all three when a
-reader wants to compare aggregation choices.
+performance degradation across applications.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, List
 
 
@@ -25,29 +22,8 @@ def arithmetic_mean(values: Iterable[float]) -> float:
     return sum(items) / len(items)
 
 
-def geometric_mean(values: Iterable[float]) -> float:
-    """Return the geometric mean; all values must be positive."""
-    items = _as_list(values)
-    if any(v <= 0.0 for v in items):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in items) / len(items))
-
-
-def harmonic_mean(values: Iterable[float]) -> float:
-    """Return the harmonic mean; all values must be positive."""
-    items = _as_list(values)
-    if any(v <= 0.0 for v in items):
-        raise ValueError("harmonic mean requires positive values")
-    return len(items) / sum(1.0 / v for v in items)
-
-
 def safe_ratio(numerator: float, denominator: float, default: float = 0.0) -> float:
     """Return numerator/denominator, or ``default`` when the denominator is 0."""
     if denominator == 0:
         return default
     return numerator / denominator
-
-
-def percent(fraction: float) -> float:
-    """Convert a fraction to a percentage."""
-    return fraction * 100.0

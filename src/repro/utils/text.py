@@ -1,4 +1,4 @@
-"""Plain-text rendering helpers (ASCII tables and bars).
+"""Plain-text rendering helpers (ASCII tables).
 
 Dependency-free so both the low-level sweep layer and the experiment
 harness can render without import cycles.
@@ -23,9 +23,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]], title: s
     for row in rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_bar(value: float, scale: float = 40.0, maximum: float = 1.0) -> str:
-    """Render a value as a text bar (the figures' visual analogue)."""
-    filled = int(round(min(value, maximum) / maximum * scale))
-    return "#" * filled

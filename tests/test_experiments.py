@@ -5,11 +5,11 @@ import pytest
 from repro.experiments.common import (
     ExperimentSettings,
     MetricRow,
-    format_bar,
     format_table,
     mean_row,
     settings_from_env,
 )
+from repro.experiments.figures import FIGURES, xor_timing_ratio
 from repro.experiments.registry import (
     EXPERIMENTS,
     Experiment,
@@ -34,6 +34,10 @@ class TestRegistry:
         assert len(ids) == 14
         for expected in ("table3", "table4", "table5", "fig4", "fig11", "dynamic"):
             assert expected in ids
+        assert ids == [
+            "table1", "table2", "table3", "table4", "table5", "fig4", "fig5",
+            "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "dynamic",
+        ]
 
     def test_list_returns_string_list(self):
         ids = list_experiments()
@@ -83,10 +87,6 @@ class TestFormatting:
         assert lines[0] == "T"
         assert "a" in lines[1] and "bb" in lines[1]
 
-    def test_bar(self):
-        assert format_bar(0.5, scale=10) == "#####"
-        assert format_bar(2.0, scale=10, maximum=1.0) == "#" * 10
-
     def test_mean_row(self):
         rows = [
             MetricRow("a", "t", 0.4, 0.02, {"x": 1.0}),
@@ -116,38 +116,29 @@ class TestSmallExperiments:
     """End-to-end runs at tiny scale (2 benchmarks, 6k instructions)."""
 
     def test_fig04(self):
-        from repro.experiments import fig04_sequential
-
-        results = fig04_sequential.run(SMALL)
+        fig4 = get_experiment("fig4")
+        results = fig4.rows(SMALL)
         mean = results["Sequential"][-1]
         assert mean.relative_energy_delay < 0.6
-        assert "Figure 4" in fig04_sequential.render(SMALL)
+        assert "Figure 4" in fig4.render(SMALL)
 
     def test_fig05(self):
-        from repro.experiments import fig05_waypred
-
-        results = fig05_waypred.run(SMALL)
+        results = get_experiment("fig5").rows(SMALL)
         assert set(results) == {"PC-based", "XOR-based"}
-        assert 0.3 < fig05_waypred.xor_timing_ratio() < 0.7
+        assert 0.3 < xor_timing_ratio() < 0.7
 
     def test_fig06_breakdown_sums_to_one(self):
-        from repro.experiments import fig06_selective_dm
-
-        results = fig06_selective_dm.run(SMALL)
+        results = get_experiment("fig6").rows(SMALL)
         row = results["Sel-DM+Waypred"][0]
         total = sum(v for k, v in row.extras.items() if k.startswith("kind_"))
         assert total == pytest.approx(1.0, abs=0.01)
 
     def test_fig10(self):
-        from repro.experiments import fig10_icache
-
-        results = fig10_icache.run(SMALL)
+        results = get_experiment("fig10").rows(SMALL)
         assert results["4-way"][-1].extras["prediction_accuracy"] > 0.8
 
     def test_fig11(self):
-        from repro.experiments import fig11_processor
-
-        results = fig11_processor.run(SMALL)
+        results = get_experiment("fig11").rows(SMALL)
         assert results["Combined"][-1].extras["relative_energy"] < 1.0
 
     def test_table5(self):
@@ -163,48 +154,28 @@ class TestSweepIntegration:
     their grids as inspectable specs."""
 
     def test_every_dynamic_experiment_declares_a_spec(self):
-        from repro.experiments import (
-            fig04_sequential,
-            fig05_waypred,
-            fig06_selective_dm,
-            fig07_cache_size,
-            fig08_associativity,
-            fig09_latency,
-            fig10_icache,
-            fig11_processor,
-            table5,
-            tables,
-        )
+        from repro.experiments import table5, tables
 
-        for module, expected_name in (
-            (fig04_sequential, "fig4"),
-            (fig05_waypred, "fig5"),
-            (fig06_selective_dm, "fig6"),
-            (fig07_cache_size, "fig7"),
-            (fig08_associativity, "fig8"),
-            (fig09_latency, "fig9"),
-            (fig10_icache, "fig10"),
-            (fig11_processor, "fig11"),
+        for declarer, expected_name in (
+            *((figure, figure.experiment_id) for figure in FIGURES),
             (table5, "table5"),
             (tables, "table4"),
         ):
-            spec = module.sweep_spec(SMALL)
+            spec = declarer.sweep_spec(SMALL)
             assert spec.name == expected_name
             assert len(spec) > 0
             assert all(run.benchmark in SMALL.benchmarks for run in spec)
 
     def test_shared_baseline_deduplicates(self):
-        from repro.experiments import fig06_selective_dm
-
-        spec = fig06_selective_dm.sweep_spec(SMALL)
+        [fig6] = [figure for figure in FIGURES if figure.experiment_id == "fig6"]
+        spec = fig6.sweep_spec(SMALL)
         # 5 techniques + 1 shared baseline = 6 configs per application.
         assert len(spec) == 6 * len(SMALL.benchmarks)
 
     def test_render_identical_serial_vs_parallel(self):
-        from repro.experiments import fig08_associativity
-
-        serial = fig08_associativity.render(SMALL, SweepEngine(jobs=1))
-        parallel = fig08_associativity.render(SMALL, SweepEngine(jobs=4))
+        fig8 = get_experiment("fig8")
+        serial = fig8.render(SMALL, SweepEngine(jobs=1))
+        parallel = fig8.render(SMALL, SweepEngine(jobs=4))
         assert serial == parallel
 
     def test_table4_via_missrate_sweep(self):

@@ -99,7 +99,6 @@ class TestSimResult:
             dcache=L1Metrics(loads=10, stores=10, misses=4, load_misses=3)
         )
         assert result.dcache.miss_rate == pytest.approx(0.2)
-        assert result.dcache.load_miss_rate == pytest.approx(0.3)
 
     def test_energy_includes_prediction_overhead(self):
         result = self._result(
