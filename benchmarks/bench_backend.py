@@ -1,14 +1,12 @@
-"""Backend bench: the three kernel tiers, miss-rate and full-sim mode.
+"""Backend bench: both backends, miss-rate and full-sim mode.
 
 The repository's performance trajectory in three points:
 
 * **table4-missrate** — Table 4's grid (every benchmark at 60k dynamic
   instructions through the direct-mapped and 4-way 16K d-caches) in
-  functional miss-rate mode, through all three tiers: the
-  object-dispatch functional model (``reference``), the batched
-  python per-set replay (``fast`` with numpy hidden from
-  :mod:`repro.fastsim.vector`), and the numpy vector kernels
-  (``vector``: ``fast`` with numpy visible).
+  functional miss-rate mode, through both backends: the
+  object-dispatch functional model (``reference``) and the batched
+  python per-set replay (``fast``).
 * **trace-missrate** — the same DM-vs-4-way pair over an *external*
   file-backed workload (a 60k-instruction trace written to ``csv.gz``
   and streamed back via ``trace://``), i.e. the Table-4-style report
@@ -17,10 +15,9 @@ The repository's performance trajectory in three points:
   baseline, the combined seldm+waypred technique, and perfect way
   prediction) in full ``mode="sim"``: the array-state out-of-order
   core, fetch unit, and table-state predictors vs the reference
-  pipeline.  (The vector tier only accelerates miss-rate mode, so only
-  two tiers are timed here.)
+  pipeline.
 
-Every tier is timed twice over the same points with caching disabled
+Every backend is timed twice over the same points with caching disabled
 and traces pre-loaded:
 
 * **cold** — the per-trace derived streams (flat-array encodings, the
@@ -30,7 +27,7 @@ and traces pre-loaded:
   per-point cost, which is what a sweep over many configurations per
   trace actually amortizes to.
 
-The headline ``speedup`` of each tier is warm-over-warm (cold is also
+The headline ``speedup`` of ``fast`` is warm-over-warm (cold is also
 recorded as ``cold_speedup``); the reference tier memoizes its mem-op
 stream the same way, so warm-vs-warm compares like with like.
 
@@ -39,8 +36,8 @@ Run standalone to (re)write ``BENCH_backend.json`` at the repo root::
     PYTHONPATH=src python benchmarks/bench_backend.py
 
 or through pytest-benchmark like the other benches.  The record embeds
-the environment (python, platform, CPU count, numpy version or its
-absence) so speedups stay comparable across machines and runs.
+the environment (python, platform, CPU count) so speedups stay
+comparable across machines and runs.
 """
 
 from __future__ import annotations
@@ -51,24 +48,19 @@ import platform
 import sys
 import tempfile
 import time
-from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-import pytest
 from conftest import run_once
 
 from repro.experiments.figures import FIGURES
 from repro.experiments.tables import table4_configs, _table4_instructions
-from repro.fastsim import vector as vector_module
-from repro.fastsim.vector import numpy_available
 from repro.sim import runner
 from repro.workload.formats import is_trace_ref, make_trace_ref, parse_trace_ref, write_trace
 from repro.workload.generator import generate_trace
 from repro.workload.profiles import benchmark_names
 
-#: Minimum acceptable warm speedups over the reference tier.
-MISSRATE_SPEEDUP_FLOOR = 3.0       # python fast tier
-VECTOR_SPEEDUP_FLOOR = 10.0        # numpy vector tier
+#: Minimum acceptable warm speedups of ``fast`` over ``reference``.
+MISSRATE_SPEEDUP_FLOOR = 3.0       # miss-rate replay
 SIM_SPEEDUP_FLOOR = 2.0            # full-sim fast pipeline
 
 #: Per-trace memo attributes a cold pass must drop.
@@ -118,18 +110,6 @@ def _sim_workload(benchmarks=None, instructions=None):
     ]
 
 
-@contextmanager
-def _python_kernels():
-    """Hide numpy from the vector tier for the duration, so ``fast``
-    miss-rate runs take the python kernels."""
-    hidden = vector_module.np
-    vector_module.np = None
-    try:
-        yield
-    finally:
-        vector_module.np = hidden
-
-
 def _preload_traces(points) -> None:
     for benchmark, _config, instructions, _mode in points:
         runner.get_trace(benchmark, instructions)
@@ -153,12 +133,11 @@ def _time_backend(points, backend: str) -> float:
     return time.perf_counter() - started
 
 
-def _time_tier(points, backend: str, pin_python: bool = False):
-    """(cold, warm) seconds for one tier over one workload."""
-    with _python_kernels() if pin_python else nullcontext():
-        _clear_derived(points)
-        cold = _time_backend(points, backend)
-        warm = _time_backend(points, backend)
+def _time_tier(points, backend: str):
+    """(cold, warm) seconds for one backend over one workload."""
+    _clear_derived(points)
+    cold = _time_backend(points, backend)
+    warm = _time_backend(points, backend)
     return cold, warm
 
 
@@ -195,105 +174,60 @@ def _describe_workload(points) -> dict:
     }
 
 
-def _measure_workload(bench_name: str, points, tiers) -> dict:
-    """Time the given tiers over one workload; return its record.
+def _measure_workload(bench_name: str, points) -> dict:
+    """Time both backends over one workload; return its record.
 
-    ``tiers`` is a list of ``(label, backend, pin_python)`` rows; the
-    first row is the baseline every speedup is relative to.  A tier
-    labelled ``vector`` reports ``null`` when numpy is unavailable.
+    ``fast``'s speedups are relative to ``reference``.
     """
     _preload_traces(points)
-    record = {"bench": bench_name, "workload": _describe_workload(points), "tiers": {}}
-    baseline_cold = baseline_warm = None
-    for label, backend, pin_python in tiers:
-        if label == "vector" and not numpy_available():
-            record["tiers"][label] = None
-            continue
-        cold, warm = _time_tier(points, backend, pin_python)
-        entry = {"cold_seconds": round(cold, 4), "warm_seconds": round(warm, 4)}
-        if baseline_cold is None:
-            baseline_cold, baseline_warm = cold, warm
-        else:
-            entry["cold_speedup"] = round(baseline_cold / cold, 2)
-            entry["speedup"] = round(baseline_warm / warm, 2)
-        record["tiers"][label] = entry
-    return record
-
-
-#: Tier rows for miss-rate benches: the python fast tier hides numpy,
-#: so it cannot silently run the vector kernels.
-_MISSRATE_TIERS = (
-    ("reference", "reference", False),
-    ("fast", "fast", True),
-    ("vector", "fast", False),
-)
-
-#: Full-sim runs have no vector kernels, so only the genuinely distinct
-#: implementations are timed.
-_SIM_TIERS = (
-    ("reference", "reference", False),
-    ("fast", "fast", False),
-)
+    ref_cold, ref_warm = _time_tier(points, "reference")
+    cold, warm = _time_tier(points, "fast")
+    return {
+        "bench": bench_name,
+        "workload": _describe_workload(points),
+        "tiers": {
+            "reference": {"cold_seconds": round(ref_cold, 4),
+                          "warm_seconds": round(ref_warm, 4)},
+            "fast": {"cold_seconds": round(cold, 4), "warm_seconds": round(warm, 4),
+                     "cold_speedup": round(ref_cold / cold, 2),
+                     "speedup": round(ref_warm / warm, 2)},
+        },
+    }
 
 
 def _environment() -> dict:
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
     }
 
 
 def measure() -> dict:
-    """Time every tier over every workload; return the full record."""
+    """Time both backends over every workload; return the full record."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         benches = [
-            _measure_workload("table4-missrate", _missrate_workload(), _MISSRATE_TIERS),
-            _measure_workload("trace-missrate", _trace_workload(Path(tmp)), _MISSRATE_TIERS),
-            _measure_workload("fig11-sim", _sim_workload(), _SIM_TIERS),
+            _measure_workload("table4-missrate", _missrate_workload()),
+            _measure_workload("trace-missrate", _trace_workload(Path(tmp))),
+            _measure_workload("fig11-sim", _sim_workload()),
         ]
     return {"benches": benches, "environment": _environment()}
 
 
 def test_fast_backend_missrate_speedup(benchmark):
-    """The python fast tier clears the 3x floor on the Table-4 sweep."""
-    points = _missrate_workload()
-    _preload_traces(points)
-    with _python_kernels():
-        _clear_derived(points)
-        _time_backend(points, "reference")
-        reference_seconds = _best_of(points, "reference")
-        _time_backend(points, "fast")
-        fast_seconds = run_once(benchmark, lambda: _best_of(points, "fast"))
-    speedup = reference_seconds / fast_seconds
-    print(f"\nmissrate: reference {reference_seconds:.3f}s fast {fast_seconds:.3f}s "
-          f"speedup {speedup:.2f}x")
-    assert speedup >= MISSRATE_SPEEDUP_FLOOR
-
-
-def test_vector_backend_missrate_speedup(benchmark):
-    """The vector tier clears the 10x floor on the Table-4 sweep."""
-    if not numpy_available():
-        pytest.skip("numpy unavailable")
+    """The fast backend clears the 3x floor on the Table-4 sweep."""
     points = _missrate_workload()
     _preload_traces(points)
     _clear_derived(points)
     _time_backend(points, "reference")
     reference_seconds = _best_of(points, "reference")
     _time_backend(points, "fast")
-    vector_seconds = run_once(benchmark, lambda: _best_of(points, "fast"))
-    speedup = reference_seconds / vector_seconds
-    print(f"\nmissrate: reference {reference_seconds:.3f}s vector {vector_seconds:.3f}s "
+    fast_seconds = run_once(benchmark, lambda: _best_of(points, "fast"))
+    speedup = reference_seconds / fast_seconds
+    print(f"\nmissrate: reference {reference_seconds:.3f}s fast {fast_seconds:.3f}s "
           f"speedup {speedup:.2f}x")
-    assert speedup >= VECTOR_SPEEDUP_FLOOR
+    assert speedup >= MISSRATE_SPEEDUP_FLOOR
 
 
 def test_fast_backend_sim_speedup(benchmark):
@@ -309,18 +243,9 @@ def test_fast_backend_sim_speedup(benchmark):
     assert speedup >= SIM_SPEEDUP_FLOOR
 
 
-def _floor(bench: dict, tier: str) -> bool:
-    entry = bench["tiers"].get(tier)
-    if entry is None:
-        return True  # tier unavailable here: nothing to hold to a floor
-    floors = {
-        ("table4-missrate", "fast"): MISSRATE_SPEEDUP_FLOOR,
-        ("table4-missrate", "vector"): VECTOR_SPEEDUP_FLOOR,
-        ("trace-missrate", "fast"): MISSRATE_SPEEDUP_FLOOR,
-        ("trace-missrate", "vector"): VECTOR_SPEEDUP_FLOOR,
-        ("fig11-sim", "fast"): SIM_SPEEDUP_FLOOR,
-    }
-    return entry["speedup"] >= floors[(bench["bench"], tier)]
+def _floor(bench: dict) -> bool:
+    floor = SIM_SPEEDUP_FLOOR if bench["bench"] == "fig11-sim" else MISSRATE_SPEEDUP_FLOOR
+    return bench["tiers"]["fast"]["speedup"] >= floor
 
 
 def main() -> int:
@@ -329,13 +254,7 @@ def main() -> int:
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(record, indent=2))
     print(f"wrote {out}")
-    ok = all(
-        _floor(bench, tier)
-        for bench in record["benches"]
-        for tier in bench["tiers"]
-        if tier != "reference"
-    )
-    return 0 if ok else 1
+    return 0 if all(_floor(bench) for bench in record["benches"]) else 1
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 The persistent artifact cache exists to amortize the expensive part of
 every accelerated run's start-up: parsing the source trace and folding
 it into :class:`~repro.workload.encode.EncodedTrace`'s flat arrays.
-This bench measures exactly that window, per kernel tier, on the
+This bench measures exactly that window, on the fast tier, over the
 committed sample trace (``benchmarks/data/bench_gcc_60k.csv.gz``,
 60k deterministic ``gcc``-profile instructions):
 
@@ -11,15 +11,13 @@ committed sample trace (``benchmarks/data/bench_gcc_60k.csv.gz``,
   the price every fresh process used to pay;
 * **warm** — the artifact is on disk and the process caches are
   dropped, simulating a new worker/process life: the mem stream comes
-  off the mapped file (read in place by the numpy tier, restored with
-  ``array.frombytes`` on the python tier) and each tier derives its
-  block decode from it.
+  off the mapped file (restored with ``array.frombytes``) and the block
+  decode derives from it.
 
 Both legs end with the same kernel-ready state (addrs, load flags,
 block ids for the base geometry), and the bench asserts the streams
 are byte-identical before trusting the clock.  The acceptance floor:
-warm must be at least ``SPEEDUP_FLOOR``x faster than cold on the
-python tier and on the numpy tier when available.
+warm must be at least ``SPEEDUP_FLOOR``x faster than cold.
 
 Run standalone to (re)write ``BENCH_encode.json`` at the repo root::
 
@@ -36,11 +34,9 @@ import platform
 import time
 from pathlib import Path
 
-import pytest
 from conftest import run_once
 
 from repro.cache.geometry import CacheGeometry
-from repro.fastsim.vector import block_array, numpy_available
 from repro.sim import runner
 from repro.workload.encode import encode_trace
 from repro.workload.formats import make_trace_ref
@@ -56,19 +52,15 @@ GEOMETRY = CacheGeometry(16 * 1024, 4, 32)
 _NO_ARTIFACTS_ENV = "REPRO_NO_ARTIFACTS"
 
 
-def _materialize(encoded, tier: str) -> tuple:
+def _materialize(encoded) -> tuple:
     """Build the kernel-ready streams and return them for checksums."""
-    if tier == "vector":
-        blocks = block_array(encoded, GEOMETRY.fields)
-        return (bytes(encoded.buffer("addrs")), bytes(encoded.buffer("is_load")),
-                blocks.tobytes())
     addrs = encoded.addrs
     is_load = encoded.is_load
     blocks = encoded.blocks(GEOMETRY.fields)
     return addrs.tobytes(), is_load.tobytes(), tuple(blocks)
 
 
-def _startup(ref: str, tier: str, artifacts: bool) -> tuple:
+def _startup(ref: str, artifacts: bool) -> tuple:
     """One process-life worth of start-up: trace -> kernel-ready."""
     runner.clear_caches()
     previous = os.environ.get(_NO_ARTIFACTS_ENV)
@@ -78,7 +70,7 @@ def _startup(ref: str, tier: str, artifacts: bool) -> tuple:
         started = time.perf_counter()
         trace = runner.get_trace(ref, 0, 0)
         encoded = encode_trace(trace)
-        streams = _materialize(encoded, tier)
+        streams = _materialize(encoded)
         elapsed = time.perf_counter() - started
     finally:
         if not artifacts:
@@ -89,19 +81,19 @@ def _startup(ref: str, tier: str, artifacts: bool) -> tuple:
     return elapsed, streams
 
 
-def _best_of(ref: str, tier: str, artifacts: bool, passes: int = 3):
+def _best_of(ref: str, artifacts: bool, passes: int = 3):
     """Minimum of ``passes`` timings (scheduler-noise floor)."""
-    best, streams = _startup(ref, tier, artifacts)
+    best, streams = _startup(ref, artifacts)
     for _ in range(passes - 1):
-        elapsed, again = _startup(ref, tier, artifacts)
+        elapsed, again = _startup(ref, artifacts)
         assert again == streams, "non-deterministic streams"
         best = min(best, elapsed)
     return best, streams
 
 
-def _measure_tier(tier: str) -> dict:
+def _measure_tier() -> dict:
     ref = make_trace_ref(TRACE_FILE)
-    cold_seconds, cold_streams = _best_of(ref, tier, artifacts=False)
+    cold_seconds, cold_streams = _best_of(ref, artifacts=False)
 
     # Publish the artifact the way a miss-rate run does — the memory-op
     # stream only, since block decodes are never persisted — then time
@@ -110,12 +102,12 @@ def _measure_tier(tier: str) -> dict:
     path = runner.ensure_artifact(ref, 0, mode="missrate")
     assert path is not None and path.exists()
     runner.reset_artifact_stats()
-    warm_seconds, warm_streams = _best_of(ref, tier, artifacts=True)
+    warm_seconds, warm_streams = _best_of(ref, artifacts=True)
     assert runner.artifact_stats()["loads"] >= 1, "warm leg never mapped"
     assert warm_streams == cold_streams, "artifact restore diverged"
 
     return {
-        "tier": tier,
+        "tier": "fast",
         "cold_seconds": round(cold_seconds, 5),
         "warm_seconds": round(warm_seconds, 5),
         "speedup": round(cold_seconds / warm_seconds, 2),
@@ -125,25 +117,15 @@ def _measure_tier(tier: str) -> dict:
 
 
 def _environment() -> dict:
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
     }
 
 
 def measure() -> dict:
-    tiers = [_measure_tier("fast")]
-    if numpy_available():
-        tiers.append(_measure_tier("vector"))
     return {
         "bench": "encode-artifacts",
         "workload": {
@@ -152,7 +134,7 @@ def measure() -> dict:
             "geometry": "16KB/4-way/32B",
         },
         "speedup_floor": SPEEDUP_FLOOR,
-        "tiers": tiers,
+        "tiers": [_measure_tier()],
         "environment": _environment(),
     }
 
@@ -163,18 +145,8 @@ def _check(entry: dict) -> bool:
 
 def test_encode_fast_tier_warm_artifact_floor(benchmark):
     """Python tier: warm-artifact start-up >= 3x faster than re-encode."""
-    entry = run_once(benchmark, lambda: _measure_tier("fast"))
+    entry = run_once(benchmark, _measure_tier)
     print(f"\nencode fast: cold {entry['cold_seconds']:.4f}s "
-          f"warm {entry['warm_seconds']:.4f}s "
-          f"speedup {entry['speedup']:.1f}x")
-    assert _check(entry)
-
-
-def test_encode_vector_tier_warm_artifact_floor(benchmark):
-    if not numpy_available():
-        pytest.skip("numpy unavailable")
-    entry = run_once(benchmark, lambda: _measure_tier("vector"))
-    print(f"\nencode vector: cold {entry['cold_seconds']:.4f}s "
           f"warm {entry['warm_seconds']:.4f}s "
           f"speedup {entry['speedup']:.1f}x")
     assert _check(entry)

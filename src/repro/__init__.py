@@ -26,8 +26,7 @@ Subpackages:
 * ``repro.cpu``        — trace-driven out-of-order core.
 * ``repro.sim``        — configs, simulator, cached runner.
 * ``repro.fastsim``    — the batched fast backend (``backend="fast"``
-  everywhere a run is named), with numpy miss-rate kernels when numpy
-  imports; byte-identical to the reference engines.
+  everywhere a run is named); byte-identical to the reference engines.
 * ``repro.sweep``      — declarative run grids with parallel execution.
 * ``repro.experiments``— one module per paper table/figure.
 

@@ -121,8 +121,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help=(
             "simulation backend: 'reference' (object-dispatch engines) "
-            "or 'fast' (batched kernels; numpy miss-rate kernels when "
-            "numpy imports); reports are byte-identical. "
+            "or 'fast' (batched kernels); reports are byte-identical. "
             "Default: $REPRO_BACKEND or reference"
         ),
     )

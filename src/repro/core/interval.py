@@ -25,7 +25,7 @@ Reconfigure semantics (the documented flush policy):
   freshly constructed.  In full simulation dirty blocks are written
   back to the next level first, so no stores are lost.  This is the
   semantics DRI-style resizing literature assumes, and it is what
-  keeps the batched/vector tiers byte-identical to the reference:
+  keeps the batched tier byte-identical to the reference:
   "fresh state at a deterministic point" replays the same everywhere.
 * **Cumulative statistics.**  Counters (loads, misses, probe events,
   ...) are never reset by a reconfiguration; results aggregate across

@@ -127,47 +127,70 @@ def comparison_rows(
     return out
 
 
+def _accuracy(row: MetricRow) -> str:
+    return f"{row.extras.get('prediction_accuracy', 0.0) * 100:.0f}"
+
+
+#: A per-label cell column of the comparison tables: (header suffix, cell).
+Column = Tuple[str, Callable[[MetricRow], str]]
+
+_ED: Column = ("E-D", lambda r: f"{r.relative_energy_delay:.3f}")
+_PERF: Column = ("perf%", lambda r: f"{r.performance_degradation * 100:+.1f}")
+_ACCURACY: Column = ("acc%", _accuracy)
+
+
+def _benchmark_table(
+    results: Rows,
+    columns: Sequence[Column],
+    title: str,
+    extra: Sequence[Tuple[str, List[str]]] = (),
+) -> str:
+    """One row per benchmark and one column group per label, plus any
+    ``extra`` (header, cells) columns after the groups."""
+    headers = ["benchmark"] + [f"{label} {name}" for label in results for name, _ in columns]
+    headers += [header for header, _cells in extra]
+    benchmarks = [row.benchmark for row in next(iter(results.values()))]
+    table_rows = [
+        [bench]
+        + [cell(results[label][i]) for label in results for _name, cell in columns]
+        + [cells[i] for _header, cells in extra]
+        for i, bench in enumerate(benchmarks)
+    ]
+    return format_table(headers, table_rows, title)
+
+
+def _kind_table(results: Rows, first: str, kinds: Sequence[str], title: str,
+                accuracy: bool = False) -> str:
+    """One row per (label, benchmark): each access kind's share, and
+    optionally the prediction accuracy."""
+    headers = [first, "benchmark"] + list(kinds) + (["accuracy%"] if accuracy else [])
+    table_rows = []
+    for label, rows in results.items():
+        for row in rows:
+            cells = [label, row.benchmark]
+            cells += [f"{row.extras.get(f'kind_{k}', 0.0) * 100:.0f}%" for k in kinds]
+            if accuracy:
+                cells.append(_accuracy(row))
+            table_rows.append(cells)
+    return format_table(headers, table_rows, title)
+
+
 def render_comparison(
     results: Rows,
     title: str,
     show_accuracy: bool = False,
     show_breakdown: bool = False,
 ) -> str:
-    """ASCII rendering of a comparison (top graph of a figure)."""
-    headers = ["benchmark"]
-    for label in results:
-        headers.append(f"{label} E-D")
-        headers.append(f"{label} perf%")
-        if show_accuracy:
-            headers.append(f"{label} acc%")
-    benchmarks = [row.benchmark for row in next(iter(results.values()))]
-    table_rows = []
-    for i, bench in enumerate(benchmarks):
-        row = [bench]
-        for label in results:
-            r = results[label][i]
-            row.append(f"{r.relative_energy_delay:.3f}")
-            row.append(f"{r.performance_degradation * 100:+.1f}")
-            if show_accuracy:
-                row.append(f"{r.extras.get('prediction_accuracy', 0.0) * 100:.0f}")
-        table_rows.append(row)
-    text = format_table(headers, table_rows, title)
+    """ASCII rendering of a comparison (top graph of a figure), with the
+    access-kind breakdown of Figures 6-8 below it on request."""
+    text = _benchmark_table(
+        results, (_ED, _PERF, _ACCURACY) if show_accuracy else (_ED, _PERF), title
+    )
     if show_breakdown:
-        text += "\n\n" + render_breakdown(results)
+        text += "\n\n" + _kind_table(
+            results, "technique", DCACHE_KINDS, "Access breakdown (% of d-cache reads)"
+        )
     return text
-
-
-def render_breakdown(results: Rows) -> str:
-    """Access-kind breakdown (bottom graph of Figures 6-8)."""
-    headers = ["technique", "benchmark"] + list(DCACHE_KINDS)
-    table_rows = []
-    for label, rows in results.items():
-        for row in rows:
-            table_rows.append(
-                [label, row.benchmark]
-                + [f"{row.extras.get(f'kind_{k}', 0.0) * 100:.0f}%" for k in DCACHE_KINDS]
-            )
-    return format_table(headers, table_rows, "Access breakdown (% of d-cache reads)")
 
 
 def xor_timing_ratio() -> float:
@@ -189,42 +212,22 @@ def _render_fig5(results: Rows) -> str:
 
 def _render_fig10(results: Rows) -> str:
     """Figure 10: E-D/perf plus the fetch prediction-source breakdown."""
-    bd_headers = ["ways", "benchmark"] + list(ICACHE_KINDS) + ["accuracy%"]
-    bd_rows = []
-    for label, result_rows in results.items():
-        for r in result_rows:
-            bd_rows.append(
-                [label, r.benchmark]
-                + [f"{r.extras.get(f'kind_{k}', 0.0)*100:.0f}%" for k in ICACHE_KINDS]
-                + [f"{r.extras.get('prediction_accuracy', 0.0)*100:.0f}"]
-            )
     return (
         render_comparison(results, "Figure 10: Way-prediction for i-caches")
         + "\n\n"
-        + format_table(bd_headers, bd_rows, "Fetch prediction-source breakdown (% of fetches)")
+        + _kind_table(results, "ways", ICACHE_KINDS,
+                      "Fetch prediction-source breakdown (% of fetches)", accuracy=True)
     )
 
 
 def _render_fig11(results: Rows) -> str:
     """Figure 11: processor E-D, energy and perf, plus the L1 share."""
-    headers = ["benchmark"]
-    for label in results:
-        headers += [f"{label} E-D", f"{label} E", f"{label} perf%"]
-    headers.append("L1 share%")
-    benchmarks = [r.benchmark for r in next(iter(results.values()))]
-    rows = []
-    for i, bench in enumerate(benchmarks):
-        row = [bench]
-        for label in results:
-            r = results[label][i]
-            row += [
-                f"{r.relative_energy_delay:.3f}",
-                f"{r.extras['relative_energy']:.3f}",
-                f"{r.performance_degradation*100:+.1f}",
-            ]
-        row.append(f"{results['Combined'][i].extras['cache_fraction']*100:.1f}")
-        rows.append(row)
-    return format_table(headers, rows, "Figure 11: Overall processor energy(-delay)")
+    energy = ("E", lambda r: f"{r.extras['relative_energy']:.3f}")
+    share = [f"{r.extras['cache_fraction'] * 100:.1f}" for r in results["Combined"]]
+    return _benchmark_table(
+        results, (_ED, energy, _PERF), "Figure 11: Overall processor energy(-delay)",
+        extra=[("L1 share%", share)],
+    )
 
 
 @dataclass(frozen=True)

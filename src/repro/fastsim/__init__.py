@@ -18,11 +18,7 @@ backends:
   driven by the array-state out-of-order core and fetch unit
   (:mod:`repro.fastsim.core`, :mod:`repro.fastsim.fetch`) with the
   table-state branch predictors of :mod:`repro.fastsim.predictors`,
-  so ``mode="sim"`` runs batched end to end.  Its functional
-  miss-rate runs use the numpy kernels of :mod:`repro.fastsim.vector`
-  (the ``vector`` tier: whole-stream gather/scatter classification)
-  whenever numpy imports, and the python kernels otherwise, silently
-  and losslessly.
+  so ``mode="sim"`` runs batched end to end.
 
 The fast backend's contract is *byte-identical results*: the same
 :class:`~repro.sim.functional.MissRateResult` and the same
@@ -47,11 +43,6 @@ from repro.fastsim.predictors import (
     FastHybridPredictor,
     FastReturnAddressStack,
 )
-from repro.fastsim.vector import (
-    numpy_available,
-    resolve_tier,
-    vector_miss_rate,
-)
 
 __all__ = [
     "FastBranchTargetBuffer",
@@ -64,7 +55,4 @@ __all__ = [
     "FastReturnAddressStack",
     "fast_dcache_kinds",
     "fast_miss_rate",
-    "numpy_available",
-    "resolve_tier",
-    "vector_miss_rate",
 ]

@@ -54,8 +54,20 @@ class SystemConfig:
     # -------------------------------------------------------------- #
 
     def key(self) -> str:
-        """Stable canonical string for caching/deduplication."""
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        """Stable canonical string for caching/deduplication.
+
+        Built once per instance and kept outside the fields, so
+        equality, hashing, ``asdict``, ``replace`` and pickles ignore
+        it.
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_key"}
 
     def with_dcache_policy(self, kind: str, **params) -> "SystemConfig":
         """Copy with a different d-cache policy (any registered kind)."""

@@ -114,7 +114,7 @@ def measure_miss_rate(
             runs on every tier).  Ignored unless the built policy is
             dynamic (:func:`~repro.core.interval.is_dynamic_policy`).
 
-    This is the oracle the fast and vector tiers match byte for byte.
+    This is the oracle the fast tier matches byte for byte.
     A static run (``interval`` 0 or a static policy) reports every
     dynamics counter as 0, ``final_size_bytes`` included, and a stream
     that is entirely warmup counts zero accesses (``miss_rate`` 0.0).

@@ -6,11 +6,9 @@ two run modes — ``"sim"`` (the full out-of-order simulator) and
 ``"missrate"`` (the functional hit/miss model behind Table 4).  The
 ``backend`` argument selects the implementation of either mode:
 ``"fast"`` runs sim points through the array-state core/fetch/engine
-pipeline of :mod:`repro.fastsim`, and miss-rate points through the
-numpy kernels (:mod:`repro.fastsim.vector`) when numpy imports or the
-python per-set replay when it does not
-(:func:`repro.fastsim.resolve_tier`).  Every kernel tier is
-byte-identical to ``"reference"`` by contract.
+pipeline of :mod:`repro.fastsim`, and miss-rate points through its
+per-set replay (:mod:`repro.fastsim.missrate`).  Both backends are
+byte-identical by contract.
 The engine composes the primitives directly:
 
 * :func:`load_cached` — resolve a run against the in-process and
@@ -56,7 +54,6 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.fastsim.missrate import fast_miss_rate
-from repro.fastsim.vector import resolve_tier, vector_miss_rate
 from repro.sim.config import SystemConfig
 from repro.sim.functional import MissRateResult, measure_miss_rate
 from repro.sim.results import DynamicsMetrics, L1Metrics, SimResult
@@ -93,11 +90,13 @@ __all__ = [
 #: Run modes understood by the backend.
 RUN_MODES = ("sim", "missrate")
 
-#: Functional measurement per resolved kernel tier.
+#: Functional measurement per backend.  The ``"vector"`` entry is never
+#: dispatched to; it stays for the benchmark tracer (see
+#: :mod:`repro.fastsim.vector`).
 _MISSRATE_MEASURES = {
     "reference": measure_miss_rate,
     "fast": fast_miss_rate,
-    "vector": vector_miss_rate,
+    "vector": fast_miss_rate,
 }
 
 _RESULT_CACHE: Dict[str, SimResult] = {}
@@ -370,9 +369,7 @@ def cache_key(
     * the system (``config.key()``, the policies' parameters included),
       trace length, salt and run mode;
     * the backend: results are byte-identical by contract, but a
-      backend bug must never satisfy the other backend's lookups.  The
-      kernel tier a backend resolves to is not a field, so a cache
-      filled with numpy present also serves a process without it;
+      backend bug must never satisfy the other backend's lookups;
     * the tick period (``static`` when 0): a dynamic policy's
       behaviour is a function of it;
     * the payload version and result-schema hash: a new version
@@ -434,7 +431,7 @@ def get_trace(benchmark: str, instructions: int, salt: int = 0) -> Trace:
     """Return the (memoized) trace for a benchmark or ``trace://`` ref.
 
     Synthetic benchmarks generate exactly ``instructions`` instructions,
-    as columns: the fast/vector tiers encode from them in O(1), and
+    as columns: the fast tier encodes from them in O(1), and
     only the reference tier builds the ``Instr`` list.  For a trace
     reference the file streams back instead: ``instructions`` caps the
     replay length (``<= 0`` means the whole file), ``salt`` is ignored,
@@ -443,7 +440,7 @@ def get_trace(benchmark: str, instructions: int, salt: int = 0) -> Trace:
 
     When the workload's encoded-trace artifact is on disk, its header
     answers ``name`` and ``len()`` and its sections answer the
-    fast/vector tiers, so nothing is generated or parsed up front: a
+    fast tier, so nothing is generated or parsed up front: a
     synthetic benchmark comes back as a :class:`LazyTrace` that
     generates on first touch (only the reference tier, and a sim run
     over a mem-only artifact, touch it), and a file's streaming trace
@@ -471,8 +468,8 @@ def get_trace(benchmark: str, instructions: int, salt: int = 0) -> Trace:
     else:
         trace = generate_trace(benchmark, instructions, salt)
     # The key tells a later publish where to write; a loaded artifact
-    # pre-seeds the encoding memo, so the fast/vector tiers skip the
-    # encode pass and the vector tier reads the mapped pages directly.
+    # pre-seeds the encoding memo, so the fast tier skips the encode
+    # pass.
     setattr(trace, _ARTIFACT_KEY_ATTR, artifact_key)
     if artifact is not None:
         setattr(trace, _ENCODE_ATTR, EncodedTrace.from_artifact(artifact))
@@ -578,7 +575,7 @@ def execute(
     if mode == "missrate":
         trace = get_trace(benchmark, instructions, salt)
         factory = _dynamic_policy_factory(config) if interval > 0 else None
-        measured = _MISSRATE_MEASURES[resolve_tier(backend, mode)](
+        measured = _MISSRATE_MEASURES[backend](
             trace, config.dcache.geometry(),
             interval=interval if factory is not None else 0,
             policy_factory=factory,

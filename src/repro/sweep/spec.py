@@ -29,9 +29,8 @@ class RunSpec:
         salt: trace-generation salt (distinct salts = distinct traces).
         mode: ``"sim"`` for the full out-of-order simulation or
             ``"missrate"`` for the functional hit/miss model (Table 4).
-        backend: ``"reference"`` or ``"fast"`` (the batched backend,
-            whose miss-rate points run the numpy kernels when numpy
-            imports).  Results are byte-identical — the backends trade
+        backend: ``"reference"`` or ``"fast"`` (the batched backend).
+            Results are byte-identical — the backends trade
             introspectability for speed.
         interval: tick period for dynamic policies (accesses in
             miss-rate mode, cycles in sim mode); ``0`` = no ticks.

@@ -1,6 +1,6 @@
 """Persistent encoded-trace artifacts: one binary file per workload.
 
-Every fast/vector-tier run starts from :class:`~repro.workload.encode.
+Every fast-tier run starts from :class:`~repro.workload.encode.
 EncodedTrace`'s flat arrays.  Without a persisted copy, a sweep fanned
 out over N pool workers and a service restarting between submissions
 each redo the identical parse+encode work.  This module serializes the
@@ -314,9 +314,8 @@ def list_to_bytes(values, dtype: str) -> bytes:
 def bytes_to_array(payload, dtype: str) -> array:
     """Decode raw little-endian bytes back into an ``array.array``.
 
-    This is the python tiers' lossless restore
-    (``array.array.frombytes``); the vector tier views the same bytes
-    zero-copy instead.
+    This is the fast tier's lossless restore
+    (``array.array.frombytes``).
     """
     decoded = array(dtype)
     decoded.frombytes(payload)

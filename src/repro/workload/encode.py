@@ -1,8 +1,8 @@
-"""Flat-array trace encoding for the fast and vector tiers.
+"""Flat-array trace encoding for the fast tier.
 
 The reference engines walk a trace as a list of :class:`Instr` objects
-and pay Python attribute dispatch on every access.  The fast and vector
-tiers instead encode a trace ONCE into parallel flat arrays, so their
+and pay Python attribute dispatch on every access.  The fast tier
+instead encodes a trace ONCE into parallel flat arrays, so their
 hot loops touch only plain ints in plain lists.  An encoding holds the
 trace's own streams, each built on demand:
 
@@ -15,11 +15,11 @@ trace's own streams, each built on demand:
   (:mod:`repro.fastsim.fetch`).
 
 Everything else is a *derived view*: a pure function of a stream and a
-key, such as the per-block-size data-block decode
-(:meth:`EncodedTrace.blocks`), the i-block decode
-(:meth:`EncodedTrace.iblocks`), or the vector tier's numpy block array.
-Each is one shift per element, built once per key in the encoding's
-single memo (:meth:`EncodedTrace.derived`) and never persisted.
+key, namely the per-block-size data-block decode
+(:meth:`EncodedTrace.blocks`) and the i-block decode
+(:meth:`EncodedTrace.iblocks`).  Each is one shift per element, built
+once per key in the encoding's single memo
+(:meth:`EncodedTrace.derived`) and never persisted.
 
 Encodings are memoized on the trace object itself (traces are immutable
 once built, and the runner already memoizes traces per benchmark), so a
@@ -38,11 +38,10 @@ chunk of ``Instr`` objects alive, and is iterated *at most once* — the
 first granularity built owns the pass, and the memory-op stream derives
 from the instruction arrays when those exist.
 
-This module does not use numpy.  :meth:`EncodedTrace.buffer` hands the
-vector tier (:mod:`repro.fastsim.vector`) the raw buffer behind
-``addrs`` or ``is_load`` — the mapped artifact section when an artifact
-backs the encoding, else the ``array`` storage — and that tier builds
-its own views over it.
+:meth:`EncodedTrace.buffer` hands out the raw buffer behind ``addrs``
+or ``is_load``: the mapped artifact section when an artifact backs the
+encoding, else the ``array`` storage.  The miss-rate driver counts
+loads straight off it.
 """
 
 from __future__ import annotations

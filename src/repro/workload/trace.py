@@ -252,7 +252,7 @@ class ColumnTrace(Trace):
     """A trace held as the nine per-instruction :attr:`columns`.
 
     Synthetic traces are generated straight into these lists, which the
-    fast and vector tiers adopt as the encoding.  Only object consumers
+    fast tier adopts as the encoding.  Only object consumers
     (the reference tier, summaries, trace writers) build the
     :class:`Instr` list, once, on first touch of ``instructions``.
     """

@@ -46,9 +46,7 @@ def _hermetic_environment(tmp_path_factory):
     working tree's ``.repro_cache/`` could pass on results a regressed
     simulator never produced.  Every session therefore starts empty.
     Likewise a ``REPRO_JOBS`` or ``REPRO_BACKEND`` left in the shell
-    would change what the tests exercise.  (Tests reach the python
-    miss-rate kernels by hiding numpy, never through a variable: they
-    patch ``repro.fastsim.vector.np`` to ``None``.)  Tests that need a value set
+    would change what the tests exercise.  Tests that need a value set
     it themselves with ``monkeypatch``, and subprocesses inherit the
     cleaned environment.
     """

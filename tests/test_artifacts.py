@@ -1,9 +1,9 @@
 """Encoded-trace artifact tests: format, failure modes, runner policy.
 
 The correctness bar for the artifact cache is silence: every failure
-mode (truncation, magic/version skew, concurrent writers, numpy-absent
-loads of numpy-written files) must fall back to re-encoding with
-byte-identical results, never crash and never serve wrong data.
+mode (truncation, magic/version skew, concurrent writers) must fall
+back to re-encoding with byte-identical results, never crash and never
+serve wrong data.
 """
 
 import json
@@ -19,8 +19,6 @@ import pytest
 from repro.sim import runner
 from repro.sim.config import SystemConfig
 from repro.cache.geometry import CacheGeometry
-from repro.fastsim import vector as vector_module
-from repro.fastsim.vector import block_array
 from repro.workload import formats as formats_module
 from repro.workload.artifact import (
     ARTIFACT_VERSION,
@@ -94,24 +92,22 @@ class TestFormatRoundTrip:
             assert getattr(restored, name) == getattr(encoded, name), name
         assert all(isinstance(value, bool) for value in restored.takens)
 
-    def test_numpy_views_alias_and_match(self, tmp_path):
-        np = pytest.importorskip("numpy")
+    def test_buffers_read_sections_in_place(self, tmp_path):
+        """An artifact-backed encoding hands out the mapped sections as
+        its raw buffers: read-only windows onto the file, not
+        per-process heap copies, until a python restore runs."""
         _trace, encoded = _encode_full()
-        path = tmp_path / "np.etr"
+        path = tmp_path / "buffers.etr"
         write_artifact(
             path, encoded.name, encoded.instructions, encoded.export_sections()
         )
         restored = EncodedTrace.from_artifact(load_artifact(path))
-        assert np.array_equal(
-            block_array(restored, GEOMETRY.fields), block_array(encoded, GEOMETRY.fields)
-        )
-        assert bytes(restored.buffer("is_load")) == encoded.is_load.tobytes()
-        # Zero-copy: the vector tier's views are windows onto the mapped
-        # buffer, not per-process heap copies.
-        addrs = np.frombuffer(restored.buffer("addrs"), dtype=np.uint64)
+        addrs, is_load = restored.buffer("addrs"), restored.buffer("is_load")
         assert restored._addrs is None
-        assert addrs.tolist() == list(encoded.addrs)
-        assert not addrs.flags.writeable
+        assert addrs.readonly and is_load.readonly
+        assert bytes(addrs) == encoded.addrs.tobytes()
+        assert bytes(is_load) == encoded.is_load.tobytes()
+        assert restored.blocks(GEOMETRY.fields) == encoded.blocks(GEOMETRY.fields)
 
     def test_mem_only_artifact_then_upgrade(self, tmp_path):
         trace = generate_trace("swim", 3_000)
@@ -279,32 +275,6 @@ class TestConcurrentWriters:
 
 
 # ------------------------------------------------------------------ #
-# numpy-absent loads of numpy-written artifacts
-# ------------------------------------------------------------------ #
-
-
-class TestNumpyAbsentLoad:
-    def test_python_fallback_reads_numpy_written_artifact(self, monkeypatch):
-        pytest.importorskip("numpy")
-        config = SystemConfig()
-        # Write the artifact through the vector tier (numpy hot path).
-        baseline = runner.run_benchmark(
-            "gcc", config, 4_000, mode="missrate", backend="fast", use_cache=False
-        )
-        assert runner.artifact_stats()["stores"] == 1
-        # Reload it with numpy gone: the python kernels must restore
-        # losslessly via array.array.frombytes.
-        runner.clear_caches()
-        runner.reset_artifact_stats()
-        monkeypatch.setattr(vector_module, "np", None)
-        fallback = runner.run_benchmark(
-            "gcc", config, 4_000, mode="missrate", backend="fast", use_cache=False
-        )
-        assert fallback.to_flat() == baseline.to_flat()
-        assert runner.artifact_stats()["loads"] == 1
-
-
-# ------------------------------------------------------------------ #
 # Runner policy: attach, publish, upgrade, disable
 # ------------------------------------------------------------------ #
 
@@ -373,12 +343,11 @@ class TestRunnerPolicy:
         encoded.ensure_instr_arrays(None)  # would crash if it read a trace
         assert len(encoded.ops) == 3_000
 
-    def test_artifacts_hold_only_the_trace_streams(self, monkeypatch):
+    def test_artifacts_hold_only_the_trace_streams(self):
         """A miss-rate run publishes the memory-op stream and nothing
         derived.  An artifact that also carries a ``blocks:5`` decode,
-        as older trees wrote them, loads and gives the same results on
-        the python and numpy kernels, and the next sim-mode upgrade
-        drops the section."""
+        as older trees wrote them, loads and gives the same results,
+        and the next sim-mode upgrade drops the section."""
         config = SystemConfig()
         fields = config.dcache.geometry().fields
         expected = runner.run_benchmark(
@@ -398,18 +367,13 @@ class TestRunnerPolicy:
         blocks = encode_trace(generate_trace("gcc", 3_000)).blocks(fields)
         sections[f"blocks:{fields.offset_bits}"] = ("Q", list_to_bytes(blocks, "Q"))
         assert write_artifact(path, published.name, published.instructions, sections)
-        for hide_numpy in (True, False):
-            _new_process()
-            with monkeypatch.context() as patch:
-                if hide_numpy:
-                    patch.setattr(vector_module, "np", None)
-                result = runner.run_benchmark(
-                    "gcc", config, 3_000, mode="missrate", backend="fast",
-                    use_cache=False,
-                )
-            assert result.to_flat() == expected, hide_numpy
-            assert runner.artifact_stats()["loads"] == 1
-            assert runner.artifact_stats()["stores"] == 0
+        _new_process()
+        result = runner.run_benchmark(
+            "gcc", config, 3_000, mode="missrate", backend="fast", use_cache=False
+        )
+        assert result.to_flat() == expected
+        assert runner.artifact_stats()["loads"] == 1
+        assert runner.artifact_stats()["stores"] == 0
         _new_process()
         runner.run_benchmark(
             "gcc", config, 3_000, mode="sim", backend="fast", use_cache=False
@@ -492,9 +456,7 @@ def _flats(benchmark, instructions, backend):
 
 
 class TestLazyTraces:
-    def test_full_artifact_answers_fast_tiers_without_generating(
-        self, generations, monkeypatch
-    ):
+    def test_full_artifact_answers_fast_tiers_without_generating(self, generations):
         runner.ensure_artifact("gcc", 3_000, mode="sim")
         expected = _flats("gcc", 3_000, "reference")
         _new_process()
@@ -503,9 +465,6 @@ class TestLazyTraces:
         assert isinstance(trace, LazyTrace)
         assert (trace.name, len(trace)) == ("gcc", 3_000)
         assert _flats("gcc", 3_000, "fast") == expected
-        with monkeypatch.context() as patch:
-            patch.setattr(vector_module, "np", None)  # the python kernels
-            assert _flats("gcc", 3_000, "fast") == expected
         assert generations == []
         assert runner.artifact_stats()["loads"] == 1
 
@@ -602,20 +561,16 @@ def _refuse_instr(*_fields):
 
 
 class TestGeneratedColumns:
-    @pytest.mark.parametrize("tier", ["fast", "vector"])
-    def test_fast_tiers_never_build_instr_objects(self, tier, monkeypatch):
+    def test_fast_tiers_never_build_instr_objects(self, monkeypatch):
         """A sim point and a miss-rate point over a generated trace run
-        on its columns, on either miss-rate kernel tier of ``fast``
-        (``fast`` hides numpy, so the python kernels run); the
-        reference tier then builds the ``Instr`` list once, from the
-        same columns, with the same results."""
+        on its columns on ``fast``; the reference tier then builds the
+        ``Instr`` list once, from the same columns, with the same
+        results."""
         monkeypatch.setenv("REPRO_NO_ARTIFACTS", "1")
         trace = runner.get_trace("gcc", 3_000, 0)
         assert isinstance(trace, ColumnTrace)
         with monkeypatch.context() as patch:
             patch.setattr(trace_module, "Instr", _refuse_instr)
-            if tier == "fast":
-                patch.setattr(vector_module, "np", None)
             fast = _flats("gcc", 3_000, "fast")
         assert runner.get_trace("gcc", 3_000, 0) is trace
         assert fast == _flats("gcc", 3_000, "reference")

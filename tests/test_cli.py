@@ -155,8 +155,8 @@ def test_sweep_rejects_bad_jobs(capsys):
 
 @pytest.mark.parametrize("backend", ["warp", "vector"])
 def test_bad_repro_backend_env_exits_cleanly(backend, monkeypatch, capsys):
-    """An unknown backend exits 2 with one line; ``vector`` is a kernel
-    tier of ``fast``, not a backend."""
+    """An unknown backend exits 2 with one line; ``vector`` (a deleted
+    numpy miss-rate tier) is not a backend either."""
     monkeypatch.setenv("REPRO_BACKEND", backend)
     assert main(["table1"]) == 2
     assert "unknown backend" in capsys.readouterr().err

@@ -1,8 +1,12 @@
 """Out-of-order core and simulator integration tests."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.cpu.config import CoreConfig
+from repro.sim import config as config_module
 from repro.sim.config import CacheLevelConfig, SystemConfig
 from repro.sim.results import (
     performance_degradation,
@@ -40,6 +44,29 @@ class TestSystemConfig:
         a, b = SystemConfig(), SystemConfig()
         assert a.key() == b.key()
         assert a.key() != a.with_dcache_policy("sequential").key()
+
+    def test_key_is_built_once_per_instance(self, monkeypatch):
+        """Repeated ``key()`` calls build the string once; a replaced
+        config builds its own; the memo is invisible to equality,
+        hashing, ``asdict`` and pickles."""
+        built = []
+        dumps = config_module.json.dumps
+        monkeypatch.setattr(config_module.json, "dumps",
+                            lambda *a, **k: built.append(1) or dumps(*a, **k))
+        config = SystemConfig()
+        fresh = pickle.dumps(config)
+        key = config.key()
+        assert config.key() is key and config.key() is key
+        assert len(built) == 1
+        assert pickle.dumps(config) == fresh
+        assert config == SystemConfig() and hash(config) == hash(SystemConfig())
+        assert dataclasses.asdict(config) == dataclasses.asdict(SystemConfig())
+        assert "_key" not in repr(config)
+        wider = config.with_dcache(size_kb=32)
+        assert wider.key() != key
+        assert len(built) == 2
+        assert dataclasses.replace(wider, dcache=config.dcache).key() == key
+        assert pickle.loads(pickle.dumps(wider)).key() == wider.key()
 
     def test_with_helpers(self):
         config = SystemConfig().with_dcache(size_kb=32).with_icache(associativity=8)

@@ -6,11 +6,9 @@ backends — every d-cache policy kind and every i-cache policy kind in
 the registry — and assert ``SimResult.to_flat()`` equality field for
 field (integer counters, access-kind breakdowns, and energy floats
 alike), plus :class:`MissRateResult` equality for the functional path
-across associativities and the warmup-fraction edges — with
-the numpy vector tier held to the same byte-identical contract as a
-third leg of the miss-rate property.  Degenerate streams (empty, no
-memory ops, one access) must give identical miss-rate flats on every
-kernel tier through the runner.
+across associativities and the warmup-fraction edges.  Degenerate
+streams (empty, no memory ops, one access) must give identical
+miss-rate flats on both backends through the runner.
 
 Full-sim mode is covered on both pipeline implementations: the fast
 backend runs the batched core/fetch pair (:mod:`repro.fastsim.core`,
@@ -39,9 +37,7 @@ from repro.cpu.fetch import FetchUnit
 from repro.cpu.ooo import OutOfOrderCore
 from repro.cpu.stats import CoreStats
 from repro.fastsim import FastCore, FastFetchUnit
-from repro.fastsim import vector as vector_module
 from repro.fastsim.missrate import fast_miss_rate
-from repro.fastsim.vector import vector_miss_rate
 from repro.sim import runner
 from repro.sim.config import CacheLevelConfig, SystemConfig
 from repro.sim.functional import measure_miss_rate
@@ -317,15 +313,12 @@ def test_small_evicting_caches_identical(trace):
     assoc=st.sampled_from([1, 2, 4]),
 )
 def test_miss_rate_identical(trace, warmup, assoc):
-    """fast_miss_rate == vector_miss_rate == measure_miss_rate at
-    every warmup fraction, including the 0.0 and near-1.0 edges.
-    (Without numpy the vector tier transparently replays the python
-    kernels, so this property holds on every install.)"""
+    """fast_miss_rate == measure_miss_rate at every warmup fraction,
+    including the 0.0 and near-1.0 edges."""
     geometry = CacheGeometry(1024, assoc, 32)
     reference = measure_miss_rate(trace, geometry, warmup)
     fast = fast_miss_rate(trace, geometry, warmup)
-    vector = vector_miss_rate(trace, geometry, warmup)
-    assert reference == fast == vector
+    assert reference == fast
 
 
 def test_miss_rate_rejects_bad_warmup():
@@ -337,12 +330,10 @@ def test_miss_rate_rejects_bad_warmup():
             measure_miss_rate(trace, geometry, warmup_fraction=warmup)
         with pytest.raises(ValueError):
             fast_miss_rate(trace, geometry, warmup_fraction=warmup)
-        with pytest.raises(ValueError):
-            vector_miss_rate(trace, geometry, warmup_fraction=warmup)
 
 
 # ------------------------------------------------------------------ #
-# Degenerate-trace contract: edge-case streams on every tier
+# Degenerate-trace contract: edge-case streams on both backends
 # ------------------------------------------------------------------ #
 
 
@@ -370,24 +361,18 @@ def no_cache(monkeypatch):
 
 class TestDegenerateTraces:
     @pytest.mark.parametrize("name", sorted(DEGENERATES))
-    def test_all_tiers_byte_agree(self, name, no_cache, monkeypatch):
-        """Empty/one-access streams: identical flats on every tier —
-        reference, and ``fast`` with numpy visible (vector kernels)
-        and hidden (python kernels)."""
+    def test_all_tiers_byte_agree(self, name, no_cache):
+        """Empty/one-access streams: identical flats on both backends."""
         trace = mem_trace(name, DEGENERATES[name])
         flats = []
-        for backend, hide_numpy in (("reference", False), ("fast", False),
-                                    ("fast", True)):
+        for backend in ("reference", "fast"):
             runner.clear_caches()
             runner._TRACE_CACHE[(name, 1000, 0)] = trace
-            with monkeypatch.context() as patch:
-                if hide_numpy:
-                    patch.setattr(vector_module, "np", None)
-                result = runner.execute(
-                    name, SystemConfig(), 1000, mode="missrate", backend=backend
-                )
+            result = runner.execute(
+                name, SystemConfig(), 1000, mode="missrate", backend=backend
+            )
             flats.append(result.to_flat())
-        assert flats[0] == flats[1] == flats[2]
+        assert flats[0] == flats[1]
 
     def test_single_access_is_all_warmup_free(self, no_cache):
         """One mem op: warmup = int(1*0.2) = 0, so it IS measured."""

@@ -2,15 +2,14 @@
 runtime reconfiguration, the v8 cache key, and the ``dynamic``
 experiment's CLI/service byte-identity.
 
-The correctness bar mirrors the static suite: reference == fast ==
-vector ``MissRateResult`` equality under ticks (Hypothesis-driven,
-across assoc x interval x warmup edges), and reference
-== fast ``SimResult.to_flat()`` and per-tick ``IntervalStats``
-equality in full-sim mode, where the fast tier hosts dynamic kinds on
-its own d-cache engine.  The fast and vector tiers share one miss-rate
-replay driver; the vector tier must follow every flush with a fresh
-classified epoch and every bypass release by continuing on the python
-kernels, with identical results.
+The correctness bar mirrors the static suite: reference == fast
+``MissRateResult`` equality under ticks (Hypothesis-driven, across
+assoc x interval x warmup edges), and reference == fast
+``SimResult.to_flat()`` and per-tick ``IntervalStats`` equality in
+full-sim mode, where the fast tier hosts dynamic kinds on its own
+d-cache engine.  The fast miss-rate replay must follow every flush with
+a cold kernel and every bypass release by continuing on the kernel it
+had, with identical results.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.energy.pricing import l1_energy, l1_events
 from repro.energy.tables import PredictionStructureEnergy
 from repro.fastsim import FastDCacheEngine
 from repro.fastsim.missrate import fast_miss_rate
-from repro.fastsim.vector import vector_miss_rate
 from repro.sim import runner
 from repro.sim.config import CacheLevelConfig, SystemConfig
 from repro.sim.functional import measure_miss_rate
@@ -166,7 +164,7 @@ class TestValidateReconfigure:
     interval=st.sampled_from([1, 7, 32]),
 )
 def test_dynamic_miss_rate_identical(kind, trace, warmup, assoc, interval):
-    """reference == fast == vector under interval ticks, across the
+    """reference == fast under interval ticks, across the
     assoc x interval x warmup edges.  Thresholds are
     tightened so short Hypothesis traces actually trigger
     resizing/bypass actions."""
@@ -180,9 +178,9 @@ def test_dynamic_miss_rate_identical(kind, trace, warmup, assoc, interval):
             trace, geometry, warmup,
             interval=interval, policy_factory=_factory(kind, **params),
         )
-        for measure in (measure_miss_rate, fast_miss_rate, vector_miss_rate)
+        for measure in (measure_miss_rate, fast_miss_rate)
     ]
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("kind", DYNAMIC_KINDS)
@@ -341,11 +339,11 @@ def test_dri_energy_is_priced_per_geometry_epoch(backend):
     ],
     ids=["dri-flush", "levelpred-release"],
 )
-def test_vector_tier_follows_flushes_and_bypass_releases(kind, params, counter, fired):
-    """A thrashing stream makes dri resize (each flush starts a new
-    classified epoch) and levelpred engage and release bypass (the
-    epoch continues on the python kernels); the vector tier must match
-    the serial tiers exactly, dynamics counters included."""
+def test_missrate_follows_flushes_and_bypass_releases(kind, params, counter, fired):
+    """A thrashing stream makes dri resize (each flush starts a cold
+    kernel) and levelpred engage and release bypass (the kernel
+    continues where it left off); the fast replay must match the
+    reference exactly, dynamics counters included."""
     instrs = [
         Instr(0x1000 + 4 * i, OP_LOAD if i % 3 else OP_STORE,
               addr=(i * 0x520) & 0xFFFF0 or 0x40)
@@ -357,9 +355,8 @@ def test_vector_tier_follows_flushes_and_bypass_releases(kind, params, counter, 
     reference = measure_miss_rate(
         trace, geometry, interval=50, policy_factory=factory)
     fast = fast_miss_rate(trace, geometry, interval=50, policy_factory=factory)
-    vector = vector_miss_rate(trace, geometry, interval=50, policy_factory=factory)
     assert getattr(reference, counter) >= fired  # the premise: actions fired
-    assert reference == fast == vector
+    assert reference == fast
 
 
 # ------------------------------------------------------------------ #

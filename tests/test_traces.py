@@ -395,7 +395,9 @@ class TestChunkedEncodingMemoryBound:
     number of live Instr objects bounded by the chunk size, however
     long the trace is — only compact flat arrays grow with length."""
 
-    def _peak_live_during_encode(self, n: int, chunk: int) -> int:
+    def _peak_live_during_encode(self, n: int, chunk: int, build) -> int:
+        """Peak live Instr objects while ``build(encoded, trace)`` runs
+        the encoding pass over an ``n``-instruction streaming trace."""
         live = set()
         peak = 0
 
@@ -412,53 +414,43 @@ class TestChunkedEncodingMemoryBound:
 
         trace = StreamingTrace("synth", opener, chunk_instructions=chunk)
         encoded = encode_trace(trace)
-        encoded.ensure_instr_arrays(trace)
+        build(encoded, trace)
         assert encoded.instructions == n
         assert len(encoded.addrs) == sum(1 for k in range(n) if k % 3 == 0 or k % 7 == 0)
         return peak
 
     def test_peak_live_instrs_independent_of_length(self):
         chunk = 256
-        short_peak = self._peak_live_during_encode(2_000, chunk)
-        long_peak = self._peak_live_during_encode(20_000, chunk)
+
+        def build(encoded, trace):
+            encoded.ensure_instr_arrays(trace)
+
+        short_peak = self._peak_live_during_encode(2_000, chunk, build)
+        long_peak = self._peak_live_during_encode(20_000, chunk, build)
         # Bounded by the chunk plus CPython-internal slack, and — the
         # actual property — NOT growing with a 10x longer trace.
         assert short_peak <= 2 * chunk
         assert long_peak <= 2 * chunk
         assert long_peak <= short_peak + chunk // 4
 
-    def test_numpy_views_preserve_streaming_bound(self):
-        """The vector tier's block array is built over the chunk-built
-        array storage: building it never re-materializes the source, so
-        peak live Instr stays chunk-bounded on the array path exactly
-        as on the list path."""
-        pytest.importorskip("numpy")
-        from repro.fastsim.vector import block_array
-
-        chunk = 256
-        n = 20_000
-        live = set()
-        peak = 0
-
-        def opener():
-            nonlocal peak
-            for k in range(n):
-                op = OP_LOAD if k % 3 == 0 else (OP_STORE if k % 7 == 0 else OP_INT)
-                instr = _TrackedInstr(
-                    pc=0x1000 + 4 * k, op=op, dst=1, addr=(k * 64) & 0xFFFF
-                )
-                live.add(weakref.ref(instr, live.discard))
-                peak = max(peak, len(live))
-                yield instr
-
-        trace = StreamingTrace("synth", opener, chunk_instructions=chunk)
-        encoded = encode_trace(trace)
+    def test_block_decode_preserves_streaming_bound(self):
+        """The miss-rate path's block decode builds the memory-op stream
+        straight from the chunked source, without the instruction
+        arrays: peak live Instr stays chunk-bounded exactly as on the
+        instruction path, and the raw buffer is the chunk-built array
+        storage."""
+        chunk, n = 256, 20_000
         fields = SystemConfig().dcache.geometry().fields
-        blocks = block_array(encoded, fields)  # triggers the chunked encode pass
-        assert peak <= 2 * chunk
-        assert blocks.shape == (len(encoded),)
-        # Zero-copy: the raw buffer is the chunk-built array storage.
-        assert encoded.buffer("addrs") is encoded.addrs
+        addrs = [(k * 64) & 0xFFFF for k in range(n) if k % 3 == 0 or k % 7 == 0]
+
+        def build(encoded, _trace):
+            blocks = encoded.blocks(fields)  # triggers the chunked encode pass
+            assert encoded.ops is None
+            assert list(encoded.addrs) == addrs
+            assert blocks == [a >> fields.offset_bits for a in addrs]
+            assert encoded.buffer("addrs") is encoded.addrs
+
+        assert self._peak_live_during_encode(n, chunk, build) <= 2 * chunk
 
     def test_each_simulation_path_parses_the_source_once(self):
         """Miss-rate (both backends) and fast full-sim each consume the
