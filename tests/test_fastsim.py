@@ -4,23 +4,14 @@ The differential suite (``test_differential.py``) explores random
 traces; this module pins the acceptance contract on *golden* traces —
 the deterministic synthetic benchmarks the experiments actually run —
 for every registered policy kind, and unit-tests the encoding layer,
-the kernel registry, the runner integration, plugin policies on the
-fast engines, the backend/tier contract and the package's import
-layering (no module imports numpy).
+the kernel registry, the runner integration, and plugin policies on the
+fast engines.
 """
 
 from __future__ import annotations
 
-import ast
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-import repro
 from repro.cache.geometry import CacheGeometry
 from repro.core.policy import (
     DCachePolicy,
@@ -32,11 +23,10 @@ from repro.core.policy import (
 from repro.core.registry import iter_policies, register_policy, unregister_policy
 from repro.fastsim import FastDCacheEngine, FastICacheEngine, FastL2, fast_dcache_kinds
 from repro.fastsim.missrate import fast_miss_rate
-from repro.fastsim.vector import resolve_tier
 from repro.sim import runner
 from repro.sim.config import CacheLevelConfig, SystemConfig
 from repro.sim.functional import measure_miss_rate
-from repro.sim.simulator import BACKENDS, Simulator
+from repro.sim.simulator import Simulator
 from repro.workload.encode import EncodedTrace, encode_trace
 from repro.workload.generator import generate_trace
 from repro.workload.instr import OP_LOAD, OP_STORE
@@ -285,101 +275,3 @@ def test_run_benchmark_caches_per_backend(tmp_path, monkeypatch):
     reference = runner.run_benchmark("gcc", config, 2_000)
     assert reference.to_flat() == fast.to_flat()
     runner.clear_caches()
-
-
-# ------------------------------------------------------------------ #
-# Backends and the tiers they run
-# ------------------------------------------------------------------ #
-
-
-class TestTierResolution:
-    def test_backends_tuple_exposes_all_tiers(self):
-        """Two backends, each one kernel tier."""
-        assert BACKENDS == ("reference", "fast")
-
-    def test_reference_never_resolves_away(self):
-        assert resolve_tier("reference", "missrate") == "reference"
-        assert resolve_tier("reference", "sim") == "reference"
-
-    def test_sim_mode_always_runs_the_fast_pipeline(self):
-        assert resolve_tier("fast", "sim") == "fast"
-
-
-class TestRunnerIntegration:
-    CONFIG = SystemConfig().with_dcache(associativity=4)
-
-    def test_missrate_execute_identical_and_serializable(self):
-        reference = runner.execute("gcc", self.CONFIG, 6_000, mode="missrate")
-        fast = runner.execute("gcc", self.CONFIG, 6_000, mode="missrate",
-                              backend="fast")
-        assert reference.to_flat() == fast.to_flat()
-        json.dumps(fast.to_flat())  # plain types end to end
-
-    def test_sim_execute_runs_the_fast_pipeline(self):
-        reference = runner.execute("gcc", self.CONFIG, 2_000, mode="sim")
-        fast = runner.execute("gcc", self.CONFIG, 2_000, mode="sim",
-                              backend="fast")
-        assert reference.to_flat() == fast.to_flat()
-
-    def test_vector_is_not_a_backend(self):
-        for mode in runner.RUN_MODES:
-            with pytest.raises(ValueError, match="unknown backend"):
-                runner.execute("gcc", self.CONFIG, 1_000, mode=mode,
-                               backend="vector")
-        with pytest.raises(ValueError, match="unknown backend"):
-            Simulator(self.CONFIG, backend="vector")
-
-    def test_backend_tiers_share_no_cache_entries(self):
-        keys = {
-            runner.cache_key("gcc", self.CONFIG, 1_000, mode="missrate",
-                             backend=backend)
-            for backend in BACKENDS
-        }
-        assert len(keys) == len(BACKENDS)
-
-
-# ------------------------------------------------------------------ #
-# Module layering
-# ------------------------------------------------------------------ #
-
-
-def _importers(package_name: str) -> set:
-    """Package-relative paths of the ``repro`` modules that import
-    ``package_name`` or one of its modules, at any nesting depth."""
-    package = Path(repro.__file__).resolve().parent
-    importers = set()
-    for path in package.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                modules = [node.module]
-                modules += [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            if any(m == package_name or m.startswith(package_name + ".")
-                   for m in modules):
-                importers.add(path.relative_to(package).as_posix())
-    return importers
-
-
-def test_no_module_imports_numpy():
-    """Every module of the package imports and runs without numpy, and
-    no process pays for importing it, even with numpy installed."""
-    assert _importers("numpy") == set()
-    code = (
-        "import sys, repro.cli, repro.service.app, repro.experiments.table5\n"
-        "print('numpy' in sys.modules)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
-    process = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env=env, check=True, timeout=60)
-    assert process.stdout.split() == ["False"]
-
-
-def test_engines_and_cores_never_import_the_energy_models():
-    """The cache engines only count events; the simulator prices them.
-    So no module of the cache, core, cpu or fast-tier layers imports
-    ``repro.energy``."""
-    layers = ("cache/", "core/", "cpu/", "fastsim/")
-    assert {path for path in _importers("repro.energy") if path.startswith(layers)} == set()
