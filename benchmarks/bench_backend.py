@@ -71,9 +71,9 @@ def _fig11_configs():
     """The figure's unique system configs (baseline + both techniques)."""
     [fig11] = [figure for figure in FIGURES if figure.experiment_id == "fig11"]
     configs = {}
-    for label, technique, baseline in fig11.comparisons():
-        configs.setdefault(baseline.key(), ("Baseline", baseline))
-        configs.setdefault(technique.key(), (label, technique))
+    for point in fig11.comparisons():
+        configs.setdefault(point.baseline.key(), ("Baseline", point.baseline))
+        configs.setdefault(point.technique.key(), (point.label, point.technique))
     return [config for _label, config in configs.values()]
 
 

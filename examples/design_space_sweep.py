@@ -4,9 +4,10 @@
 Extends the paper's Figures 7-9 into one grid using the declarative
 sweep API: the whole grid is named up front as DesignPoints, executed in
 one engine pass (``--jobs N`` fans it over N worker processes), and
-reduced to per-point means.  Every point is one (baseline, technique)
-pair normalized within itself, so the numbers answer "what would this
-cache shape gain from the techniques?".
+reduced by ``point_rows`` — the reducer behind the paper's figures and
+the ``sweep`` subcommand — to each point's MEAN row.  Every point is
+one (baseline, technique) pair normalized within itself, so the numbers
+answer "what would this cache shape gain from the techniques?".
 
 The same sweep is available without code from the CLI::
 
@@ -18,7 +19,7 @@ The same sweep is available without code from the CLI::
 import argparse
 
 from repro import SystemConfig
-from repro.sweep import DesignPoint, SweepEngine, design_space_spec, summarize
+from repro.sweep import DesignPoint, SweepEngine, design_space_spec, point_rows
 
 BENCHMARKS = ("gcc", "go", "mgrid", "swim")
 INSTRUCTIONS = 25_000
@@ -53,19 +54,21 @@ def main() -> None:
     engine = SweepEngine(jobs=args.jobs)
     spec = design_space_spec(points, BENCHMARKS, INSTRUCTIONS, name="design-space")
     sweep = engine.run(spec)
-    summaries = summarize(sweep, points, BENCHMARKS, INSTRUCTIONS)
+    means = {
+        point.label: point_rows(sweep, point, BENCHMARKS, INSTRUCTIONS)[-1]
+        for point in points
+    }
 
     print(f"sel-DM+waypred over {', '.join(BENCHMARKS)}  (E-D | perf%)")
     print(f"{'shape':16s} {'1-cycle':>16s} {'2-cycle':>16s}")
-    by_label = {summary.label: summary for summary in summaries}
     for size_kb in (16, 32):
         for ways in (2, 4, 8):
             cells = []
             for latency in (1, 2):
-                summary = by_label[f"{size_kb}K {ways}-way {latency}cyc"]
+                mean = means[f"{size_kb}K {ways}-way {latency}cyc"]
                 cells.append(
-                    f"{summary.relative_energy_delay:.3f} | "
-                    f"{summary.performance_degradation * 100:+.1f}"
+                    f"{mean.relative_energy_delay:.3f} | "
+                    f"{mean.performance_degradation * 100:+.1f}"
                 )
             print(f"{size_kb}K {ways}-way       {cells[0]:>16s} {cells[1]:>16s}")
     print(f"\n[{sweep.stats.describe()}]")

@@ -40,18 +40,12 @@ from repro.core.registry import SIDES, iter_policies
 from repro.experiments.common import settings_from_env
 from repro.sim.runner import BACKENDS, RUN_MODES, run_benchmark, trace_cache_capacity
 from repro.experiments.registry import (
-    experiment_json,
+    experiments_report,
     get_experiment,
     list_experiments,
 )
 from repro.sim.config import SystemConfig
-from repro.sweep.analyze import (
-    design_space_document,
-    design_space_points,
-    design_space_spec,
-    render_summaries,
-    summarize,
-)
+from repro.sweep.analyze import COMPONENTS, SweepJobSpec, render_summaries
 from repro.sweep.engine import SweepEngine, default_jobs
 from repro.workload.formats import (
     TraceParseError,
@@ -173,11 +167,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     if args.json:
-        documents = [
-            experiment_json(experiment.experiment_id, settings, engine)
-            for experiment in experiments
-        ]
-        print(json.dumps(documents, indent=2, sort_keys=True))
+        print(experiments_report(ids, settings, engine))
         return 0
 
     for experiment in experiments:
@@ -673,8 +663,14 @@ def _cache_stats(root, as_json: bool) -> int:
     return 0
 
 
+def _csv(values) -> str:
+    """A list default as the string its flag parses (argparse types it)."""
+    return ",".join(map(str, values))
+
+
 def sweep_main(argv: List[str]) -> int:
-    """The ``sweep`` subcommand: ad-hoc d-cache design-space grids."""
+    """The ``sweep`` subcommand: ad-hoc d-cache design-space grids, with
+    the defaults of :class:`~repro.sweep.analyze.SweepJobSpec`."""
     parser = argparse.ArgumentParser(
         prog="repro-experiment sweep",
         description=(
@@ -695,41 +691,42 @@ def sweep_main(argv: List[str]) -> int:
             "accepted alongside benchmark names"
         ),
     )
-    parser.add_argument("--sizes", type=_int_list, default=[16], metavar="KB,...",
-                        help="d-cache sizes in KB (default: 16)")
-    parser.add_argument("--ways", type=_int_list, default=[4], metavar="N,...",
-                        help="d-cache associativities (default: 4)")
-    parser.add_argument("--latencies", type=_int_list, default=[1], metavar="CYC,...",
-                        help="d-cache latencies in cycles (default: 1)")
+    parser.add_argument("--sizes", type=_int_list, default=_csv(SweepJobSpec.sizes),
+                        metavar="KB,...", help="d-cache sizes in KB (default: %(default)s)")
+    parser.add_argument("--ways", type=_int_list, default=_csv(SweepJobSpec.ways),
+                        metavar="N,...", help="d-cache associativities (default: %(default)s)")
+    parser.add_argument("--latencies", type=_int_list, default=_csv(SweepJobSpec.latencies),
+                        metavar="CYC,...",
+                        help="d-cache latencies in cycles (default: %(default)s)")
     parser.add_argument(
         "--policies",
         type=_str_list,
-        default=["seldm_waypred"],
+        default=_csv(SweepJobSpec.policies),
         metavar="P,...",
-        help="d-cache policies to evaluate (default: seldm_waypred)",
+        help="d-cache policies to evaluate (default: %(default)s)",
     )
     parser.add_argument(
         "--baseline-policy",
-        default="parallel",
+        default=SweepJobSpec.baseline_policy,
         metavar="P",
-        help="policy every point is normalized against (default: parallel)",
+        help="policy every point is normalized against (default: %(default)s)",
     )
-    parser.add_argument("--instructions", type=int, default=25_000, metavar="N",
-                        help="dynamic instructions per run (default: 25000)")
-    parser.add_argument("--salt", type=int, default=0, metavar="S",
-                        help="trace-generation salt (default: 0)")
+    parser.add_argument("--instructions", type=int, default=SweepJobSpec.instructions,
+                        metavar="N", help="dynamic instructions per run (default: %(default)s)")
+    parser.add_argument("--salt", type=int, default=SweepJobSpec.salt, metavar="S",
+                        help="trace-generation salt (default: %(default)s)")
     parser.add_argument(
         "--component",
-        default="dcache",
-        choices=("dcache", "icache", "processor"),
-        help="energy component for the E-D metric (default: dcache)",
+        default=SweepJobSpec.component,
+        choices=COMPONENTS,
+        help="energy component for the E-D metric (default: %(default)s)",
     )
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (default: $REPRO_JOBS or 1)")
     parser.add_argument("--json", action="store_true",
                         help="emit the summary (and per-benchmark detail) as JSON")
     parser.add_argument(
-        "--interval", type=int, default=0, metavar="N",
+        "--interval", type=int, default=SweepJobSpec.interval, metavar="N",
         help=(
             "dynamic-policy tick period in cycles (0 = no ticks; only "
             "dynamic policy kinds consume it)"
@@ -766,11 +763,15 @@ def sweep_main(argv: List[str]) -> int:
             file=sys.stderr,
         )
         return 2
+    spec = SweepJobSpec(
+        benchmarks=tuple(benchmarks), sizes=tuple(args.sizes), ways=tuple(args.ways),
+        latencies=tuple(args.latencies), policies=tuple(args.policies),
+        baseline_policy=args.baseline_policy, instructions=args.instructions,
+        salt=args.salt, component=args.component, backend=backend,
+        interval=args.interval,
+    )
     try:
-        points = design_space_points(
-            args.sizes, args.ways, args.latencies, args.policies,
-            args.baseline_policy,
-        )
+        points = spec.points()
     except ValueError as error:  # unknown policy kind, bad shape
         print(error, file=sys.stderr)
         return 2
@@ -785,10 +786,7 @@ def sweep_main(argv: List[str]) -> int:
         print(error, file=sys.stderr)
         return 2
     try:
-        spec = design_space_spec(points, benchmarks, args.instructions, args.salt,
-                                 name="adhoc-sweep", backend=backend,
-                                 interval=args.interval)
-        sweep = engine.run(spec)
+        sweep, document = spec.run(engine)
     except TraceParseError as error:  # missing/corrupt trace:// workload
         print(_ingest_error_message(error), file=sys.stderr)
         return 2
@@ -798,21 +796,13 @@ def sweep_main(argv: List[str]) -> int:
     _print_artifact_counters()
 
     if args.json:
-        document = design_space_document(
-            sweep, points, benchmarks, args.instructions, args.component,
-            args.salt, backend=backend, interval=args.interval,
-        )
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
-        summaries = summarize(
-            sweep, points, benchmarks, args.instructions, args.component,
-            args.salt, backend=backend, interval=args.interval,
-        )
         title = (
             f"Design-space sweep over {', '.join(benchmarks)} "
             f"({args.component} E-D vs {args.baseline_policy} baseline)"
         )
-        print(render_summaries(summaries, title))
+        print(render_summaries(document, title))
         print(f"[{sweep.stats.describe()}]", file=sys.stderr)
     return 0
 

@@ -107,11 +107,6 @@ class IntervalStats:
         """The window's miss ratio in [0, 1] (0.0 for an empty window)."""
         return self.misses / self.accesses if self.accesses else 0.0
 
-    @property
-    def total_miss_rate(self) -> float:
-        """Cumulative miss ratio in [0, 1] since the start of the run."""
-        return self.total_misses / self.total_accesses if self.total_accesses else 0.0
-
 
 @dataclass(frozen=True)
 class ReconfigureAction:

@@ -58,10 +58,6 @@ class ProcessorEnergyReport:
         total = self.total
         return caches / total if total else 0.0
 
-    def energy_delay(self, cycles: int) -> float:
-        """Energy-delay product (REU x cycles)."""
-        return self.total * cycles
-
 
 class WattchLite:
     """Event-count based processor energy model."""

@@ -2,13 +2,15 @@
 
 ``tables`` holds Tables 1-4, ``table5`` the d-cache summary,
 ``figures`` the eight comparison figures (4-11) as one table of
-declarations over a shared driver, ``dynamic`` the static vs adaptive
-study and ``external`` Table-4-style reports over ingested traces.
-Every experiment returns its result rows (plain
-dataclasses) and can render itself as the ASCII analogue of the paper's
-table or figure.  The benches under ``benchmarks/`` call these and
-assert the paper's qualitative claims; ``repro-experiment <id>`` runs
-them from the CLI.
+declarations, ``dynamic`` the static vs adaptive study and ``external``
+Table-4-style reports over ingested traces.  The figures and Table 5
+compare techniques through :mod:`repro.sweep.analyze`, the driver the
+``sweep`` subcommand shares; ``dynamic`` keeps its own reduction, since
+its baseline runs without ticks while its techniques tick.  Every
+experiment returns its result rows (plain dataclasses) and can render
+itself as the ASCII analogue of the paper's table or figure.  The
+benches under ``benchmarks/`` call these and assert the paper's
+qualitative claims; ``repro-experiment <id>`` runs them from the CLI.
 """
 
 from repro.experiments.common import (

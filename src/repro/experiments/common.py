@@ -1,14 +1,12 @@
-"""Shared experiment plumbing: settings, row types, and ASCII rendering."""
+"""Shared experiment plumbing: run-size settings and ASCII rendering."""
 
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence
+from typing import Sequence
 
-from repro.sim.results import SimResult
-from repro.utils.statsutil import arithmetic_mean
 from repro.utils.text import format_table
 from repro.workload.profiles import benchmark_names
 
@@ -17,10 +15,7 @@ from repro.workload.profiles import benchmark_names
 __all__ = [
     "DEFAULT_INSTRUCTIONS",
     "ExperimentSettings",
-    "MetricRow",
     "format_table",
-    "kind_breakdown",
-    "mean_row",
     "settings_from_env",
 ]
 
@@ -88,37 +83,3 @@ def settings_from_env() -> ExperimentSettings:
         instructions=instructions, benchmarks=benchmarks, backend=backend,
         interval=interval,
     )
-
-
-@dataclass
-class MetricRow:
-    """One application's relative metrics for one technique."""
-
-    benchmark: str
-    technique: str
-    relative_energy_delay: float
-    performance_degradation: float
-    extras: Dict[str, float] = field(default_factory=dict)
-
-
-def mean_row(rows: Iterable[MetricRow], technique: str) -> MetricRow:
-    """Arithmetic-mean row across applications (the paper's averages)."""
-    rows = list(rows)
-    extras: Dict[str, float] = {}
-    if rows and rows[0].extras:
-        for key in rows[0].extras:
-            extras[key] = arithmetic_mean(r.extras.get(key, 0.0) for r in rows)
-    return MetricRow(
-        benchmark="MEAN",
-        technique=technique,
-        relative_energy_delay=arithmetic_mean(r.relative_energy_delay for r in rows),
-        performance_degradation=arithmetic_mean(r.performance_degradation for r in rows),
-        extras=extras,
-    )
-
-
-def kind_breakdown(result: SimResult, kinds: Sequence[str], icache: bool = False) -> Dict[str, float]:
-    """Normalized access-kind fractions for the breakdown plots."""
-    source = (result.icache if icache else result.dcache).kinds
-    total = sum(source.values()) or 1
-    return {kind: source.get(kind, 0) / total for kind in kinds}

@@ -1,16 +1,17 @@
-"""Figures 4-11: one table of comparison figures and the driver they share.
+"""Figures 4-11: one table of comparison figures.
 
 Every figure reports the same thing: a technique's energy-delay and
 performance loss against a parallel-access baseline of the same shape,
 per application plus the mean.  A :class:`Figure` declares its
-:class:`Comparison` triples — (label, technique config, baseline
-config) — the energy its energy-delay prices, and how its rows render.
-The triples expand to one :class:`~repro.sweep.spec.SweepSpec` and
-reduce from the executed :class:`~repro.sweep.result.SweepResult` into
-``Dict[label, List[MetricRow]]``.  All scheduling (parallelism,
-caching, accounting) happens inside the engine, so every figure gains
+:class:`~repro.sweep.analyze.DesignPoint` pairs, the energy its
+energy-delay prices, and how its rows render.  The points expand to one
+:class:`~repro.sweep.spec.SweepSpec` through
+:func:`~repro.sweep.analyze.design_space_spec`, and
+:func:`~repro.sweep.analyze.point_rows` reduces the executed sweep into
+``Dict[label, List[MetricRow]]`` — the same driver as Table 5 and the
+``sweep`` subcommand.  All scheduling (parallelism, caching,
+accounting) happens inside the engine, so every figure gains
 ``--jobs`` for free and renders byte-identically at any job count.
-Table 5 runs through the same driver.
 """
 
 from __future__ import annotations
@@ -22,109 +23,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cache.geometry import CacheGeometry
 from repro.core.kinds import DCACHE_KINDS, ICACHE_KINDS
 from repro.energy.cactilite import CactiLite
-from repro.experiments.common import (
-    ExperimentSettings,
-    MetricRow,
-    format_table,
-    kind_breakdown,
-    mean_row,
-    settings_from_env,
-)
+from repro.experiments.common import ExperimentSettings, format_table, settings_from_env
 from repro.sim.config import SystemConfig
-from repro.sim.results import (
-    SimResult,
-    performance_degradation,
-    relative_energy,
-    relative_energy_delay,
-)
+from repro.sweep.analyze import DesignPoint, MetricRow, design_space_spec, point_rows
 from repro.sweep.engine import SweepEngine, default_engine
-from repro.sweep.result import SweepResult
 from repro.sweep.spec import SweepSpec
-
-#: One comparison: (label, technique config, baseline config).
-Comparison = Tuple[str, SystemConfig, SystemConfig]
 
 #: A figure's reduced rows: label -> per-application rows + MEAN row.
 Rows = Dict[str, List[MetricRow]]
-
-
-def comparison_spec(
-    comparisons: Sequence[Comparison],
-    settings: Optional[ExperimentSettings] = None,
-    name: str = "comparison",
-) -> SweepSpec:
-    """Declare the grid covering every comparison's two configs.
-
-    Shared baselines across comparisons de-duplicate inside the spec, so
-    e.g. Figure 6's five techniques against one parallel baseline cost
-    six configurations per application, not ten.
-    """
-    settings = settings or settings_from_env()
-    configs: List[SystemConfig] = []
-    for _label, technique, baseline in comparisons:
-        configs.append(baseline)
-        configs.append(technique)
-    return SweepSpec.from_grid(
-        name, settings.benchmarks, configs, settings.instructions,
-        backend=settings.backend,
-    )
-
-
-def _extras(technique: SimResult, baseline: SimResult, component: str) -> Dict[str, float]:
-    """Per-component extra metrics the figures' bottom graphs use."""
-    if component == "dcache":
-        extras = {
-            "prediction_accuracy": technique.dcache.prediction_accuracy,
-            "miss_rate": technique.dcache.miss_rate,
-        }
-        extras.update(
-            {f"kind_{k}": v for k, v in kind_breakdown(technique, DCACHE_KINDS).items()}
-        )
-        return extras
-    if component == "icache":
-        extras = {
-            "prediction_accuracy": technique.icache.prediction_accuracy,
-            "miss_rate": technique.icache.miss_rate,
-        }
-        extras.update(
-            {f"kind_{k}": v
-             for k, v in kind_breakdown(technique, ICACHE_KINDS, icache=True).items()}
-        )
-        return extras
-    # processor: Figure 11's overall energy view
-    return {
-        "relative_energy": relative_energy(technique, baseline, "processor"),
-        "cache_fraction": baseline.energy.cache_fraction_of_processor,
-    }
-
-
-def comparison_rows(
-    sweep: SweepResult,
-    comparisons: Sequence[Comparison],
-    settings: ExperimentSettings,
-    component: str = "dcache",
-) -> Rows:
-    """Reduce an executed sweep to per-technique row lists (+ MEAN row)."""
-    out: Rows = {}
-    for label, technique, baseline in comparisons:
-        rows: List[MetricRow] = []
-        for bench in settings.benchmarks:
-            tech, base = sweep.pair(
-                bench, technique, baseline, settings.instructions,
-                backend=settings.backend,
-            )
-            rows.append(
-                MetricRow(
-                    benchmark=bench,
-                    technique=label,
-                    relative_energy_delay=relative_energy_delay(tech, base, component),
-                    performance_degradation=performance_degradation(tech, base),
-                    extras=_extras(tech, base, component),
-                )
-            )
-        rows.append(mean_row(rows, label))
-        out[label] = rows
-    return out
 
 
 def _accuracy(row: MetricRow) -> str:
@@ -237,7 +143,7 @@ class Figure:
     Attributes:
         experiment_id: the CLI id (``fig4`` ... ``fig11``).
         title: short human title.
-        comparisons: builds the figure's comparisons when called.
+        comparisons: builds the figure's design points when called.
         component: the energy its energy-delay prices: ``"dcache"``,
             ``"icache"`` or ``"processor"``.
         formatter: renders the reduced rows as the figure's ASCII report.
@@ -245,13 +151,17 @@ class Figure:
 
     experiment_id: str
     title: str
-    comparisons: Callable[[], List[Comparison]]
+    comparisons: Callable[[], List[DesignPoint]]
     component: str
     formatter: Callable[[Rows], str]
 
     def sweep_spec(self, settings: Optional[ExperimentSettings] = None) -> SweepSpec:
         """The figure's full run grid."""
-        return comparison_spec(self.comparisons(), settings, name=self.experiment_id)
+        settings = settings or settings_from_env()
+        return design_space_spec(
+            self.comparisons(), settings.benchmarks, settings.instructions,
+            name=self.experiment_id, backend=settings.backend,
+        )
 
     def rows(
         self,
@@ -261,7 +171,13 @@ class Figure:
         """Execute the grid and reduce to per-application rows."""
         settings = settings or settings_from_env()
         sweep = (engine or default_engine()).run(self.sweep_spec(settings))
-        return comparison_rows(sweep, self.comparisons(), settings, self.component)
+        return {
+            point.label: point_rows(
+                sweep, point, settings.benchmarks, settings.instructions,
+                self.component, backend=settings.backend,
+            )
+            for point in self.comparisons()
+        }
 
     def render(
         self,
@@ -272,9 +188,12 @@ class Figure:
         return self.formatter(self.rows(settings, engine))
 
 
-def _dcache_policies(baseline: SystemConfig, *labelled: Tuple[str, str]) -> List[Comparison]:
+def _dcache_policies(baseline: SystemConfig, *labelled: Tuple[str, str]) -> List[DesignPoint]:
     """Each (label, d-cache policy kind) against the one ``baseline``."""
-    return [(label, baseline.with_dcache_policy(kind), baseline) for label, kind in labelled]
+    return [
+        DesignPoint(label, baseline.with_dcache_policy(kind), baseline)
+        for label, kind in labelled
+    ]
 
 
 #: The eight comparison figures, in presentation order.
@@ -333,7 +252,7 @@ FIGURES: Tuple[Figure, ...] = (
     Figure(
         "fig7", "Effect of cache size on selective-DM",
         lambda: [
-            (f"{size_kb}K", baseline.with_dcache_policy("seldm_waypred"), baseline)
+            DesignPoint(f"{size_kb}K", baseline.with_dcache_policy("seldm_waypred"), baseline)
             for size_kb in (16, 32)
             for baseline in [SystemConfig().with_dcache(size_kb=size_kb)]
         ],
@@ -353,7 +272,7 @@ FIGURES: Tuple[Figure, ...] = (
     Figure(
         "fig8", "Effect of associativity on selective-DM",
         lambda: [
-            (f"{ways}-way", baseline.with_dcache_policy("seldm_waypred"), baseline)
+            DesignPoint(f"{ways}-way", baseline.with_dcache_policy("seldm_waypred"), baseline)
             for ways in (2, 4, 8)
             for baseline in [SystemConfig().with_dcache(associativity=ways)]
         ],
@@ -393,7 +312,7 @@ FIGURES: Tuple[Figure, ...] = (
     Figure(
         "fig10", "Way-prediction for i-caches",
         lambda: [
-            (f"{ways}-way", baseline.with_icache_policy("waypred"), baseline)
+            DesignPoint(f"{ways}-way", baseline.with_icache_policy("waypred"), baseline)
             for ways in (2, 4, 8)
             for baseline in [SystemConfig().with_icache(associativity=ways)]
         ],
@@ -409,8 +328,10 @@ FIGURES: Tuple[Figure, ...] = (
     Figure(
         "fig11", "Overall processor energy(-delay)",
         lambda: [
-            (label, SystemConfig().with_dcache_policy(kind).with_icache_policy("waypred"),
-             SystemConfig())
+            DesignPoint(
+                label, SystemConfig().with_dcache_policy(kind).with_icache_policy("waypred"),
+                SystemConfig(),
+            )
             for label, kind in (("Combined", "seldm_waypred"), ("Perfect", "oracle"))
         ],
         "processor",

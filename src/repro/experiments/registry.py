@@ -4,15 +4,18 @@ Every experiment renders through the uniform ``(settings, engine)``
 signature, so the CLI's ``--jobs`` flag and ``REPRO_JOBS`` parallelize
 all of them without per-experiment plumbing.  ``rows`` returns the
 experiment's result rows — plain dataclasses or row dicts — which
-:func:`experiment_json` serializes for ``--json``.  The eight
-comparison figures come from :data:`~repro.experiments.figures.FIGURES`.
+:func:`experiment_json` serializes and :func:`experiments_report`
+prints as the one JSON text of ``repro-experiment IDS --json`` and of
+a service experiment job.  The eight comparison figures come from
+:data:`~repro.experiments.figures.FIGURES`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments import dynamic, table5, tables
 from repro.experiments.common import ExperimentSettings
@@ -105,10 +108,25 @@ def experiment_json(
     settings: Optional[ExperimentSettings] = None,
     engine: Optional[SweepEngine] = None,
 ) -> Dict[str, object]:
-    """Machine-readable form of one experiment (the CLI's ``--json``)."""
+    """Machine-readable form of one experiment (one entry of
+    :func:`experiments_report`)."""
     experiment = get_experiment(experiment_id)
     return {
         "experiment": experiment.experiment_id,
         "title": experiment.title,
         "rows": _jsonify(experiment.rows(settings, engine)),
     }
+
+
+def experiments_report(
+    experiment_ids: Sequence[str],
+    settings: Optional[ExperimentSettings] = None,
+    engine: Optional[SweepEngine] = None,
+) -> str:
+    """The JSON text of ``repro-experiment IDS --json``, which is also an
+    experiment job's report (``KeyError`` on an unknown id)."""
+    documents = [
+        experiment_json(experiment_id, settings, engine)
+        for experiment_id in experiment_ids
+    ]
+    return json.dumps(documents, indent=2, sort_keys=True)

@@ -20,12 +20,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.experiments.common import ExperimentSettings, format_table, settings_from_env
-from repro.experiments.figures import (
-    Comparison,
-    comparison_rows,
-    comparison_spec,
-)
 from repro.sim.config import SystemConfig
+from repro.sweep.analyze import DesignPoint, design_space_spec, point_rows
 from repro.sweep.engine import SweepEngine, default_engine
 from repro.sweep.spec import SweepSpec
 
@@ -52,18 +48,22 @@ class Table5Row:
     problem: str
 
 
-def comparisons() -> List[Comparison]:
+def comparisons() -> List[DesignPoint]:
     """Every summarized technique vs the shared parallel baseline."""
     baseline = SystemConfig()
     return [
-        (label, baseline.with_dcache_policy(kind), baseline)
+        DesignPoint(label, baseline.with_dcache_policy(kind), baseline)
         for label, kind, _, _, _ in PAPER_SUMMARY
     ]
 
 
 def sweep_spec(settings: Optional[ExperimentSettings] = None) -> SweepSpec:
     """The table's full run grid."""
-    return comparison_spec(comparisons(), settings, name="table5")
+    settings = settings or settings_from_env()
+    return design_space_spec(
+        comparisons(), settings.benchmarks, settings.instructions, name="table5",
+        backend=settings.backend,
+    )
 
 
 def run(
@@ -72,15 +72,18 @@ def run(
 ) -> List[Table5Row]:
     """Compute the summary from fresh (memoized) runs."""
     settings = settings or settings_from_env()
-    engine = engine or default_engine()
-    sweep = engine.run(sweep_spec(settings))
-    results = comparison_rows(sweep, comparisons(), settings)
+    sweep = (engine or default_engine()).run(sweep_spec(settings))
     rows = []
-    for label, _kind, paper_ed, paper_perf, problem in PAPER_SUMMARY:
-        mean = results[label][-1]  # MEAN row
+    for point, (_label, _kind, paper_ed, paper_perf, problem) in zip(
+        comparisons(), PAPER_SUMMARY
+    ):
+        mean = point_rows(
+            sweep, point, settings.benchmarks, settings.instructions,
+            backend=settings.backend,
+        )[-1]
         rows.append(
             Table5Row(
-                technique=label,
+                technique=point.label,
                 ed_savings_pct=(1.0 - mean.relative_energy_delay) * 100,
                 paper_ed_savings_pct=paper_ed,
                 perf_loss_pct=mean.performance_degradation * 100,

@@ -44,7 +44,6 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -134,6 +133,7 @@ class SweepService:
         self._workers: List[asyncio.Task] = []
         self._compactor: Optional[asyncio.Task] = None
         self._wake = asyncio.Event()
+        self._stopped = False
 
     # -------------------------------------------------------------- #
     # Lifecycle
@@ -175,6 +175,10 @@ class SweepService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # A cancelled job's thread runs on and keeps posting progress;
+        # _publish drops it from here on, so nothing touches the closed
+        # queue (the job stays ``running`` and re-queues on restart).
+        self._stopped = True
         self.queue.close()
 
     async def serve_forever(self) -> None:
@@ -271,6 +275,8 @@ class SweepService:
         )
 
     def _publish(self, job_id: str, event: Dict[str, Any]) -> None:
+        if self._stopped:
+            return
         self._journals.setdefault(job_id, []).append(event)
         if event.get("event") == "run":
             self.queue.record_progress(
@@ -594,13 +600,3 @@ class ServiceThread:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-def wait_until(predicate, timeout: float = 10.0, poll: float = 0.02) -> bool:
-    """Spin until ``predicate()`` is true (test/bench helper)."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(poll)
-    return predicate()

@@ -9,10 +9,12 @@ result lands in the schema-versioned disk cache as it completes
 resolve each other's finished work.
 
 Reports are *texts*, not objects: the exact byte sequence the CLI
-prints for the same work (``repro-experiment sweep --json`` for sweep
-jobs, ``repro-experiment IDS --json`` for experiment jobs).  That
-equality is the service's correctness contract and is enforced by the
-CI service-smoke job.
+prints for the same work, built by the same functions.  A sweep job
+runs :meth:`~repro.sweep.analyze.SweepJobSpec.run`, as
+``repro-experiment sweep --json`` does; an experiment job prints
+:func:`~repro.experiments.registry.experiments_report`, as
+``repro-experiment IDS --json`` does.  That equality is the service's
+correctness contract and is enforced by the CI service-smoke job.
 
 Progress flows through the engine's per-run callback
 ``(done, total, spec, cache_hit)``; :func:`execute_job` rewraps it as
@@ -28,13 +30,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.experiments.common import ExperimentSettings
-from repro.experiments.registry import experiment_json
-from repro.service.protocol import ExperimentJobSpec, JobSpec, SweepJobSpec
-from repro.sweep.analyze import (
-    design_space_document,
-    design_space_points,
-    design_space_spec,
-)
+from repro.experiments.registry import experiments_report
+from repro.service.protocol import JobSpec, SweepJobSpec
 from repro.sweep.engine import SweepEngine
 from repro.sweep.spec import RunSpec
 
@@ -107,36 +104,6 @@ class _Accumulator:
             )
 
 
-def _execute_sweep(spec: SweepJobSpec, engine: SweepEngine) -> str:
-    points = design_space_points(
-        spec.sizes, spec.ways, spec.latencies, spec.policies, spec.baseline_policy
-    )
-    grid = design_space_spec(
-        points, spec.benchmarks, spec.instructions, spec.salt,
-        name="adhoc-sweep", backend=spec.backend, interval=spec.interval,
-    )
-    sweep = engine.run(grid)
-    document = design_space_document(
-        sweep, points, spec.benchmarks, spec.instructions, spec.component,
-        spec.salt, backend=spec.backend, interval=spec.interval,
-    )
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
-def _execute_experiments(spec: ExperimentJobSpec, engine: SweepEngine) -> str:
-    settings = ExperimentSettings(
-        instructions=spec.instructions,
-        benchmarks=spec.benchmarks,
-        backend=spec.backend,
-        interval=spec.interval,
-    )
-    documents = [
-        experiment_json(experiment_id, settings, engine)
-        for experiment_id in spec.experiments
-    ]
-    return json.dumps(documents, indent=2, sort_keys=True)
-
-
 def execute_job(
     spec: JobSpec,
     jobs: int = 1,
@@ -161,9 +128,14 @@ def execute_job(
     # jobs report progress from every sweep an experiment runs.
     engine = SweepEngine(jobs=jobs, progress=accumulate)
     if isinstance(spec, SweepJobSpec):
-        text = _execute_sweep(spec, engine)
+        _sweep, document = spec.run(engine)
+        text = json.dumps(document, indent=2, sort_keys=True)
     else:
-        text = _execute_experiments(spec, engine)
+        settings = ExperimentSettings(
+            instructions=spec.instructions, benchmarks=spec.benchmarks,
+            backend=spec.backend, interval=spec.interval,
+        )
+        text = experiments_report(spec.experiments, settings, engine)
     return JobOutcome(
         text=text,
         runs_done=accumulate.runs_done,

@@ -3,9 +3,10 @@
 A job request is a plain JSON object naming *what to compute*, never how
 or where.  Two kinds are understood:
 
-* ``{"kind": "sweep", ...}`` — an ad-hoc design-space grid with exactly
-  the fields (and defaults) of the ``repro-experiment sweep``
-  subcommand, producing the same JSON document byte-for-byte;
+* ``{"kind": "sweep", ...}`` — an ad-hoc design-space grid:
+  :class:`~repro.sweep.analyze.SweepJobSpec`, whose fields and defaults
+  the ``repro-experiment sweep`` flags share, producing the same JSON
+  document byte-for-byte;
 * ``{"kind": "experiment", ...}`` — registered paper experiments
   (``table4``, ``fig11``, ...), producing the same JSON array the CLI's
   ``--json`` mode prints.
@@ -31,10 +32,11 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
+from repro.experiments.common import DEFAULT_INSTRUCTIONS
 from repro.experiments.registry import list_experiments
 from repro.sim import runner
 from repro.sim.runner import BACKENDS
-from repro.sweep.analyze import design_space_points
+from repro.sweep.analyze import COMPONENTS, SweepJobSpec
 from repro.workload.formats import is_trace_ref
 from repro.workload.profiles import benchmark_names
 
@@ -52,9 +54,6 @@ __all__ = [
 #: Job lifecycle states, in order.
 JOB_STATES = ("queued", "running", "done", "failed")
 
-#: Energy components the sweep job kind can normalize on.
-COMPONENTS = ("dcache", "icache", "processor")
-
 #: Experiment ids whose workloads may be ``trace://`` refs: they replay
 #: every workload through the sweep engine instead of indexing the
 #: synthetic benchmark profile tables.
@@ -66,36 +65,12 @@ class ProtocolError(ValueError):
 
 
 @dataclass(frozen=True)
-class SweepJobSpec:
-    """A design-space sweep job (the ``sweep`` subcommand's shape).
-
-    Field defaults mirror the CLI flags exactly, so a minimal
-    ``{"kind": "sweep", "benchmarks": ["gcc"]}`` submission computes
-    what ``repro-experiment sweep --benchmarks gcc`` computes.
-    """
-
-    benchmarks: Tuple[str, ...]
-    sizes: Tuple[int, ...] = (16,)
-    ways: Tuple[int, ...] = (4,)
-    latencies: Tuple[int, ...] = (1,)
-    policies: Tuple[str, ...] = ("seldm_waypred",)
-    baseline_policy: str = "parallel"
-    instructions: int = 25_000
-    salt: int = 0
-    component: str = "dcache"
-    backend: str = "reference"
-    interval: int = 0
-
-    kind = "sweep"
-
-
-@dataclass(frozen=True)
 class ExperimentJobSpec:
     """A registered-experiments job (the CLI's ``--json`` mode shape)."""
 
     experiments: Tuple[str, ...]
     benchmarks: Tuple[str, ...] = ()  # () = all applications, paper order
-    instructions: int = 60_000
+    instructions: int = DEFAULT_INSTRUCTIONS
     backend: str = "reference"
     interval: int = 0
 
@@ -165,18 +140,19 @@ def _check_workloads(benchmarks: Sequence[str], allow_traces: bool) -> None:
 
 
 def _parse_sweep(data: Mapping[str, Any]) -> SweepJobSpec:
+    default = SweepJobSpec  # each field's default is a class attribute
     spec = SweepJobSpec(
         benchmarks=_str_tuple(data, "benchmarks", benchmark_names()),
-        sizes=_int_tuple(data, "sizes", (16,)),
-        ways=_int_tuple(data, "ways", (4,)),
-        latencies=_int_tuple(data, "latencies", (1,)),
-        policies=_str_tuple(data, "policies", ("seldm_waypred",)),
-        baseline_policy=_str_field(data, "baseline_policy", "parallel"),
-        instructions=_int_field(data, "instructions", 25_000, 1),
-        salt=_int_field(data, "salt", 0, -(2**31)),
-        component=_str_field(data, "component", "dcache"),
-        backend=_str_field(data, "backend", "reference"),
-        interval=_int_field(data, "interval", 0, 0),
+        sizes=_int_tuple(data, "sizes", default.sizes),
+        ways=_int_tuple(data, "ways", default.ways),
+        latencies=_int_tuple(data, "latencies", default.latencies),
+        policies=_str_tuple(data, "policies", default.policies),
+        baseline_policy=_str_field(data, "baseline_policy", default.baseline_policy),
+        instructions=_int_field(data, "instructions", default.instructions, 1),
+        salt=_int_field(data, "salt", default.salt, -(2**31)),
+        component=_str_field(data, "component", default.component),
+        backend=_str_field(data, "backend", default.backend),
+        interval=_int_field(data, "interval", default.interval, 0),
     )
     _require(len(spec.policies) > 0, "'policies' must name at least one policy kind")
     _require(
@@ -189,22 +165,20 @@ def _parse_sweep(data: Mapping[str, Any]) -> SweepJobSpec:
     )
     _check_workloads(spec.benchmarks, allow_traces=True)
     try:  # unknown policy kinds / invalid cache shapes fail at submission
-        design_space_points(
-            spec.sizes, spec.ways, spec.latencies, spec.policies,
-            spec.baseline_policy,
-        )
+        spec.points()
     except ValueError as error:
         raise ProtocolError(str(error)) from None
     return spec
 
 
 def _parse_experiment(data: Mapping[str, Any]) -> ExperimentJobSpec:
+    default = ExperimentJobSpec
     spec = ExperimentJobSpec(
         experiments=_str_tuple(data, "experiments", ()),
         benchmarks=_str_tuple(data, "benchmarks", benchmark_names()),
-        instructions=_int_field(data, "instructions", 60_000, 1),
-        backend=_str_field(data, "backend", "reference"),
-        interval=_int_field(data, "interval", 0, 0),
+        instructions=_int_field(data, "instructions", default.instructions, 1),
+        backend=_str_field(data, "backend", default.backend),
+        interval=_int_field(data, "interval", default.interval, 0),
     )
     _require(
         len(spec.experiments) > 0, "'experiments' must name at least one experiment"

@@ -6,10 +6,13 @@ The layer between "what to simulate" and "how it runs":
   config, instructions, salt) grids (``repro.sweep.spec``);
 * :class:`SweepEngine` — resolves specs against the runner caches and
   fans misses out over a process pool (``repro.sweep.engine``);
-* :class:`SweepResult` — spec-keyed results with JSON/tabular export
+* :class:`SweepResult` — spec-keyed results with JSON export
   (``repro.sweep.result``);
-* :mod:`repro.sweep.analyze` — design-point summaries (the paper's
-  mean relative E-D / performance-degradation reduction).
+* :mod:`repro.sweep.analyze` — the technique-vs-baseline driver every
+  report shares: :class:`DesignPoint` pairs, :func:`design_space_spec`
+  grids, the :func:`point_rows` reducer (the paper's per-application
+  relative E-D / performance degradation plus their mean) and the
+  :class:`SweepJobSpec` design-space request.
 
 Quick start::
 
@@ -24,16 +27,15 @@ Quick start::
         instructions=25_000,
     )
     sweep = SweepEngine(jobs=4).run(spec)
-    print(sweep.to_table())
     tech, base = sweep.pair("gcc", spec.runs[1].config, baseline, 25_000)
 """
 
 from repro.sweep.analyze import (
     DesignPoint,
-    PointSummary,
+    SweepJobSpec,
     design_space_spec,
+    point_rows,
     render_summaries,
-    summarize,
 )
 from repro.sweep.engine import SweepEngine, default_engine, default_jobs
 from repro.sweep.result import SweepResult, SweepStats
@@ -41,15 +43,15 @@ from repro.sweep.spec import RunSpec, SweepSpec
 
 __all__ = [
     "DesignPoint",
-    "PointSummary",
     "RunSpec",
     "SweepEngine",
+    "SweepJobSpec",
     "SweepResult",
     "SweepSpec",
     "SweepStats",
     "default_engine",
     "default_jobs",
     "design_space_spec",
+    "point_rows",
     "render_summaries",
-    "summarize",
 ]

@@ -1,23 +1,38 @@
-"""Design-space analysis over sweep results.
+"""Technique-vs-baseline comparisons: the one driver behind every report.
 
-A design *point* is one (technique, baseline) configuration pair — the
-paper always normalizes a technique against the parallel-access cache of
-the same shape.  :func:`design_space_spec` declares the full grid for a
-set of points and :func:`summarize` reduces an executed sweep back to
-the paper's two headline numbers per point: mean relative energy-delay
-and mean performance degradation.
+A design *point* is one labelled (technique, baseline) configuration
+pair — the paper always normalizes a technique against the
+parallel-access cache of the same shape.  Figures 4-11, Table 5, the
+``repro-experiment sweep`` subcommand and the service's sweep jobs all
+run through the same three steps:
 
-This is the library form of the ``repro-experiment sweep`` subcommand
-and of ``examples/design_space_sweep.py``.
+* :func:`design_space_spec` declares the grid covering every point's
+  technique and baseline (shared baselines de-duplicate in the spec);
+* the engine executes it;
+* :func:`point_rows` reduces the executed sweep to one point's
+  per-application :class:`MetricRow` list plus its MEAN row.
+
+:class:`SweepJobSpec` is the design-space request: the only statement
+of the sweep's fields and defaults, read by the CLI's ``sweep`` flags
+and by the service's protocol, and :meth:`SweepJobSpec.run` is the one
+path that executes it.  :func:`design_space_document` is its
+deterministic JSON form and :func:`render_summaries` its ASCII form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.core.kinds import DCACHE_KINDS, ICACHE_KINDS
 from repro.sim.config import SystemConfig
-from repro.sim.results import performance_degradation, relative_energy_delay
+from repro.sim.results import (
+    SimResult,
+    performance_degradation,
+    relative_energy,
+    relative_energy_delay,
+)
+from repro.sweep.engine import SweepEngine
 from repro.sweep.result import SweepResult
 from repro.sweep.spec import SweepSpec
 from repro.utils.statsutil import arithmetic_mean
@@ -34,17 +49,90 @@ class DesignPoint:
 
 
 @dataclass
-class PointSummary:
-    """Mean relative metrics for one design point.
+class MetricRow:
+    """One application's relative metrics for one technique."""
 
-    ``per_benchmark`` maps application name to its
-    ``{"relative_energy_delay": ..., "performance_degradation": ...}``.
-    """
-
-    label: str
+    benchmark: str
+    technique: str
     relative_energy_delay: float
     performance_degradation: float
-    per_benchmark: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    extras: Dict[str, float] = field(default_factory=dict)
+
+
+def mean_row(rows: Iterable[MetricRow], technique: str) -> MetricRow:
+    """Arithmetic-mean row across applications (the paper's averages)."""
+    rows = list(rows)
+    extras: Dict[str, float] = {}
+    if rows and rows[0].extras:
+        for key in rows[0].extras:
+            extras[key] = arithmetic_mean(r.extras.get(key, 0.0) for r in rows)
+    return MetricRow(
+        benchmark="MEAN",
+        technique=technique,
+        relative_energy_delay=arithmetic_mean(r.relative_energy_delay for r in rows),
+        performance_degradation=arithmetic_mean(r.performance_degradation for r in rows),
+        extras=extras,
+    )
+
+
+def kind_breakdown(result: SimResult, kinds: Sequence[str], icache: bool = False) -> Dict[str, float]:
+    """Normalized access-kind fractions for the breakdown plots."""
+    source = (result.icache if icache else result.dcache).kinds
+    total = sum(source.values()) or 1
+    return {kind: source.get(kind, 0) / total for kind in kinds}
+
+
+def _extras(technique: SimResult, baseline: SimResult, component: str) -> Dict[str, float]:
+    """The priced component's extra metrics (the figures' bottom graphs)."""
+    if component == "processor":  # Figure 11's overall energy view
+        return {
+            "relative_energy": relative_energy(technique, baseline, "processor"),
+            "cache_fraction": baseline.energy.cache_fraction_of_processor,
+        }
+    icache = component == "icache"
+    cache = technique.icache if icache else technique.dcache
+    extras = {
+        "prediction_accuracy": cache.prediction_accuracy,
+        "miss_rate": cache.miss_rate,
+    }
+    kinds = kind_breakdown(technique, ICACHE_KINDS if icache else DCACHE_KINDS, icache)
+    extras.update({f"kind_{kind}": share for kind, share in kinds.items()})
+    return extras
+
+
+def point_rows(
+    sweep: SweepResult,
+    point: DesignPoint,
+    benchmarks: Sequence[str],
+    instructions: int,
+    component: str = "dcache",
+    salt: int = 0,
+    backend: str = "reference",
+    interval: int = 0,
+) -> List[MetricRow]:
+    """One point's per-application rows plus their MEAN row.
+
+    ``component`` is the energy the energy-delay prices: ``"dcache"``,
+    ``"icache"`` or ``"processor"``.  A benchmark named twice yields two
+    rows, so it counts twice in the MEAN row.
+    """
+    rows: List[MetricRow] = []
+    for benchmark in benchmarks:
+        tech, base = sweep.pair(
+            benchmark, point.technique, point.baseline, instructions, salt,
+            backend=backend, interval=interval,
+        )
+        rows.append(
+            MetricRow(
+                benchmark=benchmark,
+                technique=point.label,
+                relative_energy_delay=relative_energy_delay(tech, base, component),
+                performance_degradation=performance_degradation(tech, base),
+                extras=_extras(tech, base, component),
+            )
+        )
+    rows.append(mean_row(rows, point.label))
+    return rows
 
 
 def design_space_points(
@@ -56,9 +144,6 @@ def design_space_points(
 ) -> List[DesignPoint]:
     """Expand the (size, ways, latency, policy) grid into design points.
 
-    This is the one grid builder behind both the ``sweep`` CLI
-    subcommand and the service's ``"sweep"`` job kind, so a sweep
-    submitted over HTTP names exactly the points the CLI would.
     Geometry constraints (power-of-two shapes, block fit) are validated
     here, before any simulation time is spent.
 
@@ -86,47 +171,6 @@ def design_space_points(
     return points
 
 
-def design_space_document(
-    sweep: SweepResult,
-    points: Sequence[DesignPoint],
-    benchmarks: Sequence[str],
-    instructions: int,
-    component: str = "dcache",
-    salt: int = 0,
-    backend: str = "reference",
-    interval: int = 0,
-) -> Dict[str, object]:
-    """The deterministic JSON document for an executed design-space sweep.
-
-    Serialized with ``json.dumps(document, indent=2, sort_keys=True)``
-    this is byte-identical however the sweep ran — CLI or service,
-    serial or pooled, cold or cache-warm — because it contains only
-    spec-keyed results, never execution accounting.
-    """
-    summaries = summarize(
-        sweep, points, benchmarks, instructions, component, salt, backend=backend,
-        interval=interval,
-    )
-    return {
-        "sweep": sweep.spec.name,
-        "component": component,
-        "benchmarks": list(benchmarks),
-        "instructions": instructions,
-        "salt": salt,
-        "backend": backend,
-        "interval": interval,
-        "points": [
-            {
-                "label": summary.label,
-                "relative_energy_delay": summary.relative_energy_delay,
-                "performance_degradation": summary.performance_degradation,
-                "per_benchmark": summary.per_benchmark,
-            }
-            for summary in summaries
-        ],
-    }
-
-
 def design_space_spec(
     points: Sequence[DesignPoint],
     benchmarks: Sequence[str],
@@ -147,7 +191,7 @@ def design_space_spec(
     )
 
 
-def summarize(
+def design_space_document(
     sweep: SweepResult,
     points: Sequence[DesignPoint],
     benchmarks: Sequence[str],
@@ -156,43 +200,106 @@ def summarize(
     salt: int = 0,
     backend: str = "reference",
     interval: int = 0,
-) -> List[PointSummary]:
-    """Reduce an executed sweep to per-point mean relative metrics."""
-    summaries: List[PointSummary] = []
+) -> Dict[str, object]:
+    """The deterministic JSON document for an executed design-space sweep.
+
+    One entry per point, in point order, so a point named twice keeps
+    both entries.  ``per_benchmark`` is keyed by name, and each entry's
+    means run over that map: a benchmark named twice counts once.
+    Serialized with ``json.dumps(document, indent=2, sort_keys=True)``
+    this is byte-identical however the sweep ran — CLI or service,
+    serial or pooled, cold or cache-warm — because it contains only
+    spec-keyed results, never execution accounting.
+    """
+    entries = []
     for point in points:
-        per_benchmark: Dict[str, Dict[str, float]] = {}
-        for benchmark in benchmarks:
-            tech, base = sweep.pair(
-                benchmark, point.technique, point.baseline, instructions, salt,
-                backend=backend, interval=interval,
-            )
-            per_benchmark[benchmark] = {
-                "relative_energy_delay": relative_energy_delay(tech, base, component),
-                "performance_degradation": performance_degradation(tech, base),
-            }
-        summaries.append(
-            PointSummary(
-                label=point.label,
-                relative_energy_delay=arithmetic_mean(
-                    row["relative_energy_delay"] for row in per_benchmark.values()
-                ),
-                performance_degradation=arithmetic_mean(
-                    row["performance_degradation"] for row in per_benchmark.values()
-                ),
-                per_benchmark=per_benchmark,
-            )
+        rows = point_rows(
+            sweep, point, benchmarks, instructions, component, salt, backend, interval,
         )
-    return summaries
+        per_benchmark = {row.benchmark: row for row in rows[:-1]}
+        mean = mean_row(per_benchmark.values(), point.label)
+        entries.append({
+            "label": point.label,
+            "relative_energy_delay": mean.relative_energy_delay,
+            "performance_degradation": mean.performance_degradation,
+            "per_benchmark": {
+                name: {
+                    "relative_energy_delay": row.relative_energy_delay,
+                    "performance_degradation": row.performance_degradation,
+                }
+                for name, row in per_benchmark.items()
+            },
+        })
+    return {
+        "sweep": sweep.spec.name,
+        "component": component,
+        "benchmarks": list(benchmarks),
+        "instructions": instructions,
+        "salt": salt,
+        "backend": backend,
+        "interval": interval,
+        "points": entries,
+    }
 
 
-def render_summaries(summaries: Sequence[PointSummary], title: str) -> str:
-    """ASCII table of point summaries (the sweep subcommand's output)."""
+def render_summaries(document: Dict[str, object], title: str) -> str:
+    """ASCII table of a :func:`design_space_document` (the ``sweep``
+    subcommand's output)."""
     rows = [
         [
-            summary.label,
-            f"{summary.relative_energy_delay:.3f}",
-            f"{summary.performance_degradation * 100:+.1f}",
+            entry["label"],
+            f"{entry['relative_energy_delay']:.3f}",
+            f"{entry['performance_degradation'] * 100:+.1f}",
         ]
-        for summary in summaries
+        for entry in document["points"]
     ]
     return format_table(["design point", "E-D", "perf%"], rows, title)
+
+
+#: Energy components a sweep can normalize on.
+COMPONENTS = ("dcache", "icache", "processor")
+
+
+@dataclass(frozen=True)
+class SweepJobSpec:
+    """A design-space sweep request: every (size, ways, latency, policy)
+    point against its ``baseline_policy`` cache of the same shape.
+
+    The only statement of the sweep's fields and defaults: the
+    ``repro-experiment sweep`` flags and the service's ``"sweep"`` job
+    kind both read them here, so a minimal
+    ``{"kind": "sweep", "benchmarks": ["gcc"]}`` submission computes
+    what ``repro-experiment sweep --benchmarks gcc`` computes.
+    """
+
+    benchmarks: Tuple[str, ...]
+    sizes: Tuple[int, ...] = (16,)
+    ways: Tuple[int, ...] = (4,)
+    latencies: Tuple[int, ...] = (1,)
+    policies: Tuple[str, ...] = ("seldm_waypred",)
+    baseline_policy: str = "parallel"
+    instructions: int = 25_000
+    salt: int = 0
+    component: str = "dcache"
+    backend: str = "reference"
+    interval: int = 0
+
+    kind = "sweep"
+
+    def points(self) -> List[DesignPoint]:
+        """The request's design points (``ValueError`` on a bad policy or shape)."""
+        return design_space_points(
+            self.sizes, self.ways, self.latencies, self.policies, self.baseline_policy,
+        )
+
+    def run(self, engine: SweepEngine) -> Tuple[SweepResult, Dict[str, object]]:
+        """Execute the grid; return the sweep and its JSON document."""
+        points = self.points()
+        sweep = engine.run(design_space_spec(
+            points, self.benchmarks, self.instructions, self.salt,
+            name="adhoc-sweep", backend=self.backend, interval=self.interval,
+        ))
+        return sweep, design_space_document(
+            sweep, points, self.benchmarks, self.instructions, self.component,
+            self.salt, self.backend, self.interval,
+        )

@@ -156,11 +156,6 @@ class SweepEngine:
         )
         return result
 
-    def run_one(self, run: RunSpec) -> SimResult:
-        """Convenience: execute a single spec through the same path."""
-        sweep = self.run(SweepSpec(name=run.describe(), runs=(run,)))
-        return sweep[run]
-
     # -------------------------------------------------------------- #
 
     def _store(self, run: RunSpec, sim_result: SimResult) -> None:

@@ -1,4 +1,4 @@
-"""Sweep results: a keyed store of SimResults plus export helpers.
+"""Sweep results: a keyed store of SimResults plus a JSON export.
 
 A :class:`SweepResult` is what a :class:`~repro.sweep.engine.SweepEngine`
 returns: every run of the sweep's spec mapped to its
@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.sim.config import SystemConfig
 from repro.sim.results import SimResult
 from repro.sweep.spec import RunSpec, SweepSpec
-from repro.utils.text import format_table
 
 
 @dataclass
@@ -106,29 +105,6 @@ class SweepResult:
     # Export
     # -------------------------------------------------------------- #
 
-    def to_rows(self) -> List[Dict[str, object]]:
-        """Flat per-run records (spec coordinates + headline metrics)."""
-        rows: List[Dict[str, object]] = []
-        for run, result in self:
-            rows.append(
-                {
-                    "benchmark": run.benchmark,
-                    "config": run.config.describe(),
-                    "instructions": run.instructions,
-                    "salt": run.salt,
-                    "mode": run.mode,
-                    "backend": run.backend,
-                    "cycles": result.core.cycles,
-                    "ipc": round(result.core.ipc, 6),
-                    "dcache_miss_rate": round(result.dcache.miss_rate, 6),
-                    "icache_miss_rate": round(result.icache.miss_rate, 6),
-                    "dcache_energy": round(result.energy.dcache, 6),
-                    "icache_energy": round(result.energy.icache, 6),
-                    "processor_energy": round(result.energy.processor_total, 6),
-                }
-            )
-        return rows
-
     def to_json(self, indent: int = 2) -> str:
         """Deterministic JSON document: the spec plus every full result,
         serialized in the structured nested-section schema.
@@ -153,20 +129,3 @@ class SweepResult:
             )
         return json.dumps({"sweep": self.spec.name, "runs": runs}, indent=indent,
                           sort_keys=True)
-
-    def to_table(self, title: Optional[str] = None) -> str:
-        """ASCII table of the headline metrics."""
-        rows = self.to_rows()
-        headers = ["benchmark", "config", "ipc", "d-miss%", "i-miss%", "E(dcache)"]
-        cells = [
-            [
-                str(r["benchmark"]),
-                str(r["config"]),
-                f"{r['ipc']:.3f}",
-                f"{float(r['dcache_miss_rate']) * 100:.2f}",
-                f"{float(r['icache_miss_rate']) * 100:.2f}",
-                f"{float(r['dcache_energy']):.1f}",
-            ]
-            for r in rows
-        ]
-        return format_table(headers, cells, title or f"Sweep: {self.spec.name}")

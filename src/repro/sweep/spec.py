@@ -10,8 +10,8 @@ which is what makes every experiment's grid trivially parallelizable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Sequence, Tuple
 
 from repro.sim import runner
 from repro.sim.config import SystemConfig
@@ -114,14 +114,6 @@ class SweepSpec:
             for salt in salts
         )
         return cls(name=name, runs=runs)
-
-    def merged(self, other: "SweepSpec", name: str = "") -> "SweepSpec":
-        """Union of two sweeps (order-preserving, de-duplicated)."""
-        return SweepSpec(name=name or self.name, runs=self.runs + other.runs)
-
-    def extended(self, runs: Iterable[RunSpec]) -> "SweepSpec":
-        """Copy with extra runs appended (de-duplicated)."""
-        return replace(self, runs=self.runs + tuple(runs))
 
     def __len__(self) -> int:
         return len(self.runs)

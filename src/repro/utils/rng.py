@@ -68,12 +68,6 @@ class DeterministicRng:
         """Return a uniformly random element of ``items``."""
         return self._random.choice(items)
 
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        """Return an element of ``items`` drawn with the given weights."""
-        if len(items) != len(weights):
-            raise ValueError("items and weights must have equal length")
-        return self._random.choices(items, weights=weights, k=1)[0]
-
     def shuffle(self, items: list) -> None:
         """Shuffle ``items`` in place."""
         self._random.shuffle(items)

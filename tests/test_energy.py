@@ -158,11 +158,3 @@ class TestWattchLite:
         )
         expected = 110.0 / report.total
         assert report.cache_fraction == pytest.approx(expected)
-
-    def test_energy_delay(self):
-        report = WattchLite().report(
-            cycles=10, fetched_instrs=10, fetch_cycles=10, dispatched_instrs=10,
-            issued_instrs=10, int_ops=10, fp_ops=0, mem_ops=0, committed_instrs=10,
-            cache_energies={},
-        )
-        assert report.energy_delay(10) == pytest.approx(report.total * 10)

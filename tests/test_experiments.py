@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.experiments.common import (
-    ExperimentSettings,
-    MetricRow,
-    format_table,
-    mean_row,
-    settings_from_env,
-)
+from repro.experiments.common import ExperimentSettings, format_table, settings_from_env
 from repro.experiments.figures import FIGURES, xor_timing_ratio
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -17,6 +11,7 @@ from repro.experiments.registry import (
     get_experiment,
     list_experiments,
 )
+from repro.sweep.analyze import MetricRow, mean_row
 from repro.sweep.engine import SweepEngine
 from repro.experiments.tables import (
     render_table1,
@@ -194,6 +189,18 @@ class TestSweepIntegration:
         rows = document["rows"]["Sequential"]
         assert rows[-1]["benchmark"] == "MEAN"
         assert 0.0 < rows[-1]["relative_energy_delay"] < 1.0
+
+    def test_repeated_benchmark_counts_twice_in_figure_mean(self):
+        """A figure's MEAN row averages every row, so a benchmark named
+        twice counts twice (a sweep document counts it once)."""
+        [fig4] = [figure for figure in FIGURES if figure.experiment_id == "fig4"]
+        settings = ExperimentSettings(
+            instructions=SMALL.instructions, benchmarks=("gcc", "gcc", "swim")
+        )
+        rows = fig4.rows(settings, SweepEngine(jobs=1))["Sequential"]
+        gcc, again, swim, mean = (row.relative_energy_delay for row in rows)
+        assert again == gcc != swim
+        assert mean == (gcc + gcc + swim) / 3
 
     def test_experiment_json_static_table(self):
         document = experiment_json("table1", SMALL, SweepEngine(jobs=1))

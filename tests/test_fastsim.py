@@ -253,14 +253,14 @@ def test_runspec_carries_and_validates_backend():
 
 def test_sweep_engine_runs_fast_specs(tmp_path, monkeypatch):
     from repro.sweep.engine import SweepEngine
-    from repro.sweep.spec import RunSpec
+    from repro.sweep.spec import RunSpec, SweepSpec
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     runner.clear_caches()
-    engine = SweepEngine(jobs=1)
-    fast = engine.run_one(RunSpec("gcc", SMALL, 2_000, backend="fast"))
-    reference = engine.run_one(RunSpec("gcc", SMALL, 2_000))
-    assert fast.to_flat() == reference.to_flat()
+    fast_run = RunSpec("gcc", SMALL, 2_000, backend="fast")
+    reference_run = RunSpec("gcc", SMALL, 2_000)
+    sweep = SweepEngine(jobs=1).run(SweepSpec("s", (fast_run, reference_run)))
+    assert sweep[fast_run].to_flat() == sweep[reference_run].to_flat()
     runner.clear_caches()
 
 

@@ -60,15 +60,6 @@ class TestRngHelpers:
         with pytest.raises(ValueError):
             DeterministicRng("t").geometric(0.5)
 
-    def test_weighted_choice_respects_weights(self):
-        rng = DeterministicRng("t")
-        draws = [rng.weighted_choice(["a", "b"], [0.9, 0.1]) for _ in range(5_000)]
-        assert draws.count("a") > 4_000
-
-    def test_weighted_choice_length_mismatch(self):
-        with pytest.raises(ValueError):
-            DeterministicRng("t").weighted_choice(["a"], [0.5, 0.5])
-
 
 class TestMeans:
     def test_arithmetic(self):

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro.service.jobs
-from repro.service.app import ServiceConfig, ServiceThread, wait_until
+from repro.service.app import ServiceConfig, ServiceThread
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.queue import JobQueue
 from repro.sim import runner
@@ -21,6 +22,16 @@ from repro.sim import runner
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_SWEEP = {"kind": "sweep", "benchmarks": ["gcc"], "instructions": 4_000}
+
+
+def wait_until(predicate, timeout: float = 10.0, poll: float = 0.02) -> bool:
+    """Spin until ``predicate()`` is true."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(poll)
+    return predicate()
 
 
 @pytest.fixture
@@ -292,6 +303,15 @@ class TestResume:
         original = repro.service.jobs.execute_job
         repro.service.jobs.execute_job = blocking
         first = ServiceThread(service_config(tmp_path)).start()
+        close = first.service.queue.close
+
+        def close_then_release():
+            # stop() waits for the job's thread, so free it once the
+            # queue is closed rather than at its 30 s timeout.
+            close()
+            release.set()
+
+        first.service.queue.close = close_then_release
         try:
             client = ServiceClient(port=first.port)
             job_id = client.submit(SMALL_SWEEP)["job"]["id"]
@@ -329,6 +349,51 @@ class TestResume:
             assert final["state"] == "done"
             assert final["runs_done"] == 2
             assert final["cache_hits"] == 1
+
+
+class TestShutdown:
+    def test_progress_after_stop_touches_no_closed_queue(
+        self, tmp_path, isolated_cache, caplog
+    ):
+        """A cancelled job's thread keeps reporting after ``stop()`` closed
+        the queue; the service drops those events instead of logging a
+        closed-database error from the event loop."""
+        from repro.service.jobs import RunProgress
+        from repro.sim.config import SystemConfig
+        from repro.sweep.spec import RunSpec
+
+        started = threading.Event()
+        closed = threading.Event()
+
+        def reporting(spec, jobs=1, progress=None):
+            started.set()
+            closed.wait(timeout=30)
+            progress(RunProgress(
+                runs_done=1, sweep_done=1, sweep_total=2, cache_hits=0,
+                spec=RunSpec("gcc", SystemConfig(), 4_000), cache_hit=False,
+                seconds=0.0,
+            ))
+
+        original = repro.service.jobs.execute_job
+        repro.service.jobs.execute_job = reporting
+        handle = ServiceThread(service_config(tmp_path)).start()
+        close = handle.service.queue.close
+
+        def close_then_release():
+            close()
+            closed.set()
+
+        handle.service.queue.close = close_then_release
+        try:
+            ServiceClient(port=handle.port).submit(SMALL_SWEEP)
+            assert started.wait(timeout=30)
+        finally:
+            handle.stop()  # the job's thread reports once the queue is closed
+            closed.set()
+            repro.service.jobs.execute_job = original
+        errors = [record.getMessage() for record in caplog.records
+                  if record.name == "asyncio" and record.levelno >= logging.ERROR]
+        assert not errors, errors
 
 
 @pytest.mark.slow

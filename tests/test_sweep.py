@@ -9,7 +9,13 @@ from repro.sim import runner
 from repro.sim.config import SystemConfig
 from repro.sim.functional import measure_miss_rate
 from repro.sim.results import CoreMetrics, EnergyMetrics, L1Metrics, SimResult
-from repro.sweep.analyze import DesignPoint, design_space_spec, render_summaries, summarize
+from repro.sweep.analyze import (
+    DesignPoint,
+    design_space_document,
+    design_space_spec,
+    point_rows,
+    render_summaries,
+)
 from repro.sweep.engine import SweepEngine, default_jobs
 from repro.sweep.result import SweepResult, SweepStats
 from repro.sweep.spec import RunSpec, SweepSpec
@@ -78,17 +84,6 @@ class TestSweepSpec:
         spec = SweepSpec("dup", (run, other, run, run))
         assert spec.runs == (run, other)
 
-    def test_merged_unions(self):
-        left = small_spec("left")
-        right = SweepSpec.from_grid(
-            "right", ("go",), (SystemConfig(),), INSTRUCTIONS
-        )
-        merged = left.merged(right, name="both")
-        assert merged.name == "both"
-        assert len(merged) == len(left) + 1
-        # merging with itself adds nothing
-        assert len(left.merged(left)) == len(left)
-
 
 class TestEngineDeterminism:
     def test_rejects_bad_jobs(self):
@@ -140,8 +135,8 @@ class TestEngineAccounting:
 
     def test_partial_overlap_between_sweeps(self, isolated_cache):
         SweepEngine(jobs=1).run(small_spec())
-        extended = small_spec().extended(
-            (RunSpec("go", SystemConfig(), INSTRUCTIONS),)
+        extended = SweepSpec(
+            "extended", small_spec().runs + (RunSpec("go", SystemConfig(), INSTRUCTIONS),)
         )
         stats = SweepEngine(jobs=1).run(extended).stats
         assert stats.cache_hits == len(small_spec())
@@ -230,7 +225,7 @@ class TestFailureSemantics:
 class TestRunOne:
     def test_run_one_matches_run_benchmark(self, isolated_cache):
         run = RunSpec("gcc", SystemConfig(), INSTRUCTIONS)
-        via_engine = SweepEngine(jobs=1).run_one(run)
+        via_engine = SweepEngine(jobs=1).run(SweepSpec("one", (run,)))[run]
         direct = runner.run_benchmark("gcc", SystemConfig(), INSTRUCTIONS)
         assert asdict(via_engine) == asdict(direct)
 
@@ -239,7 +234,7 @@ class TestMissrateMode:
     def test_matches_functional_model(self, no_cache):
         config = SystemConfig().with_dcache(associativity=1)
         run = RunSpec("gcc", config, 20_000, mode="missrate")
-        result = SweepEngine(jobs=1, use_cache=False).run_one(run)
+        result = SweepEngine(jobs=1, use_cache=False).run(SweepSpec("one", (run,)))[run]
         trace = runner.get_trace("gcc", 20_000)
         expected = measure_miss_rate(trace, config.dcache.geometry())
         assert result.dcache.misses == expected.misses
@@ -264,20 +259,6 @@ class TestSweepResult:
         sweep = SweepResult(spec=SweepSpec("empty"))
         with pytest.raises(KeyError, match="not in sweep"):
             sweep.get("gcc", SystemConfig(), 1000)
-
-    def test_to_rows_shape(self, no_cache):
-        sweep = SweepEngine(jobs=1, use_cache=False).run(small_spec())
-        rows = sweep.to_rows()
-        assert len(rows) == 4
-        assert {row["benchmark"] for row in rows} == set(BENCHMARKS)
-        for row in rows:
-            assert 0.0 <= row["dcache_miss_rate"] <= 1.0
-
-    def test_to_table_renders(self, no_cache):
-        sweep = SweepEngine(jobs=1, use_cache=False).run(small_spec())
-        text = sweep.to_table()
-        assert "Sweep: small" in text
-        assert "gcc" in text and "swim" in text
 
 
 class TestJsonExport:
@@ -381,10 +362,10 @@ class TestAnalyze:
     def test_summarize_matches_manual(self, no_cache):
         baseline = SystemConfig()
         technique = baseline.with_dcache_policy("seldm_waypred")
-        points = [DesignPoint("point", technique, baseline)]
-        spec = design_space_spec(points, BENCHMARKS, INSTRUCTIONS)
+        point = DesignPoint("point", technique, baseline)
+        spec = design_space_spec([point], BENCHMARKS, INSTRUCTIONS)
         sweep = SweepEngine(jobs=1, use_cache=False).run(spec)
-        [summary] = summarize(sweep, points, BENCHMARKS, INSTRUCTIONS)
+        rows = point_rows(sweep, point, BENCHMARKS, INSTRUCTIONS)
 
         from repro.sim.results import relative_energy_delay
 
@@ -392,10 +373,11 @@ class TestAnalyze:
         for bench in BENCHMARKS:
             tech, base = sweep.pair(bench, technique, baseline, INSTRUCTIONS)
             expected.append(relative_energy_delay(tech, base, "dcache"))
-        assert summary.relative_energy_delay == pytest.approx(
+        assert [row.benchmark for row in rows] == list(BENCHMARKS) + ["MEAN"]
+        assert [row.relative_energy_delay for row in rows[:-1]] == expected
+        assert rows[-1].relative_energy_delay == pytest.approx(
             sum(expected) / len(expected)
         )
-        assert set(summary.per_benchmark) == set(BENCHMARKS)
 
     def test_render_summaries(self, no_cache):
         baseline = SystemConfig()
@@ -405,10 +387,57 @@ class TestAnalyze:
         spec = design_space_spec(points, ("gcc",), INSTRUCTIONS)
         sweep = SweepEngine(jobs=1, use_cache=False).run(spec)
         text = render_summaries(
-            summarize(sweep, points, ("gcc",), INSTRUCTIONS), "T"
+            design_space_document(sweep, points, ("gcc",), INSTRUCTIONS), "T"
         )
         assert text.startswith("T")
         assert "p" in text
+
+    def test_point_named_twice_keeps_both_entries(self, no_cache):
+        baseline = SystemConfig()
+        point = DesignPoint("p", baseline.with_dcache_policy("seldm_waypred"), baseline)
+        spec = design_space_spec([point, point], ("gcc",), INSTRUCTIONS)
+        sweep = SweepEngine(jobs=1, use_cache=False).run(spec)
+        document = design_space_document(sweep, [point, point], ("gcc",), INSTRUCTIONS)
+        assert [entry["label"] for entry in document["points"]] == ["p", "p"]
+        assert document["points"][0] == document["points"][1]
+        text = render_summaries(document, "T")
+        assert len([line for line in text.splitlines() if line.startswith("p ")]) == 2
+
+    def test_benchmark_named_twice_counts_once_in_document_twice_in_rows(
+        self, no_cache
+    ):
+        baseline = SystemConfig()
+        point = DesignPoint("p", baseline.with_dcache_policy("sequential"), baseline)
+        benchmarks = ("gcc", "gcc", "swim")
+        sweep = SweepEngine(jobs=1, use_cache=False).run(
+            design_space_spec([point], benchmarks, INSTRUCTIONS)
+        )
+        rows = point_rows(sweep, point, benchmarks, INSTRUCTIONS)
+        gcc, swim = rows[0].relative_energy_delay, rows[2].relative_energy_delay
+        assert gcc != swim
+        assert rows[-1].relative_energy_delay == (gcc + gcc + swim) / 3
+        [entry] = design_space_document(sweep, [point], benchmarks, INSTRUCTIONS)["points"]
+        assert list(entry["per_benchmark"]) == ["gcc", "swim"]
+        assert entry["relative_energy_delay"] == (gcc + swim) / 2
+
+
+def test_design_space_example_runs(no_cache, monkeypatch, capsys):
+    """examples/design_space_sweep.py runs end to end on a shrunk grid."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "examples" / "design_space_sweep.py"
+    loader = importlib.util.spec_from_file_location("design_space_sweep", path)
+    example = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(example)
+    monkeypatch.setattr(example, "BENCHMARKS", ("gcc",))
+    monkeypatch.setattr(example, "INSTRUCTIONS", 2_000)
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    example.main()
+    out = capsys.readouterr().out
+    assert out.startswith("sel-DM+waypred over gcc")
+    assert "32K 8-way" in out and "24 runs" in out
 
 
 class TestDefaultJobs:
