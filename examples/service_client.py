@@ -11,10 +11,12 @@ terminal)::
 
     PYTHONPATH=src python examples/service_client.py [--embedded]
 
-The script submits a small design-space sweep, follows the NDJSON event
-stream (one line per completed run, cache hits flagged), fetches the
-finished report, and submits the identical request a second time to
-show idempotent coalescing: same job id, served warm.
+The script submits a small design-space sweep and follows its NDJSON
+event stream: a ``snapshot`` of the job, then ``started``, one ``run``
+line per completed run (cache hits flagged) as each one finishes, then
+``done`` or ``failed``.  It fetches the finished report and submits the
+identical request a second time to show idempotent coalescing: same job
+id, served warm.
 """
 
 import argparse

@@ -98,16 +98,6 @@ class CacheTimingModel:
         """Parallel tag+data probe time."""
         return max(self.tag_ns, self.data_ns) + self.mux_ns
 
-    @property
-    def sequential_access_ns(self) -> float:
-        """Tag-then-data serialized probe time."""
-        return self.tag_ns + self.data_ns + self.mux_ns
-
-    @property
-    def sequential_slowdown(self) -> float:
-        """Sequential access time relative to parallel (paper: ~1.6x)."""
-        return self.sequential_access_ns / self.parallel_access_ns
-
 
 class CactiLite:
     """Analytical model instance for one technology node."""

@@ -16,9 +16,11 @@ Endpoints:
 ``GET /jobs/<id>/report``  the finished report (byte-identical to the CLI);
                         409 until the job is done
 ``GET /jobs/<id>/events``  newline-delimited JSON progress stream: a
-                        ``snapshot`` of the job, then one ``run`` event per
-                        completed run (cache hits included, per-run wall
-                        timings), then ``done``/``failed``
+                        ``snapshot`` of the job, then ``started``, one
+                        ``run`` event per completed run (cache hits
+                        included, per-run wall timings), then
+                        ``done``/``failed``; a job already finished gets
+                        the snapshot alone
 ``GET /healthz``        liveness probe
 ``GET /stats``          queue counts, report/run-cache shard occupancy,
                         encoded-trace artifact cache activity
@@ -34,6 +36,13 @@ complete, reports into the prefix-sharded
 :class:`~repro.service.store.ReportStore` — so a service killed
 mid-job resumes on restart (``running`` jobs re-queue) and re-executes
 only the runs the cache does not already hold.
+
+Each event is pushed to the job's open streams as soon as it is
+published: publishing wakes them.  A stream that has been idle for a
+second re-reads the queue, so a job finished by another shard sharing
+the SQLite journal (or in an earlier life of this process), which
+publishes nothing here, still closes with a ``synthesized`` terminal
+line.
 
 :class:`ServiceThread` embeds the whole service in a background thread
 for tests, benchmarks, and notebooks.
@@ -75,11 +84,11 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: Streamers poll the in-memory journal at this period (seconds).
-_STREAM_POLL = 0.05
 #: After this much idle streaming, re-check the queue for a terminal
-#: state the journal missed (e.g. a race with job completion).
+#: state no event announced (a job finished by another shard or by an
+#: earlier life of this process).
 _STREAM_IDLE_RECHECK = 1.0
+_TERMINAL = ("done", "failed")
 
 
 @dataclass(frozen=True)
@@ -118,6 +127,20 @@ class ServiceConfig:
     compact_after: Optional[float] = None
 
 
+@dataclass
+class _Journal:
+    """One job's published events and the wake-up of its streams.
+
+    Each publish sets ``published`` and puts a fresh event in its place.
+    A stream takes the current event right after sending everything in
+    ``events`` and waits on it.  No event is ever cleared, so no stream
+    can clear away a wake-up that another stream has yet to see.
+    """
+
+    events: List[Dict[str, Any]] = field(default_factory=list)
+    published: asyncio.Event = field(default_factory=asyncio.Event)
+
+
 class SweepService:
     """One service shard: HTTP front end + queue + worker tasks."""
 
@@ -128,7 +151,7 @@ class SweepService:
         self.limits = RateLimiter(self.config.rate, self.config.burst)
         self.port: Optional[int] = None
         self.recovered: List[JobRecord] = []
-        self._journals: Dict[str, List[Dict[str, Any]]] = {}
+        self._journals: Dict[str, _Journal] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._workers: List[asyncio.Task] = []
         self._compactor: Optional[asyncio.Task] = None
@@ -274,10 +297,21 @@ class SweepService:
             },
         )
 
+    def _journal(self, job_id: str) -> _Journal:
+        journal = self._journals.get(job_id)
+        if journal is None:
+            journal = self._journals[job_id] = _Journal()
+        return journal
+
     def _publish(self, job_id: str, event: Dict[str, Any]) -> None:
+        # Always on the event loop (run events hop here through
+        # call_soon_threadsafe), so waking the job's streams is safe.
         if self._stopped:
             return
-        self._journals.setdefault(job_id, []).append(event)
+        journal = self._journal(job_id)
+        journal.events.append(event)
+        journal.published.set()
+        journal.published = asyncio.Event()
         if event.get("event") == "run":
             self.queue.record_progress(
                 job_id, event["runs_done"], event["cache_hits"]
@@ -427,7 +461,7 @@ class SweepService:
             job_fingerprint, spec.kind, canonical_payload(spec), tenant
         )
         if created:
-            self._journals[record.id] = []
+            self._journals[record.id] = _Journal()
             self._wake.set()
         await self._send_json(
             writer, 202 if created else 200,
@@ -459,6 +493,11 @@ class SweepService:
     async def _stream_events(
         self, job: JobRecord, writer: asyncio.StreamWriter
     ) -> None:
+        # ``job`` was read with no await since, so every event already in
+        # the journal is in the snapshot and the stream starts after them.
+        # A journal first made after this point holds only newer events.
+        journal = self._journals.get(job.id)
+        index = len(journal.events) if journal else 0
         writer.write(
             _head(200)
             + b"Content-Type: application/x-ndjson\r\n"
@@ -471,31 +510,26 @@ class SweepService:
             await writer.drain()
 
         await emit({"event": "snapshot", "job": job.to_document()})
-        if job.state in ("done", "failed"):
+        if job.state in _TERMINAL:
             return
-        journal = self._journals.setdefault(job.id, [])
-        index = len(journal)
-        idle = 0.0
+        journal = self._journal(job.id)
         while True:
-            progressed = False
-            while index < len(journal):
-                event = journal[index]
+            while index < len(journal.events):
+                event = journal.events[index]
                 index += 1
-                progressed = True
                 await emit(event)
-                if event.get("event") in ("done", "failed"):
+                if event.get("event") in _TERMINAL:
                     return
-            if progressed:
-                idle = 0.0
-                continue
-            await asyncio.sleep(_STREAM_POLL)
-            idle += _STREAM_POLL
-            if idle >= _STREAM_IDLE_RECHECK:
-                idle = 0.0
+            # No await since the check above, so the event waited on is
+            # the one the next publish sets.
+            try:
+                await asyncio.wait_for(journal.published.wait(),
+                                       _STREAM_IDLE_RECHECK)
+            except asyncio.TimeoutError:
                 current = self.queue.get(job.id)
-                if current is None or current.state in ("done", "failed"):
-                    # Terminal without a journal event (completed in a
-                    # previous process life): synthesize the closing line.
+                if current is None or current.state in _TERMINAL:
+                    # Terminal without a journal event (finished by another
+                    # shard or an earlier life): synthesize the closing line.
                     await emit({"event": current.state if current else "failed",
                                 "job": job.id, "synthesized": True})
                     return

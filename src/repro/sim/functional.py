@@ -83,11 +83,6 @@ class MissRateResult:
         """Overall miss ratio in [0, 1]."""
         return self.misses / self.accesses if self.accesses else 0.0
 
-    @property
-    def load_miss_rate(self) -> float:
-        """Load-only miss ratio in [0, 1]."""
-        return self.load_misses / self.load_accesses if self.load_accesses else 0.0
-
 
 def measure_miss_rate(
     trace: Trace,

@@ -86,14 +86,6 @@ class AddressFields:
             return 0
         return self.tag(addr) & bit_mask(self.way_bits)
 
-    def rebuild_address(self, tag: int, index: int, offset: int = 0) -> int:
-        """Inverse of the decomposition; useful for tests and generators."""
-        return (
-            (tag << (self.offset_bits + self.index_bits))
-            | (index << self.offset_bits)
-            | offset
-        )
-
     # ------------------------------------------------------------------ #
     # Batched decode (the fast simulation backend's encoding step)
     # ------------------------------------------------------------------ #

@@ -68,23 +68,13 @@ class BlockSpec:
     loop_trip: int = 1
 
     @property
-    def num_instrs(self) -> int:
-        """Instructions in the block including the terminator slot.
+    def term_pc(self) -> int:
+        """PC of the terminator instruction, the block's last.
 
         Fall-through blocks still occupy the slot (the generator emits a
         filler ALU instruction there) so PCs stay contiguous.
         """
-        return len(self.slots) + 1
-
-    @property
-    def term_pc(self) -> int:
-        """PC of the terminator instruction."""
         return self.start_pc + len(self.slots) * INSTR_BYTES
-
-    @property
-    def end_pc(self) -> int:
-        """Address one past the last instruction."""
-        return self.start_pc + self.num_instrs * INSTR_BYTES
 
 
 @dataclass(slots=True)
@@ -116,11 +106,6 @@ class CodeLayout:
 
     functions: List[FunctionSpec]
     code_bytes: int
-
-    @property
-    def code_kb(self) -> float:
-        """Static code footprint in KiB."""
-        return self.code_bytes / 1024.0
 
 
 class LayoutParameters:

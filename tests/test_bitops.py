@@ -86,7 +86,11 @@ class TestAddressFields:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_rebuild_round_trip(self, addr):
         f = self.fields
-        rebuilt = f.rebuild_address(f.tag(addr), f.index(addr), addr & bit_mask(5))
+        rebuilt = (
+            (f.tag(addr) << (f.offset_bits + f.index_bits))
+            | (f.index(addr) << f.offset_bits)
+            | (addr & bit_mask(f.offset_bits))
+        )
         assert rebuilt == addr
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))

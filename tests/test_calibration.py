@@ -60,7 +60,7 @@ class TestTable4Calibration:
     def test_functional_load_rates_subset(self):
         trace = get_trace("gcc", N_FUNCTIONAL)
         result = measure_miss_rate(trace, CacheGeometry(16 * 1024, 4, 32))
-        assert 0 <= result.load_miss_rate <= 1
+        assert 0 <= result.load_misses / result.load_accesses <= 1
         assert result.load_accesses < result.accesses
 
     def test_warmup_fraction_validation(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.utils.rng import DeterministicRng
 from repro.workload.codegen import (
     CODE_BASE,
+    INSTR_BYTES,
     ControlFlowWalker,
     TERM_CALL,
     TERM_LOOP,
@@ -28,12 +29,13 @@ class TestLayoutStructure:
         previous_end = CODE_BASE
         for func in self.layout.functions:
             assert func.entry_pc == previous_end
-            previous_end = func.blocks[-1].end_pc
+            previous_end = func.blocks[-1].term_pc + INSTR_BYTES
+        assert previous_end == CODE_BASE + self.layout.code_bytes
 
     def test_blocks_contiguous_within_function(self):
         for func in self.layout.functions:
             for earlier, later in zip(func.blocks, func.blocks[1:]):
-                assert later.start_pc == earlier.end_pc
+                assert later.start_pc == earlier.term_pc + INSTR_BYTES
 
     def test_every_function_returns(self):
         for func in self.layout.functions:
@@ -53,7 +55,7 @@ class TestLayoutStructure:
                     assert 0 < block.callee < count
 
     def test_code_kb_positive(self):
-        assert self.layout.code_kb > 1.0
+        assert self.layout.code_bytes / 1024 > 1.0
 
     def test_slots_and_streams_aligned(self):
         for func in self.layout.functions:

@@ -69,8 +69,10 @@ class TestScalingTrends:
 class TestTiming:
     def test_sequential_slowdown_near_paper(self):
         timing = CactiLite().timing_model(CacheGeometry(16 * 1024, 4, 32))
+        # Sequential access serializes tag and data (paper Figure 1b).
+        sequential_ns = timing.tag_ns + timing.data_ns + timing.mux_ns
         # Paper: "about 60%" slower; accept 40-80%.
-        assert 1.4 < timing.sequential_slowdown < 1.8
+        assert 1.4 < sequential_ns / timing.parallel_access_ns < 1.8
 
     def test_xor_table_lookup_fraction(self):
         ratio = CactiLite().table_vs_cache_time_ratio(1024, 4, CacheGeometry(16 * 1024, 4, 32))

@@ -1,23 +1,31 @@
 """End-to-end service tests: HTTP API, streaming, back-pressure, resume."""
 
+import contextlib
 import http.client
+import importlib.util
 import json
 import logging
 import os
 import signal
+import statistics
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import repro.service.app
 import repro.service.jobs
-from repro.service.app import ServiceConfig, ServiceThread
+from repro.service.app import ServiceConfig, ServiceThread, SweepService
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.jobs import RunProgress
 from repro.service.queue import JobQueue
 from repro.sim import runner
+from repro.sim.config import SystemConfig
+from repro.sweep.spec import RunSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -133,6 +141,159 @@ class TestHappyPath:
         assert stats["run_cache"]["entries"] == 2  # point + baseline runs
         assert set(stats["artifacts"]) == {"loads", "stores", "files", "bytes"}
         assert stats["config"]["compact_after"] is None
+
+
+def run_progress(runs_done: int, sweep_total: int) -> RunProgress:
+    """A ``RunProgress`` for a gcc run that never executed."""
+    return RunProgress(
+        runs_done=runs_done, sweep_done=runs_done, sweep_total=sweep_total,
+        cache_hits=0, spec=RunSpec("gcc", SystemConfig(), 4_000),
+        cache_hit=False, seconds=0.0,
+    )
+
+
+class TestEventStream:
+    def test_events_reach_the_stream_when_published(self, service, monkeypatch):
+        """Each run event reaches the client within milliseconds of its
+        publish; the fake posts only once the stream is attached."""
+        execute = repro.service.jobs.execute_job
+        attached = threading.Event()
+        posts = 10
+
+        def pacing(spec, jobs=1, progress=None):
+            attached.wait(timeout=30)
+            for index in range(1, posts + 1):
+                time.sleep(0.010 + 0.005 * (index % 2))  # holds no GIL
+                progress(run_progress(index, posts))
+            return execute(spec, jobs, progress)
+
+        publish = SweepService._publish
+        published, received = {}, {}
+
+        def stamping(self, job_id, event):
+            if event.get("event") == "run":
+                published[json.dumps(event, sort_keys=True)] = time.perf_counter()
+            publish(self, job_id, event)
+
+        def on_event(event):
+            if event["event"] == "run":
+                received[json.dumps(event, sort_keys=True)] = time.perf_counter()
+            elif event["event"] == "snapshot":
+                attached.set()
+
+        monkeypatch.setattr(repro.service.jobs, "execute_job", pacing)
+        monkeypatch.setattr(SweepService, "_publish", stamping)
+        client = ServiceClient(port=service.port)
+        job_id = client.submit(SMALL_SWEEP)["job"]["id"]
+        try:
+            final = client.wait(job_id, on_event=on_event, timeout=120)
+        finally:
+            attached.set()
+        assert final["state"] == "done"
+        assert len(received) == posts + 2  # the real job's two runs
+        gaps = sorted(received[key] - published[key] for key in received)
+        assert statistics.median(gaps) < 0.010, gaps
+
+    def test_every_stream_of_a_job_gets_every_event(self, service, monkeypatch):
+        """Each publish wakes every stream of the job, and each stream gets
+        every event in order: more streams than cores, bursts of publishes,
+        and the idle re-check pushed out of reach, so a stream a publish
+        fails to wake hangs."""
+        execute = repro.service.jobs.execute_job
+        streams, bursts = 4, 10
+        snapshots = threading.Semaphore(0)
+
+        def bursting(spec, jobs=1, progress=None):
+            for _ in range(streams):
+                assert snapshots.acquire(timeout=30)
+            for burst in range(bursts):
+                for index in range(3):
+                    progress(run_progress(3 * burst + index + 1, 3 * bursts))
+                time.sleep(0.002)
+            return execute(spec, jobs, progress)
+
+        monkeypatch.setattr(repro.service.jobs, "execute_job", bursting)
+        monkeypatch.setattr(repro.service.app, "_STREAM_IDLE_RECHECK", 60.0)
+        client = ServiceClient(port=service.port)
+        job_id = client.submit(SMALL_SWEEP)["job"]["id"]
+        received = [[] for _ in range(streams)]
+
+        def follow(events):
+            for event in client.events(job_id):
+                events.append(event)
+                if event["event"] == "snapshot":
+                    snapshots.release()
+
+        threads = [threading.Thread(target=follow, args=(events,))
+                   for events in received]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+            for _ in range(streams):
+                snapshots.release()
+        assert not any(thread.is_alive() for thread in threads)
+        expected = list(range(1, 3 * bursts + 1)) + [1, 2]
+        for events in received:
+            assert [event["runs_done"] for event in events
+                    if event["event"] == "run"] == expected
+            assert events[-1]["event"] == "done"
+
+    def test_idle_stream_closes_on_a_terminal_state_it_was_not_sent(
+        self, service, tmp_path, monkeypatch
+    ):
+        """A job finished by another shard publishes nothing here: the
+        idle re-check reads the queue and synthesizes the closing line."""
+        started = threading.Event()
+        release = threading.Event()
+
+        def blocking(spec, jobs=1, progress=None):
+            started.set()
+            release.wait(timeout=30)
+            raise RuntimeError("released")
+
+        monkeypatch.setattr(repro.service.jobs, "execute_job", blocking)
+        monkeypatch.setattr(repro.service.app, "_STREAM_IDLE_RECHECK", 0.05)
+        client = ServiceClient(port=service.port)
+        job_id = client.submit(SMALL_SWEEP)["job"]["id"]
+        try:
+            assert started.wait(timeout=30)
+            with contextlib.closing(client.events(job_id)) as events:
+                assert next(events)["job"]["state"] == "running"
+                other_shard = JobQueue(tmp_path / "jobs.sqlite")
+                try:
+                    other_shard.finish(job_id, 0, 0)
+                finally:
+                    other_shard.close()
+                assert list(events) == [
+                    {"event": "done", "job": job_id, "synthesized": True}
+                ]
+        finally:
+            release.set()
+
+
+def test_service_client_example_runs(isolated_cache, tmp_path, monkeypatch,
+                                     capsys):
+    """examples/service_client.py --embedded runs end to end on gcc alone."""
+    path = REPO_ROOT / "examples" / "service_client.py"
+    loader = importlib.util.spec_from_file_location("service_client", path)
+    example = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(example)
+    monkeypatch.setattr(example, "REQUEST",
+                        dict(example.REQUEST, benchmarks=["gcc"],
+                             instructions=2_000))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(sys, "argv", [str(path), "--embedded"])
+    example.main()
+    out = capsys.readouterr().out
+    assert "  run 1/2: gcc [" in out and "  run 2/2: gcc [" in out
+    assert "report: 1 design point(s), benchmarks ['gcc']" in out
+    assert "coalesced=True" in out
 
 
 class TestCompaction:
