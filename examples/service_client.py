@@ -21,6 +21,7 @@ id, served warm.
 
 import argparse
 import json
+import shutil
 
 from repro.service.client import ServiceClient
 
@@ -56,6 +57,7 @@ def main() -> None:
                              "connecting to one")
     args = parser.parse_args()
 
+    root = None
     if args.embedded:
         import tempfile
         from pathlib import Path
@@ -95,6 +97,10 @@ def main() -> None:
     finally:
         if handle is not None:
             handle.stop()
+        if root is not None:
+            # The embedded service is throwaway: drop its journal and
+            # report store once it has stopped.
+            shutil.rmtree(root, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -3,37 +3,49 @@
 Cycle-for-cycle transcription of
 :class:`~repro.cpu.ooo.OutOfOrderCore` — the same four stages in the
 same commit-first order, the same widths, the same port arbitration,
-the same register-renaming semantics — restated over flat arrays so
-the per-cycle cost is list indexing instead of object-graph traversal:
+the same register-renaming semantics — restated over flat arrays and
+per-trace views, so the per-cycle cost is list indexing instead of
+object-graph traversal.  Three invariants carry it:
 
-* the ROB deque of ``_RobEntry`` objects becomes parallel
-  fixed-length lists indexed ``sequence % rob_size`` with monotonically
-  increasing head/tail sequence numbers.  Producer links are sequence
-  numbers: a producer older than ``head`` has committed and a
-  committed producer is ready by construction (commit requires
-  ``done <= cycle``), which is exactly the reference semantics of
-  holding a reference to a retired entry;
-* the issue stage keeps an ordered *pending* list of unissued
-  sequences.  The reference scans the whole ROB every cycle and skips
-  issued entries; scanning only the unissued ones visits the same
-  candidates in the same oldest-first order (issue is the only stage
-  that clears the unissued state) while skipping the dominant
-  per-cycle cost of a mostly-issued 64-entry window.  Each pending
-  item additionally packs a *wake bound* in its low bits: once a
-  blocking producer is seen to have issued with completion cycle
-  ``done``, the consumer provably cannot issue before ``done`` (a
-  producer's ``done`` never changes after issue), so re-scans until
-  then are a single compare instead of a full dependency check —
-  pure scan-cost elision, never a scheduling change.  An entry whose
-  in-window producer has not issued is *parked* on that producer's ROB
-  slot instead; when the producer issues, its parked consumers rejoin
-  the list in sequence order with its completion cycle as their wake
-  bound.  No decision changes: the older producer is scanned first, a
-  parked entry cannot issue before its producer completes, and a
-  producer cannot commit (freeing its slot) before it issues;
-* fetched instructions arrive as packed ints through the deques of
-  :class:`~repro.fastsim.fetch.FastFetchUnit` instead of
-  ``FetchedInstr`` objects.
+* **A sequence number is the trace index.**  Dispatch is in trace
+  order, so the ROB holds the trace indices ``[head, tail)`` and the
+  fetched-but-not-dispatched ones are ``[tail, index)`` of
+  :class:`~repro.fastsim.fetch.FastFetchUnit`: no fetch queue, no
+  per-entry copy of the instruction.  One array holds the completion
+  cycle per ROB slot (``sequence % rob_size``), 0 while unissued
+  (nothing issues in cycle 0).  LSQ occupancy is the count of memory
+  ops in ``[head, tail)`` (:meth:`~repro.workload.encode.EncodedTrace.memory_ops`),
+  and each cycle dispatches in one step, stopping at the first memory
+  op that finds the LSQ full.  The per-kind op counts of
+  :class:`~repro.cpu.stats.CoreStats` are the trace's, set after the run.
+* **Producer distances are clamped at ``rob_size``.**  No rename map:
+  :meth:`~repro.workload.encode.EncodedTrace.producers` says how far
+  back each source's producer is, 0 for none or for one ``rob_size``
+  or more back.  An instruction dispatches only while fewer than
+  ``rob_size`` older ones are in flight, so such a producer, like any
+  older than ``head``, has committed, and a committed producer is ready
+  (commit requires ``done <= cycle``).
+* **At most one fetch stall is outstanding.**  A stalled fetch unit
+  fetches nothing until the stalling transfer issues, so one
+  ``stall_seq`` names the instruction whose issue resumes fetch.
+
+The issue stage keeps an ordered *pending* list of unissued sequences.
+The reference scans the whole ROB every cycle and skips issued entries;
+scanning only the unissued ones visits the same candidates in the same
+oldest-first order (issue is the only stage that clears the unissued
+state) while skipping the dominant per-cycle cost of a mostly-issued
+64-entry window.  Each pending item additionally packs a *wake bound*
+in its low bits: once a blocking producer is seen to have issued with
+completion cycle ``done``, the consumer provably cannot issue before
+``done`` (a producer's ``done`` never changes after issue), so re-scans
+until then are a single compare instead of a full dependency check —
+pure scan-cost elision, never a scheduling change.  An entry whose
+in-window producer has not issued is *parked* on that producer's ROB
+slot instead; when the producer issues, its parked consumers rejoin the
+list in sequence order with its completion cycle as their wake bound.
+No decision changes: the older producer is scanned first, a parked
+entry cannot issue before its producer completes, and a producer cannot
+commit (freeing its slot) before it issues.
 
 The d-cache is a :class:`~repro.fastsim.dcache.FastDCacheEngine`,
 driven through its ``load_tuple``/``store_tuple`` methods in the same
@@ -56,6 +68,7 @@ from repro.workload.instr import OP_FP, OP_INT, OP_LOAD, OP_STORE
 #: of wake headroom covers ~1.7e10 cycles, far past any modeled trace.
 _WAKE_BITS = 34
 _WAKE_MASK = (1 << _WAKE_BITS) - 1
+_WAKE_STEP = 1 << _WAKE_BITS  # one sequence, packed
 
 
 class FastCore:
@@ -92,20 +105,18 @@ class FastCore:
         encoded = fetch_unit.encoded
         t_ops = encoded.ops
         t_pcs = encoded.pcs
-        t_dsts = encoded.dsts
-        t_src1s = encoded.src1s
-        t_src2s = encoded.src2s
         t_addrs = encoded.daddrs
         t_xors = encoded.xors
         n = encoded.instructions
+        rob_size = config.rob_size
+        src_a, src_b = encoded.producers(rob_size)
+        is_mem = encoded.memory_ops()
 
         load_tuple = self.dcache.load_tuple
         store_tuple = self.dcache.store_tuple
         fetch = fetch_unit.fetch
         resume = fetch_unit.resume
-        queue = fetch_unit.queue
 
-        rob_size = config.rob_size
         lsq_size = config.lsq_size
         queue_limit = 2 * config.fetch_width
         dispatch_width = config.dispatch_width
@@ -117,32 +128,19 @@ class FastCore:
         branch_latency = config.branch_latency
         redirect_penalty = config.redirect_penalty
 
-        # ROB as parallel circular arrays; head/tail are sequence numbers.
-        r_index = [0] * rob_size  # trace index of the instruction
-        r_issued = [False] * rob_size
+        # The ROB holds sequences [head, tail); sequence == trace index.
+        # Completion cycle per slot (``sequence % rob_size``), 0 while
+        # the entry has not issued.
         r_done = [0] * rob_size
-        r_ismem = [False] * rob_size
-        r_resolves = [0] * rob_size
-        r_srca = [-1] * rob_size  # producer sequence numbers (-1: none)
-        r_srcb = [-1] * rob_size
         head = 0
         tail = 0
-        lsq_count = 0
-        # Rename map: architectural register -> youngest producer sequence.
-        rename = [-1] * 64
+        fetched = 0  # the fetch unit's index: [tail, fetched) is queued
+        stall_seq = -1  # the fetch unit's stall-resolving sequence
         # Unissued sequences, oldest first, except those parked in
         # ``waiters[slot]`` on the unissued producer in ``slot``.
         pending = []
         waiters = [[] for _ in range(rob_size)]
         woken = []
-
-        committed_total = 0
-        issued_total = 0
-        dispatched_total = 0
-        int_ops = 0
-        fp_ops = 0
-        loads = 0
-        stores = 0
 
         cycle = 0
         last_commit_cycle = 0
@@ -151,22 +149,21 @@ class FastCore:
         interval = self.interval
         next_tick = interval if on_tick is not None and interval > 0 else 0
 
-        while queue or head != tail or fetch_unit.index < n:
+        while head < n:
             if next_tick and cycle == next_tick:
                 on_tick(cycle)
                 next_tick += interval
             # ---- commit: in-order retirement, up to commit_width ---- #
             count = 0
-            while head != tail and count < commit_width:
+            while head < tail and count < commit_width:
                 slot = head % rob_size
-                if not r_issued[slot] or r_done[slot] > cycle:
+                done = r_done[slot]
+                if not done or done > cycle:
                     break
+                r_done[slot] = 0  # the slot's next occupant is unissued
                 head += 1
-                if r_ismem[slot]:
-                    lsq_count -= 1
                 count += 1
             if count:
-                committed_total += count
                 last_commit_cycle = cycle
 
             # ---- issue: oldest-first over the unissued window ---- #
@@ -186,63 +183,57 @@ class FastCore:
                         keep += 1
                         continue
                     seq = item >> _WAKE_BITS
-                    slot = seq % rob_size
-                    if r_ismem[slot] and ports == 0:
+                    if not ports and is_mem[seq]:
                         pending[keep] = item
                         keep += 1
                         continue
-                    src = r_srca[slot]
-                    if src >= head:  # in-window producer: check readiness
-                        src_slot = src % rob_size
-                        if not r_issued[src_slot]:
+                    distance = src_a[seq]
+                    if distance and seq - distance >= head:  # in-window producer
+                        src_slot = (seq - distance) % rob_size
+                        done = r_done[src_slot]
+                        if not done:
                             waiters[src_slot].append(seq)  # park
                             continue
-                        done = r_done[src_slot]
                         if done > cycle:
                             pending[keep] = (seq << _WAKE_BITS) | done
                             keep += 1
                             continue
-                    src = r_srcb[slot]
-                    if src >= head:
-                        src_slot = src % rob_size
-                        if not r_issued[src_slot]:
+                    distance = src_b[seq]
+                    if distance and seq - distance >= head:
+                        src_slot = (seq - distance) % rob_size
+                        done = r_done[src_slot]
+                        if not done:
                             waiters[src_slot].append(seq)
                             continue
-                        done = r_done[src_slot]
                         if done > cycle:
                             pending[keep] = (seq << _WAKE_BITS) | done
                             keep += 1
                             continue
 
-                    index = r_index[slot]
-                    op = t_ops[index]
+                    op = t_ops[seq]
                     if op == OP_LOAD:
-                        latency = load_tuple(t_pcs[index], t_addrs[index], t_xors[index])[1]
-                        loads += 1
+                        latency = load_tuple(t_pcs[seq], t_addrs[seq], t_xors[seq])[1]
                         ports -= 1
                     elif op == OP_STORE:
-                        store_tuple(t_pcs[index], t_addrs[index])
+                        store_tuple(t_pcs[seq], t_addrs[seq])
                         # The store retires through the LSQ; it does not
                         # produce a register value, so a nominal 1-cycle
                         # occupancy suffices.
                         latency = 1
-                        stores += 1
                         ports -= 1
                     elif op == OP_FP:
                         latency = fp_latency
-                        fp_ops += 1
                     elif op == OP_INT:
                         latency = int_latency
-                        int_ops += 1
                     else:  # branches, calls, returns
                         latency = branch_latency
-                        int_ops += 1
 
-                    r_issued[slot] = True
                     done = cycle + latency
+                    slot = seq % rob_size
                     r_done[slot] = done
-                    if r_resolves[slot]:
+                    if seq == stall_seq:
                         resume(done + redirect_penalty)
+                        stall_seq = -1
                     issued += 1
                     parked = waiters[slot]
                     if parked:
@@ -255,44 +246,29 @@ class FastCore:
                     pending += woken
                     pending.sort()
                     woken.clear()
-                issued_total += issued
 
-            # ---- dispatch: fetch queue -> ROB/LSQ ---- #
-            dispatched = 0
-            while queue and dispatched < dispatch_width:
-                if tail - head >= rob_size:
-                    break
-                packed = queue[0]
-                index = packed >> 1
-                op = t_ops[index]
-                is_mem = op == OP_LOAD or op == OP_STORE
-                if is_mem and lsq_count >= lsq_size:
-                    break
-                queue.popleft()
-                slot = tail % rob_size
-                r_index[slot] = index
-                r_issued[slot] = False
-                r_ismem[slot] = is_mem
-                r_resolves[slot] = packed & 1
-                src = t_src1s[index]
-                r_srca[slot] = rename[src] if src >= 0 else -1
-                src = t_src2s[index]
-                r_srcb[slot] = rename[src] if src >= 0 else -1
-                dst = t_dsts[index]
-                if dst >= 0:
-                    rename[dst] = tail
-                pending.append(tail << _WAKE_BITS)
-                tail += 1
-                if is_mem:
-                    lsq_count += 1
-                dispatched += 1
-            dispatched_total += dispatched
+            # ---- dispatch: fetched instructions -> ROB/LSQ, one step ---- #
+            end = tail + dispatch_width
+            if end > fetched:
+                end = fetched
+            if end > head + rob_size:
+                end = head + rob_size
+            dispatched = end > tail
+            if dispatched:
+                if end - head > lsq_size and is_mem.count(1, head, end) > lsq_size:
+                    # Stop at the first memory op that finds the LSQ full.
+                    end = tail - 1
+                    for _ in range(lsq_size - is_mem.count(1, head, tail) + 1):
+                        end = is_mem.index(1, end + 1)
+                    dispatched = end > tail
+                pending.extend(range(tail << _WAKE_BITS, end << _WAKE_BITS, _WAKE_STEP))
+                tail = end
 
             # ---- fetch: one i-cache block per cycle ---- #
-            if len(queue) < queue_limit:
-                fetch_active = fetch(cycle)
-            else:
-                fetch_active = False
+            fetch_active = fetched - tail < queue_limit and fetch(cycle)
+            if fetch_active:
+                fetched = fetch_unit.index
+                stall_seq = fetch_unit.stall_seq
 
             # ---- idle skip: jump over provably event-free cycles ---- #
             # When a cycle performs no work at all, the machine state is
@@ -305,18 +281,15 @@ class FastCore:
             # block-arrival cycle.  Jumping to the earliest of them
             # leaves every observable value identical while eliding the
             # dominant stall-spin cost.
-            if count == 0 and issued == 0 and dispatched == 0 and not fetch_active:
-                event = -1
-                if head != tail:
-                    slot = head % rob_size
-                    if r_issued[slot]:
-                        event = r_done[slot]  # > cycle, else it committed
+            if count == 0 and issued == 0 and not dispatched and not fetch_active:
+                event = r_done[head % rob_size] if head < tail else 0
+                if not event:  # > cycle when set, else the head committed
+                    event = -1
                 for item in pending:
                     wake = item & _WAKE_MASK
                     if wake > cycle and (event < 0 or wake < event):
                         event = wake
-                fetchable = fetch_unit.index < n and len(queue) < queue_limit
-                if fetchable and not fetch_unit.branch_stalled:
+                if fetched < n and fetched - tail < queue_limit and stall_seq < 0:
                     ready = fetch_unit._ready_cycle
                     if ready > cycle and (event < 0 or ready < event):
                         event = ready
@@ -332,14 +305,19 @@ class FastCore:
             if cycle - last_commit_cycle > valve:
                 raise RuntimeError(
                     f"core deadlock at cycle {cycle}: rob={tail - head} "
-                    f"fetchq={len(queue)} committed={committed_total}"
+                    f"fetchq={fetched - tail} committed={head}"
                 )
 
+        # Every instruction dispatches, issues and commits exactly once,
+        # so the per-kind counts are the trace's.
+        loads = t_ops.count(OP_LOAD)
+        stores = t_ops.count(OP_STORE)
+        fp_ops = t_ops.count(OP_FP)
         stats.cycles = cycle
-        stats.committed += committed_total
-        stats.issued += issued_total
-        stats.dispatched += dispatched_total
-        stats.int_ops += int_ops
+        stats.committed += n
+        stats.issued += n
+        stats.dispatched += n
+        stats.int_ops += n - loads - stores - fp_ops
         stats.fp_ops += fp_ops
         stats.loads += loads
         stats.stores += stores

@@ -3,22 +3,28 @@
 Cycle-for-cycle transcription of :class:`~repro.cpu.fetch.FetchUnit`
 (Figure 3's mechanism: branch prediction + i-cache access + way
 prediction) over the pre-encoded instruction arrays of
-:class:`~repro.workload.encode.EncodedTrace`:
+:class:`~repro.workload.encode.EncodedTrace`, under the fast core's
+three invariants (:mod:`repro.fastsim.core`):
 
-* per-instruction ``FetchedInstr`` objects are replaced by one int
-  deque shared with the core — ``queue`` holds
-  ``(trace_index << 1) | resolves_stall`` (the stall bit can only mark
-  the *last* instruction of a group, because a stalling transfer
-  always ends its group).  The reference unit also stamps each
+* **a sequence number is the trace index**: groups are fetched in trace
+  order, so there is no fetch queue — the core dispatches the trace
+  indices below ``index``.  The reference unit also stamps each
   instruction with a dispatch-ready cycle, but that stamp is provably
-  inert: groups become ready one cycle after their fetch, dispatch
-  runs *before* fetch within a cycle, so dispatch can never see a
-  not-yet-ready queue head — the stamp is therefore not materialized
-  here at all;
-* the branch-prediction object graph is replaced by the table-state
-  structures of :mod:`repro.fastsim.predictors`;
-* i-block indices come pre-shifted from
-  :meth:`~repro.workload.encode.EncodedTrace.iblocks`.
+  inert: groups become ready one cycle after their fetch, and dispatch
+  runs *before* fetch within a cycle;
+* **at most one stall is outstanding**: a stalled unit fetches nothing
+  until the core calls :meth:`resume`, so one ``stall_seq`` (the
+  stalling transfer's trace index, -1 when not stalled) replaces the
+  reference's per-instruction resolve flag;
+* **producer distances are clamped at ``rob_size``** — the core's
+  concern only: nothing here depends on the window.
+
+A group is assembled one run at a time: the per-trace view
+:meth:`~repro.workload.encode.EncodedTrace.fetch_runs` says how many
+non-control instructions follow in the same i-block, so only the
+control ops are visited one by one, through the table-state predictors
+of :mod:`repro.fastsim.predictors`.  I-block indices come pre-shifted
+from :meth:`~repro.workload.encode.EncodedTrace.iblocks`.
 
 The i-cache is a :class:`~repro.fastsim.icache.FastICacheEngine`,
 driven through ``fetch_tuple``/``way_of`` in the same access sequence
@@ -26,8 +32,6 @@ as the reference fetch unit drives ``ICacheEngine``.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from repro.core.icache import SOURCE_BTB, SOURCE_NONE, SOURCE_RAS, SOURCE_SAWP
 from repro.cpu.config import CoreConfig
@@ -38,7 +42,7 @@ from repro.fastsim.predictors import (
     FastReturnAddressStack,
 )
 from repro.workload.encode import encode_trace
-from repro.workload.instr import OP_BRANCH, OP_CALL, OP_RET
+from repro.workload.instr import OP_BRANCH, OP_CALL
 from repro.workload.trace import Trace
 
 # Way-training transition kinds (int-coded; the reference unit uses strings).
@@ -76,18 +80,20 @@ class FastFetchUnit:
         self.btb = FastBranchTargetBuffer(config.btb_entries)
         self.ras = FastReturnAddressStack(config.ras_depth)
 
-        #: Fetched-but-not-dispatched stream, consumed by the core.
-        self.queue: deque = deque()
-
+        #: Instructions fetched so far: the core dispatches trace
+        #: indices up to this one.
         self.index = 0
+        #: Trace index of the transfer that stalled fetch; it resumes
+        #: fetch when it issues.  -1 while fetch is not stalled.
+        self.stall_seq = -1
         self._n = encoded.instructions
         self._block_shift = icache.fields.offset_bits
         self._blocks = encoded.iblocks(self._block_shift)
+        self._runs = encoded.fetch_runs(self._block_shift)
         self._base_latency = icache.base_latency
         self._fetch_tuple = icache.fetch_tuple
         self._line_buffer_block = -1  # blocks are >= 0; -1 forces an access
         self._ready_cycle = 0
-        self.branch_stalled = False
         # Next-access prediction context.
         self._next_source = SOURCE_NONE
         self._next_way = None
@@ -104,8 +110,8 @@ class FastFetchUnit:
         return self.index >= self._n
 
     def resume(self, cycle: int) -> None:
-        """Called by the core when the stalling branch has resolved."""
-        self.branch_stalled = False
+        """Called by the core when the stalling transfer has resolved."""
+        self.stall_seq = -1
         if cycle > self._ready_cycle:
             self._ready_cycle = cycle
 
@@ -114,7 +120,7 @@ class FastFetchUnit:
     # ------------------------------------------------------------------ #
 
     def fetch(self, cycle: int) -> bool:
-        """Fetch one group into the queue; no-op when stalled or waiting.
+        """Fetch one group (advance ``index``); no-op when stalled or waiting.
 
         Returns True when the cycle did fetch work (an i-cache access
         or a line-buffer continuation) — the core's cycle-skip logic
@@ -123,7 +129,7 @@ class FastFetchUnit:
         i = self.index
         if i >= self._n:
             return False
-        if self.branch_stalled or cycle < self._ready_cycle:
+        if self.stall_seq >= 0 or cycle < self._ready_cycle:
             return False
 
         block = self._blocks[i]
@@ -158,30 +164,30 @@ class FastFetchUnit:
     def _assemble_group(self, block: int) -> None:
         ops = self.encoded.ops
         blocks = self._blocks
+        runs = self._runs
         n = self._n
-        width = self.config.fetch_width
-        queue = self.queue
-
-        i = self.index
-        count = 0
+        start = i = self.index
+        end = min(n, start + self.config.fetch_width)
         ended = False
-        while i < n and count < width and blocks[i] == block:
-            op = ops[i]
-            queue.append(i << 1)
-            i += 1
-            count += 1
+        while i < end and blocks[i] == block:
+            run = runs[i]
+            if run:  # non-control instructions up to a transfer or block end
+                i += run
+                continue
+            op = ops[i]  # a run of 0: a control op
             if op == OP_BRANCH:
-                ended = self._handle_branch(i - 1)
+                ended = self._handle_branch(i)
             elif op == OP_CALL:
-                ended = self._handle_call(i - 1)
-            elif op == OP_RET:
-                ended = self._handle_return(i - 1)
-            else:
-                ended = False
+                ended = self._handle_call(i)
+            else:  # OP_RET
+                ended = self._handle_return(i)
+            i += 1
             if ended:
                 break
+        if i > end:  # the last run reached past the fetch width
+            i = end
         self.index = i
-        self.stats.fetched += count
+        self.stats.fetched += i - start
         if ended:
             self._line_buffer_block = -1
             return
@@ -209,9 +215,8 @@ class FastFetchUnit:
         self._train_kind = _TRAIN_BTB
         self._train_handle = branch_pc
 
-    def _stall(self) -> None:
-        self.queue[-1] |= 1  # this instruction resolves the stall at issue
-        self.branch_stalled = True
+    def _stall(self, i: int) -> None:
+        self.stall_seq = i  # this instruction resolves the stall at issue
         self._next_source = SOURCE_NONE
         self._next_way = None
         self._train_kind = _TRAIN_NONE
@@ -236,12 +241,12 @@ class FastFetchUnit:
                 self._set_taken_transition(pc, hit[1])
             else:
                 stats.branch_mispredicts += 1
-                self._stall()
+                self._stall(i)
             return True
         if predicted_taken:
             # Predicted taken but falls through: misfetch, stall.
             stats.branch_mispredicts += 1
-            self._stall()
+            self._stall(i)
             return True
         return False  # correctly predicted not-taken: keep fetching
 
@@ -282,5 +287,5 @@ class FastFetchUnit:
             self._train_handle = 0
         else:
             stats.branch_mispredicts += 1
-            self._stall()
+            self._stall(i)
         return True

@@ -209,20 +209,20 @@ class JobQueue:
             )
 
     def finish(self, job_id: str, runs_done: int, cache_hits: int) -> None:
-        """``running -> done`` with final accounting."""
+        """``running -> done`` with final accounting; other states stay."""
         with self._lock, self._connection:
             self._connection.execute(
                 "UPDATE jobs SET state = 'done', finished = ?, runs_done = ?,"
-                " cache_hits = ? WHERE id = ?",
+                " cache_hits = ? WHERE id = ? AND state = 'running'",
                 (time.time(), runs_done, cache_hits, job_id),
             )
 
     def fail(self, job_id: str, error: str) -> None:
-        """``running -> failed`` with a one-line error detail."""
+        """``running -> failed`` with a one-line error detail; other states stay."""
         with self._lock, self._connection:
             self._connection.execute(
                 "UPDATE jobs SET state = 'failed', finished = ?, error = ?"
-                " WHERE id = ?",
+                " WHERE id = ? AND state = 'running'",
                 (time.time(), error.splitlines()[0] if error else error, job_id),
             )
 

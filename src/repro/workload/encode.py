@@ -14,10 +14,10 @@ trace's own streams, each built on demand:
   the fast out-of-order core (:mod:`repro.fastsim.core`) and fetch unit
   (:mod:`repro.fastsim.fetch`).
 
-Everything else is a *derived view*: a pure function of a stream and a
-key, namely the per-block-size data-block decode
-(:meth:`EncodedTrace.blocks`) and the i-block decode
-(:meth:`EncodedTrace.iblocks`).  Each is one shift per element, built
+Everything else is a *derived view*: a pure function of the streams
+and a key — the data-block and i-block decodes (``blocks``,
+``iblocks``) and the fast core's producer distances, memory-op flags
+and fetch runs (``producers``, ``memory_ops``, ``fetch_runs``), built
 once per key in the encoding's single memo
 (:meth:`EncodedTrace.derived`) and never persisted.
 
@@ -52,7 +52,7 @@ from itertools import compress
 from typing import Callable, Dict, Hashable, List, Optional, Tuple, TypeVar
 
 from repro.utils.bitops import AddressFields
-from repro.workload.instr import OP_LOAD, OP_STORE
+from repro.workload.instr import CONTROL_OPS, OP_LOAD, OP_STORE
 from repro.workload.trace import COLUMN_NAMES, Trace
 
 #: Attribute used to memoize the encoding on the trace object.
@@ -256,6 +256,25 @@ class EncodedTrace:
         return self.derived(("iblocks", offset_bits),
                             lambda: [pc >> offset_bits for pc in self.pcs])
 
+    def producers(self, rob_size: int) -> Tuple[bytearray, bytearray]:
+        """How far back each instruction's src1 and src2 producers are:
+        0 for none, and for one ``rob_size`` or more back, which has
+        committed by then (:mod:`repro.fastsim.core`)."""
+        return self.derived(("producers", rob_size),
+                            lambda: _producer_distances(self, rob_size))
+
+    def memory_ops(self) -> bytes:
+        """1 for each load or store, 0 for every other instruction."""
+        return self.derived("memory_ops", lambda: bytes(
+            op == OP_LOAD or op == OP_STORE for op in self.ops))
+
+    def fetch_runs(self, offset_bits: int) -> bytearray:
+        """Per instruction, how many non-control ones run from it to the
+        next control op or i-block change: 0 at a control op, at most
+        255 (a longer run continues in the next entry)."""
+        return self.derived(("fetch_runs", offset_bits),
+                            lambda: _fetch_runs(self.ops, self.iblocks(offset_bits)))
+
     # -------------------------------------------------------------- #
     # Instruction stream
     # -------------------------------------------------------------- #
@@ -353,6 +372,43 @@ class EncodedTrace:
             for name, dtype in _afmt.INSTR_SECTIONS:
                 sections[name] = (dtype, art.section(name))
         return sections
+
+
+def _producer_distances(encoded: EncodedTrace, window: int) -> Tuple[bytearray, bytearray]:
+    """The rename-map walk behind :meth:`EncodedTrace.producers`."""
+    n = encoded.instructions
+    if window <= 256:
+        first, second = bytearray(n), bytearray(n)
+    else:
+        first, second = array("L", [0]) * n, array("L", [0]) * n
+    last = [-window] * 64  # youngest writer of each register
+    columns = zip(encoded.dsts, encoded.src1s, encoded.src2s)
+    for i, (dst, src1, src2) in enumerate(columns):
+        if src1 >= 0 and i - last[src1] < window:
+            first[i] = i - last[src1]
+        if src2 >= 0 and i - last[src2] < window:
+            second[i] = i - last[src2]
+        if dst >= 0:
+            last[dst] = i
+    return first, second
+
+
+def _fetch_runs(ops: List[int], blocks: List[int]) -> bytearray:
+    """The backward walk behind :meth:`EncodedTrace.fetch_runs`."""
+    runs = bytearray(len(ops))
+    run = 0
+    next_block = -1
+    for i in range(len(ops) - 1, -1, -1):
+        block = blocks[i]
+        if ops[i] in CONTROL_OPS:
+            run = 0
+        elif block != next_block:
+            run = 1
+        elif run < 255:
+            run += 1
+        runs[i] = run
+        next_block = block
+    return runs
 
 
 def encode_trace(trace: Trace) -> EncodedTrace:

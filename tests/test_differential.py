@@ -181,6 +181,57 @@ MISS_THEN_CHAIN = straight_line("miss-then-chain", [
     (OP_FP, 5, 3, -1, 0),
     (OP_FP, 6, 5, 4, 0),
 ])
+#: Under ``tiny_window`` (a 4-entry ROB) the last row reads r2 from a
+#: load ``rob_size - 1`` back, which chases the first load and is still
+#: in flight, and r1 from ``rob_size`` back, which has committed before
+#: the last row can dispatch.
+WINDOW_EDGE = straight_line("window-edge", [
+    (OP_LOAD, 1, -1, -1, 0x4000),
+    (OP_LOAD, 2, 1, -1, 0x4800),
+    (OP_INT, 3, -1, -1, 0),
+    (OP_INT, 4, -1, -1, 0),
+    (OP_FP, 5, 2, 1, 0),
+])
+#: Rows that read the register they write: each one's producer is an
+#: older row, never the row itself.
+SELF_UPDATE = straight_line("self-update", [
+    (OP_LOAD, 1, -1, -1, 0x4000),
+    (OP_FP, 1, 1, 1, 0),
+    (OP_INT, 2, 2, 1, 0),
+    (OP_FP, 1, 1, 2, 0),
+    (OP_STORE, -1, 1, -1, 0x4000),
+])
+#: Ten passes of a one-block loop: a load that misses, an int op on its
+#: value, five stores of that, and the branch back.  Once the loop is
+#: in the i-cache and predicted, fetch outruns the first miss and the
+#: LSQ fills in the middle of a dispatch step: under the paper's 32
+#: entries at the second store of the sixth pass, under
+#: ``tiny_window``'s 2 at the second store of the first.
+LSQ_FULL = Trace("lsq-full", [
+    row for k in range(10) for row in (
+        Instr(0x1000, OP_LOAD, dst=1, src1=2, addr=0x4000 + 0x800 * k),
+        Instr(0x1004, OP_INT, dst=3, src1=1),
+        *(Instr(0x1008 + 4 * j, OP_STORE, src1=3, addr=0x6000 + 8 * j)
+          for j in range(5)),
+        Instr(0x101C, OP_BRANCH, taken=k < 9, target=0x1000),
+    )
+])
+#: Eight non-control ops fill the paper's fetch width exactly at the
+#: end of a 32-byte i-block.  The next block opens with a branch and
+#: ends with a call as its eighth op; the callee's run fills a block
+#: too, and its return lands mid-block, in a run that ends two ops into
+#: the next block.
+FULL_BLOCK_RUN = Trace("full-block-run", [
+    *(Instr(0x1000 + 4 * i, OP_INT, dst=1 + i % 3, src1=1 + (i + 1) % 3)
+      for i in range(8)),
+    Instr(0x1020, OP_BRANCH, src1=1, taken=False, target=0x1000),
+    *(Instr(0x1024 + 4 * i, OP_INT, dst=4, src1=4) for i in range(6)),
+    Instr(0x103C, OP_CALL, taken=True, target=0x2000),
+    *(Instr(0x2000 + 4 * i, OP_FP, dst=5, src1=5) for i in range(8)),
+    Instr(0x2020, OP_RET, taken=True, target=0x1048),
+    *(Instr(0x1048 + 4 * i, OP_INT, dst=6, src1=5) for i in range(7)),
+    Instr(0x1064, OP_STORE, src1=6, addr=0x4000),
+])
 
 
 def assert_backends_identical(config: SystemConfig, trace: Trace) -> None:
@@ -246,6 +297,10 @@ CORE_SHAPES = {
 @example(trace=PARK_TWICE)
 @example(trace=POINTER_CHASE)
 @example(trace=MISS_THEN_CHAIN)
+@example(trace=WINDOW_EDGE)
+@example(trace=SELF_UPDATE)
+@example(trace=LSQ_FULL)
+@example(trace=FULL_BLOCK_RUN)
 def test_core_shapes_identical(shape, trace):
     """The fast core is cycle-exact under starved pipeline shapes too."""
     config = dataclasses.replace(
@@ -261,6 +316,10 @@ def test_core_shapes_identical(shape, trace):
 @example(trace=PARK_TWICE)
 @example(trace=POINTER_CHASE)
 @example(trace=MISS_THEN_CHAIN)
+@example(trace=WINDOW_EDGE)
+@example(trace=SELF_UPDATE)
+@example(trace=LSQ_FULL)
+@example(trace=FULL_BLOCK_RUN)
 def test_core_stats_identical(shape, trace):
     """Every CoreStats field matches, including those only Wattch reads
     (dispatched, issued, ...), which escape to_flat() equality."""

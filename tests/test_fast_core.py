@@ -12,6 +12,8 @@ conflicts, RAS overflow/underflow, chooser ties).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cache.hierarchy import L2Cache
@@ -31,6 +33,9 @@ from repro.sim.simulator import Simulator
 from repro.utils.rng import DeterministicRng
 from repro.workload.encode import encode_trace
 from repro.workload.generator import generate_trace
+from repro.workload.instr import CONTROL_OPS, OP_INT, OP_LOAD, OP_RET, OP_STORE, Instr
+from repro.workload.profiles import benchmark_names
+from repro.workload.trace import Trace
 
 SMALL = SystemConfig(
     icache=CacheLevelConfig(1, 4, 32, 1),
@@ -176,6 +181,83 @@ def test_instr_arrays_are_idempotent_and_iblocks_memoized():
     assert encoded.iblocks(5) is blocks
     assert blocks == [pc >> 5 for pc in encoded.pcs]
     assert encoded.iblocks(6) == [pc >> 6 for pc in encoded.pcs]
+
+
+def _rename_walk(encoded, rob_size):
+    """Producer distances as the reference core's rename map finds them."""
+    rename = [None] * 64
+    first, second = [], []
+    for i in range(encoded.instructions):
+        for src, column in ((encoded.src1s[i], first), (encoded.src2s[i], second)):
+            producer = rename[src] if src >= 0 else None
+            near = producer is not None and i - producer < rob_size
+            column.append(i - producer if near else 0)
+        if encoded.dsts[i] >= 0:
+            rename[encoded.dsts[i]] = i
+    return first, second
+
+
+@pytest.mark.parametrize("application", benchmark_names())
+def test_core_views_match_their_definitions(application):
+    """Producer distances equal a rename-map walk (clamped at the ROB
+    size); memory flags and fetch runs equal their per-instruction
+    definitions."""
+    trace = generate_trace(application, 3_000, 0)
+    encoded = encode_trace(trace)
+    encoded.ensure_instr_arrays(trace)
+    for rob_size in (4, 64, 300):  # 300: distances past a byte
+        expected = _rename_walk(encoded, rob_size)
+        assert tuple(map(list, encoded.producers(rob_size))) == expected
+    ops = encoded.ops
+    assert list(encoded.memory_ops()) == [op in (OP_LOAD, OP_STORE) for op in ops]
+    blocks = encoded.iblocks(5)
+    runs = []
+    for i, op in enumerate(ops):
+        end = i
+        while (end < len(ops) and ops[end] not in CONTROL_OPS
+               and blocks[end] == blocks[i]):
+            end += 1
+        runs.append(min(end - i, 255))
+    assert list(encoded.fetch_runs(5)) == runs
+
+
+def test_fetch_runs_cap_at_a_byte():
+    """A run longer than 255 instructions continues in the next entry."""
+    trace = Trace("one-block", [Instr(0x1000, OP_INT)] * 300 + [Instr(0x1000, OP_RET)])
+    encoded = encode_trace(trace)
+    encoded.ensure_instr_arrays(trace)
+    assert list(encoded.fetch_runs(5)) == [255] * 46 + list(range(254, 0, -1)) + [0]
+    # A fetch group wider than a byte reads across the capped entry.
+    config = dataclasses.replace(SMALL, core=CoreConfig(fetch_width=512))
+    reference = Simulator(config, backend="reference").run(trace).to_flat()
+    assert Simulator(config, backend="fast").run(trace).to_flat() == reference
+
+
+def test_core_views_are_built_once_per_trace(monkeypatch):
+    """Every configuration of a sweep over one trace reuses its views."""
+    from repro.experiments import table5
+    from repro.experiments.common import ExperimentSettings
+    from repro.workload.encode import EncodedTrace
+
+    built = []
+    derived = EncodedTrace.derived
+
+    def counting(self, key, build):
+        def counted():
+            built.append(key)
+            return build()
+        return derived(self, key, counted)
+
+    monkeypatch.setattr(EncodedTrace, "derived", counting)
+    trace = generate_trace("gcc", 2_000, 0)
+    settings = ExperimentSettings(instructions=2_000, benchmarks=("gcc",))
+    configs = [run.config for run in table5.sweep_spec(settings).runs]
+    assert len(configs) == 7
+    for config in configs:
+        Simulator(config, backend="fast").run(trace)
+    assert sorted(built, key=str) == sorted(
+        [("iblocks", 5), ("fetch_runs", 5), ("producers", 64), "memory_ops"], key=str
+    )
 
 
 def test_iblocks_requires_instr_arrays():

@@ -198,6 +198,26 @@ class TestJobQueue:
         assert [job.state for job in recovered] == ["queued"]
         assert queue.counts()["queued"] == 2
 
+    def test_late_fail_from_a_sibling_shard_keeps_a_done_job(self, tmp_path):
+        """Two shards share one journal: B re-queues and re-runs the job
+        A is still running, A finishes it, then B's run fails.  Only a
+        ``running`` row changes, so the job stays ``done``."""
+        path = tmp_path / "jobs.sqlite"
+        shard_a, shard_b = JobQueue(path), JobQueue(path)
+        try:
+            record, _ = shard_a.submit(FP_A, "sweep", {})
+            assert shard_a.claim().id == record.id
+            assert [job.id for job in shard_b.recover()] == [record.id]
+            assert shard_b.claim().id == record.id
+            shard_a.finish(record.id, 3, 1)
+            shard_b.fail(record.id, "boom")
+            done = shard_a.get(record.id)
+            assert done.state == "done" and done.error is None
+            assert done.runs_done == 3 and done.cache_hits == 1
+        finally:
+            shard_a.close()
+            shard_b.close()
+
     def test_journal_survives_reopen(self, tmp_path):
         path = tmp_path / "jobs.sqlite"
         queue = JobQueue(path)

@@ -287,13 +287,17 @@ def test_service_client_example_runs(isolated_cache, tmp_path, monkeypatch,
     monkeypatch.setattr(example, "REQUEST",
                         dict(example.REQUEST, benchmarks=["gcc"],
                              instructions=2_000))
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    temp_root = tmp_path / "tmp"
+    temp_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
     monkeypatch.setattr(sys, "argv", [str(path), "--embedded"])
     example.main()
     out = capsys.readouterr().out
     assert "  run 1/2: gcc [" in out and "  run 2/2: gcc [" in out
     assert "report: 1 design point(s), benchmarks ['gcc']" in out
     assert "coalesced=True" in out
+    # The embedded service's repro-service-* state directory is gone.
+    assert list(temp_root.iterdir()) == []
 
 
 class TestCompaction:
